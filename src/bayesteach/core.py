@@ -9,18 +9,25 @@ or walking it with a Markov chain when the space is too large to sweep.
 
 All weight arithmetic is carried in log space and normalized with
 log-sum-exp. Zero total mass raises instead of silently renormalizing.
+
+When the likelihood splits over the pools of a subset space with a
+uniform prior, the posterior is a product of per-pool posteriors, and
+``posterior_max`` takes its argmax and normalizer pool by pool instead
+of sweeping the joint space.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import AllZeroMass, ZeroStartMass
-from .spaces import ExplanationSpace
-from .types import Explanation, LearnerModel, TargetInference, TeacherPosterior
+from .spaces import ExplanationSpace, SubsetSpace
+from .types import Explanation, LearnerModel, TargetInference, TeacherPosterior, example_set
 
 
 def teacher_posterior(
@@ -32,9 +39,8 @@ def teacher_posterior(
     """Normalize likelihood * prior over every positive-prior candidate.
 
     The support keeps enumeration order, so downstream tie-breaking by
-    index is well defined. Evaluation may be spread over a thread pool;
-    weights are written back by candidate index, which keeps the result
-    independent of scheduling.
+    index is well defined. Evaluation is single-threaded; ``threads`` is
+    accepted and leaves the result unchanged.
     """
     support: list[Explanation] = []
     log_priors: list[float] = []
@@ -46,12 +52,7 @@ def teacher_posterior(
     if not support:
         raise AllZeroMass(f"{space.descriptor}: no candidate has positive prior weight")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            log_liks = list(pool.map(lambda x: learner.log_likelihood(theta, x), support, chunksize=64))
-    else:
-        log_liks = [learner.log_likelihood(theta, x) for x in support]
-
+    log_liks = [learner.log_likelihood(theta, x) for x in support]
     log_weights = np.asarray(log_liks, dtype=float) + np.asarray(log_priors, dtype=float)
     if np.all(np.isneginf(log_weights)):
         raise AllZeroMass(
@@ -59,6 +60,67 @@ def teacher_posterior(
         )
     log_z = float(logsumexp(log_weights))
     return TeacherPosterior(tuple(support), log_weights, log_z)
+
+
+@dataclass(frozen=True)
+class PosteriorMax:
+    """The maximum-posterior explanation with its unnormalized log weight,
+    its posterior probability, the log normalizer and the support size."""
+
+    explanation: Explanation
+    log_weight: float
+    probability: float
+    log_normalizer: float
+    support_size: int
+
+
+def posterior_max(
+    learner: LearnerModel,
+    theta: TargetInference,
+    space: ExplanationSpace,
+) -> PosteriorMax:
+    """The argmax of the teacher posterior; ties go to the lowest index.
+
+    On a subset space with a uniform prior, a learner whose
+    ``block_terms`` split its likelihood over the space's pools gets a
+    product posterior: each pool's combinations are scored once, log Z
+    is the sum of the per-pool log-sum-exps, and the argmax is the
+    concatenation of the per-pool first argmaxes, which is the first
+    argmax in the space's lexicographic product order. The chosen set is
+    then scored by the joint likelihood, so its log weight, and any error
+    the joint sweep would raise, are those of ``teacher_posterior``. The
+    joint size limit still applies. Every other case sweeps the joint
+    space with ``teacher_posterior``.
+    """
+    terms = None
+    if isinstance(space, SubsetSpace) and space._prior_fn is None and learner.block_terms is not None:
+        space._check_enumerable()
+        terms = learner.block_terms(theta, space._pools)
+    if terms is None:
+        posterior = teacher_posterior(learner, theta, space)
+        i = int(np.argmax(posterior.log_weights))
+        return PosteriorMax(
+            posterior.support[i],
+            float(posterior.log_weights[i]),
+            float(posterior.probabilities()[i]),
+            posterior.log_normalizer,
+            len(posterior),
+        )
+
+    picks: list[int] = []
+    log_z = 0.0
+    for term, pool, k in zip(terms, space._pools, space._ks):
+        combos = list(itertools.combinations(pool, k))
+        scores = np.array([term(combo) for combo in combos], dtype=float)
+        picks.extend(combos[int(np.argmax(scores))])
+        log_z += float(logsumexp(scores))
+    x = example_set(picks)
+    log_weight = float(learner.log_likelihood(theta, x))
+    if log_z == -np.inf:
+        raise AllZeroMass(
+            f"{space.descriptor}: every candidate has zero likelihood * prior"
+        )
+    return PosteriorMax(x, log_weight, math.exp(log_weight - log_z), log_z, space.size())
 
 
 def select_max(posterior: TeacherPosterior) -> Explanation:

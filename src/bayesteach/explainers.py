@@ -111,12 +111,11 @@ def explain_by_examples(
         # The mean posterior factorizes over classes, so the per-class
         # argmax assembles the joint argmax directly.
         chosen: list[int] = []
-        for c in range(model.class_count):
-            pool = data.class_rows(c).tolist()
+        terms = learner.block_terms(theta, space._pools)
+        for pool, term in zip(space._pools, terms):
             best, best_score = None, -math.inf
-            for combo in itertools.combinations(sorted(pool), per_class_k):
-                partial = example_set(combo)
-                score = _per_class_score(learner, theta, data, model, combo, c)
+            for combo in itertools.combinations(pool, per_class_k):
+                score = term(combo)
                 if score > best_score:
                     best, best_score = combo, score
             chosen.extend(best)
@@ -128,14 +127,11 @@ def explain_by_examples(
         )
 
     if strategy == "exhaustive-max":
-        posterior = core.teacher_posterior(learner, theta, space, threads=threads)
-        x = core.select_max(posterior)
-        idx = posterior.support.index(x)
-        prob = float(posterior.probabilities()[idx])
-        ll = float(posterior.log_weights[idx])
+        best = core.posterior_max(learner, theta, space)
+        x = best.explanation
         return ExampleSelectionReport(
-            x.payload, _split_by_class(data, x.payload), ll, prob,
-            strategy, space.size(), {"log_normalizer": posterior.log_normalizer},
+            x.payload, _split_by_class(data, x.payload), best.log_weight, best.probability,
+            strategy, space.size(), {"log_normalizer": best.log_normalizer},
         )
     if strategy == "mh":
         samples = core.mh_sample(learner, theta, space, mh_steps, mh_burn_in, seed)
@@ -149,14 +145,6 @@ def explain_by_examples(
             {"mode_frequency": top[1] / len(samples), "steps": mh_steps, "burn_in": mh_burn_in},
         )
     raise BadSpec(f"unknown strategy {strategy!r}; use exhaustive-max or mh")
-
-
-def _per_class_score(learner, theta, data, model, combo, c) -> float:
-    from .models import mean_posterior_logpdf
-
-    p = model.parameters
-    U = (data.features[list(combo)] - p["center"]) @ p["projection"]
-    return mean_posterior_logpdf(U, p["psi"], np.asarray(theta.payload)[c])
 
 
 # ---------------------------------------------------------------------------

@@ -127,22 +127,35 @@ def plda_log_likelihood(model: TargetModel, data: Dataset, theta: TargetInferenc
 def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
     """PLDA learner with per-class memoization.
 
-    The mean posterior factorizes over classes, so each (class, subset
-    rows) pair is scored once even when a joint space repeats it.
+    The mean posterior factorizes over classes: the log likelihood is a
+    sum of one term per class, and each (class, subset rows) term is
+    scored once even when a joint space repeats it. ``block_terms``
+    exposes the terms for subset spaces whose pools are single classes.
     """
     p = model.parameters
     cache: dict[tuple, float] = {}
+
+    def theta_array(theta: TargetInference) -> np.ndarray:
+        theta_arr = np.asarray(theta.payload, dtype=float)
+        if theta_arr.shape != p["latent_means"].shape:
+            raise DimensionMismatch(
+                f"latent means must have shape {p['latent_means'].shape}, got {theta_arr.shape}"
+            )
+        return theta_arr
+
+    def class_term(theta_arr: np.ndarray, theta_key: bytes, c: int, rows: tuple[int, ...]) -> float:
+        key = (theta_key, c, rows)
+        if key not in cache:
+            U = (data.features[list(rows)] - p["center"]) @ p["projection"]
+            cache[key] = mean_posterior_logpdf(U, p["psi"], theta_arr[c])
+        return cache[key]
 
     def log_likelihood(theta: TargetInference, x: Explanation) -> float:
         if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
             raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
         if x.kind is not ExplanationKind.EXAMPLE_SET:
             raise BadSpec(f"plda learner consumes example sets, not {x.kind.value}")
-        theta_arr = np.asarray(theta.payload, dtype=float)
-        if theta_arr.shape != p["latent_means"].shape:
-            raise DimensionMismatch(
-                f"latent means must have shape {p['latent_means'].shape}, got {theta_arr.shape}"
-            )
+        theta_arr = theta_array(theta)
         theta_key = theta_arr.tobytes()
         indices = np.asarray(x.payload, dtype=int)
         labels = data.labels[indices]
@@ -151,14 +164,28 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
             rows = tuple(sorted(indices[labels == c].tolist()))
             if not rows:
                 raise MissingClass(f"subset has no row of class {c}")
-            key = (theta_key, c, rows)
-            if key not in cache:
-                U = (data.features[list(rows)] - p["center"]) @ p["projection"]
-                cache[key] = mean_posterior_logpdf(U, p["psi"], theta_arr[c])
-            total += cache[key]
+            total += class_term(theta_arr, theta_key, c, rows)
         return total
 
-    return LearnerModel("plda mean-posterior learner", log_likelihood)
+    def block_terms(theta: TargetInference, pools):
+        """One scorer per pool when every pool holds a single class and no
+        class spans two pools; rows of a class the model lacks add 0."""
+        if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
+            raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
+        theta_arr = theta_array(theta)
+        theta_key = theta_arr.tobytes()
+        classes = [np.unique(data.labels[list(pool)]) for pool in pools]
+        if any(c.size != 1 for c in classes) or len({int(c[0]) for c in classes}) < len(classes):
+            return None
+
+        def scorer(c: int):
+            if c >= model.class_count:
+                return lambda rows: 0.0
+            return lambda rows: class_term(theta_arr, theta_key, c, rows)
+
+        return [scorer(int(c[0])) for c in classes]
+
+    return LearnerModel("plda mean-posterior learner", log_likelihood).factored(block_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import spearmanr
 
 from .core import teacher_posterior, select_max
 from .errors import BadSpec, InsufficientCoverage
@@ -298,6 +297,10 @@ def rank_order_independence(score_table: np.ndarray) -> RankReport:
     """Rows are inference targets, columns are explanations. Reports the
     per-column ranking of targets (best first) and whether every column
     agrees; disagreement comes with pairwise Spearman correlations."""
+    # imported here: scipy.stats costs more start-up time than the rest of
+    # the package together, and nothing else needs it
+    from scipy.stats import spearmanr
+
     scores = np.asarray(score_table, dtype=float)
     if scores.ndim != 2 or scores.shape[0] < 2 or scores.shape[1] < 1:
         raise BadSpec("the score table needs >= 2 targets and >= 1 explanation")

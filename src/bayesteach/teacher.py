@@ -53,15 +53,13 @@ def run_strategy(
     **options,
 ) -> StrategyResult:
     if strategy == "exhaustive-max":
-        posterior = core.teacher_posterior(learner, theta, space, threads=threads)
-        choice = core.select_max(posterior)
-        idx = posterior.support.index(choice)
+        best = core.posterior_max(learner, theta, space)
         meta = {
-            "posterior_probability": float(posterior.probabilities()[idx]),
-            "log_weight": float(posterior.log_weights[idx]),
-            "support_size": len(posterior),
+            "posterior_probability": best.probability,
+            "log_weight": best.log_weight,
+            "support_size": best.support_size,
         }
-        return StrategyResult(choice, strategy, meta)
+        return StrategyResult(best.explanation, strategy, meta)
 
     if strategy == "greedy":
         if not isinstance(space, SubsetSpace):

@@ -123,10 +123,25 @@ class LearnerModel:
     The likelihood is held in log space; a value of -inf means the learner
     assigns the pair zero probability. ``likelihood`` exposes the plain
     nonnegative value for callers that work in probability space.
+
+    ``block_terms`` is an optional hook for learners whose likelihood of
+    an example set splits over the index pools of a subset space. Called
+    as ``block_terms(theta, pools)`` it returns one scorer per pool, each
+    mapping a sorted tuple of that pool's rows to a log-likelihood term,
+    such that ``log_likelihood`` of the concatenated picks is the sum of
+    the terms; or None when the likelihood does not split over those
+    pools. It is attached with ``factored`` rather than passed to the
+    constructor, which takes the description and likelihood only.
     """
 
     description: str
     log_likelihood: Callable[[TargetInference, Explanation], float]
+    block_terms: Callable | None = field(default=None, init=False, repr=False, compare=False)
+
+    def factored(self, block_terms) -> "LearnerModel":
+        """Attach the ``block_terms`` hook to this new learner; returns it."""
+        object.__setattr__(self, "block_terms", block_terms)
+        return self
 
     def likelihood(self, theta: TargetInference, x: Explanation) -> float:
         return math.exp(self.log_likelihood(theta, x))

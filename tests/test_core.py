@@ -9,9 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayesteach import oracle
-from bayesteach.core import mh_sample, sample_posterior, select_max, teacher_posterior
-from bayesteach.errors import AllZeroMass, ZeroStartMass
-from bayesteach.spaces import EnumeratedSpace, MaskSpace, SubsetSpace
+from bayesteach.core import (
+    mh_sample,
+    posterior_max,
+    sample_posterior,
+    select_max,
+    teacher_posterior,
+)
+from bayesteach.errors import (
+    AllZeroMass,
+    DimensionMismatch,
+    MissingClass,
+    NotEnumerable,
+    ZeroStartMass,
+)
+from bayesteach.explainers import explain_by_examples
+from bayesteach.learners import BiasConfig, biased_learner, make_plda_learner
+from bayesteach.models import Dataset, fit_model, make_synthetic
+from bayesteach.spaces import MAX_ENUMERATION, EnumeratedSpace, MaskSpace, SubsetSpace
 from bayesteach.types import LearnerModel, TargetInference, ThetaKind, example_set
 
 THETA = TargetInference(ThetaKind.PREDICTED_LABEL, 0)
@@ -244,3 +259,202 @@ def test_mask_proposal_flips_exactly_one_bit(dim, seed):
     y = space.propose(x, rng)
     diff = sum(a != b for a, b in zip(x.payload, y.payload))
     assert diff == 1
+
+
+# ---------------------------------------------------------------------------
+# posterior_max: product route against the joint sweep
+
+
+def block_learner(ks, terms):
+    """A learner whose log likelihood is the sum, in pool order, of one
+    term per pool; counts its joint calls and its block_terms calls."""
+    calls = Counter()
+
+    def log_likelihood(theta, x):
+        calls["joint"] += 1
+        total, start = 0.0, 0
+        for term, k in zip(terms, ks):
+            total += term(x.payload[start : start + k])
+            start += k
+        return total
+
+    def block_terms(theta, pools):
+        calls["blocks"] += 1
+        return terms
+
+    return LearnerModel("blocks", log_likelihood).factored(block_terms), calls
+
+
+def block_case(rng):
+    """A random class-factorized subset space: 2-4 classes with
+    non-contiguous labels and interleaved rows, unequal k, and a per-class
+    term that depends only on the multiset of picked row values, so rows
+    with duplicated values give exact ties."""
+    while True:
+        n_blocks = int(rng.integers(2, 5))
+        sizes = [int(s) for s in rng.integers(2, 7, n_blocks)]
+        ks = [int(rng.integers(1, min(3, s) + 1)) for s in sizes]
+        if math.prod(math.comb(s, k) for s, k in zip(sizes, ks)) <= 3000:
+            break
+    labels = np.repeat(np.sort(rng.choice(50, n_blocks, replace=False)), sizes)
+    rng.shuffle(labels)
+    if rng.random() < 0.5:
+        values = rng.integers(0, 3, labels.size) * 0.5
+    else:
+        values = rng.uniform(-1, 1, labels.size)
+    space = SubsetSpace.per_class(labels, ks)
+    forbidden = set()
+    if rng.random() < 0.3:
+        forbidden = {int(rng.choice(pool)) for pool, k in zip(space._pools, ks) if k < len(pool)}
+    targets = rng.uniform(-1, 1, n_blocks)
+
+    def term(b):
+        def score(rows):
+            if forbidden & set(rows):
+                return -math.inf
+            return -0.5 * (math.fsum(values[list(rows)]) - targets[b]) ** 2
+
+        return score
+
+    return space, ks, [term(b) for b in range(n_blocks)]
+
+
+def test_product_route_matches_the_joint_sweep_and_brute_force(rng):
+    ties = 0
+    for _ in range(200):
+        space, ks, terms = block_case(rng)
+        learner, calls = block_learner(ks, terms)
+        best = posterior_max(learner, THETA, space)
+        assert calls == Counter(blocks=1, joint=1)
+
+        post = teacher_posterior(learner, THETA, space)
+        i = int(np.argmax(post.log_weights))
+        ties += int(np.sum(post.log_weights == post.log_weights[i]) > 1)
+        assert best.explanation.payload == post.support[i].payload
+        assert best.explanation == oracle.best_subset_bruteforce(learner, THETA, space)
+        assert best.log_weight == post.log_weights[i]
+        assert math.isclose(best.probability, post.probabilities()[i], rel_tol=1e-12)
+        assert math.isclose(best.log_normalizer, post.log_normalizer, rel_tol=1e-12)
+        assert best.support_size == len(post) == space.size()
+    assert ties > 20  # the tie rule was exercised
+
+
+def test_product_route_all_zero_block_raises():
+    space = SubsetSpace([[0, 1, 2], [3, 4]], [1, 1])
+    terms = [lambda rows: 0.0, lambda rows: -math.inf]
+    learner, _ = block_learner([1, 1], terms)
+    with pytest.raises(AllZeroMass):
+        posterior_max(learner, THETA, space)
+    with pytest.raises(AllZeroMass):
+        teacher_posterior(learner, THETA, space)
+
+
+def test_prior_weighted_subset_space_takes_the_joint_route(rng):
+    for _ in range(20):
+        space, ks, terms = block_case(rng)
+        weighted = SubsetSpace(space._pools, ks, prior_fn=lambda x: 1.0 + x.payload[0] % 3)
+        learner, calls = block_learner(ks, terms)
+        best = posterior_max(learner, THETA, weighted)
+        assert calls["blocks"] == 0 and calls["joint"] == weighted.size()
+        post = teacher_posterior(learner, THETA, weighted)
+        i = int(np.argmax(post.log_weights))
+        assert best.explanation == post.support[i]
+        assert best.explanation == oracle.best_subset_bruteforce(learner, THETA, weighted)
+        assert best.log_weight == post.log_weights[i]
+        assert best.probability == post.probabilities()[i]
+        assert best.log_normalizer == post.log_normalizer
+
+
+def test_plda_product_route_agrees_with_the_joint_sweep(plda3, blobs3):
+    learner = make_plda_learner(plda3, blobs3)
+    theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+    space = SubsetSpace.per_class(blobs3.labels, 2)
+    best = posterior_max(learner, theta, space)
+    post = teacher_posterior(learner, theta, space)
+    i = int(np.argmax(post.log_weights))
+    assert best.explanation == post.support[i]
+    assert best.log_weight == post.log_weights[i]
+    assert math.isclose(best.probability, post.probabilities()[i], rel_tol=1e-12)
+    assert math.isclose(best.log_normalizer, post.log_normalizer, rel_tol=1e-12)
+
+    # a confirmation-biased learner has no block terms: joint route, same argmax
+    other = TargetInference(ThetaKind.LATENT_CLASS_MEANS, -plda3.parameters["latent_means"])
+    biased = biased_learner(learner, BiasConfig(0.7, (theta, other), np.array([0.6, 0.4])))
+    assert biased.block_terms is None
+    joint = posterior_max(biased, theta, space)
+    post = teacher_posterior(biased, theta, space)
+    i = int(np.argmax(post.log_weights))
+    assert joint.explanation == post.support[i] == best.explanation
+    assert joint.log_weight == post.log_weights[i]
+    assert joint.probability == post.probabilities()[i]
+    assert math.isclose(joint.probability, best.probability, rel_tol=1e-12)
+
+
+def test_plda_block_terms_refuse_pools_that_are_not_single_classes(plda3, blobs3):
+    learner = make_plda_learner(plda3, blobs3)
+    theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+    rows = [blobs3.class_rows(c).tolist() for c in range(3)]
+    mixed = [rows[0][:4] + rows[1][:4], rows[0][4:] + rows[1][4:], rows[2]]
+    assert learner.block_terms(theta, mixed) is None
+    split = [rows[0][:4], rows[0][4:], rows[1], rows[2]]
+    assert learner.block_terms(theta, split) is None
+    space = SubsetSpace(split, [1, 1, 1, 1])
+    best = posterior_max(learner, theta, space)
+    assert best.explanation == select_max(teacher_posterior(learner, theta, space))
+
+    # rows of a class the model lacks do not enter the likelihood
+    extra = Dataset(
+        np.vstack([blobs3.features, blobs3.features[:3]]),
+        np.concatenate([blobs3.labels, [3, 3, 3]]),
+        4,
+    )
+    learner = make_plda_learner(plda3, extra)
+    space = SubsetSpace.per_class(extra.labels, 1)
+    assert len(learner.block_terms(theta, space._pools)) == 4
+    best = posterior_max(learner, theta, space)
+    post = teacher_posterior(learner, theta, space)
+    i = int(np.argmax(post.log_weights))
+    assert best.explanation == post.support[i]
+    assert best.log_weight == post.log_weights[i]
+    assert math.isclose(best.log_normalizer, post.log_normalizer, rel_tol=1e-12)
+
+
+def test_product_route_raises_the_errors_of_the_joint_sweep(plda3, blobs3):
+    theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+
+    keep = blobs3.labels != 2
+    two_classes = Dataset(blobs3.features[keep], blobs3.labels[keep], 3)
+    learner = make_plda_learner(plda3, two_classes)
+    space = SubsetSpace.per_class(two_classes.labels, 1)
+    for search in (posterior_max, teacher_posterior):
+        with pytest.raises(MissingClass):
+            search(learner, theta, space)
+    for independent in (False, True):
+        with pytest.raises(MissingClass):
+            explain_by_examples(plda3, two_classes, per_class_k=1, per_class_independent=independent)
+
+    learner = make_plda_learner(plda3, blobs3)
+    space = SubsetSpace.per_class(blobs3.labels, 1)
+    short = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"][:2])
+    for search in (posterior_max, teacher_posterior):
+        with pytest.raises(DimensionMismatch):
+            search(learner, short, space)
+
+
+def test_product_route_keeps_the_joint_enumeration_limit():
+    pools = [range(0, 12), range(12, 24), range(24, 36)]
+    space = SubsetSpace(pools, [5, 5, 5])
+    assert space.size() > MAX_ENUMERATION
+    terms = [lambda rows: 0.0] * 3
+    learner, calls = block_learner([5, 5, 5], terms)
+    for search in (posterior_max, teacher_posterior):
+        with pytest.raises(NotEnumerable):
+            search(learner, THETA, space)
+    assert not calls
+
+    data = make_synthetic(
+        {"generator": "gaussian-blobs", "classes": 3, "dim": 2, "per_class": 12, "separation": 5.0},
+        seed=4,
+    )
+    with pytest.raises(NotEnumerable):
+        explain_by_examples(fit_model("plda", data, seed=0), data, per_class_k=5)
