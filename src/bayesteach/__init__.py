@@ -73,6 +73,7 @@ from .studies import (
     bias_sensitivity_study,
     example_selection_study,
     fidelity_check,
+    plda_strategy_mismatch_study,
     rank_order_independence,
     simulate_2afc,
     strategy_mismatch_study,

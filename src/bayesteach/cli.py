@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -47,7 +48,7 @@ from .explainers import (
     mmd_prototypes,
     rise_saliency,
 )
-from .learners import BiasConfig, KernelConfig, biased_learner, make_plda_learner
+from .learners import KernelConfig
 from .models import (
     fit_model,
     inspect_model,
@@ -59,13 +60,12 @@ from .models import (
     save_model,
 )
 from .recombine import recombine
-from .spaces import SubsetSpace
 from .studies import (
     bias_sensitivity_study,
     example_selection_study,
-    strategy_mismatch_study,
+    plda_strategy_mismatch_study,
 )
-from .types import ExplanationKind, TargetInference, ThetaKind
+from .types import ExplanationKind, ThetaKind
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -536,35 +536,93 @@ _THRESHOLD_OPS = {
 }
 
 
+def _studies() -> dict:
+    """Study name -> function, built on each call from the module-level
+    names, so a wrapper installed on one of those names takes effect."""
+    return {
+        "example-selection": example_selection_study,
+        "bias-sweep": bias_sensitivity_study,
+        "strategy-mismatch": plda_strategy_mismatch_study,
+    }
+
+
+def _study_params(study, params) -> dict:
+    """A study config's ``params``, checked against the keyword parameters
+    of the study function: each key must be one of them, and each value
+    must have the type of that parameter's default."""
+    if not isinstance(params, dict):
+        raise BadSpec("study params must be a JSON object")
+    signature = inspect.signature(study).parameters
+    defaults = {k: p.default for k, p in signature.items() if k not in ("model", "data", "seed", "threads")}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise BadSpec(f"unknown study params {unknown}; accepted: {sorted(defaults)}")
+    for key, value in params.items():
+        default = defaults[key]
+        if isinstance(default, tuple):
+            ok = isinstance(value, list) and all(_is_number(v) for v in value)
+        elif isinstance(default, bool):
+            ok = isinstance(value, bool)
+        elif isinstance(default, int):
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            ok = _is_number(value)
+        if not ok:
+            raise BadSpec(f"study param {key!r} must be like {default!r}, got {value!r}")
+    return params
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _cmd_study_run(args) -> tuple[dict, int]:
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise BadSpec("a study config must be a JSON object")
     name = config.get("study")
-    model = load_model(config["model"])
-    data = load_csv(config["data"], config.get("label_column", "label"))
-    params = dict(config.get("params", {}))
+    studies = _studies()
+    if not isinstance(name, str) or name not in studies:
+        raise BadSpec(f"unknown study {name!r}; choose from {sorted(studies)}")
+    paths = {key: config.get(key) for key in ("model", "data")}
+    label_column = config.get("label_column", "label")
+    for key, value in dict(paths, label_column=label_column).items():
+        if not isinstance(value, str):
+            raise BadSpec(f"study config needs {key!r} as a string, got {value!r}")
+    params = _study_params(studies[name], config.get("params", {}))
+    specs = config.get("thresholds", [])
+    if not isinstance(specs, list) or not all(
+        isinstance(spec, dict) and isinstance(spec.get("field"), str) and {"op", "value"} <= set(spec)
+        for spec in specs
+    ):
+        raise BadSpec("thresholds must be a list of objects with 'field', 'op' and 'value'")
+    model = load_model(paths["model"])
+    data = load_csv(paths["data"], label_column)
     if name == "example-selection":
-        result = example_selection_study(model, data, seed=args.seed, threads=args.threads, **params)
-    elif name == "bias-sweep":
-        result = bias_sensitivity_study(model, data, seed=args.seed, **params)
-    elif name == "strategy-mismatch":
-        result = _run_strategy_mismatch(model, data, args.seed, params)
-    else:
-        raise BadSpec(f"unknown study {name!r}")
+        params = dict(params, threads=args.threads)
+    result = studies[name](model, data, seed=args.seed, **params)
 
     thresholds = []
-    for spec in config.get("thresholds", []):
+    for spec in specs:
         observed = _threshold_lookup(result, spec["field"])
         op = spec["op"]
-        if op not in _THRESHOLD_OPS:
+        if not isinstance(op, str) or op not in _THRESHOLD_OPS:
             raise BadSpec(f"unknown threshold op {op!r}")
+        try:
+            passed = bool(_THRESHOLD_OPS[op](observed, spec["value"]))
+        except TypeError:
+            raise BadSpec(
+                f"threshold field {spec['field']!r} holds a {type(observed).__name__}, "
+                f"which {op!r} cannot compare with {spec['value']!r}"
+            ) from None
         thresholds.append(
             {
                 "field": spec["field"],
                 "op": op,
                 "value": spec["value"],
                 "observed": observed,
-                "passed": bool(_THRESHOLD_OPS[op](observed, spec["value"])),
+                "passed": passed,
             }
         )
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -580,35 +638,6 @@ def _cmd_study_run(args) -> tuple[dict, int]:
     }
     exit_code = 0 if all(t["passed"] for t in thresholds) else 1
     return doc, exit_code
-
-
-def _run_strategy_mismatch(model, data, seed: int, params: dict) -> dict:
-    if model.family != "plda":
-        raise BadSpec("the strategy mismatch study explains plda models")
-    scale = float(params.get("distractor_scale", 0.4))
-    strength = float(params.get("bias_strength", 1.0))
-    rng = np.random.default_rng((seed, 0xD15))
-    true_means = model.parameters["latent_means"]
-    distractor = true_means + scale * rng.standard_normal(true_means.shape)
-    candidates = (
-        TargetInference(ThetaKind.LATENT_CLASS_MEANS, true_means),
-        TargetInference(ThetaKind.LATENT_CLASS_MEANS, distractor),
-    )
-    selector = make_plda_learner(model, data)
-    evaluator = biased_learner(
-        selector, BiasConfig(strength, candidates, np.array([0.1, 0.9]))
-    )
-    space = SubsetSpace.per_class(data.labels, int(params.get("per_class_k", 2)))
-    return strategy_mismatch_study(
-        selector,
-        evaluator,
-        candidates,
-        0,
-        space,
-        n=int(params.get("n", 2000)),
-        burn_in=int(params.get("burn_in", 200)),
-        seed=seed,
-    )
 
 
 def _cmd_oracle_check(args) -> tuple[dict, int]:

@@ -13,7 +13,9 @@ log-sum-exp. Zero total mass raises instead of silently renormalizing.
 When the likelihood splits over the pools of a subset space with a
 uniform prior, the posterior is a product of per-pool posteriors, and
 ``posterior_max`` takes its argmax and normalizer pool by pool instead
-of sweeping the joint space.
+of sweeping the joint space. A full sweep of such a space scores it as
+arrays: the outer sum of the per-pool terms, or the learner's batch
+scorer on the space's index array.
 """
 
 from __future__ import annotations
@@ -23,11 +25,80 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import AllZeroMass, ZeroStartMass
-from .spaces import ExplanationSpace, SubsetSpace
+from .spaces import ExplanationSpace, SubsetRows, SubsetSpace
 from .types import Explanation, LearnerModel, TargetInference, TeacherPosterior, example_set
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over a 1-D sequence, computed as
+    ``scipy.special.logsumexp`` computes it, to the bit: the maxima are
+    summed apart and the remaining terms enter through log1p. An empty or
+    all -inf input gives -inf."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, keepdims=True)
+        at_max = a == a_max
+        count = np.sum(at_max, keepdims=True, dtype=float)
+        rest = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), keepdims=True)
+        rest = np.where(rest == 0, rest, rest / count)
+        out = np.log1p(rest) + np.log(count) + a_max
+        if not np.isfinite(out[0]):
+            # infinite or NaN entries: the direct formula handles them
+            out = np.log(np.sum(np.exp(a), keepdims=True))
+    return float(out[0])
+
+
+def score_rows(learner: LearnerModel, theta: TargetInference, rows: np.ndarray, explanation) -> np.ndarray:
+    """Log likelihood of every row of a candidate array, row i read as
+    ``explanation(rows[i])``. The first row is scored by the joint
+    ``log_likelihood``, so any error a per-candidate sweep would raise is
+    raised here too; the rest go through ``batch_log_likelihood`` when the
+    learner has one, and one by one otherwise."""
+    first = learner.log_likelihood(theta, explanation(rows[0]))
+    if learner.batch_log_likelihood is None:
+        rest = [learner.log_likelihood(theta, explanation(r)) for r in rows[1:]]
+        return np.array([first] + rest, dtype=float)
+    return np.asarray(learner.batch_log_likelihood(theta, rows), dtype=float)
+
+
+def pool_scores(terms, space: SubsetSpace):
+    """Each pool of the space with its ``block_terms`` scorer: yields the
+    pool's combinations in lexicographic order and their terms."""
+    for term, pool, k in zip(terms, space._pools, space._ks):
+        combos = list(itertools.combinations(pool, k))
+        yield combos, np.array([term(combo) for combo in combos], dtype=float)
+
+
+def _array_sweep(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
+    """The support and log weights of a uniform-prior subset space, scored
+    as arrays; None when the space or the learner does not allow it.
+
+    When ``block_terms`` split the likelihood, the log weights are the
+    outer sum of the per-pool term vectors, added in pool order from 0.0
+    as the joint likelihood adds its terms, so they equal its values to
+    the bit. Otherwise the learner's batch scorer scores the space's index
+    array. The uniform prior adds log 1 = 0 to every weight.
+    """
+    if not isinstance(space, SubsetSpace) or space._prior_fn is not None:
+        return None
+    if learner.block_terms is None and learner.batch_log_likelihood is None:
+        return None
+    space._check_enumerable()
+    terms = None if learner.block_terms is None else learner.block_terms(theta, space._pools)
+    if terms is None and learner.batch_log_likelihood is None:
+        return None
+    rows = space.index_array()
+    if terms is None:
+        return SubsetRows(rows), score_rows(learner, theta, rows, example_set)
+    learner.log_likelihood(theta, example_set(rows[0]))  # the joint sweep's errors
+    log_liks = np.zeros(())
+    for _, scores in pool_scores(terms, space):
+        log_liks = np.add.outer(log_liks, scores)
+    return SubsetRows(rows), log_liks.reshape(-1)
 
 
 def teacher_posterior(
@@ -39,27 +110,34 @@ def teacher_posterior(
     """Normalize likelihood * prior over every positive-prior candidate.
 
     The support keeps enumeration order, so downstream tie-breaking by
-    index is well defined. Evaluation is single-threaded; ``threads`` is
-    accepted and leaves the result unchanged.
+    index is well defined. A uniform-prior subset space is scored as
+    arrays when the learner has block terms or a batch scorer, with the
+    same weights and errors as the per-candidate sweep. Evaluation is
+    single-threaded; ``threads`` is accepted and leaves the result
+    unchanged.
     """
-    support: list[Explanation] = []
-    log_priors: list[float] = []
-    for x in space.elements():
-        lp = space.log_prior(x)
-        if lp > -np.inf:
-            support.append(x)
-            log_priors.append(lp)
-    if not support:
-        raise AllZeroMass(f"{space.descriptor}: no candidate has positive prior weight")
+    swept = _array_sweep(learner, theta, space)
+    if swept is not None:
+        support, log_weights = swept
+    else:
+        support: list[Explanation] = []
+        log_priors: list[float] = []
+        for x in space.elements():
+            lp = space.log_prior(x)
+            if lp > -np.inf:
+                support.append(x)
+                log_priors.append(lp)
+        if not support:
+            raise AllZeroMass(f"{space.descriptor}: no candidate has positive prior weight")
 
-    log_liks = [learner.log_likelihood(theta, x) for x in support]
-    log_weights = np.asarray(log_liks, dtype=float) + np.asarray(log_priors, dtype=float)
+        log_liks = [learner.log_likelihood(theta, x) for x in support]
+        log_weights = np.asarray(log_liks, dtype=float) + np.asarray(log_priors, dtype=float)
+        support = tuple(support)
     if np.all(np.isneginf(log_weights)):
         raise AllZeroMass(
             f"{space.descriptor}: every candidate has zero likelihood * prior"
         )
-    log_z = float(logsumexp(log_weights))
-    return TeacherPosterior(tuple(support), log_weights, log_z)
+    return TeacherPosterior(support, log_weights, logsumexp(log_weights))
 
 
 @dataclass(frozen=True)
@@ -109,11 +187,9 @@ def posterior_max(
 
     picks: list[int] = []
     log_z = 0.0
-    for term, pool, k in zip(terms, space._pools, space._ks):
-        combos = list(itertools.combinations(pool, k))
-        scores = np.array([term(combo) for combo in combos], dtype=float)
+    for combos, scores in pool_scores(terms, space):
         picks.extend(combos[int(np.argmax(scores))])
-        log_z += float(logsumexp(scores))
+        log_z += logsumexp(scores)
     x = example_set(picks)
     log_weight = float(learner.log_likelihood(theta, x))
     if log_z == -np.inf:

@@ -14,7 +14,6 @@ Result objects are plain dataclasses with ``to_dict`` for reporting.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from .learners import (
     witness,
 )
 from .models import Dataset, TargetModel, batch_predictor, predict_proba
-from .spaces import SubsetSpace
+from .spaces import MaskSpace, SubsetSpace
 from .types import (
     Explanation,
     ExplanationKind,
@@ -111,14 +110,8 @@ def explain_by_examples(
         # The mean posterior factorizes over classes, so the per-class
         # argmax assembles the joint argmax directly.
         chosen: list[int] = []
-        terms = learner.block_terms(theta, space._pools)
-        for pool, term in zip(space._pools, terms):
-            best, best_score = None, -math.inf
-            for combo in itertools.combinations(pool, per_class_k):
-                score = term(combo)
-                if score > best_score:
-                    best, best_score = combo, score
-            chosen.extend(best)
+        for combos, scores in core.pool_scores(learner.block_terms(theta, space._pools), space):
+            chosen.extend(combos[int(np.argmax(scores))])
         x = example_set(chosen)
         ll = learner.log_likelihood(theta, x)
         return ExampleSelectionReport(
@@ -291,18 +284,29 @@ def rise_saliency(
     point = np.asarray(point, dtype=float)
     if n_masks < 1:
         raise BadSpec(f"mask count must be >= 1, got {n_masks}")
-    if not 0.0 < keep_prob < 1.0:
-        raise BadSpec(f"keep probability must lie in (0, 1), got {keep_prob}")
+    space = MaskSpace(point.shape[0], keep_prob)
     predict = batch_predictor(model_or_fn)
     if target_class is None:
         target_class = int(np.argmax(predict(point[None, :])[0]))
-    rng = np.random.default_rng(seed)
-    masks = (rng.random((n_masks, point.shape[0])) < keep_prob).astype(np.float64)
-    weights = masked_batch_values(predict, point, masks, target_class, baseline)
-    values, stderr = weighted_mean_and_stderr(masks, weights)
+    masks, weights, values, stderr = mask_expectation(
+        space, n_masks, seed, lambda m: masked_batch_values(predict, point, m, target_class, baseline)
+    )
     return SaliencyReport(
         values, stderr, target_class, n_masks, keep_prob, masks=masks, weights=weights
     )
+
+
+def mask_expectation(space: MaskSpace, n: int, seed: int, weigh):
+    """Draw n masks from the space's prior with ``default_rng(seed)`` and
+    average them weighted by ``weigh(masks)``, a likelihood per mask.
+    RISE and the mc-expectation strategy both run here. Returns the masks,
+    the weights, and the weighted means with their standard errors."""
+    if n < 1:
+        raise BadSpec(f"mask count must be >= 1, got {n}")
+    masks = space.draw(np.random.default_rng(seed), n)
+    weights = weigh(masks)
+    values, stderr = weighted_mean_and_stderr(masks, weights)
+    return masks, weights, values, stderr
 
 
 # ---------------------------------------------------------------------------

@@ -168,14 +168,18 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
         return total
 
     def block_terms(theta: TargetInference, pools):
-        """One scorer per pool when every pool holds a single class and no
-        class spans two pools; rows of a class the model lacks add 0."""
+        """One scorer per pool when every pool holds a single class and the
+        pools' classes ascend, the order in which ``log_likelihood`` adds
+        the terms; rows of a class the model lacks add 0."""
         if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
             raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
         theta_arr = theta_array(theta)
         theta_key = theta_arr.tobytes()
         classes = [np.unique(data.labels[list(pool)]) for pool in pools]
-        if any(c.size != 1 for c in classes) or len({int(c[0]) for c in classes}) < len(classes):
+        if any(c.size != 1 for c in classes):
+            return None
+        classes = [int(c[0]) for c in classes]
+        if classes != sorted(set(classes)):
             return None
 
         def scorer(c: int):
@@ -183,7 +187,7 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
                 return lambda rows: 0.0
             return lambda rows: class_term(theta_arr, theta_key, c, rows)
 
-        return [scorer(int(c[0])) for c in classes]
+        return [scorer(c) for c in classes]
 
     return LearnerModel("plda mean-posterior learner", log_likelihood).factored(block_terms)
 
@@ -230,15 +234,24 @@ def masked_batch_values(
 def make_masked_prediction_learner(
     model_or_fn, point: np.ndarray, baseline: np.ndarray | float = 0.0
 ) -> LearnerModel:
-    def log_likelihood(theta: TargetInference, x: Explanation) -> float:
+    def check_theta(theta: TargetInference) -> None:
         if theta.kind is not ThetaKind.PREDICTED_LABEL:
             raise BadSpec(f"masked-prediction learner scores predicted labels, not {theta.kind.value}")
+
+    def log_likelihood(theta: TargetInference, x: Explanation) -> float:
+        check_theta(theta)
         if x.kind is not ExplanationKind.FEATURE_MASK:
             raise BadSpec(f"masked-prediction learner consumes feature masks, not {x.kind.value}")
         value = masked_prediction_likelihood(model_or_fn, point, np.asarray(x.payload), int(theta.payload), baseline)
         return math.log(value) if value > 0 else -math.inf
 
-    return LearnerModel("masked-prediction learner", log_likelihood)
+    def batch_log_likelihood(theta: TargetInference, masks: np.ndarray) -> np.ndarray:
+        check_theta(theta)
+        values = masked_batch_values(model_or_fn, point, masks, int(theta.payload), baseline)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(values > 0, np.log(values), -np.inf)
+
+    return LearnerModel("masked-prediction learner", log_likelihood).batched(batch_log_likelihood)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +357,12 @@ def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: fl
         raise BadSpec("temperature must be positive")
     point = np.asarray(point, dtype=float)
 
-    def log_likelihood(theta: TargetInference, x: Explanation) -> float:
+    def check_theta(theta: TargetInference) -> None:
         if theta.kind is not ThetaKind.PREDICTED_LABEL:
             raise BadSpec(f"nearest-class learner scores predicted labels, not {theta.kind.value}")
+
+    def log_likelihood(theta: TargetInference, x: Explanation) -> float:
+        check_theta(theta)
         if x.kind is not ExplanationKind.EXAMPLE_SET:
             raise BadSpec(f"nearest-class learner consumes example sets, not {x.kind.value}")
         indices = np.asarray(x.payload, dtype=int)
@@ -361,7 +377,33 @@ def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: fl
         log_z = math.log(math.fsum(math.exp(s - max(scores.values())) for s in scores.values())) + max(scores.values())
         return scores[wanted] - log_z
 
-    return LearnerModel("nearest-class-centroid learner", log_likelihood)
+    def batch_log_likelihood(theta: TargetInference, rows: np.ndarray) -> np.ndarray:
+        """``log_likelihood`` of each row, to the bit: rows that share a
+        label pattern hold each class in the same columns, so their
+        centroids are one (rows, k_c, d) mean, reduced as the per-set mean
+        is; the normalizer uses the same math.exp and math.fsum."""
+        check_theta(theta)
+        rows = np.asarray(rows, dtype=np.intp)
+        labels = data.labels[rows]
+        classes = np.unique(labels)
+        wanted = int(theta.payload)
+        if wanted not in classes:
+            return np.full(len(rows), -math.inf)
+        scores = np.full((len(rows), classes.size), -math.inf)
+        patterns, group = np.unique(labels, axis=0, return_inverse=True)
+        group = group.reshape(-1)
+        bounds = np.cumsum(np.bincount(group))[:-1]
+        for pattern, members in zip(patterns, np.split(np.argsort(group, kind="stable"), bounds)):
+            for j, c in enumerate(classes):
+                cols = np.flatnonzero(pattern == c)
+                if cols.size:
+                    centroids = data.features[rows[np.ix_(members, cols)]].mean(axis=1)
+                    scores[members, j] = -((point - centroids) ** 2).sum(axis=1) / temperature
+        top = scores.max(axis=1)
+        sums = [math.log(math.fsum(map(math.exp, r))) for r in (scores - top[:, None]).tolist()]
+        return scores[:, int(np.searchsorted(classes, wanted))] - (np.array(sums) + top)
+
+    return LearnerModel("nearest-class-centroid learner", log_likelihood).batched(batch_log_likelihood)
 
 
 # ---------------------------------------------------------------------------

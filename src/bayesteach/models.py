@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     BadSpec,
@@ -411,7 +410,10 @@ def _fit_plda(data: Dataset, config: dict, seed: int) -> TargetModel:
     s_b = (gap * counts[:, None]).T @ gap / n
 
     # Generalized eigenvectors scaled so V' S_w V = I: the projection
-    # whitens within-class covariance by construction.
+    # whitens within-class covariance by construction. scipy.linalg is
+    # imported here, so only a PLDA fit pays its start-up time.
+    from scipy.linalg import eigh
+
     eigvals, eigvecs = eigh(s_b, s_w)
     order = np.argsort(eigvals)[::-1][:latent_dim]
     projection = eigvecs[:, order]

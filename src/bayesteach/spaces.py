@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, Sequence
+from collections.abc import Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -116,6 +117,17 @@ class SubsetSpace(ExplanationSpace):
         for combo in itertools.product(*per_class):
             yield example_set(itertools.chain.from_iterable(combo))
 
+    def index_array(self) -> np.ndarray:
+        """Every candidate as one row of an (N, k) array of row indices,
+        in the order of ``elements``."""
+        self._check_enumerable()
+        blocks = [
+            np.array(list(itertools.combinations(pool, k)), dtype=np.intp).reshape(-1, k)
+            for pool, k in zip(self._pools, self._ks)
+        ]
+        picks = np.indices([len(b) for b in blocks]).reshape(len(blocks), -1)
+        return np.hstack([b[p] for b, p in zip(blocks, picks)])
+
     def _segments(self, x: Explanation) -> list[tuple[int, ...]]:
         indices = x.payload
         segments, start = [], 0
@@ -160,6 +172,20 @@ class SubsetSpace(ExplanationSpace):
         return example_set(itertools.chain.from_iterable(segments))
 
 
+class SubsetRows(Sequence):
+    """Example sets held as the rows of an (N, k) index array; each is
+    built as an Explanation only when it is read."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> Explanation:
+        return example_set(self.rows[i])
+
+
 class MaskSpace(ExplanationSpace):
     """Binary feature masks with an independent Bernoulli keep prior."""
 
@@ -192,8 +218,13 @@ class MaskSpace(ExplanationSpace):
         ones = int(np.sum(x.payload))
         return ones * self._log_p + (self.dim - ones) * self._log_q
 
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n prior draws as the rows of an (n, dim) array of 0.0 and 1.0,
+        equal to n successive ``initial_state`` draws from the same rng."""
+        return (rng.random((n, self.dim)) < self.keep_prob).astype(np.float64)
+
     def initial_state(self, rng: np.random.Generator) -> Explanation:
-        return feature_mask(rng.random(self.dim) < self.keep_prob)
+        return feature_mask(self.draw(rng, 1)[0])
 
     def propose(self, x: Explanation, rng: np.random.Generator) -> Explanation:
         bits = np.array(x.payload, copy=True)

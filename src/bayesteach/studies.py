@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import teacher_posterior, select_max
+from .core import logsumexp, select_max, teacher_posterior
 from .errors import BadSpec, InsufficientCoverage
 from .explainers import explain_by_examples, _jsonable
 from .learners import BiasConfig, biased_learner, make_plda_learner
@@ -505,3 +504,35 @@ def strategy_mismatch_study(
         "sample_count": len(samples),
         "distinct_samples": len(cache),
     }
+
+
+def plda_strategy_mismatch_study(
+    model: TargetModel,
+    data: Dataset,
+    per_class_k: int = 2,
+    n: int = 2000,
+    burn_in: int = 200,
+    distractor_scale: float = 0.4,
+    bias_strength: float = 1.0,
+    seed: int = 0,
+) -> dict:
+    """``strategy_mismatch_study`` on a PLDA model: the selector is the
+    PLDA learner and the evaluator the same learner with confirmation
+    bias toward a jittered distractor of the latent class means."""
+    if model.family != "plda":
+        raise BadSpec("the strategy mismatch study explains plda models")
+    rng = np.random.default_rng((seed, 0xD15))
+    true_means = model.parameters["latent_means"]
+    distractor = true_means + float(distractor_scale) * rng.standard_normal(true_means.shape)
+    candidates = (
+        TargetInference(ThetaKind.LATENT_CLASS_MEANS, true_means),
+        TargetInference(ThetaKind.LATENT_CLASS_MEANS, distractor),
+    )
+    selector = make_plda_learner(model, data)
+    evaluator = biased_learner(
+        selector, BiasConfig(float(bias_strength), candidates, np.array([0.1, 0.9]))
+    )
+    space = SubsetSpace.per_class(data.labels, int(per_class_k))
+    return strategy_mismatch_study(
+        selector, evaluator, candidates, 0, space, n=int(n), burn_in=int(burn_in), seed=seed
+    )

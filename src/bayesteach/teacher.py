@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core
 from .errors import BadSpec, StrategySpaceMismatch
-from .explainers import weighted_mean_and_stderr
+from .explainers import mask_expectation
 from .spaces import ExplanationSpace, MaskSpace, SubsetSpace
 from .types import (
     Explanation,
@@ -29,6 +29,7 @@ from .types import (
     LearnerModel,
     TargetInference,
     example_set,
+    feature_mask,
 )
 
 STRATEGIES = ("exhaustive-max", "greedy", "mh-sample", "mc-expectation")
@@ -84,13 +85,9 @@ def run_strategy(
         if not isinstance(space, MaskSpace):
             raise StrategySpaceMismatch("mc-expectation needs a mask space")
         n = int(options.get("n", 4000))
-        rng = np.random.default_rng(seed)
-        draws = [space.initial_state(rng) for _ in range(n)]
-        masks = np.array([d.payload for d in draws], dtype=float)
-        weights = np.array(
-            [math.exp(learner.log_likelihood(theta, d)) for d in draws]
+        _, weights, values, stderr = mask_expectation(
+            space, n, seed, lambda masks: np.exp(core.score_rows(learner, theta, masks, feature_mask))
         )
-        values, stderr = weighted_mean_and_stderr(masks, weights)
         meta = {"n": n, "weight_total": float(weights.sum())}
         return StrategyResult(
             Explanation(ExplanationKind.SALIENCY_VECTOR, values),

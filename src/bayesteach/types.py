@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -124,49 +125,54 @@ class LearnerModel:
     assigns the pair zero probability. ``likelihood`` exposes the plain
     nonnegative value for callers that work in probability space.
 
-    ``block_terms`` is an optional hook for learners whose likelihood of
-    an example set splits over the index pools of a subset space. Called
-    as ``block_terms(theta, pools)`` it returns one scorer per pool, each
+    Two optional hooks let searches score many candidates at once. They
+    are attached with ``factored`` and ``batched`` rather than passed to
+    the constructor, which takes the description and likelihood only.
+
+    ``block_terms`` is for learners whose likelihood of an example set
+    splits over the index pools of a subset space. Called as
+    ``block_terms(theta, pools)`` it returns one scorer per pool, each
     mapping a sorted tuple of that pool's rows to a log-likelihood term,
     such that ``log_likelihood`` of the concatenated picks is the sum of
-    the terms; or None when the likelihood does not split over those
-    pools. It is attached with ``factored`` rather than passed to the
-    constructor, which takes the description and likelihood only.
+    the terms added in pool order, rounding included; or None when the
+    likelihood does not split over those pools that way.
+
+    ``batch_log_likelihood(theta, rows)`` scores a 2-D array of
+    candidates in one pass: an (N, k) array of dataset row indices for
+    example sets, or an (N, d) array of 0/1 entries for feature masks.
+    Row i of the result is ``log_likelihood`` of row i as an explanation.
     """
 
     description: str
     log_likelihood: Callable[[TargetInference, Explanation], float]
     block_terms: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    batch_log_likelihood: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def factored(self, block_terms) -> "LearnerModel":
         """Attach the ``block_terms`` hook to this new learner; returns it."""
         object.__setattr__(self, "block_terms", block_terms)
         return self
 
+    def batched(self, batch_log_likelihood) -> "LearnerModel":
+        """Attach the ``batch_log_likelihood`` hook to this new learner; returns it."""
+        object.__setattr__(self, "batch_log_likelihood", batch_log_likelihood)
+        return self
+
     def likelihood(self, theta: TargetInference, x: Explanation) -> float:
         return math.exp(self.log_likelihood(theta, x))
-
-    @staticmethod
-    def from_likelihood(description: str, fn: Callable[[TargetInference, Explanation], float]) -> "LearnerModel":
-        def log_fn(theta: TargetInference, x: Explanation) -> float:
-            value = fn(theta, x)
-            if value < 0:
-                raise ValueError(f"likelihood must be nonnegative, got {value}")
-            return math.log(value) if value > 0 else -math.inf
-
-        return LearnerModel(description, log_fn)
 
 
 @dataclass(frozen=True)
 class TeacherPosterior:
     """Normalized teacher posterior over an enumerated explanation support.
 
-    ``support`` lists the positive-prior elements in enumeration order.
+    ``support`` lists the positive-prior elements in enumeration order;
+    it is a tuple, or a sequence that builds each element when read.
     ``log_weights`` holds the unnormalized log(likelihood * prior) per
     element; ``log_normalizer`` is their log-sum-exp.
     """
 
-    support: tuple[Explanation, ...]
+    support: Sequence[Explanation]
     log_weights: np.ndarray = field(repr=False)
     log_normalizer: float
 

@@ -413,6 +413,29 @@ def test_failed_threshold_exits_1_but_still_reports(capsys, ws, tmp_path):
     assert doc["thresholds"][0]["passed"] is False
 
 
+@pytest.mark.parametrize("config", [
+    {"study": "example-selection", "data": "DATA"},  # no model
+    [1, 2],  # not an object
+    {"study": "example-selection", "model": "PLDA", "data": "DATA", "params": {"bogus": 1}},
+    {"study": "bias-sweep", "model": "PLDA", "data": "DATA", "params": {"bogus": 1}},
+    {"study": "strategy-mismatch", "model": "PLDA", "data": "DATA", "params": {"bogus": 1}},
+    {"study": "strategy-mismatch", "model": "PLDA", "data": "DATA", "params": {"n": "many"}},
+    {"study": "example-selection", "model": "PLDA", "data": "DATA", "params": [1]},
+    {"study": ["example-selection"], "model": "PLDA", "data": "DATA"},
+    {"study": "example-selection", "model": "PLDA", "data": "DATA",
+     "params": {"trials": 5, "random_subset_count": 5}, "thresholds": [{"op": "ge", "value": 1}]},
+    {"study": "example-selection", "model": "PLDA", "data": "DATA",
+     "params": {"trials": 5, "random_subset_count": 5},
+     "thresholds": [{"field": "calibration", "op": "ge", "value": 1}]},
+])
+def test_bad_study_configs_exit_3(capsys, ws, tmp_path, config):
+    text = json.dumps(config).replace('"PLDA"', json.dumps(ws["plda"]))
+    path = tmp_path / "bad-study.json"
+    path.write_text(text.replace('"DATA"', json.dumps(ws["data"])), encoding="utf-8")
+    err = run_err(capsys, ["study", "run", "--config", str(path), "--seed", "0"], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+
+
 # ---------------------------------------------------------------------------
 # packaging
 
@@ -424,3 +447,21 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "usage: bayesteach" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded_and_plda_fit_loads_it(ws, tmp_path):
+    probe = "import sys, bayesteach.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+    out, saved = tmp_path / "fit.json", tmp_path / "plda.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bayesteach.cli", "model", "fit", "--data", ws["data"],
+         "--family", "plda", "--seed", "0", "--save", str(saved), "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    jsonschema.validate(doc, schema("model"))
+    assert saved.read_text(encoding="utf-8") == Path(ws["plda"]).read_text(encoding="utf-8")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bayesteach import oracle
 from bayesteach.core import (
+    logsumexp,
     mh_sample,
     posterior_max,
     sample_posterior,
@@ -18,13 +19,20 @@ from bayesteach.core import (
 )
 from bayesteach.errors import (
     AllZeroMass,
+    BadSpec,
     DimensionMismatch,
     MissingClass,
     NotEnumerable,
     ZeroStartMass,
 )
 from bayesteach.explainers import explain_by_examples
-from bayesteach.learners import BiasConfig, biased_learner, make_plda_learner
+from bayesteach.learners import (
+    BiasConfig,
+    biased_learner,
+    make_masked_prediction_learner,
+    make_nearest_class_learner,
+    make_plda_learner,
+)
 from bayesteach.models import Dataset, fit_model, make_synthetic
 from bayesteach.spaces import MAX_ENUMERATION, EnumeratedSpace, MaskSpace, SubsetSpace
 from bayesteach.types import LearnerModel, TargetInference, ThetaKind, example_set
@@ -458,3 +466,152 @@ def test_product_route_keeps_the_joint_enumeration_limit():
     )
     with pytest.raises(NotEnumerable):
         explain_by_examples(fit_model("plda", data, seed=0), data, per_class_k=5)
+
+
+# ---------------------------------------------------------------------------
+# logsumexp and the array sweep against the per-candidate sweep
+
+
+def test_logsumexp_equals_scipy_to_the_bit(rng):
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    cases = [
+        np.array([0.5]),
+        np.array([-np.inf]),
+        np.full(5, -np.inf),
+        np.array([1.0, np.inf, 2.0]),
+        np.array([np.inf, np.inf]),
+        np.array([-np.inf, 3.0, -np.inf]),
+        np.array([2.0, 2.0, 2.0]),
+    ]
+    for _ in range(2000):
+        a = rng.uniform(-50, 50, int(rng.integers(1, 40)))
+        if rng.random() < 0.4:
+            a[rng.integers(0, a.size, max(1, a.size // 3))] = a.max()  # ties at the max
+        if rng.random() < 0.4:
+            a[rng.integers(0, a.size, max(1, a.size // 4))] = -np.inf
+        if rng.random() < 0.3:
+            a = np.round(a)  # ties below the max
+        cases.append(a)
+    for a in cases:
+        want = float(scipy_logsumexp(a))
+        got = logsumexp(a)
+        assert got == want or (math.isnan(got) and math.isnan(want)), a
+        assert logsumexp(a.tolist()) == got or math.isnan(got)
+    assert logsumexp([]) == -math.inf
+
+
+def plain(learner):
+    """The same likelihood without batch hooks: the per-candidate sweep."""
+    return LearnerModel(learner.description, learner.log_likelihood)
+
+
+def nearest_case(rng):
+    """A small labelled dataset, a point, a wanted class, and a subset
+    space: class-factorized with unequal k, or one pool across classes so
+    some candidates lack the wanted class."""
+    n_classes = int(rng.integers(2, 5))
+    dim = int(rng.integers(1, 4))
+    sizes = rng.integers(2, 6, n_classes)
+    labels = np.repeat(np.arange(n_classes), sizes)
+    rng.shuffle(labels)
+    features = rng.normal(size=(labels.size, dim)) * rng.uniform(0.1, 10.0)
+    if rng.random() < 0.3:
+        features = np.round(features)  # duplicate rows give exact ties
+    data = Dataset(features, labels, n_classes)
+    point = rng.normal(size=dim)
+    wanted = int(rng.integers(0, n_classes))
+    if rng.random() < 0.5:
+        ks = [int(rng.integers(1, min(3, s) + 1)) for s in sizes]
+        space = SubsetSpace.per_class(labels, ks)
+    else:
+        space = SubsetSpace.plain(labels.size, int(rng.integers(1, 4)))
+    return data, point, wanted, space
+
+
+def test_nearest_class_array_sweep_matches_the_oracle(rng):
+    absent = 0
+    for _ in range(150):
+        data, point, wanted, space = nearest_case(rng)
+        learner = make_nearest_class_learner(data, point, float(rng.uniform(0.5, 2.0)))
+        theta = TargetInference(ThetaKind.PREDICTED_LABEL, wanted)
+        post = teacher_posterior(learner, theta, space)
+        ref_support, ref_probs = oracle.exhaustive_posterior(learner, theta, space)
+        assert [x.payload for x in post.support] == [x.payload for x in ref_support]
+        ref_logs = np.array([learner.log_likelihood(theta, x) for x in ref_support])
+        finite = np.isfinite(ref_logs)
+        absent += int(not finite.all())
+        assert np.array_equal(np.isfinite(post.log_weights), finite)
+        np.testing.assert_allclose(post.log_weights[finite], ref_logs[finite], rtol=1e-12, atol=0)
+        assert int(np.argmax(post.log_weights)) == int(np.argmax(ref_probs))
+        np.testing.assert_allclose(post.probabilities(), ref_probs, rtol=1e-9, atol=1e-300)
+    assert absent > 20  # candidates lacking the wanted class were exercised
+
+
+def test_nearest_class_batch_covers_large_k_in_one_dimension(rng):
+    # eight or more rows per centroid in one dimension reduce pairwise
+    labels = np.repeat([0, 1], [10, 9])
+    data = Dataset(rng.normal(size=(19, 1)) * 1e3, labels, 2)
+    learner = make_nearest_class_learner(data, np.array([0.1]))
+    theta = TargetInference(ThetaKind.PREDICTED_LABEL, 1)
+    space = SubsetSpace.per_class(labels, [8, 8])
+    post = teacher_posterior(learner, theta, space)
+    ref = teacher_posterior(plain(learner), theta, space)
+    np.testing.assert_allclose(post.log_weights, ref.log_weights, rtol=1e-12, atol=0)
+
+
+def test_nearest_class_wanted_class_absent_everywhere_raises(blobs3):
+    learner = make_nearest_class_learner(blobs3, np.zeros(2))
+    theta = TargetInference(ThetaKind.PREDICTED_LABEL, 7)
+    space = SubsetSpace.per_class(blobs3.labels, 1)
+    rows = space.index_array()
+    assert np.all(np.isneginf(learner.batch_log_likelihood(theta, rows)))
+    for search in (learner, plain(learner)):
+        with pytest.raises(AllZeroMass):
+            teacher_posterior(search, theta, space)
+
+
+def test_subset_index_array_follows_enumeration_order(rng):
+    for _ in range(20):
+        space, _, _ = block_case(rng)
+        rows = space.index_array()
+        assert [tuple(r) for r in rows.tolist()] == [x.payload for x in space.elements()]
+
+
+def test_plda_array_sweep_weights_equal_the_joint_sweep_to_the_bit(plda3, blobs3):
+    learner = make_plda_learner(plda3, blobs3)
+    theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+    for k in (1, 2, [1, 3, 2]):
+        space = SubsetSpace.per_class(blobs3.labels, k)
+        post = teacher_posterior(learner, theta, space)
+        ref = teacher_posterior(plain(learner), theta, space)
+        assert [x.payload for x in post.support] == [x.payload for x in ref.support]
+        assert np.array_equal(post.log_weights, ref.log_weights)
+        assert post.log_normalizer == ref.log_normalizer
+
+    # pools out of class order would add the terms in another order
+    rows = [blobs3.class_rows(c).tolist() for c in (2, 0, 1)]
+    assert learner.block_terms(theta, rows) is None
+    space = SubsetSpace(rows, [1, 1, 1])
+    post = teacher_posterior(learner, theta, space)
+    assert np.array_equal(post.log_weights, [learner.log_likelihood(theta, x) for x in post.support])
+
+
+def test_array_routes_raise_the_errors_of_the_joint_sweep(blobs3, logistic_grid, grid_image):
+    nearest = make_nearest_class_learner(blobs3, np.zeros(2))
+    masked = make_masked_prediction_learner(logistic_grid, grid_image.features[0])
+    label = TargetInference(ThetaKind.PREDICTED_LABEL, 0)
+    means = TargetInference(ThetaKind.LATENT_CLASS_MEANS, np.zeros((3, 1)))
+    space = SubsetSpace.per_class(blobs3.labels, 1)
+    huge = SubsetSpace([range(0, 12), range(12, 24), range(24, 36)], [5, 5, 5])
+    cases = [
+        (nearest, means, space, BadSpec),  # wrong target kind
+        (masked, label, space, BadSpec),  # example sets to a mask learner
+        (nearest, label, huge, NotEnumerable),
+    ]
+    for learner, theta, where, error in cases:
+        for search in (learner, plain(learner)):
+            with pytest.raises(error):
+                teacher_posterior(search, theta, where)
+            with pytest.raises(error):
+                posterior_max(search, theta, where)

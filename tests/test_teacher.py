@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bayesteach.core import teacher_posterior
-from bayesteach.errors import BadSpec, StrategySpaceMismatch
+from bayesteach.errors import BadSpec, DimensionMismatch, StrategySpaceMismatch
+from bayesteach.explainers import rise_saliency, weighted_mean_and_stderr
 from bayesteach.learners import make_masked_prediction_learner
 from bayesteach.models import fit_model
 from bayesteach.spaces import EnumeratedSpace, MaskSpace, SubsetSpace
@@ -127,6 +128,51 @@ def test_mc_expectation_matches_exhaustive_mask_average(logistic_grid, grid_imag
     assert result.explanation.kind is ExplanationKind.SALIENCY_VECTOR
     np.testing.assert_allclose(result.explanation.payload, exact, atol=0.02)
     assert result.stderr is not None and np.all(result.stderr > 0)
+
+
+def test_mc_expectation_batch_equals_the_per_draw_stream(logistic_grid, grid_image):
+    point = grid_image.features[0]
+    learner = make_masked_prediction_learner(logistic_grid, point)
+    theta = TargetInference(ThetaKind.PREDICTED_LABEL, 1)
+    space = MaskSpace(grid_image.n_features, 0.3)
+
+    rng = np.random.default_rng(7)
+    draws = [space.initial_state(rng) for _ in range(3000)]
+    masks = np.array([d.payload for d in draws], dtype=float)
+    assert np.array_equal(space.draw(np.random.default_rng(7), 3000), masks)
+
+    weights = np.array([math.exp(learner.log_likelihood(theta, d)) for d in draws])
+    batch = np.exp(learner.batch_log_likelihood(theta, masks))
+    np.testing.assert_allclose(batch, weights, rtol=1e-12, atol=0)
+
+    values, stderr = weighted_mean_and_stderr(masks, weights)
+    result = run_strategy(learner, theta, space, "mc-expectation", seed=7, n=3000)
+    np.testing.assert_allclose(result.explanation.payload, values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(result.stderr, stderr, rtol=1e-12, atol=0)
+    assert math.isclose(result.metadata["weight_total"], weights.sum(), rel_tol=1e-12)
+
+    # RISE draws the same masks and weighs them by the same predictions
+    rise = rise_saliency(logistic_grid, point, n_masks=3000, keep_prob=0.3, seed=7, target_class=1)
+    assert np.array_equal(rise.masks, masks)
+    np.testing.assert_allclose(rise.values, values, rtol=1e-12, atol=0)
+
+
+def test_mc_expectation_raises_the_errors_of_the_per_draw_loop(logistic_grid, grid_image):
+    point = grid_image.features[0]
+    learner = make_masked_prediction_learner(logistic_grid, point)
+    unbatched = LearnerModel(learner.description, learner.log_likelihood)
+    label = TargetInference(ThetaKind.PREDICTED_LABEL, 0)
+    space = MaskSpace(grid_image.n_features, 0.5)
+    cases = [
+        (label, MaskSpace(grid_image.n_features + 1, 0.5), 50, DimensionMismatch),
+        (TargetInference(ThetaKind.PREDICTED_LABEL, 5), space, 50, BadSpec),  # no such class
+        (TargetInference(ThetaKind.LATENT_CLASS_MEANS, 0), space, 50, BadSpec),
+        (label, space, 0, BadSpec),
+    ]
+    for theta, space, n, error in cases:
+        for search in (learner, unbatched):
+            with pytest.raises(error):
+                run_strategy(search, theta, space, "mc-expectation", seed=0, n=n)
 
 
 def _pad_mask(x, full_dim):
