@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroMass, ZeroStartMass
+from .errors import AllZeroMass, BadSpec, ZeroStartMass
 from .spaces import ExplanationSpace, SubsetRows, SubsetSpace
 from .types import Explanation, LearnerModel, TargetInference, TeacherPosterior, example_set
 
@@ -211,6 +213,67 @@ def sample_posterior(posterior: TeacherPosterior, n: int, seed: int) -> list[Exp
     return [posterior.support[int(i)] for i in draws]
 
 
+class ChainSamples(Sequence):
+    """The recorded states of a Metropolis walk, read as Explanations.
+
+    ``states`` holds the raw chain states in step order; an Explanation
+    is built from one only when it is read. ``counts`` tallies the
+    states in order of first visit."""
+
+    def __init__(self, space: ExplanationSpace, states: list):
+        self.space = space
+        self.states = states
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, i: int) -> Explanation:
+        return self.space.explanation_of(self.states[i])
+
+    def counts(self) -> Counter:
+        return Counter(self.states)
+
+
+def chain_log_weight(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
+    """The log weight (likelihood plus log prior) of a chain state, memoized.
+
+    On a uniform-prior subset space whose pools the learner's
+    ``block_terms`` split, it is the sum of the per-pool terms, each
+    memoized by its pool's rows and added in pool order from 0.0 as the
+    joint likelihood adds them, so it equals the joint weight to the bit.
+    Otherwise one memo keyed by the state holds the joint weight; a
+    candidate of zero prior weight is not scored.
+    """
+    terms = None
+    if isinstance(space, SubsetSpace) and space._prior_fn is None and learner.block_terms is not None:
+        terms = learner.block_terms(theta, space._pools)
+    if terms is not None:
+        memos = [{} for _ in terms]
+
+        def pooled(state) -> float:
+            total = 0.0
+            for term, memo, rows in zip(terms, memos, state):
+                t = memo.get(rows)
+                if t is None:
+                    t = memo[rows] = term(rows)
+                total += t
+            return total
+
+        return pooled
+
+    cache: dict = {}
+
+    def joint(state) -> float:
+        w = cache.get(state)
+        if w is None:
+            x = space.explanation_of(state)
+            lp = space.log_prior(x)
+            w = cache[state] = -np.inf if lp == -np.inf else learner.log_likelihood(theta, x) + lp
+        return w
+
+    return joint
+
+
 def mh_sample(
     learner: LearnerModel,
     theta: TargetInference,
@@ -218,35 +281,41 @@ def mh_sample(
     n: int,
     burn_in: int,
     seed: int,
-) -> list[Explanation]:
+) -> ChainSamples:
     """Metropolis walk over the space using its symmetric proposal kernel.
 
     Acceptance is min(1, w'/w) on the unnormalized weights, valid because
-    the proposal is symmetric. The current state is recorded after every
-    post-burn-in step, rejections included.
+    the proposal is symmetric; the uniform draw is made only when w' < w.
+    The current state is recorded after every post-burn-in step,
+    rejections included, so n samples are returned.
+
+    The chain walks the space's own states (``chain_start``,
+    ``chain_step``): on a ``SubsetSpace`` the tuple of per-pool sorted
+    row tuples, on a ``MaskSpace`` or ``EnumeratedSpace`` the Explanation
+    itself. Weights come from ``chain_log_weight``. The start state is
+    scored by the joint likelihood, so the errors of a joint sweep are
+    raised. The returned ``ChainSamples`` builds each Explanation only
+    when it is read. ``n < 1`` or ``burn_in < 0`` raises ``BadSpec``.
     """
+    if n < 1 or burn_in < 0:
+        raise BadSpec(f"a chain needs n >= 1 samples and burn_in >= 0 steps, got n={n}, burn_in={burn_in}")
     rng = np.random.default_rng(seed)
-    cache: dict[tuple, float] = {}
-
-    def log_weight(x: Explanation) -> float:
-        key = x.key()
-        if key not in cache:
-            lp = space.log_prior(x)
-            cache[key] = -np.inf if lp == -np.inf else learner.log_likelihood(theta, x) + lp
-        return cache[key]
-
-    state = space.initial_state(rng)
-    state_w = log_weight(state)
+    state = space.chain_start(rng)
+    x = space.explanation_of(state)
+    lp = space.log_prior(x)
+    state_w = -np.inf if lp == -np.inf else learner.log_likelihood(theta, x) + lp
     if state_w == -np.inf:
         raise ZeroStartMass(f"{space.descriptor}: initial state has zero posterior mass")
 
-    samples: list[Explanation] = []
-    for step in range(burn_in + n):
-        proposal = space.propose(state, rng)
+    log_weight = chain_log_weight(learner, theta, space)
+    step, uniform = space.chain_step, rng.random
+    states: list = []
+    for i in range(burn_in + n):
+        proposal = step(state, rng)
         prop_w = log_weight(proposal)
         log_alpha = prop_w - state_w
-        if log_alpha >= 0 or rng.random() < np.exp(log_alpha):
+        if log_alpha >= 0 or uniform() < np.exp(log_alpha):
             state, state_w = proposal, prop_w
-        if step >= burn_in:
-            samples.append(state)
-    return samples
+        if i >= burn_in:
+            states.append(state)
+    return ChainSamples(space, states)

@@ -15,7 +15,6 @@ Result objects are plain dataclasses with ``to_dict`` for reporting.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,14 +127,16 @@ def explain_by_examples(
         )
     if strategy == "mh":
         samples = core.mh_sample(learner, theta, space, mh_steps, mh_burn_in, seed)
-        counts = Counter(s.payload for s in samples)
-        top = max(counts.items(), key=lambda kv: (kv[1], tuple(-i for i in kv[0])))
-        x = example_set(top[0])
+        counts = samples.counts()
+        top = max(counts.values())
+        # the most visited state; ties go to the lexicographically smallest
+        x = min((space.explanation_of(s) for s, c in counts.items() if c == top),
+                key=lambda e: e.payload)
         ll = learner.log_likelihood(theta, x)
         return ExampleSelectionReport(
             x.payload, _split_by_class(data, x.payload), ll, None,
             strategy, space.size(),
-            {"mode_frequency": top[1] / len(samples), "steps": mh_steps, "burn_in": mh_burn_in},
+            {"mode_frequency": top / len(samples), "steps": mh_steps, "burn_in": mh_burn_in},
         )
     raise BadSpec(f"unknown strategy {strategy!r}; use exhaustive-max or mh")
 

@@ -4,7 +4,10 @@ These exist to check the main code paths and must not share their
 numerics: normalization here is plain probability-space summation with
 compensated accumulation (math.fsum), never log-sum-exp; Shapley values
 come from the subset-sum definition with exact combinatorial weights,
-never from a regression; subset search is a full scan.
+never from a regression; subset search is a full scan. The Metropolis
+reference is the exception: to replay a chain step for step it must
+draw and compare exactly as the fast walk does, so it shares the
+acceptance arithmetic and keeps only the loop-first form.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AllZeroMass
-from .spaces import ExplanationSpace
-from .types import Explanation, LearnerModel, TargetInference
+from .errors import AllZeroMass, ZeroStartMass
+from .spaces import ExplanationSpace, SubsetSpace
+from .types import Explanation, LearnerModel, TargetInference, example_set
 
 
 def _prior_weight(space: ExplanationSpace, x: Explanation) -> float:
@@ -74,6 +77,84 @@ def best_subset_bruteforce(
     if best_w <= 0.0:
         raise AllZeroMass(f"{space.descriptor}: every candidate has zero weight")
     return best
+
+
+def _subset_walk(space: SubsetSpace):
+    """Start and proposal of a subset space, on the concatenated payload:
+    one chosen row is swapped for one unchosen row of a uniformly drawn
+    pool."""
+
+    def segments(x: Explanation) -> list[tuple[int, ...]]:
+        out, start = [], 0
+        for k in space._ks:
+            out.append(tuple(x.payload[start : start + k]))
+            start += k
+        return out
+
+    def initial_state(rng: np.random.Generator) -> Explanation:
+        parts = []
+        for pool, k in zip(space._pools, space._ks):
+            chosen = rng.choice(len(pool), size=k, replace=False)
+            parts.extend(sorted(pool[i] for i in chosen))
+        return example_set(parts)
+
+    def propose(x: Explanation, rng: np.random.Generator) -> Explanation:
+        segs = segments(x)
+        c = int(rng.integers(len(space._pools)))
+        pool, seg = space._pools[c], segs[c]
+        out = [i for i in pool if i not in seg]
+        if not out:
+            return x
+        drop = seg[int(rng.integers(len(seg)))]
+        add = out[int(rng.integers(len(out)))]
+        segs[c] = tuple(sorted(set(seg) - {drop} | {add}))
+        return example_set(i for seg in segs for i in seg)
+
+    return initial_state, propose
+
+
+def mh_reference(
+    learner: LearnerModel,
+    theta: TargetInference,
+    space: ExplanationSpace,
+    n: int,
+    burn_in: int,
+    seed: int,
+) -> list[Explanation]:
+    """Metropolis walk over Explanations: every proposal is an
+    Explanation, its weight is the joint likelihood plus log prior cached
+    by its key, and subset spaces rebuild their segments and unchosen
+    rows at every step. Same draws and acceptance rule as
+    ``core.mh_sample``, so a seeded chain gives the same samples."""
+    rng = np.random.default_rng(seed)
+    if isinstance(space, SubsetSpace):
+        initial_state, propose = _subset_walk(space)
+    else:
+        initial_state, propose = space.initial_state, space.propose
+    cache: dict[tuple, float] = {}
+
+    def log_weight(x: Explanation) -> float:
+        key = x.key()
+        if key not in cache:
+            lp = space.log_prior(x)
+            cache[key] = -np.inf if lp == -np.inf else learner.log_likelihood(theta, x) + lp
+        return cache[key]
+
+    state = initial_state(rng)
+    state_w = log_weight(state)
+    if state_w == -np.inf:
+        raise ZeroStartMass(f"{space.descriptor}: initial state has zero posterior mass")
+
+    samples: list[Explanation] = []
+    for step in range(burn_in + n):
+        proposal = propose(state, rng)
+        prop_w = log_weight(proposal)
+        log_alpha = prop_w - state_w
+        if log_alpha >= 0 or rng.random() < np.exp(log_alpha):
+            state, state_w = proposal, prop_w
+        if step >= burn_in:
+            samples.append(state)
+    return samples
 
 
 def exact_shapley(value_fn: Callable[[tuple[int, ...]], float], n_features: int) -> np.ndarray:

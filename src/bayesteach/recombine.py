@@ -139,7 +139,7 @@ class RecombinedExplainer:
         if tk is ThetaKind.LATENT_CLASS_MEANS:
             strategy = "exhaustive-max" if self.strategy == "exhaustive-max" else "mh"
             report = explain_by_examples(
-                model, data, per_class_k=int(p.get("per_class_k", 2)),
+                model, data, per_class_k=_param(p, "per_class_k", 2, int),
                 strategy=strategy, seed=seed, threads=threads,
             )
             return report.to_dict()
@@ -148,13 +148,14 @@ class RecombinedExplainer:
             if point is None:
                 raise BadSpec("masked-prediction combinations need a point")
             point = np.asarray(point, dtype=float)
-            baseline = p.get("baseline", data.features.mean(axis=0))
+            baseline = _param(p, "baseline", data.features.mean(axis=0),
+                              lambda v: np.broadcast_to(np.asarray(v, dtype=float), point.shape))
             predict = batch_predictor(model)
-            label = int(p.get("target_class", np.argmax(predict(point[None, :])[0])))
+            label = _param(p, "target_class", np.argmax(predict(point[None, :])[0]), int)
             learner = make_masked_prediction_learner(model, point, baseline)
             theta = TargetInference(ThetaKind.PREDICTED_LABEL, label)
-            space = MaskSpace(point.shape[0], float(p.get("keep_prob", 0.5)))
-            options = {"n": int(p.get("n", 4000)), "burn_in": int(p.get("burn_in", 1000))}
+            space = MaskSpace(point.shape[0], _param(p, "keep_prob", 0.5, float))
+            options = {"n": _param(p, "n", 4000, int), "burn_in": _param(p, "burn_in", 1000, int)}
             out = teacher.run_strategy(learner, theta, space, self.strategy, seed=seed, threads=threads, **options)
             return _strategy_dict(out)
 
@@ -163,24 +164,24 @@ class RecombinedExplainer:
                 raise BadSpec("nearest-class combinations need a point")
             point = np.asarray(point, dtype=float)
             predict = batch_predictor(model)
-            label = int(p.get("target_class", np.argmax(predict(point[None, :])[0])))
-            learner = make_nearest_class_learner(data, point, float(p.get("temperature", 1.0)))
+            label = _param(p, "target_class", np.argmax(predict(point[None, :])[0]), int)
+            learner = make_nearest_class_learner(data, point, _param(p, "temperature", 1.0, float))
             theta = TargetInference(ThetaKind.PREDICTED_LABEL, label)
-            space = SubsetSpace.per_class(data.labels, int(p.get("per_class_k", 1)))
-            options = {"n": int(p.get("n", 10000)), "burn_in": int(p.get("burn_in", 1000))}
+            space = SubsetSpace.per_class(data.labels, _param(p, "per_class_k", 1, int))
+            options = {"n": _param(p, "n", 10000, int), "burn_in": _param(p, "burn_in", 1000, int)}
             out = teacher.run_strategy(learner, theta, space, self.strategy, seed=seed, threads=threads, **options)
             return _strategy_dict(out)
 
         if lid == "mmd":
-            class_index = int(p.get("class_index", 0))
+            class_index = _param(p, "class_index", 0, int)
             rows = data.class_rows(class_index)
             if rows.size == 0:
                 raise BadSpec(f"class {class_index} has no rows")
             reference = data.features[rows]
-            kernel = KernelConfig(bandwidth=p.get("bandwidth"))
-            learner = make_mmd_learner(data, kernel, float(p.get("temperature", 1.0)))
+            kernel = KernelConfig(bandwidth=_param(p, "bandwidth", None, lambda v: None if v is None else float(v)))
+            learner = make_mmd_learner(data, kernel, _param(p, "temperature", 1.0, float))
             theta = TargetInference(ThetaKind.CLASS_DATA_DISTRIBUTION, (reference, class_index))
-            space = SubsetSpace([rows.tolist()], [int(p.get("m", 2))])
+            space = SubsetSpace([rows.tolist()], [_param(p, "m", 2, int)])
             out = teacher.run_strategy(learner, theta, space, self.strategy, seed=seed, threads=threads)
             return _strategy_dict(out)
 
@@ -203,9 +204,9 @@ class RecombinedExplainer:
                 )
             report = distill_tree(
                 model, data.features,
-                depth=int(p.get("depth", 3)), beta=float(p.get("beta", 0.0)),
-                seed=seed, epochs=int(p.get("epochs", 800)),
-                learning_rate=float(p.get("learning_rate", 0.05)),
+                depth=_param(p, "depth", 3, int), beta=_param(p, "beta", 0.0, float),
+                seed=seed, epochs=_param(p, "epochs", 800, int),
+                learning_rate=_param(p, "learning_rate", 0.05, float),
             )
             return report.to_dict()
 
@@ -213,13 +214,13 @@ class RecombinedExplainer:
         if point is None:
             raise BadSpec("local boundary surrogates need a point")
         point = np.asarray(point, dtype=float)
-        width = float(p.get("kernel_width", 1.0))
-        count = int(p.get("probe_count", 2000))
-        target_class = int(p.get("target_class", 1))
+        width = _param(p, "kernel_width", 1.0, float)
+        count = _param(p, "probe_count", 2000, int)
+        target_class = _param(p, "target_class", 1, int)
         if self.explanation_kind is ExplanationKind.LINEAR_WEIGHTS:
             report = lime_local(
                 model, point, probe_count=count, kernel_width=width,
-                ridge=float(p.get("ridge", 1e-3)), seed=seed, target_class=target_class,
+                ridge=_param(p, "ridge", 1e-3, float), seed=seed, target_class=target_class,
             )
             return report.to_dict()
 
@@ -230,9 +231,9 @@ class RecombinedExplainer:
         tree_report = distill_tree(
             lambda X: _pair_predict(predict, X, target_class),
             probes,
-            depth=int(p.get("depth", 3)), beta=float(p.get("beta", 0.0)),
-            seed=seed, epochs=int(p.get("epochs", 600)),
-            learning_rate=float(p.get("learning_rate", 0.05)),
+            depth=_param(p, "depth", 3, int), beta=_param(p, "beta", 0.0, float),
+            seed=seed, epochs=_param(p, "epochs", 600, int),
+            learning_rate=_param(p, "learning_rate", 0.05, float),
             sample_weights=weights,
         )
         surrogate = Explanation(ExplanationKind.SOFT_TREE, tree_report.tree)
@@ -243,6 +244,17 @@ class RecombinedExplainer:
         out["boundary_fit_loss"] = loss
         out["target_class"] = target_class
         return out
+
+
+def _param(params: dict, key: str, default, kind):
+    """The recipe parameter ``key``, or ``default`` when it is absent,
+    converted by ``kind``; a value the conversion rejects raises BadSpec
+    naming the key."""
+    value = params.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadSpec(f"--param {key}={value!r} is not usable: {exc}") from exc
 
 
 def _pair_predict(predict, X, target_class):

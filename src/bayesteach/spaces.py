@@ -10,10 +10,11 @@ sorted index tuples concatenated in class order, masks are int8 arrays.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Sequence
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterator
 
 import numpy as np
 
@@ -50,6 +51,20 @@ class ExplanationSpace:
     def propose(self, x: Explanation, rng: np.random.Generator) -> Explanation:
         """Draw a neighbour. The kernel must satisfy q(a->b) = q(b->a)."""
         raise NotImplementedError
+
+    # A Markov chain walks hashable states with the same draws as
+    # ``initial_state`` and ``propose``. By default a state is the
+    # Explanation itself; a space may walk a cheaper form and build the
+    # Explanation only when one is read.
+
+    def chain_start(self, rng: np.random.Generator) -> Hashable:
+        return self.initial_state(rng)
+
+    def chain_step(self, state: Hashable, rng: np.random.Generator) -> Hashable:
+        return self.propose(state, rng)
+
+    def explanation_of(self, state: Hashable) -> Explanation:
+        return state
 
     def _check_enumerable(self) -> None:
         if not self.enumerable:
@@ -128,14 +143,6 @@ class SubsetSpace(ExplanationSpace):
         picks = np.indices([len(b) for b in blocks]).reshape(len(blocks), -1)
         return np.hstack([b[p] for b, p in zip(blocks, picks)])
 
-    def _segments(self, x: Explanation) -> list[tuple[int, ...]]:
-        indices = x.payload
-        segments, start = [], 0
-        for k in self._ks:
-            segments.append(tuple(indices[start : start + k]))
-            start += k
-        return segments
-
     def prior_weight(self, x: Explanation) -> float:
         if self._prior_fn is None:
             return 1.0
@@ -148,28 +155,49 @@ class SubsetSpace(ExplanationSpace):
         weight = self.prior_weight(x)
         return math.log(weight) if weight > 0 else -math.inf
 
+    # A chain state is the tuple of per-pool sorted row tuples; the
+    # Explanation is their concatenation.
+
+    def chain_start(self, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(sorted(pool[i] for i in rng.choice(len(pool), size=k, replace=False)))
+            for pool, k in zip(self._pools, self._ks)
+        )
+
+    def chain_step(self, state: tuple[tuple[int, ...], ...], rng: np.random.Generator):
+        # Swap one chosen row for one unchosen row of the same pool. The
+        # pool is drawn uniformly, then both endpoints uniformly, so the
+        # move and its reverse have identical probability. A pool with no
+        # unchosen row draws nothing more and keeps the state.
+        c = int(rng.integers(len(self._pools)))
+        pool, seg = self._pools[c], state[c]
+        free = len(pool) - len(seg)
+        if not free:
+            return state
+        drop = int(rng.integers(len(seg)))
+        # the j-th unchosen row in pool order: step over the chosen rows
+        # (both tuples ascend) at or before it
+        j = int(rng.integers(free))
+        for row in seg:
+            if bisect.bisect_left(pool, row) <= j:
+                j += 1
+        new_seg = tuple(sorted(seg[:drop] + seg[drop + 1 :] + (pool[j],)))
+        return state[:c] + (new_seg,) + state[c + 1 :]
+
+    def explanation_of(self, state: tuple[tuple[int, ...], ...]) -> Explanation:
+        return example_set(itertools.chain.from_iterable(state))
+
     def initial_state(self, rng: np.random.Generator) -> Explanation:
-        parts = []
-        for pool, k in zip(self._pools, self._ks):
-            chosen = rng.choice(len(pool), size=k, replace=False)
-            parts.extend(sorted(pool[i] for i in chosen))
-        return example_set(parts)
+        return self.explanation_of(self.chain_start(rng))
 
     def propose(self, x: Explanation, rng: np.random.Generator) -> Explanation:
-        # Swap one chosen row for one unchosen row of the same class. The
-        # class is drawn uniformly, then both endpoints uniformly, so the
-        # move and its reverse have identical probability.
-        segments = self._segments(x)
-        c = int(rng.integers(len(self._pools)))
-        pool, seg = self._pools[c], segments[c]
-        out = [i for i in pool if i not in seg]
-        if not out:
-            return x
-        drop = seg[int(rng.integers(len(seg)))]
-        add = out[int(rng.integers(len(out)))]
-        new_seg = tuple(sorted(set(seg) - {drop} | {add}))
-        segments[c] = new_seg
-        return example_set(itertools.chain.from_iterable(segments))
+        state, start = [], 0
+        for k in self._ks:
+            state.append(tuple(x.payload[start : start + k]))
+            start += k
+        state = tuple(state)
+        moved = self.chain_step(state, rng)
+        return x if moved is state else self.explanation_of(moved)
 
 
 class SubsetRows(Sequence):

@@ -491,11 +491,10 @@ def strategy_mismatch_study(
     max_value = evaluator_mass(x_max)
     cache: dict = {}
     total = 0.0
-    for x in samples:
-        key = x.key()
-        if key not in cache:
-            cache[key] = evaluator_mass(x)
-        total += cache[key]
+    for state in samples.states:
+        if state not in cache:
+            cache[state] = evaluator_mass(samples.space.explanation_of(state))
+        total += cache[state]
     sampled_value = total / len(samples)
     return {
         "max_explanation_value": max_value,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +40,7 @@ class StrategyResult:
     explanation: Explanation
     strategy: str
     metadata: dict = field(default_factory=dict)
-    samples: tuple[Explanation, ...] | None = None
+    samples: Sequence[Explanation] | None = None
     stderr: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -71,15 +71,14 @@ def run_strategy(
         n = int(options.get("n", 10000))
         burn_in = int(options.get("burn_in", 1000))
         samples = core.mh_sample(learner, theta, space, n, burn_in, seed)
-        counts = Counter(s.key() for s in samples)
-        mode_key, mode_count = max(counts.items(), key=lambda kv: kv[1])
+        counts = samples.counts()
         meta = {
             "n": n,
             "burn_in": burn_in,
             "distinct_states": len(counts),
-            "mode_frequency": mode_count / len(samples),
+            "mode_frequency": max(counts.values()) / len(samples),
         }
-        return StrategyResult(samples[-1], strategy, meta, samples=tuple(samples))
+        return StrategyResult(samples[-1], strategy, meta, samples=samples)
 
     if strategy == "mc-expectation":
         if not isinstance(space, MaskSpace):

@@ -312,6 +312,47 @@ def test_recombine_incompatible_pairing_exits_3(capsys, ws):
     assert err["type"] == "IncompatibleCombination"
 
 
+@pytest.mark.parametrize("steps", [
+    ["--mh-steps", "0"],
+    ["--mh-steps", "-4"],
+    ["--mh-steps", "10", "--mh-burn-in", "-5"],
+])
+def test_plda_examples_rejects_bad_chain_lengths(capsys, ws, steps):
+    err = run_err(capsys, [
+        "explain", "plda-examples", "--model", ws["plda"], "--data", ws["data"],
+        "--per-class-k", "1", "--strategy", "mh-sample", "--seed", "5",
+    ] + steps, cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+
+
+@pytest.mark.parametrize("param", ["n=0", "burn_in=-1"])
+def test_recombine_mh_rejects_bad_chain_lengths(capsys, ws, param):
+    err = run_err(capsys, [
+        "explain", "recombine", "--theta", "predicted-label",
+        "--x-kind", "example-set", "--learner", "nearest-class",
+        "--strategy", "mh-sample", "--model", ws["plda"], "--data", ws["data"],
+        "--point", ws["point"], "--param", "per_class_k=1", "--param", param, "--seed", "0",
+    ], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+
+
+@pytest.mark.parametrize("param, key", [
+    ("n=abc", "n"),
+    ("keep_prob=[1]", "keep_prob"),
+    ("baseline=[1,2,3]", "baseline"),
+    ("target_class=null", "target_class"),
+])
+def test_recombine_rejects_an_unusable_param_value(capsys, ws, param, key):
+    err = run_err(capsys, [
+        "explain", "recombine", "--theta", "predicted-label",
+        "--x-kind", "feature-mask", "--learner", "masked-prediction",
+        "--strategy", "mc-expectation", "--model", ws["logistic"], "--data", ws["data"],
+        "--point", ws["point"], "--param", param, "--seed", "0",
+    ], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+    assert f"--param {key}=" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -420,6 +461,8 @@ def test_failed_threshold_exits_1_but_still_reports(capsys, ws, tmp_path):
     {"study": "bias-sweep", "model": "PLDA", "data": "DATA", "params": {"bogus": 1}},
     {"study": "strategy-mismatch", "model": "PLDA", "data": "DATA", "params": {"bogus": 1}},
     {"study": "strategy-mismatch", "model": "PLDA", "data": "DATA", "params": {"n": "many"}},
+    {"study": "strategy-mismatch", "model": "PLDA", "data": "DATA", "params": {"n": 0}},
+    {"study": "strategy-mismatch", "model": "PLDA", "data": "DATA", "params": {"burn_in": -1}},
     {"study": "example-selection", "model": "PLDA", "data": "DATA", "params": [1]},
     {"study": ["example-selection"], "model": "PLDA", "data": "DATA"},
     {"study": "example-selection", "model": "PLDA", "data": "DATA",

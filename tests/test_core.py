@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bayesteach import oracle
 from bayesteach.core import (
+    chain_log_weight,
     logsumexp,
     mh_sample,
     posterior_max,
@@ -615,3 +616,116 @@ def test_array_routes_raise_the_errors_of_the_joint_sweep(blobs3, logistic_grid,
                 teacher_posterior(search, theta, where)
             with pytest.raises(error):
                 posterior_max(search, theta, where)
+
+
+# ---------------------------------------------------------------------------
+# the Metropolis walk against the loop-first reference
+
+
+def assert_same_chain(learner, theta, space, n, burn_in, seed):
+    """The walk and ``oracle.mh_reference`` give the same samples, state
+    for state, or both raise the same error; returns the samples."""
+    try:
+        ref = oracle.mh_reference(learner, theta, space, n, burn_in, seed)
+    except Exception as exc:  # the walk must fail the same way
+        with pytest.raises(type(exc)):
+            mh_sample(learner, theta, space, n, burn_in, seed)
+        return None
+    samples = mh_sample(learner, theta, space, n, burn_in, seed)
+    assert len(samples) == len(ref) == n
+    assert [s.key() for s in samples] == [x.key() for x in ref]
+    return samples
+
+
+def test_mh_walk_replays_the_reference_on_factored_subset_spaces(rng):
+    full_pools = moved = zero_start = 0
+    for _ in range(120):
+        space, ks, terms = block_case(rng)
+        learner, calls = block_learner(ks, terms)
+        n, burn_in, seed = int(rng.integers(1, 300)), int(rng.integers(0, 30)), int(rng.integers(1 << 30))
+        samples = assert_same_chain(learner, THETA, space, n, burn_in, seed)
+        if samples is None:
+            zero_start += 1
+            continue
+        full_pools += any(k == len(pool) for pool, k in zip(space._pools, ks))
+        moved += len(samples.counts()) > 1
+        calls.clear()
+        mh_sample(learner, THETA, space, n, burn_in, seed)
+        assert calls == Counter(joint=1, blocks=1)  # the start state only, then block terms
+    assert full_pools > 10 and moved > 80 and zero_start > 3
+
+
+def test_mh_walk_replays_the_reference_with_a_prior_and_without_block_terms(rng):
+    for i in range(40):
+        space, ks, terms = block_case(rng)
+        learner, _ = block_learner(ks, terms)
+        if i % 2:
+            space = SubsetSpace(space._pools, ks, prior_fn=lambda x: float(x.payload[0] % 3))
+        else:
+            learner = plain(learner)
+        assert_same_chain(learner, THETA, space, 200, int(rng.integers(0, 10)), i)
+
+
+def test_mh_walk_replays_the_reference_for_nearest_class(rng):
+    for i in range(30):
+        data, point, wanted, space = nearest_case(rng)
+        learner = make_nearest_class_learner(data, point, float(rng.uniform(0.5, 2.0)))
+        theta = TargetInference(ThetaKind.PREDICTED_LABEL, wanted)
+        assert_same_chain(learner, theta, space, 300, 20, i)
+
+
+def test_mh_walk_replays_the_reference_on_mask_and_enumerated_spaces(rng, logistic_grid, grid_image):
+    learner = make_masked_prediction_learner(logistic_grid, grid_image.features[0])
+    for label in (0, 1):
+        theta = TargetInference(ThetaKind.PREDICTED_LABEL, label)
+        for i in range(10):
+            space = MaskSpace(grid_image.features.shape[1], float(rng.uniform(0.2, 0.8)))
+            assert_same_chain(learner, theta, space, 200, 10, i)
+    for i in range(30):
+        table, space = random_case(rng, max_size=40)
+        assert_same_chain(table, THETA, space, 300, int(rng.integers(0, 10)), i)
+
+
+def test_mh_walk_on_plda_sums_the_block_terms_as_the_joint_likelihood(plda3, blobs3):
+    learner = make_plda_learner(plda3, blobs3)
+    theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+    for seed, k in enumerate((1, 2, 3, [1, 3, 2], [4, 1, 2])):
+        space = SubsetSpace.per_class(blobs3.labels, k)
+        samples = assert_same_chain(learner, theta, space, 2000, 100, seed)
+        weight = chain_log_weight(learner, theta, space)
+        for state in samples.counts():
+            assert weight(state) == learner.log_likelihood(theta, samples.space.explanation_of(state))
+
+
+def test_mh_walk_needs_no_enumeration():
+    pools = [range(0, 12), range(12, 24), range(24, 36)]
+    space = SubsetSpace(pools, [5, 5, 5])
+    assert space.size() > MAX_ENUMERATION
+    terms = [lambda rows, b=b: -0.1 * (sum(rows) - 10 * b) ** 2 / 25 for b in range(3)]
+    learner, _ = block_learner([5, 5, 5], terms)
+    assert_same_chain(learner, THETA, space, 500, 50, 3)
+
+
+def test_mh_walk_raises_the_errors_of_the_reference(plda3, blobs3):
+    theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+    keep = blobs3.labels != 2
+    two_classes = Dataset(blobs3.features[keep], blobs3.labels[keep], 3)
+    short = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"][:2])
+    cases = [
+        (make_plda_learner(plda3, two_classes), theta, SubsetSpace.per_class(two_classes.labels, 1), MissingClass),
+        (make_plda_learner(plda3, blobs3), short, SubsetSpace.per_class(blobs3.labels, 1), DimensionMismatch),
+    ]
+    terms = [lambda rows: 0.0, lambda rows: -math.inf]
+    cases.append((block_learner([1, 1], terms)[0], THETA, SubsetSpace([[0, 1, 2], [3, 4]], [1, 1]), ZeroStartMass))
+    for learner, th, space, error in cases:
+        with pytest.raises(error):
+            oracle.mh_reference(learner, th, space, 10, 0, 0)
+        with pytest.raises(error):
+            mh_sample(learner, th, space, 10, 0, 0)
+
+
+@pytest.mark.parametrize("n, burn_in", [(0, 10), (-3, 0), (10, -1)])
+def test_mh_rejects_bad_chain_lengths(n, burn_in):
+    cands = [example_set((i,)) for i in range(3)]
+    with pytest.raises(BadSpec):
+        mh_sample(table_learner((c, 0.0) for c in cands), THETA, EnumeratedSpace(cands), n, burn_in, 0)
