@@ -298,7 +298,7 @@ def mh_sample(
     when it is read. ``n < 1`` or ``burn_in < 0`` raises ``BadSpec``.
     """
     if n < 1 or burn_in < 0:
-        raise BadSpec(f"a chain needs n >= 1 samples and burn_in >= 0 steps, got n={n}, burn_in={burn_in}")
+        raise BadSpec(f"a chain needs n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
     rng = np.random.default_rng(seed)
     state = space.chain_start(rng)
     x = space.explanation_of(state)

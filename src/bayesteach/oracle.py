@@ -84,13 +84,6 @@ def _subset_walk(space: SubsetSpace):
     one chosen row is swapped for one unchosen row of a uniformly drawn
     pool."""
 
-    def segments(x: Explanation) -> list[tuple[int, ...]]:
-        out, start = [], 0
-        for k in space._ks:
-            out.append(tuple(x.payload[start : start + k]))
-            start += k
-        return out
-
     def initial_state(rng: np.random.Generator) -> Explanation:
         parts = []
         for pool, k in zip(space._pools, space._ks):
@@ -99,7 +92,10 @@ def _subset_walk(space: SubsetSpace):
         return example_set(parts)
 
     def propose(x: Explanation, rng: np.random.Generator) -> Explanation:
-        segs = segments(x)
+        segs, start = [], 0
+        for k in space._ks:
+            segs.append(tuple(x.payload[start : start + k]))
+            start += k
         c = int(rng.integers(len(space._pools)))
         pool, seg = space._pools[c], segs[c]
         out = [i for i in pool if i not in seg]

@@ -36,6 +36,7 @@ from bayesteach.learners import (
 )
 from bayesteach.models import Dataset, fit_model, make_synthetic
 from bayesteach.spaces import MAX_ENUMERATION, EnumeratedSpace, MaskSpace, SubsetSpace
+from bayesteach.teacher import run_strategy
 from bayesteach.types import LearnerModel, TargetInference, ThetaKind, example_set
 
 THETA = TargetInference(ThetaKind.PREDICTED_LABEL, 0)
@@ -729,3 +730,23 @@ def test_mh_rejects_bad_chain_lengths(n, burn_in):
     cands = [example_set((i,)) for i in range(3)]
     with pytest.raises(BadSpec):
         mh_sample(table_learner((c, 0.0) for c in cands), THETA, EnumeratedSpace(cands), n, burn_in, 0)
+
+
+def test_mh_mode_searches_match_the_reference_counts(plda3, blobs3):
+    # short chains leave many states tied for the mode
+    theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+    learner = make_plda_learner(plda3, blobs3)
+    for seed in range(20):
+        k = 1 + seed % 2
+        space = SubsetSpace.per_class(blobs3.labels, k)
+        ref = oracle.mh_reference(learner, theta, space, 25, 3, seed)
+        counts = Counter(x.payload for x in ref)
+        top = max(counts.items(), key=lambda kv: (kv[1], tuple(-i for i in kv[0])))
+        report = explain_by_examples(plda3, blobs3, k, "mh", seed, mh_steps=25, mh_burn_in=3)
+        assert report.indices == top[0]
+        assert report.metadata["mode_frequency"] == top[1] / 25
+
+        result = run_strategy(learner, theta, space, "mh-sample", seed=seed, n=25, burn_in=3)
+        assert result.metadata["distinct_states"] == len(counts)
+        assert result.metadata["mode_frequency"] == max(counts.values()) / 25
+        assert result.explanation == ref[-1]
