@@ -151,7 +151,7 @@ class RecombinedExplainer:
             baseline = _param(p, "baseline", data.features.mean(axis=0),
                               lambda v: np.broadcast_to(np.asarray(v, dtype=float), point.shape))
             predict = batch_predictor(model)
-            label = _param(p, "target_class", np.argmax(predict(point[None, :])[0]), int)
+            label = _param(p, "target_class", int(np.argmax(predict(point[None, :])[0])), int)
             learner = make_masked_prediction_learner(model, point, baseline)
             theta = TargetInference(ThetaKind.PREDICTED_LABEL, label)
             space = MaskSpace(point.shape[0], _param(p, "keep_prob", 0.5, float))
@@ -164,7 +164,7 @@ class RecombinedExplainer:
                 raise BadSpec("nearest-class combinations need a point")
             point = np.asarray(point, dtype=float)
             predict = batch_predictor(model)
-            label = _param(p, "target_class", np.argmax(predict(point[None, :])[0]), int)
+            label = _param(p, "target_class", int(np.argmax(predict(point[None, :])[0])), int)
             learner = make_nearest_class_learner(data, point, _param(p, "temperature", 1.0, float))
             theta = TargetInference(ThetaKind.PREDICTED_LABEL, label)
             space = SubsetSpace.per_class(data.labels, _param(p, "per_class_k", 1, int))
@@ -247,10 +247,12 @@ class RecombinedExplainer:
 
 
 def _param(params: dict, key: str, default, kind):
-    """The recipe parameter ``key``, or ``default`` when it is absent,
-    converted by ``kind``; a value the conversion rejects raises BadSpec
+    """The recipe parameter ``key`` converted by ``kind``, or ``default``
+    when it is absent; a value the conversion rejects raises BadSpec
     naming the key."""
-    value = params.get(key, default)
+    if key not in params:
+        return default
+    value = params[key]
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
