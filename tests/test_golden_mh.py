@@ -1,10 +1,13 @@
-"""Stored CLI output of small seeded Metropolis runs.
+"""Stored CLI output of small seeded Metropolis runs and of every
+recombination recipe.
 
 Each case runs one command in a fresh workspace built from the README's
-dataset and checkpoints, and compares stdout with the document stored
-under ``tests/golden``, byte for byte. The chains must not change their
-samples, modes or study floats when the sampler is rewritten; regenerate
-a golden file only for a deliberate change of output.
+dataset and checkpoints, and compares stdout (or, for a rejected
+combination, stderr) with the document stored under ``tests/golden``,
+byte for byte. The chains must not change their samples, modes or study
+floats when the sampler is rewritten, and a recipe must not change its
+output when the recombination table is reorganized; regenerate a golden
+file only for a deliberate change of output.
 """
 
 import json
@@ -44,6 +47,60 @@ CASES = {
 }
 
 
+def _recombine(theta, x_kind, learner, strategy, model, *extra):
+    return ["explain", "recombine", "--theta", theta, "--x-kind", x_kind, "--learner", learner,
+            "--strategy", strategy, "--model", model, "--data", "blobs.csv", *extra]
+
+
+_POINT = ("--point", "point.csv")
+
+# one run per registry combination the Metropolis cases leave out
+RECIPE_CASES = {
+    "recombine-plda-max": _recombine(
+        "latent-class-means", "example-set", "plda", "exhaustive-max", "plda.json",
+        "--param", "per_class_k=1", "--seed", "0"),
+    "recombine-nearest-max": _recombine(
+        "predicted-label", "example-set", "nearest-class", "exhaustive-max", "plda.json",
+        *_POINT, "--param", "per_class_k=2", "--param", "temperature=0.5", "--seed", "0"),
+    "recombine-nearest-greedy": _recombine(
+        "predicted-label", "example-set", "nearest-class", "greedy", "plda.json",
+        *_POINT, "--param", "per_class_k=2", "--param", "target_class=1", "--seed", "0"),
+    "recombine-mask-max": _recombine(
+        "predicted-label", "feature-mask", "masked-prediction", "exhaustive-max", "logistic.json",
+        *_POINT, "--param", "baseline=0.0", "--seed", "0"),
+    "recombine-mask-mc": _recombine(
+        "predicted-label", "feature-mask", "masked-prediction", "mc-expectation", "logistic.json",
+        *_POINT, "--param", "n=200", "--param", "keep_prob=0.6", "--seed", "4"),
+    "recombine-mmd-max": _recombine(
+        "class-data-distribution", "example-set", "mmd", "exhaustive-max", "plda.json",
+        "--param", "class_index=1", "--param", "m=2", "--seed", "0"),
+    "recombine-mmd-greedy": _recombine(
+        "class-data-distribution", "example-set", "mmd", "greedy", "plda.json",
+        "--param", "m=3", "--param", "bandwidth=1.5", "--seed", "0"),
+    "recombine-mmd-mh": _recombine(
+        "class-data-distribution", "example-set", "mmd", "mh-sample", "plda.json",
+        "--param", "temperature=0.5", "--seed", "5"),
+    "recombine-surrogate-distribution-tree": _recombine(
+        "predictive-distribution", "soft-tree", "surrogate-fit", "gradient-fit", "logistic.json",
+        "--param", "depth=2", "--param", "epochs=30", "--seed", "1"),
+    "recombine-surrogate-boundary-linear": _recombine(
+        "local-decision-boundary", "linear-weights", "surrogate-fit", "gradient-fit",
+        "logistic.json", *_POINT, "--param", "probe_count=200", "--param", "kernel_width=0.8",
+        "--seed", "1"),
+    "recombine-surrogate-boundary-tree": _recombine(
+        "local-decision-boundary", "soft-tree", "surrogate-fit", "gradient-fit", "logistic.json",
+        *_POINT, "--param", "depth=2", "--param", "epochs=30", "--param", "probe_count=200",
+        "--seed", "1"),
+}
+
+# a combination the compatibility table admits but the recipe rejects
+REJECTED_CASES = {
+    "recombine-surrogate-distribution-linear": _recombine(
+        "predictive-distribution", "linear-weights", "surrogate-fit", "gradient-fit",
+        "logistic.json", "--seed", "0"),
+}
+
+
 @pytest.fixture(scope="module")
 def readme_ws(tmp_path_factory):
     """The README's dataset and checkpoints, named as the README names them."""
@@ -71,10 +128,29 @@ def readme_ws(tmp_path_factory):
     return root
 
 
+def _run(argv, workspace, capsys, monkeypatch):
+    monkeypatch.chdir(workspace)
+    rc = cli.main(argv)
+    return rc, capsys.readouterr()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_mh_output_matches_the_stored_document(name, readme_ws, capsys, monkeypatch):
-    monkeypatch.chdir(readme_ws)
-    rc = cli.main(CASES[name])
-    captured = capsys.readouterr()
+    rc, captured = _run(CASES[name], readme_ws, capsys, monkeypatch)
     assert rc == 0, captured.err
     assert captured.out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(RECIPE_CASES))
+def test_recipe_output_matches_the_stored_document(name, readme_ws, capsys, monkeypatch):
+    rc, captured = _run(RECIPE_CASES[name], readme_ws, capsys, monkeypatch)
+    assert rc == 0, captured.err
+    assert captured.out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_CASES))
+def test_rejected_recipe_error_matches_the_stored_document(name, readme_ws, capsys, monkeypatch):
+    rc, captured = _run(REJECTED_CASES[name], readme_ws, capsys, monkeypatch)
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == (GOLDEN / f"{name}.err.json").read_text(encoding="utf-8")
