@@ -311,7 +311,6 @@ def _cmd_explain_plda_examples(args) -> tuple[dict, int]:
         per_class_independent=args.independent,
         mh_steps=args.mh_steps,
         mh_burn_in=args.mh_burn_in,
-        threads=args.threads,
     )
     config = {
         "model": args.model,
@@ -500,7 +499,7 @@ def _cmd_explain_recombine(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     method = recombine(theta_kind, x_kind, args.learner, args.strategy, params)
-    result = method.run(model, data, point=point, seed=args.seed, threads=args.threads)
+    result = method.run(model, data, point=point, seed=args.seed)
     config = {
         "model": args.model,
         "data": args.data,
@@ -553,7 +552,7 @@ def _study_params(study, params) -> dict:
     if not isinstance(params, dict):
         raise BadSpec("study params must be a JSON object")
     signature = inspect.signature(study).parameters
-    defaults = {k: p.default for k, p in signature.items() if k not in ("model", "data", "seed", "threads")}
+    defaults = {k: p.default for k, p in signature.items() if k not in ("model", "data", "seed")}
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise BadSpec(f"unknown study params {unknown}; accepted: {sorted(defaults)}")
@@ -599,8 +598,6 @@ def _cmd_study_run(args) -> tuple[dict, int]:
         raise BadSpec("thresholds must be a list of objects with 'field', 'op' and 'value'")
     model = load_model(paths["model"])
     data = load_csv(paths["data"], label_column)
-    if name == "example-selection":
-        params = dict(params, threads=args.threads)
     result = studies[name](model, data, seed=args.seed, **params)
 
     thresholds = []

@@ -67,6 +67,15 @@ def score_rows(learner: LearnerModel, theta: TargetInference, rows: np.ndarray, 
     return np.asarray(learner.batch_log_likelihood(theta, rows), dtype=float)
 
 
+def pool_terms(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
+    """The learner's ``block_terms`` scorers, one per pool, when the space
+    is a uniform-prior ``SubsetSpace`` whose pools they split; None for
+    any other learner or space."""
+    if not isinstance(space, SubsetSpace) or space._prior_fn is not None or learner.block_terms is None:
+        return None
+    return learner.block_terms(theta, space._pools)
+
+
 def pool_scores(terms, space: SubsetSpace):
     """Each pool of the space with its ``block_terms`` scorer: yields the
     pool's combinations in lexicographic order and their terms."""
@@ -87,10 +96,8 @@ def _array_sweep(learner: LearnerModel, theta: TargetInference, space: Explanati
     """
     if not isinstance(space, SubsetSpace) or space._prior_fn is not None:
         return None
-    if learner.block_terms is None and learner.batch_log_likelihood is None:
-        return None
     space._check_enumerable()
-    terms = None if learner.block_terms is None else learner.block_terms(theta, space._pools)
+    terms = pool_terms(learner, theta, space)
     if terms is None and learner.batch_log_likelihood is None:
         return None
     rows = space.index_array()
@@ -107,16 +114,13 @@ def teacher_posterior(
     learner: LearnerModel,
     theta: TargetInference,
     space: ExplanationSpace,
-    threads: int = 1,
 ) -> TeacherPosterior:
     """Normalize likelihood * prior over every positive-prior candidate.
 
     The support keeps enumeration order, so downstream tie-breaking by
     index is well defined. A uniform-prior subset space is scored as
     arrays when the learner has block terms or a batch scorer, with the
-    same weights and errors as the per-candidate sweep. Evaluation is
-    single-threaded; ``threads`` is accepted and leaves the result
-    unchanged.
+    same weights and errors as the per-candidate sweep.
     """
     swept = _array_sweep(learner, theta, space)
     if swept is not None:
@@ -172,10 +176,9 @@ def posterior_max(
     joint size limit still applies. Every other case sweeps the joint
     space with ``teacher_posterior``.
     """
-    terms = None
-    if isinstance(space, SubsetSpace) and space._prior_fn is None and learner.block_terms is not None:
+    if isinstance(space, SubsetSpace):
         space._check_enumerable()
-        terms = learner.block_terms(theta, space._pools)
+    terms = pool_terms(learner, theta, space)
     if terms is None:
         posterior = teacher_posterior(learner, theta, space)
         i = int(np.argmax(posterior.log_weights))
@@ -244,9 +247,7 @@ def chain_log_weight(learner: LearnerModel, theta: TargetInference, space: Expla
     Otherwise one memo keyed by the state holds the joint weight; a
     candidate of zero prior weight is not scored.
     """
-    terms = None
-    if isinstance(space, SubsetSpace) and space._prior_fn is None and learner.block_terms is not None:
-        terms = learner.block_terms(theta, space._pools)
+    terms = pool_terms(learner, theta, space)
     if terms is not None:
         memos = [{} for _ in terms]
 

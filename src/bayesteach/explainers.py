@@ -95,7 +95,6 @@ def explain_by_examples(
     per_class_independent: bool = False,
     mh_steps: int = 20000,
     mh_burn_in: int = 2000,
-    threads: int = 1,
 ) -> ExampleSelectionReport:
     """Pick the example subset a subset-trained learner would most likely
     read the full-fit latent class means from."""
@@ -109,7 +108,7 @@ def explain_by_examples(
         # The mean posterior factorizes over classes, so the per-class
         # argmax assembles the joint argmax directly.
         chosen: list[int] = []
-        for combos, scores in core.pool_scores(learner.block_terms(theta, space._pools), space):
+        for combos, scores in core.pool_scores(core.pool_terms(learner, theta, space), space):
             chosen.extend(combos[int(np.argmax(scores))])
         x = example_set(chosen)
         ll = learner.log_likelihood(theta, x)

@@ -22,8 +22,7 @@ from .models import (
     Dataset,
     TargetModel,
     batch_predictor,
-    mean_posterior_logpdf,
-    plda_posterior_over_means,
+    plda_class_logpdf,
 )
 from .types import (
     Explanation,
@@ -110,20 +109,6 @@ def witness(point: np.ndarray, data: np.ndarray, prototypes: np.ndarray, kernel:
 # PLDA learner
 
 
-def plda_learner(model: TargetModel, data: Dataset, theta: TargetInference, x: Explanation) -> float:
-    """Likelihood a PLDA-shaped learner puts on latent class means after
-    fitting on the example subset. Probability-space value."""
-    return math.exp(plda_log_likelihood(model, data, theta, x))
-
-
-def plda_log_likelihood(model: TargetModel, data: Dataset, theta: TargetInference, x: Explanation) -> float:
-    if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
-        raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
-    if x.kind is not ExplanationKind.EXAMPLE_SET:
-        raise BadSpec(f"plda learner consumes example sets, not {x.kind.value}")
-    return plda_posterior_over_means(model, data, x.payload, theta.payload)
-
-
 def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
     """PLDA learner with per-class memoization.
 
@@ -146,8 +131,7 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
     def class_term(theta_arr: np.ndarray, theta_key: bytes, c: int, rows: tuple[int, ...]) -> float:
         key = (theta_key, c, rows)
         if key not in cache:
-            U = (data.features[list(rows)] - p["center"]) @ p["projection"]
-            cache[key] = mean_posterior_logpdf(U, p["psi"], theta_arr[c])
+            cache[key] = plda_class_logpdf(model, data.features[list(rows)], theta_arr[c])
         return cache[key]
 
     def log_likelihood(theta: TargetInference, x: Explanation) -> float:

@@ -549,19 +549,24 @@ def mean_posterior_logpdf(observations: np.ndarray, prior_var: np.ndarray, at: n
     )
 
 
+def plda_class_logpdf(model: TargetModel, rows: np.ndarray, class_mean: np.ndarray) -> float:
+    """The mean posterior's log density at ``class_mean`` after the rows of
+    one class, projected with the full-fit whitening map, are observed."""
+    p = model.parameters
+    return mean_posterior_logpdf((rows - p["center"]) @ p["projection"], p["psi"], class_mean)
+
+
 def plda_posterior_over_means(
     model: TargetModel,
     data: Dataset,
     subset_indices,
     latent_means: np.ndarray | None = None,
 ) -> float:
-    """Log density the subset-trained mean posterior puts on class means.
-
-    The subset rows are projected with the full-fit whitening map, the
-    Gaussian posterior over each class's latent mean is formed from them,
-    and the densities at ``latent_means`` (default: the full-fit means)
-    are summed over classes. Raises MissingClass when the subset leaves
-    any class unrepresented.
+    """Log density the subset-trained mean posterior puts on class means:
+    the sum over classes of ``plda_class_logpdf`` of the class's subset
+    rows at its row of ``latent_means`` (default: the full-fit means), the
+    term ``learners.make_plda_learner`` memoizes. Raises MissingClass
+    when the subset leaves any class unrepresented.
     """
     if model.family != "plda":
         raise BadSpec(f"mean posterior is defined for plda models, not {model.family}")
@@ -572,16 +577,13 @@ def plda_posterior_over_means(
             f"latent means must have shape {p['latent_means'].shape}, got {theta.shape}"
         )
     indices = np.asarray(list(subset_indices), dtype=int)
-    if indices.size == 0:
-        raise MissingClass("the subset is empty")
     labels = data.labels[indices]
-    U = (data.features[indices] - p["center"]) @ p["projection"]
     total = 0.0
     for c in range(model.class_count):
-        rows = np.flatnonzero(labels == c)
+        rows = indices[labels == c]
         if rows.size == 0:
             raise MissingClass(f"subset has no row of class {c}")
-        total += mean_posterior_logpdf(U[rows], p["psi"], theta[c])
+        total += plda_class_logpdf(model, data.features[rows], theta[c])
     return total
 
 

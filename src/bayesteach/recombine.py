@@ -11,25 +11,19 @@ chosen explanation kind at all.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import teacher
 from .errors import BadSpec, IncompatibleCombination, StrategySpaceMismatch
-from .explainers import (
-    SaliencyReport,
-    distill_tree,
-    explain_by_examples,
-    lime_local,
-    _jsonable,
-)
+from .explainers import _jsonable, distill_tree, explain_by_examples, lime_local
 from .learners import (
     KernelConfig,
     make_masked_prediction_learner,
     make_mmd_learner,
     make_nearest_class_learner,
-    make_plda_learner,
     surrogate_fit_loss,
 )
 from .models import Dataset, TargetModel, batch_predictor
@@ -44,36 +38,172 @@ from .types import (
 
 @dataclass(frozen=True)
 class LearnerSpec:
+    """A learner of the recombination table: the kinds it scores, its recipe
+    ``(method, model, data, point, seed) -> result document`` and the
+    ``--param`` keys the recipe reads. Recipes call the explainers and
+    ``teacher.run_strategy`` by module-level name at call time, so a
+    wrapper installed on one of those names takes effect."""
+
     theta_kinds: frozenset
     explanation_kinds: frozenset
+    recipe: Callable[..., dict]
+    params: frozenset
     parametric_form: str | None = None
     # greedy grows subsets one row at a time, so it needs a learner that
     # can score class-incomplete example sets
     partial_subsets: bool = True
 
 
+def _plda_recipe(method, model, data, point, seed) -> dict:
+    p = method.params
+    report = explain_by_examples(
+        model, data, per_class_k=_param(p, "per_class_k", 2, int),
+        strategy={"exhaustive-max": "exhaustive-max", "mh-sample": "mh"}[method.strategy],
+        seed=seed, mh_steps=_param(p, "n", 20000, int), mh_burn_in=_param(p, "burn_in", 2000, int),
+    )
+    return report.to_dict()
+
+
+def _masked_prediction_recipe(method, model, data, point, seed) -> dict:
+    p = method.params
+    point = _point(point, "masked-prediction combinations")
+    baseline = _param(p, "baseline", data.features.mean(axis=0),
+                      lambda v: np.broadcast_to(np.asarray(v, dtype=float), point.shape))
+    theta = _label_target(model, point, p)
+    learner = make_masked_prediction_learner(model, point, baseline)
+    space = MaskSpace(point.shape[0], _param(p, "keep_prob", 0.5, float))
+    return _search(method, learner, theta, space, seed, n=4000, burn_in=1000)
+
+
+def _nearest_class_recipe(method, model, data, point, seed) -> dict:
+    p = method.params
+    point = _point(point, "nearest-class combinations")
+    theta = _label_target(model, point, p)
+    learner = make_nearest_class_learner(data, point, _param(p, "temperature", 1.0, float))
+    space = SubsetSpace.per_class(data.labels, _param(p, "per_class_k", 1, int))
+    return _search(method, learner, theta, space, seed, n=10000, burn_in=1000)
+
+
+def _mmd_recipe(method, model, data, point, seed) -> dict:
+    p = method.params
+    class_index = _param(p, "class_index", 0, int)
+    rows = data.class_rows(class_index)
+    if rows.size == 0:
+        raise BadSpec(f"class {class_index} has no rows")
+    reference = data.features[rows]
+    kernel = KernelConfig(bandwidth=_param(p, "bandwidth", None, lambda v: None if v is None else float(v)))
+    learner = make_mmd_learner(data, kernel, _param(p, "temperature", 1.0, float))
+    theta = TargetInference(ThetaKind.CLASS_DATA_DISTRIBUTION, (reference, class_index))
+    space = SubsetSpace([rows.tolist()], [_param(p, "m", 2, int)])
+    return _search(method, learner, theta, space, seed, n=10000, burn_in=1000)
+
+
+def _surrogate_recipe(method, model, data, point, seed) -> dict:
+    p = method.params
+    if method.theta_kind is ThetaKind.PREDICTIVE_DISTRIBUTION:
+        if method.explanation_kind is not ExplanationKind.SOFT_TREE:
+            raise IncompatibleCombination(
+                "matching a full predictive distribution needs a distribution-valued surrogate"
+            )
+        return distill_tree(model, data.features, seed=seed, **_tree_options(p, epochs=800)).to_dict()
+
+    # Local decision boundary: probes around the point, rbf weighted.
+    point = _point(point, "local boundary surrogates")
+    width = _param(p, "kernel_width", 1.0, float)
+    count = _param(p, "probe_count", 2000, int)
+    target_class = _param(p, "target_class", 1, int)
+    if method.explanation_kind is ExplanationKind.LINEAR_WEIGHTS:
+        report = lime_local(
+            model, point, probe_count=count, kernel_width=width,
+            ridge=_param(p, "ridge", 1e-3, float), seed=seed, target_class=target_class,
+        )
+        return report.to_dict()
+
+    predict = batch_predictor(model)
+    rng = np.random.default_rng(seed)
+    probes = point + width * rng.standard_normal((count, point.shape[0]))
+    probs = predict(probes)
+    weights = np.exp(-((probes - point) ** 2).sum(axis=1) / (2.0 * width**2))
+    tree_report = distill_tree(lambda X: _pair_predict(predict, X, target_class), probes, seed=seed,
+                               sample_weights=weights, **_tree_options(p, epochs=600))
+    surrogate = Explanation(ExplanationKind.SOFT_TREE, tree_report.tree)
+    loss = surrogate_fit_loss(
+        surrogate, probs[:, target_class], probes, weights, ThetaKind.LOCAL_DECISION_BOUNDARY
+    )
+    return {**tree_report.to_dict(), "boundary_fit_loss": loss, "target_class": target_class}
+
+
+def _search(method, learner, theta, space, seed, n: int, burn_in: int) -> dict:
+    """Run the method's strategy and report its result; ``n`` and
+    ``burn_in`` default the params of the same name."""
+    p = method.params
+    result = teacher.run_strategy(learner, theta, space, method.strategy, seed=seed,
+                                  n=_param(p, "n", n, int), burn_in=_param(p, "burn_in", burn_in, int))
+    out = {"strategy": result.strategy, "metadata": _jsonable(result.metadata)}
+    payload = result.explanation.payload
+    if result.explanation.kind is ExplanationKind.EXAMPLE_SET:
+        out["indices"] = list(payload)
+    elif result.explanation.kind is ExplanationKind.FEATURE_MASK:
+        out["mask"] = np.asarray(payload).astype(int).tolist()
+    elif result.explanation.kind is ExplanationKind.SALIENCY_VECTOR:
+        out["values"] = np.asarray(payload).tolist()
+        if result.stderr is not None:
+            out["stderr"] = result.stderr.tolist()
+    return out
+
+
+def _tree_options(p: dict, epochs: int) -> dict:
+    """The soft-tree fit params; ``epochs`` is the recipe's default."""
+    return {"depth": _param(p, "depth", 3, int), "beta": _param(p, "beta", 0.0, float),
+            "epochs": _param(p, "epochs", epochs, int),
+            "learning_rate": _param(p, "learning_rate", 0.05, float)}
+
+
+def _point(point, what: str) -> np.ndarray:
+    if point is None:
+        raise BadSpec(f"{what} need a point")
+    return np.asarray(point, dtype=float)
+
+
+def _label_target(model, point: np.ndarray, params: dict) -> TargetInference:
+    """The predicted-label target: ``target_class``, by default the model's label for the point."""
+    label = int(np.argmax(batch_predictor(model)(point[None, :])[0]))
+    return TargetInference(ThetaKind.PREDICTED_LABEL, _param(params, "target_class", label, int))
+
+
 LEARNER_REGISTRY: dict[str, LearnerSpec] = {
     "plda": LearnerSpec(
         frozenset({ThetaKind.LATENT_CLASS_MEANS}),
         frozenset({ExplanationKind.EXAMPLE_SET}),
+        _plda_recipe,
+        frozenset({"per_class_k", "n", "burn_in"}),
         parametric_form="plda",
         partial_subsets=False,
     ),
     "masked-prediction": LearnerSpec(
         frozenset({ThetaKind.PREDICTED_LABEL}),
         frozenset({ExplanationKind.FEATURE_MASK}),
+        _masked_prediction_recipe,
+        frozenset({"baseline", "target_class", "keep_prob", "n", "burn_in"}),
     ),
     "nearest-class": LearnerSpec(
         frozenset({ThetaKind.PREDICTED_LABEL}),
         frozenset({ExplanationKind.EXAMPLE_SET}),
+        _nearest_class_recipe,
+        frozenset({"target_class", "temperature", "per_class_k", "n", "burn_in"}),
     ),
     "mmd": LearnerSpec(
         frozenset({ThetaKind.CLASS_DATA_DISTRIBUTION}),
         frozenset({ExplanationKind.EXAMPLE_SET}),
+        _mmd_recipe,
+        frozenset({"class_index", "bandwidth", "temperature", "m", "n", "burn_in"}),
     ),
     "surrogate-fit": LearnerSpec(
         frozenset({ThetaKind.LOCAL_DECISION_BOUNDARY, ThetaKind.PREDICTIVE_DISTRIBUTION}),
         frozenset({ExplanationKind.LINEAR_WEIGHTS, ExplanationKind.SOFT_TREE}),
+        _surrogate_recipe,
+        frozenset({"depth", "beta", "epochs", "learning_rate", "kernel_width", "probe_count",
+                   "target_class", "ridge"}),
     ),
 }
 
@@ -111,7 +241,8 @@ def check_compatibility(theta_kind: ThetaKind, explanation_kind: ExplanationKind
 @dataclass(frozen=True)
 class RecombinedExplainer:
     """A runnable method assembled from (target kind, explanation kind,
-    learner, strategy). Construction validates; run executes."""
+    learner, strategy). ``recombine`` validates; run executes the
+    learner's recipe."""
 
     theta_kind: ThetaKind
     explanation_kind: ExplanationKind
@@ -128,122 +259,9 @@ class RecombinedExplainer:
             "params": _jsonable(self.params),
         }
 
-    def run(self, model: TargetModel, data: Dataset, point: np.ndarray | None = None, seed: int = 0, threads: int = 1) -> dict:
-        result = self._dispatch(model, data, point, seed, threads)
+    def run(self, model: TargetModel, data: Dataset, point: np.ndarray | None = None, seed: int = 0) -> dict:
+        result = LEARNER_REGISTRY[self.learner_id].recipe(self, model, data, point, seed)
         return {"combination": self.describe(), "seed": seed, "result": result}
-
-    def _dispatch(self, model, data, point, seed, threads) -> dict:
-        p = self.params
-        tk, xk, lid = self.theta_kind, self.explanation_kind, self.learner_id
-
-        if tk is ThetaKind.LATENT_CLASS_MEANS:
-            strategy = "exhaustive-max" if self.strategy == "exhaustive-max" else "mh"
-            report = explain_by_examples(
-                model, data, per_class_k=_param(p, "per_class_k", 2, int),
-                strategy=strategy, seed=seed, threads=threads,
-            )
-            return report.to_dict()
-
-        if lid == "masked-prediction":
-            if point is None:
-                raise BadSpec("masked-prediction combinations need a point")
-            point = np.asarray(point, dtype=float)
-            baseline = _param(p, "baseline", data.features.mean(axis=0),
-                              lambda v: np.broadcast_to(np.asarray(v, dtype=float), point.shape))
-            predict = batch_predictor(model)
-            label = _param(p, "target_class", int(np.argmax(predict(point[None, :])[0])), int)
-            learner = make_masked_prediction_learner(model, point, baseline)
-            theta = TargetInference(ThetaKind.PREDICTED_LABEL, label)
-            space = MaskSpace(point.shape[0], _param(p, "keep_prob", 0.5, float))
-            options = {"n": _param(p, "n", 4000, int), "burn_in": _param(p, "burn_in", 1000, int)}
-            out = teacher.run_strategy(learner, theta, space, self.strategy, seed=seed, threads=threads, **options)
-            return _strategy_dict(out)
-
-        if lid == "nearest-class":
-            if point is None:
-                raise BadSpec("nearest-class combinations need a point")
-            point = np.asarray(point, dtype=float)
-            predict = batch_predictor(model)
-            label = _param(p, "target_class", int(np.argmax(predict(point[None, :])[0])), int)
-            learner = make_nearest_class_learner(data, point, _param(p, "temperature", 1.0, float))
-            theta = TargetInference(ThetaKind.PREDICTED_LABEL, label)
-            space = SubsetSpace.per_class(data.labels, _param(p, "per_class_k", 1, int))
-            options = {"n": _param(p, "n", 10000, int), "burn_in": _param(p, "burn_in", 1000, int)}
-            out = teacher.run_strategy(learner, theta, space, self.strategy, seed=seed, threads=threads, **options)
-            return _strategy_dict(out)
-
-        if lid == "mmd":
-            class_index = _param(p, "class_index", 0, int)
-            rows = data.class_rows(class_index)
-            if rows.size == 0:
-                raise BadSpec(f"class {class_index} has no rows")
-            reference = data.features[rows]
-            kernel = KernelConfig(bandwidth=_param(p, "bandwidth", None, lambda v: None if v is None else float(v)))
-            learner = make_mmd_learner(data, kernel, _param(p, "temperature", 1.0, float))
-            theta = TargetInference(ThetaKind.CLASS_DATA_DISTRIBUTION, (reference, class_index))
-            space = SubsetSpace([rows.tolist()], [_param(p, "m", 2, int)])
-            out = teacher.run_strategy(learner, theta, space, self.strategy, seed=seed, threads=threads)
-            return _strategy_dict(out)
-
-        if lid == "surrogate-fit":
-            if self.strategy != "gradient-fit":
-                raise StrategySpaceMismatch(
-                    "surrogate spaces are not enumerable; use the gradient-fit strategy"
-                )
-            return self._fit_surrogate(model, data, point, seed)
-
-        raise BadSpec(f"no runnable recipe for learner {lid!r}")
-
-    def _fit_surrogate(self, model, data, point, seed) -> dict:
-        p = self.params
-        predict = batch_predictor(model)
-        if self.theta_kind is ThetaKind.PREDICTIVE_DISTRIBUTION:
-            if self.explanation_kind is not ExplanationKind.SOFT_TREE:
-                raise IncompatibleCombination(
-                    "matching a full predictive distribution needs a distribution-valued surrogate"
-                )
-            report = distill_tree(
-                model, data.features,
-                depth=_param(p, "depth", 3, int), beta=_param(p, "beta", 0.0, float),
-                seed=seed, epochs=_param(p, "epochs", 800, int),
-                learning_rate=_param(p, "learning_rate", 0.05, float),
-            )
-            return report.to_dict()
-
-        # Local decision boundary: probes around the point, rbf weighted.
-        if point is None:
-            raise BadSpec("local boundary surrogates need a point")
-        point = np.asarray(point, dtype=float)
-        width = _param(p, "kernel_width", 1.0, float)
-        count = _param(p, "probe_count", 2000, int)
-        target_class = _param(p, "target_class", 1, int)
-        if self.explanation_kind is ExplanationKind.LINEAR_WEIGHTS:
-            report = lime_local(
-                model, point, probe_count=count, kernel_width=width,
-                ridge=_param(p, "ridge", 1e-3, float), seed=seed, target_class=target_class,
-            )
-            return report.to_dict()
-
-        rng = np.random.default_rng(seed)
-        probes = point + width * rng.standard_normal((count, point.shape[0]))
-        probs = predict(probes)
-        weights = np.exp(-((probes - point) ** 2).sum(axis=1) / (2.0 * width**2))
-        tree_report = distill_tree(
-            lambda X: _pair_predict(predict, X, target_class),
-            probes,
-            depth=_param(p, "depth", 3, int), beta=_param(p, "beta", 0.0, float),
-            seed=seed, epochs=_param(p, "epochs", 600, int),
-            learning_rate=_param(p, "learning_rate", 0.05, float),
-            sample_weights=weights,
-        )
-        surrogate = Explanation(ExplanationKind.SOFT_TREE, tree_report.tree)
-        loss = surrogate_fit_loss(
-            surrogate, probs[:, target_class], probes, weights, ThetaKind.LOCAL_DECISION_BOUNDARY
-        )
-        out = tree_report.to_dict()
-        out["boundary_fit_loss"] = loss
-        out["target_class"] = target_class
-        return out
 
 
 def _param(params: dict, key: str, default, kind):
@@ -262,20 +280,6 @@ def _param(params: dict, key: str, default, kind):
 def _pair_predict(predict, X, target_class):
     probs = predict(X)
     return np.column_stack([1.0 - probs[:, target_class], probs[:, target_class]])
-
-
-def _strategy_dict(result: teacher.StrategyResult) -> dict:
-    out = {"strategy": result.strategy, "metadata": _jsonable(result.metadata)}
-    payload = result.explanation.payload
-    if result.explanation.kind is ExplanationKind.EXAMPLE_SET:
-        out["indices"] = list(payload)
-    elif result.explanation.kind is ExplanationKind.FEATURE_MASK:
-        out["mask"] = np.asarray(payload).astype(int).tolist()
-    elif result.explanation.kind is ExplanationKind.SALIENCY_VECTOR:
-        out["values"] = np.asarray(payload).tolist()
-        if result.stderr is not None:
-            out["stderr"] = result.stderr.tolist()
-    return out
 
 
 def recombine(
@@ -298,4 +302,9 @@ def recombine(
             f"greedy grows subsets row by row, but learner {learner_id!r} "
             f"only scores class-complete example sets"
         )
+    accepted = LEARNER_REGISTRY[learner_id].params
+    unknown = sorted(set(params or {}) - accepted)
+    if unknown:
+        raise BadSpec(f"learner {learner_id!r} reads no --param {', '.join(unknown)}; "
+                      f"accepted: {', '.join(sorted(accepted))}")
     return RecombinedExplainer(theta_kind, explanation_kind, learner_id, strategy, dict(params or {}))

@@ -333,7 +333,6 @@ def example_selection_study(
     random_subset_count: int = 1000,
     bias_strength: float = 0.0,
     bias_favors_distractor: bool = True,
-    threads: int = 1,
 ) -> dict:
     """Teacher-selected examples versus random subsets on a 2AFC task.
 
@@ -358,9 +357,7 @@ def example_selection_study(
         bias = BiasConfig(bias_strength, candidates, np.array(favored))
     member = PopulationMember(base, 1.0, bias)
 
-    selection = explain_by_examples(
-        model, data, per_class_k=per_class_k, strategy="exhaustive-max", threads=threads
-    )
+    selection = explain_by_examples(model, data, per_class_k=per_class_k, strategy="exhaustive-max")
     selected_x = example_set(selection.indices)
 
     space = SubsetSpace.per_class(data.labels, per_class_k)

@@ -50,9 +50,12 @@ def run_strategy(
     space: ExplanationSpace,
     strategy: str,
     seed: int = 0,
-    threads: int = 1,
-    **options,
+    n: int = 10000,
+    burn_in: int = 1000,
 ) -> StrategyResult:
+    """Search the space with one strategy. ``n`` is the chain length of
+    mh-sample, after ``burn_in`` discarded steps, and the draw count of
+    mc-expectation."""
     if strategy == "exhaustive-max":
         best = core.posterior_max(learner, theta, space)
         meta = {
@@ -68,8 +71,6 @@ def run_strategy(
         return _greedy_subsets(learner, theta, space)
 
     if strategy == "mh-sample":
-        n = int(options.get("n", 10000))
-        burn_in = int(options.get("burn_in", 1000))
         samples = core.mh_sample(learner, theta, space, n, burn_in, seed)
         counts = samples.counts()
         meta = {
@@ -83,7 +84,6 @@ def run_strategy(
     if strategy == "mc-expectation":
         if not isinstance(space, MaskSpace):
             raise StrategySpaceMismatch("mc-expectation needs a mask space")
-        n = int(options.get("n", 4000))
         _, weights, values, stderr = mask_expectation(
             space, n, seed, lambda masks: np.exp(core.score_rows(learner, theta, masks, feature_mask))
         )

@@ -353,6 +353,40 @@ def test_recombine_rejects_an_unusable_param_value(capsys, ws, param, key):
     assert f"--param {key}=" in err["message"]
 
 
+@pytest.mark.parametrize("combination, params, unknown, accepted", [
+    (["--theta", "latent-class-means", "--x-kind", "example-set", "--learner", "plda",
+      "--strategy", "mh-sample"],
+     ["n=10", "burn_in=0", "bogus=3"], "bogus", "burn_in, n, per_class_k"),
+    (["--theta", "predictive-distribution", "--x-kind", "soft-tree",
+      "--learner", "surrogate-fit", "--strategy", "gradient-fit"],
+     ["depth=2", "per_class_k=1"], "per_class_k", "beta, depth, epochs"),
+])
+def test_recombine_rejects_a_param_no_recipe_reads(capsys, ws, combination, params, unknown, accepted):
+    argv = ["explain", "recombine", *combination, "--model", ws["plda"], "--data", ws["data"],
+            "--seed", "0"]
+    for param in params:
+        argv += ["--param", param]
+    err = run_err(capsys, argv, cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+    assert f"reads no --param {unknown};" in err["message"]
+    assert f"accepted: {accepted}" in err["message"]
+
+
+@pytest.mark.parametrize("combination, steps_field", [
+    (["--theta", "latent-class-means", "--learner", "plda", "--param", "per_class_k=1"], "steps"),
+    (["--theta", "class-data-distribution", "--learner", "mmd"], "n"),
+])
+def test_recombine_mh_honours_chain_lengths(capsys, ws, combination, steps_field):
+    doc, _ = run_ok(capsys, [
+        "explain", "recombine", "--x-kind", "example-set", "--strategy", "mh-sample",
+        *combination, "--model", ws["plda"], "--data", ws["data"],
+        "--param", "n=10", "--param", "burn_in=0", "--seed", "0",
+    ], "explain")
+    metadata = doc["result"]["result"]["metadata"]
+    assert metadata[steps_field] == 10
+    assert metadata["burn_in"] == 0
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

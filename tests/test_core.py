@@ -142,15 +142,6 @@ def test_flat_likelihood_recovers_prior():
     np.testing.assert_allclose(post.probabilities(), priors / priors.sum(), rtol=1e-13)
 
 
-def test_threads_do_not_change_the_posterior(rng):
-    learner, space = random_case(rng, max_size=300)
-    single = teacher_posterior(learner, THETA, space, threads=1)
-    multi = teacher_posterior(learner, THETA, space, threads=4)
-    assert [a.key() for a in single.support] == [b.key() for b in multi.support]
-    assert np.array_equal(single.log_weights, multi.log_weights)
-    assert single.log_normalizer == multi.log_normalizer
-
-
 def test_sample_posterior_frequencies(rng):
     cands = [example_set((i,)) for i in range(3)]
     learner = table_learner(zip(cands, [0.0, math.log(2.0), math.log(5.0)]))

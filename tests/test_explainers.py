@@ -88,15 +88,6 @@ def test_mh_strategy_reports_the_chain_mode():
     assert again.indices == sampled.indices
 
 
-def test_example_selection_threads_do_not_change_the_answer():
-    data = small_blobs()
-    model = fit_model("plda", data, seed=0)
-    a = explain_by_examples(model, data, per_class_k=2, threads=1)
-    b = explain_by_examples(model, data, per_class_k=2, threads=3)
-    assert a.indices == b.indices
-    assert a.log_likelihood == b.log_likelihood
-
-
 def test_example_selection_needs_a_plda_model():
     data = small_blobs()
     with pytest.raises(BadSpec):

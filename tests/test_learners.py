@@ -18,11 +18,10 @@ from bayesteach.learners import (
     masked_prediction_likelihood,
     median_bandwidth,
     mmd2,
-    plda_learner,
     surrogate_fit_loss,
     witness,
 )
-from bayesteach.models import fit_model, predict_proba
+from bayesteach.models import fit_model, plda_posterior_over_means, predict_proba
 from bayesteach.types import (
     Explanation,
     ExplanationKind,
@@ -118,9 +117,7 @@ def test_plda_learner_full_subset_is_max(blobs3, plda3, rng):
     )
     n = blobs3.n_rows
     full = learner.log_likelihood(theta, example_set(tuple(range(n))))
-    assert plda_learner(plda3, blobs3, theta, example_set(tuple(range(n)))) == (
-        pytest.approx(math.exp(full))
-    )
+    assert plda_posterior_over_means(plda3, blobs3, range(n)) == pytest.approx(full, rel=1e-12)
     for _ in range(50):
         idx = rng.choice(n, size=int(rng.integers(3, n)), replace=False)
         if len(set(blobs3.labels[idx])) < blobs3.class_count:

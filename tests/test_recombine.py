@@ -1,5 +1,7 @@
 """Compatibility rules and end-to-end runs of recombined methods."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,61 @@ def test_novel_nearest_class_method_beats_random_examples():
     ]
     random_acc = accuracy(random_tasks)
     assert teacher_acc >= random_acc + 0.2
+
+
+# ---------------------------------------------------------------------------
+# declared params
+
+
+# every combination each learner's recipe runs
+RECIPE_RUNS = {
+    "plda": [(TK.LATENT_CLASS_MEANS, XK.EXAMPLE_SET, s) for s in ("exhaustive-max", "mh-sample")],
+    "masked-prediction": [(TK.PREDICTED_LABEL, XK.FEATURE_MASK, s)
+                          for s in ("exhaustive-max", "mh-sample", "mc-expectation")],
+    "nearest-class": [(TK.PREDICTED_LABEL, XK.EXAMPLE_SET, s)
+                      for s in ("exhaustive-max", "greedy", "mh-sample")],
+    "mmd": [(TK.CLASS_DATA_DISTRIBUTION, XK.EXAMPLE_SET, s)
+            for s in ("exhaustive-max", "greedy", "mh-sample")],
+    "surrogate-fit": [
+        (TK.PREDICTIVE_DISTRIBUTION, XK.SOFT_TREE, "gradient-fit"),
+        (TK.LOCAL_DECISION_BOUNDARY, XK.LINEAR_WEIGHTS, "gradient-fit"),
+        (TK.LOCAL_DECISION_BOUNDARY, XK.SOFT_TREE, "gradient-fit"),
+    ],
+}
+
+PARAM_VALUES = {
+    "per_class_k": 1, "n": 30, "burn_in": 5, "baseline": 0.0, "target_class": 1,
+    "keep_prob": 0.5, "temperature": 1.0, "class_index": 0, "bandwidth": 1.0, "m": 2,
+    "depth": 2, "beta": 0.0, "epochs": 5, "learning_rate": 0.05, "kernel_width": 1.0,
+    "probe_count": 50, "ridge": 1e-3,
+}
+
+
+class _LookupLog(dict):
+    """Recipe params that record every key a recipe asks for."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.asked = set()
+
+    def __contains__(self, key):
+        self.asked.add(key)
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("learner_id", sorted(LEARNER_REGISTRY))
+def test_recipe_reads_exactly_the_params_it_declares(learner_id):
+    assert set(RECIPE_RUNS) == set(LEARNER_REGISTRY)
+    data = recombine_data()
+    model = fit_model("plda" if learner_id == "plda" else "logistic", data, seed=0)
+    declared = LEARNER_REGISTRY[learner_id].params
+    asked = set()
+    for tk, xk, strategy in RECIPE_RUNS[learner_id]:
+        params = {key: PARAM_VALUES[key] for key in declared}
+        method = recombine(tk, xk, learner_id, strategy, params)
+        logged = _LookupLog(params)
+        out = dataclasses.replace(method, params=logged).run(
+            model, data, point=data.features[0], seed=0)
+        assert out["combination"]["params"] == params
+        asked |= logged.asked
+    assert asked == declared

@@ -181,17 +181,3 @@ def _pad_mask(x, full_dim):
     padded = np.zeros(full_dim)
     padded[: len(x.payload)] = np.asarray(x.payload, dtype=float)
     return Explanation(ExplanationKind.FEATURE_MASK, padded)
-
-
-def test_threads_equalize_for_exhaustive(plda3, blobs3):
-    from bayesteach.learners import make_plda_learner
-
-    learner = make_plda_learner(plda3, blobs3)
-    theta = TargetInference(
-        ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"]
-    )
-    space = SubsetSpace.per_class(blobs3.labels, 1)
-    a = run_strategy(learner, theta, space, "exhaustive-max", threads=1)
-    b = run_strategy(learner, theta, space, "exhaustive-max", threads=2)
-    assert a.explanation.payload == b.explanation.payload
-    assert a.metadata == b.metadata
