@@ -1,5 +1,6 @@
-"""Stored CLI output of small seeded Metropolis runs and of every
-recombination recipe.
+"""Stored CLI output of small seeded Metropolis runs, of every
+recombination recipe, and of the README's exhaustive example selection
+and example-selection study.
 
 Each case runs one command in a fresh workspace built from the README's
 dataset and checkpoints, and compares stdout (or, for a rejected
@@ -93,6 +94,20 @@ RECIPE_CASES = {
         "--seed", "1"),
 }
 
+# the README's example selection, joint and class by class, and its
+# example-selection study with fewer trials and random subsets
+README_CASES = {
+    "plda-examples-max": [
+        "explain", "plda-examples", "--model", "plda.json", "--data", "blobs.csv",
+        "--per-class-k", "2", "--seed", "0",
+    ],
+    "plda-examples-independent": [
+        "explain", "plda-examples", "--model", "plda.json", "--data", "blobs.csv",
+        "--per-class-k", "2", "--independent", "--seed", "0",
+    ],
+    "study-example-selection": ["study", "run", "--config", "selection.json", "--seed", "0"],
+}
+
 # a combination the compatibility table admits but the recipe rejects
 REJECTED_CASES = {
     "recombine-surrogate-distribution-linear": _recombine(
@@ -125,6 +140,13 @@ def readme_ws(tmp_path_factory):
         "params": {"per_class_k": 2, "n": 300, "burn_in": 50},
     }
     (root / "mismatch.json").write_text(json.dumps(config), encoding="utf-8")
+    config = {
+        "study": "example-selection",
+        "model": "plda.json",
+        "data": "blobs.csv",
+        "params": {"trials": 200, "random_subset_count": 100},
+    }
+    (root / "selection.json").write_text(json.dumps(config), encoding="utf-8")
     return root
 
 
@@ -144,6 +166,13 @@ def test_mh_output_matches_the_stored_document(name, readme_ws, capsys, monkeypa
 @pytest.mark.parametrize("name", sorted(RECIPE_CASES))
 def test_recipe_output_matches_the_stored_document(name, readme_ws, capsys, monkeypatch):
     rc, captured = _run(RECIPE_CASES[name], readme_ws, capsys, monkeypatch)
+    assert rc == 0, captured.err
+    assert captured.out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(README_CASES))
+def test_readme_output_matches_the_stored_document(name, readme_ws, capsys, monkeypatch):
+    rc, captured = _run(README_CASES[name], readme_ws, capsys, monkeypatch)
     assert rc == 0, captured.err
     assert captured.out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
