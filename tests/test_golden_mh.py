@@ -183,3 +183,10 @@ def test_rejected_recipe_error_matches_the_stored_document(name, readme_ws, caps
     assert rc == 3
     assert captured.out == ""
     assert captured.err == (GOLDEN / f"{name}.err.json").read_text(encoding="utf-8")
+
+
+def test_every_golden_file_is_the_document_of_exactly_one_case():
+    stored = [f"{name}.json" for cases in (CASES, RECIPE_CASES, README_CASES) for name in cases]
+    stored += [f"{name}.err.json" for name in REJECTED_CASES]
+    assert len(stored) == len(set(stored)), "two cases share a stored document"
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(stored)
