@@ -301,12 +301,11 @@ def _cmd_explain_plda_examples(args) -> tuple[dict, int]:
     _require_seed_when(args.strategy == "mh-sample", args.seed, "for mh-sample")
     model = load_model(args.model)
     data = load_csv(args.data, args.label_column)
-    strategy = {"exhaustive-max": "exhaustive-max", "mh-sample": "mh"}[args.strategy]
     report = explain_by_examples(
         model,
         data,
         per_class_k=args.per_class_k,
-        strategy=strategy,
+        strategy=args.strategy,
         seed=args.seed if args.seed is not None else 0,
         per_class_independent=args.independent,
         mh_steps=args.mh_steps,

@@ -13,9 +13,12 @@ log-sum-exp. Zero total mass raises instead of silently renormalizing.
 When the likelihood splits over the pools of a subset space with a
 uniform prior, the posterior is a product of per-pool posteriors, and
 ``posterior_max`` takes its argmax and normalizer pool by pool instead
-of sweeping the joint space. A full sweep of such a space scores it as
-arrays: the outer sum of the per-pool terms, or the learner's batch
-scorer on the space's index array.
+of sweeping the joint space. A full sweep of a uniform-prior subset
+space is scored as an array by the learner's batch scorer, when it has
+one.
+
+A Metropolis walk reports its mode: the most visited state, ties going
+to the smallest payload (``ChainSamples.mode``).
 """
 
 from __future__ import annotations
@@ -86,28 +89,16 @@ def pool_scores(terms, space: SubsetSpace):
 
 def _array_sweep(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
     """The support and log weights of a uniform-prior subset space, scored
-    as arrays; None when the space or the learner does not allow it.
-
-    When ``block_terms`` split the likelihood, the log weights are the
-    outer sum of the per-pool term vectors, added in pool order from 0.0
-    as the joint likelihood adds its terms, so they equal its values to
-    the bit. Otherwise the learner's batch scorer scores the space's index
-    array. The uniform prior adds log 1 = 0 to every weight.
-    """
+    by the learner's batch scorer on the space's index array; None when
+    the space or the learner does not allow it. The uniform prior adds
+    log 1 = 0 to every weight."""
     if not isinstance(space, SubsetSpace) or space._prior_fn is not None:
         return None
-    space._check_enumerable()
-    terms = pool_terms(learner, theta, space)
-    if terms is None and learner.batch_log_likelihood is None:
+    if learner.batch_log_likelihood is None:
         return None
+    space._check_enumerable()
     rows = space.index_array()
-    if terms is None:
-        return SubsetRows(rows), score_rows(learner, theta, rows, example_set)
-    learner.log_likelihood(theta, example_set(rows[0]))  # the joint sweep's errors
-    log_liks = np.zeros(())
-    for _, scores in pool_scores(terms, space):
-        log_liks = np.add.outer(log_liks, scores)
-    return SubsetRows(rows), log_liks.reshape(-1)
+    return SubsetRows(rows), score_rows(learner, theta, rows, example_set)
 
 
 def teacher_posterior(
@@ -118,9 +109,9 @@ def teacher_posterior(
     """Normalize likelihood * prior over every positive-prior candidate.
 
     The support keeps enumeration order, so downstream tie-breaking by
-    index is well defined. A uniform-prior subset space is scored as
-    arrays when the learner has block terms or a batch scorer, with the
-    same weights and errors as the per-candidate sweep.
+    index is well defined. A uniform-prior subset space is scored as an
+    array when the learner has a batch scorer, with the same weights and
+    errors as the per-candidate sweep.
     """
     swept = _array_sweep(learner, theta, space)
     if swept is not None:
@@ -235,6 +226,14 @@ class ChainSamples(Sequence):
 
     def counts(self) -> Counter:
         return Counter(self.states)
+
+    def mode(self) -> tuple[Explanation, float]:
+        """The most visited state and the share of samples it holds; a tie
+        goes to the smallest payload read as a tuple of ints."""
+        counts = self.counts()
+        top = max(counts.values())
+        tied = (self.space.explanation_of(s) for s, c in counts.items() if c == top)
+        return min(tied, key=lambda x: tuple(int(v) for v in x.payload)), top / len(self)
 
 
 def chain_log_weight(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):

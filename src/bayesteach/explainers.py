@@ -97,7 +97,9 @@ def explain_by_examples(
     mh_burn_in: int = 2000,
 ) -> ExampleSelectionReport:
     """Pick the example subset a subset-trained learner would most likely
-    read the full-fit latent class means from."""
+    read the full-fit latent class means from: the posterior argmax
+    (exhaustive-max), or the mode of a Metropolis chain (mh-sample),
+    reported as strategy "mh"."""
     if model.family != "plda":
         raise BadSpec(f"example selection explains plda models, not {model.family}")
     learner = make_plda_learner(model, data)
@@ -124,20 +126,15 @@ def explain_by_examples(
             x.payload, _split_by_class(data, x.payload), best.log_weight, best.probability,
             strategy, space.size(), {"log_normalizer": best.log_normalizer},
         )
-    if strategy == "mh":
-        samples = core.mh_sample(learner, theta, space, mh_steps, mh_burn_in, seed)
-        counts = samples.counts()
-        top = max(counts.values())
-        # the most visited state; ties go to the lexicographically smallest
-        x = min((space.explanation_of(s) for s, c in counts.items() if c == top),
-                key=lambda e: e.payload)
+    if strategy == "mh-sample":
+        x, frequency = core.mh_sample(learner, theta, space, mh_steps, mh_burn_in, seed).mode()
         ll = learner.log_likelihood(theta, x)
         return ExampleSelectionReport(
             x.payload, _split_by_class(data, x.payload), ll, None,
-            strategy, space.size(),
-            {"mode_frequency": top / len(samples), "steps": mh_steps, "burn_in": mh_burn_in},
+            "mh", space.size(),
+            {"mode_frequency": frequency, "steps": mh_steps, "burn_in": mh_burn_in},
         )
-    raise BadSpec(f"unknown strategy {strategy!r}; use exhaustive-max or mh")
+    raise BadSpec(f"unknown strategy {strategy!r}; use exhaustive-max or mh-sample")
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def _plda_recipe(method, model, data, point, seed) -> dict:
     p = method.params
     report = explain_by_examples(
         model, data, per_class_k=_param(p, "per_class_k", 2, int),
-        strategy={"exhaustive-max": "exhaustive-max", "mh-sample": "mh"}[method.strategy],
+        strategy=method.strategy,
         seed=seed, mh_steps=_param(p, "n", 20000, int), mh_burn_in=_param(p, "burn_in", 2000, int),
     )
     return report.to_dict()

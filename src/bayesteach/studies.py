@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import logsumexp, select_max, teacher_posterior
+from .core import logsumexp, mh_sample, posterior_max
 from .errors import BadSpec, InsufficientCoverage
 from .explainers import explain_by_examples, _jsonable
 from .learners import BiasConfig, biased_learner, make_plda_learner
@@ -475,11 +475,8 @@ def strategy_mismatch_study(
     target. Reported, not a universal claim: the outcome depends on how
     the two learners disagree.
     """
-    from .core import mh_sample  # local import keeps module load light
-
     theta = candidates[target_index]
-    posterior = teacher_posterior(selector, theta, space)
-    x_max = select_max(posterior)
+    x_max = posterior_max(selector, theta, space).explanation
     samples = mh_sample(selector, theta, space, n=n, burn_in=burn_in, seed=seed)
 
     def evaluator_mass(x: Explanation) -> float:

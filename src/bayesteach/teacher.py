@@ -6,7 +6,7 @@ searches a uniform interface so methods can be rebuilt from parts.
 
   exhaustive-max   normalize everything, take the argmax
   greedy           forward selection over subset slots
-  mh-sample        Metropolis walk, returns the trace
+  mh-sample        Metropolis walk, reports its mode with the trace
   mc-expectation   likelihood-weighted average of prior draws
 """
 
@@ -72,14 +72,14 @@ def run_strategy(
 
     if strategy == "mh-sample":
         samples = core.mh_sample(learner, theta, space, n, burn_in, seed)
-        counts = samples.counts()
+        mode, frequency = samples.mode()
         meta = {
             "n": n,
             "burn_in": burn_in,
-            "distinct_states": len(counts),
-            "mode_frequency": max(counts.values()) / len(samples),
+            "distinct_states": len(samples.counts()),
+            "mode_frequency": frequency,
         }
-        return StrategyResult(samples[-1], strategy, meta, samples=samples)
+        return StrategyResult(mode, strategy, meta, samples=samples)
 
     if strategy == "mc-expectation":
         if not isinstance(space, MaskSpace):

@@ -65,7 +65,7 @@ def test_mh_strategy_reports_the_chain_mode():
     data = small_blobs()
     model = fit_model("plda", data, seed=0)
     sampled = explain_by_examples(
-        model, data, per_class_k=2, strategy="mh", mh_steps=8000, mh_burn_in=800,
+        model, data, per_class_k=2, strategy="mh-sample", mh_steps=8000, mh_burn_in=800,
         seed=0,
     )
     # rebuild the same chain and take its empirical mode independently;
@@ -82,7 +82,7 @@ def test_mh_strategy_reports_the_chain_mode():
     assert sampled.indices == expected
     assert sampled.metadata["mode_frequency"] == pytest.approx(top / len(chain))
     again = explain_by_examples(
-        model, data, per_class_k=2, strategy="mh", mh_steps=8000, mh_burn_in=800,
+        model, data, per_class_k=2, strategy="mh-sample", mh_steps=8000, mh_burn_in=800,
         seed=0,
     )
     assert again.indices == sampled.indices

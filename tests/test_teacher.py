@@ -1,14 +1,20 @@
 """The uniform strategy runner and its space compatibility rules."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from bayesteach.core import teacher_posterior
+from bayesteach import oracle
 from bayesteach.errors import BadSpec, DimensionMismatch, StrategySpaceMismatch
-from bayesteach.explainers import rise_saliency, weighted_mean_and_stderr
-from bayesteach.learners import make_masked_prediction_learner
+from bayesteach.explainers import explain_by_examples, rise_saliency, weighted_mean_and_stderr
+from bayesteach.learners import (
+    make_masked_prediction_learner,
+    make_nearest_class_learner,
+    make_plda_learner,
+)
 from bayesteach.models import fit_model
 from bayesteach.spaces import EnumeratedSpace, MaskSpace, SubsetSpace
 from bayesteach.teacher import STRATEGIES, run_strategy
@@ -98,11 +104,60 @@ def test_mh_sample_trace_statistics():
     space = EnumeratedSpace(cands)
     result = run_strategy(learner, THETA, space, "mh-sample", seed=3, n=5000, burn_in=500)
     assert result.samples is not None and len(result.samples) == 5000
-    assert result.explanation.key() == result.samples[-1].key()
-    assert result.metadata["distinct_states"] <= 6
-    assert 0 < result.metadata["mode_frequency"] <= 1
+    counts = Counter(s.payload for s in result.samples)
+    top = max(counts.values())
+    assert result.explanation.payload == min(p for p, c in counts.items() if c == top)
+    assert result.metadata["distinct_states"] == len(counts) <= 6
+    assert result.metadata["mode_frequency"] == top / 5000
     again = run_strategy(learner, THETA, space, "mh-sample", seed=3, n=5000, burn_in=500)
     assert [s.key() for s in again.samples] == [s.key() for s in result.samples]
+
+
+def reference_mode(chain):
+    """The most visited state of a chain of Explanations and its share,
+    counted loop by loop; a tie goes to the smallest payload read as a
+    tuple of ints. Also returns how many states tie for the top count."""
+    counts = {}
+    for x in chain:
+        key = tuple(int(v) for v in x.payload)
+        counts[key] = counts.get(key, 0) + 1
+    top = max(counts.values())
+    tied = sorted(key for key, c in counts.items() if c == top)
+    return tied[0], top / len(chain), len(tied)
+
+
+def test_mh_sample_reports_the_reference_chain_mode(plda3, blobs3, logistic2, blobs2):
+    label = TargetInference(ThetaKind.PREDICTED_LABEL, 1)
+    means = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+    cands = [example_set((i,)) for i in range(6)]
+    flat = LearnerModel("flat", lambda theta, x: 0.0 if x.payload[0] < 4 else -1.0)
+    cases = [
+        (make_nearest_class_learner(blobs3, np.zeros(2)), label, SubsetSpace.per_class(blobs3.labels, 1)),
+        (make_nearest_class_learner(blobs3, np.zeros(2)), label, SubsetSpace.per_class(blobs3.labels, [2, 1, 2])),
+        (make_plda_learner(plda3, blobs3), means, SubsetSpace.per_class(blobs3.labels, 2)),
+        (make_masked_prediction_learner(logistic2, blobs2.features[0]), label, MaskSpace(4, 0.5)),
+        (flat, THETA, EnumeratedSpace(cands)),
+    ]
+    ties = 0
+    for seed in range(8):
+        for learner, theta, space in cases:
+            n, burn_in = 20 + 7 * seed, seed
+            ref = oracle.mh_reference(learner, theta, space, n, burn_in, seed)
+            payload, frequency, tied = reference_mode(ref)
+            ties += tied > 1
+            result = run_strategy(learner, theta, space, "mh-sample", seed=seed, n=n, burn_in=burn_in)
+            assert tuple(int(v) for v in result.explanation.payload) == payload
+            assert result.metadata["mode_frequency"] == frequency
+
+        k = 1 + seed % 2
+        space = SubsetSpace.per_class(blobs3.labels, k)
+        ref = oracle.mh_reference(make_plda_learner(plda3, blobs3), means, space, 30, 2, seed)
+        payload, frequency, _ = reference_mode(ref)
+        report = explain_by_examples(plda3, blobs3, k, "mh-sample", seed, mh_steps=30, mh_burn_in=2)
+        assert report.indices == payload
+        assert report.metadata["mode_frequency"] == frequency
+        assert report.strategy == "mh"
+    assert ties >= 5  # the tie rule was exercised
 
 
 def test_mc_expectation_matches_exhaustive_mask_average(logistic_grid, grid_image):
