@@ -47,7 +47,6 @@ from .learners import (
     make_mmd_learner,
     make_nearest_class_learner,
     make_plda_learner,
-    make_surrogate_learner,
     mmd2,
     witness,
 )

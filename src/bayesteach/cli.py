@@ -15,6 +15,7 @@ import csv
 import hashlib
 import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -52,6 +53,7 @@ from .learners import KernelConfig
 from .models import (
     fit_model,
     inspect_model,
+    jsonable,
     load_csv,
     load_model,
     make_synthetic,
@@ -102,18 +104,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _json_default(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -134,7 +126,8 @@ def _emit_error(kind: str, message: str, exit_code: int, detail: dict | None = N
 
 def _load_point(path: str) -> np.ndarray:
     """First data row of a CSV as a float vector; a header row of
-    non-numeric cells is skipped."""
+    non-numeric cells is skipped, and a NaN or infinite cell raises
+    ParseError."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
     if not rows:
@@ -149,11 +142,14 @@ def _load_point(path: str) -> np.ndarray:
     values = []
     for j, cell in enumerate(rows[start]):
         try:
-            values.append(float(cell))
+            value = float(cell)
         except ValueError:
             raise ParseError(
                 f"non-numeric value {cell!r}", row=start + 1, col=j + 1
             ) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value {cell!r}", row=start + 1, col=j + 1)
+        values.append(value)
     return np.array(values, dtype=float)
 
 

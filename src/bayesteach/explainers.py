@@ -23,12 +23,13 @@ from . import core
 from .errors import BadSpec, DimensionMismatch, SingularSystem, ZeroTotalWeight
 from .learners import (
     KernelConfig,
+    class_column,
     kernel_matrix,
     make_plda_learner,
     masked_batch_values,
     witness,
 )
-from .models import Dataset, TargetModel, batch_predictor, predict_proba
+from .models import Dataset, TargetModel, batch_predictor, jsonable, predict_proba
 from .spaces import MaskSpace, SubsetSpace
 from .types import (
     Explanation,
@@ -37,18 +38,6 @@ from .types import (
     ThetaKind,
     example_set,
 )
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +62,7 @@ class ExampleSelectionReport:
             "posterior_probability": self.posterior_probability,
             "strategy": self.strategy,
             "space_size": self.space_size,
-            "metadata": _jsonable(self.metadata),
+            "metadata": jsonable(self.metadata),
         }
 
 
@@ -337,7 +326,7 @@ def _coalition_values(predict, point, background, rows: np.ndarray, target_class
     composites = np.where(
         rows[:, None, :] > 0, point[None, None, :], background[None, :, :]
     ).reshape(n_rows * n_bg, -1)
-    probs = predict(composites)[:, target_class].reshape(n_rows, n_bg)
+    probs = class_column(predict(composites), target_class).reshape(n_rows, n_bg)
     return probs.mean(axis=1)
 
 
@@ -460,7 +449,7 @@ def lime_local(
     rng = np.random.default_rng(seed)
     scale = kernel_width if probe_scale is None else probe_scale
     probes = point + scale * rng.standard_normal((probe_count, point.shape[0]))
-    target = predict(probes)[:, target_class]
+    target = class_column(predict(probes), target_class)
     sq = ((probes - point) ** 2).sum(axis=1)
     weights = np.exp(-sq / (2.0 * kernel_width**2))
 

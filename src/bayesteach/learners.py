@@ -209,7 +209,12 @@ def masked_batch_values(
         )
     base = np.broadcast_to(np.asarray(baseline, dtype=float), point.shape)
     composites = base + masks * (point - base)
-    probs = predict(composites)
+    return class_column(predict(composites), label)
+
+
+def class_column(probs: np.ndarray, label: int) -> np.ndarray:
+    """Column ``label`` of a batch of class probabilities; a label outside
+    [0, C) raises BadSpec."""
     if not 0 <= label < probs.shape[1]:
         raise BadSpec(f"label {label} out of range for {probs.shape[1]} classes")
     return probs[:, label]
@@ -290,25 +295,6 @@ def surrogate_fit_loss(
         kl = np.sum(target * (np.log(safe_target) - np.log(out)), axis=1)
         return float(np.sum(weights * kl) / total)
     raise BadSpec(f"surrogate fit loss is undefined for {theta_kind.value}")
-
-
-def make_surrogate_learner(
-    target_values: np.ndarray,
-    probe_points: np.ndarray,
-    probe_weights: np.ndarray,
-    theta_kind: ThetaKind,
-    temperature: float = 1.0,
-) -> LearnerModel:
-    """exp(-loss / temperature) bridge: lower fit loss, higher likelihood."""
-    if temperature <= 0:
-        raise BadSpec("temperature must be positive")
-
-    def log_likelihood(theta: TargetInference, x: Explanation) -> float:
-        if theta.kind is not theta_kind:
-            raise BadSpec(f"this surrogate learner scores {theta_kind.value}, not {theta.kind.value}")
-        return -surrogate_fit_loss(x, target_values, probe_points, probe_weights, theta_kind) / temperature
-
-    return LearnerModel(f"surrogate-fit learner ({theta_kind.value})", log_likelihood)
 
 
 # ---------------------------------------------------------------------------

@@ -591,15 +591,17 @@ def plda_posterior_over_means(
 # checkpoints
 
 
-def _to_jsonable(value):
+def jsonable(value):
+    """``value`` with numpy arrays and scalars, nested in dicts, lists and
+    tuples, turned into the lists and Python numbers ``json`` writes."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
     if isinstance(value, dict):
-        return {k: _to_jsonable(v) for k, v in value.items()}
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
     return value
 
 
@@ -616,8 +618,8 @@ def model_to_dict(model: TargetModel) -> dict:
     return {
         "family": model.family,
         "class_count": model.class_count,
-        "parameters": _to_jsonable(model.parameters),
-        "config": _to_jsonable(model.config),
+        "parameters": jsonable(model.parameters),
+        "config": jsonable(model.config),
         "seed": model.seed,
     }
 
@@ -663,6 +665,6 @@ def inspect_model(model: TargetModel) -> dict:
         "class_count": model.class_count,
         "feature_count": _feature_dim(model),
         "parameter_shapes": shapes,
-        "config": _to_jsonable(model.config),
+        "config": jsonable(model.config),
         "seed": model.seed,
     }

@@ -18,15 +18,16 @@ import numpy as np
 
 from . import teacher
 from .errors import BadSpec, IncompatibleCombination, StrategySpaceMismatch
-from .explainers import _jsonable, distill_tree, explain_by_examples, lime_local
+from .explainers import distill_tree, explain_by_examples, lime_local
 from .learners import (
     KernelConfig,
+    class_column,
     make_masked_prediction_learner,
     make_mmd_learner,
     make_nearest_class_learner,
     surrogate_fit_loss,
 )
-from .models import Dataset, TargetModel, batch_predictor
+from .models import Dataset, TargetModel, batch_predictor, jsonable
 from .spaces import MaskSpace, SubsetSpace
 from .types import (
     Explanation,
@@ -128,7 +129,7 @@ def _surrogate_recipe(method, model, data, point, seed) -> dict:
                                sample_weights=weights, **_tree_options(p, epochs=600))
     surrogate = Explanation(ExplanationKind.SOFT_TREE, tree_report.tree)
     loss = surrogate_fit_loss(
-        surrogate, probs[:, target_class], probes, weights, ThetaKind.LOCAL_DECISION_BOUNDARY
+        surrogate, class_column(probs, target_class), probes, weights, ThetaKind.LOCAL_DECISION_BOUNDARY
     )
     return {**tree_report.to_dict(), "boundary_fit_loss": loss, "target_class": target_class}
 
@@ -139,7 +140,7 @@ def _search(method, learner, theta, space, seed, n: int, burn_in: int) -> dict:
     p = method.params
     result = teacher.run_strategy(learner, theta, space, method.strategy, seed=seed,
                                   n=_param(p, "n", n, int), burn_in=_param(p, "burn_in", burn_in, int))
-    out = {"strategy": result.strategy, "metadata": _jsonable(result.metadata)}
+    out = {"strategy": result.strategy, "metadata": jsonable(result.metadata)}
     payload = result.explanation.payload
     if result.explanation.kind is ExplanationKind.EXAMPLE_SET:
         out["indices"] = list(payload)
@@ -256,7 +257,7 @@ class RecombinedExplainer:
             "explanation_kind": self.explanation_kind.value,
             "learner_id": self.learner_id,
             "strategy": self.strategy,
-            "params": _jsonable(self.params),
+            "params": jsonable(self.params),
         }
 
     def run(self, model: TargetModel, data: Dataset, point: np.ndarray | None = None, seed: int = 0) -> dict:
@@ -278,8 +279,8 @@ def _param(params: dict, key: str, default, kind):
 
 
 def _pair_predict(predict, X, target_class):
-    probs = predict(X)
-    return np.column_stack([1.0 - probs[:, target_class], probs[:, target_class]])
+    p = class_column(predict(X), target_class)
+    return np.column_stack([1.0 - p, p])
 
 
 def recombine(

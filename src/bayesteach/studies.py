@@ -20,9 +20,9 @@ import numpy as np
 
 from .core import logsumexp, mh_sample, posterior_max
 from .errors import BadSpec, InsufficientCoverage
-from .explainers import explain_by_examples, _jsonable
+from .explainers import explain_by_examples
 from .learners import BiasConfig, biased_learner, make_plda_learner
-from .models import Dataset, TargetModel
+from .models import Dataset, TargetModel, jsonable
 from .spaces import SubsetSpace
 from .types import Explanation, LearnerModel, TargetInference, ThetaKind, example_set
 
@@ -91,8 +91,8 @@ class StudyReport:
         return {
             "overall_accuracy": self.overall_accuracy,
             "overall_belief_shift": self.overall_belief_shift,
-            "per_task": [_jsonable(t) for t in self.per_task],
-            "calibration": _jsonable(self.calibration),
+            "per_task": [jsonable(t) for t in self.per_task],
+            "calibration": jsonable(self.calibration),
             "trial_count": self.trial_count,
         }
 

@@ -264,6 +264,37 @@ def test_lime_document(capsys, ws):
     assert doc["seed"] == 2
 
 
+_CLASS_METHODS = {
+    "shap-exact": ["shap", "--background", "data", "--exact"],
+    "shap-sampled": ["shap", "--background", "data", "--samples", "64", "--seed", "0"],
+    "lime": ["lime", "--probes", "50", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("label", ["2", "9", "-1"])
+@pytest.mark.parametrize("method", sorted(_CLASS_METHODS))
+def test_class_out_of_range_exits_3(capsys, ws, method, label):
+    name, *extra = [ws[a] if a == "data" else a for a in _CLASS_METHODS[method]]
+    err = run_err(capsys, [
+        "explain", name, "--model", ws["logistic"], "--point", ws["point"], "--class", label, *extra,
+    ], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+    assert err["message"] == f"label {label} out of range for 2 classes"
+
+
+@pytest.mark.parametrize("cells, col", [("nan,0.5", 1), ("0.5,inf", 2), ("-inf,nan", 1)])
+@pytest.mark.parametrize("method", ["rise", "lime"])
+def test_non_finite_point_exits_3(capsys, ws, tmp_path, method, cells, col):
+    point = tmp_path / "point.csv"
+    point.write_text(f"f0,f1\n{cells}\n", encoding="utf-8")
+    err = run_err(capsys, [
+        "explain", method, "--model", ws["logistic"], "--point", str(point),
+        "--class", "1", "--seed", "0",
+    ], cli.DATA_EXIT)
+    assert err["type"] == "ParseError"
+    assert err["detail"] == {"row": 2, "col": col}
+
+
 def test_tree_distill_renders_svg_only(capsys, ws, tmp_path):
     argv = [
         "explain", "tree-distill", "--model", ws["logistic"], "--data", ws["data"],
