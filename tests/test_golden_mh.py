@@ -1,6 +1,6 @@
 """Stored CLI output of small seeded Metropolis runs, of every
-recombination recipe, and of the README's exhaustive example selection
-and example-selection study.
+recombination recipe, and of the README's exhaustive example selection,
+example-selection study, and rise, shap, lime and tree-distill commands.
 
 Each case runs one command in a fresh workspace built from the README's
 dataset and checkpoints, and compares stdout (or, for a rejected
@@ -94,8 +94,9 @@ RECIPE_CASES = {
         "--seed", "1"),
 }
 
-# the README's example selection, joint and class by class, and its
-# example-selection study with fewer trials and random subsets
+# the README's example selection, joint and class by class, its
+# example-selection study with fewer trials and random subsets, and its
+# attribution and surrogate commands
 README_CASES = {
     "plda-examples-max": [
         "explain", "plda-examples", "--model", "plda.json", "--data", "blobs.csv",
@@ -106,6 +107,23 @@ README_CASES = {
         "--per-class-k", "2", "--independent", "--seed", "0",
     ],
     "study-example-selection": ["study", "run", "--config", "selection.json", "--seed", "0"],
+    # the README's saliency, Shapley, LIME and soft-tree commands
+    "explain-rise": [
+        "explain", "rise", "--model", "logistic.json", "--point", "point.csv",
+        "--masks", "4000", "--seed", "0", "--render", "pgm", "--render-out", "saliency.pgm",
+    ],
+    "explain-shap-exact": [
+        "explain", "shap", "--model", "logistic.json", "--point", "point.csv",
+        "--background", "blobs.csv", "--class", "1", "--exact",
+    ],
+    "explain-lime": [
+        "explain", "lime", "--model", "logistic.json", "--point", "point.csv",
+        "--class", "1", "--seed", "0",
+    ],
+    "explain-tree-distill": [
+        "explain", "tree-distill", "--model", "logistic.json", "--data", "blobs.csv",
+        "--seed", "0", "--render", "svg", "--render-out", "tree.svg",
+    ],
 }
 
 # a combination the compatibility table admits but the recipe rejects
