@@ -658,6 +658,18 @@ def _add_render(parser) -> None:
     parser.add_argument("--render-out", help="render target path")
 
 
+def _finite_float(text: str) -> float:
+    """``type=`` of every float flag: a NaN or infinite value is a usage
+    error, as a non-numeric one is."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _int_env_threads() -> int:
     raw = os.environ.get("BT_THREADS", "1")
     try:
@@ -679,9 +691,9 @@ def build_parser() -> _Parser:
     p_make.add_argument("--classes", type=int)
     p_make.add_argument("--dim", type=int)
     p_make.add_argument("--per-class", dest="per_class", type=int)
-    p_make.add_argument("--separation", type=float)
+    p_make.add_argument("--separation", type=_finite_float)
     p_make.add_argument("--n", type=int)
-    p_make.add_argument("--noise", type=float)
+    p_make.add_argument("--noise", type=_finite_float)
     p_make.add_argument("--side", type=int)
     p_make.add_argument("--motif-size", dest="motif_size", type=int)
     p_make.add_argument("--seed", type=int, required=True)
@@ -708,7 +720,7 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--save", required=True, help="model checkpoint path")
     p_fit.add_argument("--hidden", type=int)
     p_fit.add_argument("--epochs", type=int)
-    p_fit.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p_fit.add_argument("--learning-rate", dest="learning_rate", type=_finite_float)
     p_fit.add_argument("--latent-dim", dest="latent_dim", type=int)
     _add_common(p_fit)
     p_fit.set_defaults(handler=_cmd_model_fit)
@@ -742,7 +754,7 @@ def build_parser() -> _Parser:
     p_mmd.add_argument("--label-column", default="label")
     p_mmd.add_argument("--prototypes", type=int, required=True)
     p_mmd.add_argument("--criticisms", type=int, required=True)
-    p_mmd.add_argument("--bandwidth", type=float)
+    p_mmd.add_argument("--bandwidth", type=_finite_float)
     _add_common(p_mmd)
     p_mmd.set_defaults(handler=_cmd_explain_mmd_critic)
 
@@ -751,8 +763,8 @@ def build_parser() -> _Parser:
     p_rise.add_argument("--point", required=True)
     p_rise.add_argument("--class", dest="target_class", type=int)
     p_rise.add_argument("--masks", type=int, default=4000)
-    p_rise.add_argument("--keep", type=float, default=0.5)
-    p_rise.add_argument("--baseline", type=float, default=0.0)
+    p_rise.add_argument("--keep", type=_finite_float, default=0.5)
+    p_rise.add_argument("--baseline", type=_finite_float, default=0.0)
     p_rise.add_argument("--seed", type=int, required=True)
     _add_render(p_rise)
     _add_common(p_rise)
@@ -776,8 +788,8 @@ def build_parser() -> _Parser:
     p_lime.add_argument("--point", required=True)
     p_lime.add_argument("--class", dest="target_class", type=int, required=True)
     p_lime.add_argument("--probes", type=int, default=2000)
-    p_lime.add_argument("--kernel-width", dest="kernel_width", type=float, default=1.0)
-    p_lime.add_argument("--ridge", type=float, default=1e-3)
+    p_lime.add_argument("--kernel-width", dest="kernel_width", type=_finite_float, default=1.0)
+    p_lime.add_argument("--ridge", type=_finite_float, default=1e-3)
     p_lime.add_argument("--seed", type=int, required=True)
     _add_render(p_lime)
     _add_common(p_lime)
@@ -788,9 +800,9 @@ def build_parser() -> _Parser:
     p_tree.add_argument("--data", required=True)
     p_tree.add_argument("--label-column", default="label")
     p_tree.add_argument("--depth", type=int, default=3)
-    p_tree.add_argument("--beta", type=float, default=0.0)
+    p_tree.add_argument("--beta", type=_finite_float, default=0.0)
     p_tree.add_argument("--epochs", type=int, default=800)
-    p_tree.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.05)
+    p_tree.add_argument("--learning-rate", dest="learning_rate", type=_finite_float, default=0.05)
     p_tree.add_argument("--seed", type=int, required=True)
     _add_render(p_tree)
     _add_common(p_tree)

@@ -350,8 +350,11 @@ def kernel_shap(
     Exact mode enumerates every nontrivial coalition; the two boundary
     coalitions enter as hard constraints (intercept fixed at the empty
     value, attributions summing to full minus empty), enforced by
-    eliminating the last attribution from the regression.
+    eliminating the last attribution from the regression. Sampled mode
+    draws ``n_samples`` coalitions; fewer than one raises BadSpec.
     """
+    if mode == "sampled" and n_samples < 1:
+        raise BadSpec(f"sampled mode needs n_samples >= 1, got {n_samples}")
     point = np.asarray(point, dtype=float)
     background = np.atleast_2d(np.asarray(background, dtype=float))
     if background.shape[1] != point.shape[0]:

@@ -267,15 +267,18 @@ class RecombinedExplainer:
 
 def _param(params: dict, key: str, default, kind):
     """The recipe parameter ``key`` converted by ``kind``, or ``default``
-    when it is absent; a value the conversion rejects raises BadSpec
-    naming the key."""
+    when it is absent; a value the conversion rejects, or a float with a
+    NaN or infinite entry, raises BadSpec naming the key."""
     if key not in params:
         return default
     value = params[key]
     try:
-        return kind(value)
+        converted = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadSpec(f"--param {key}={value!r} is not usable: {exc}") from exc
+    if isinstance(converted, (float, np.ndarray)) and not np.all(np.isfinite(converted)):
+        raise BadSpec(f"--param {key}={value!r} is not usable: not a finite number")
+    return converted
 
 
 def _pair_predict(predict, X, target_class):

@@ -245,6 +245,16 @@ def test_sampled_shap_requires_a_seed(capsys, ws):
     assert "--seed" in err["message"]
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_sampled_shap_rejects_fewer_than_one_sample(capsys, ws, samples):
+    err = run_err(capsys, [
+        "explain", "shap", "--model", ws["logistic"], "--point", ws["point"],
+        "--background", ws["data"], "--class", "1", "--samples", samples, "--seed", "0",
+    ], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+    assert err["message"] == f"sampled mode needs n_samples >= 1, got {samples}"
+
+
 def test_exact_shap_document(capsys, ws):
     doc, _ = run_ok(capsys, [
         "explain", "shap", "--model", ws["logistic"], "--point", ws["point"],
@@ -384,6 +394,40 @@ def test_recombine_rejects_an_unusable_param_value(capsys, ws, param, key):
     assert f"--param {key}=" in err["message"]
 
 
+_RECIPES = {
+    "nearest-class": ["--theta", "predicted-label", "--x-kind", "example-set",
+                      "--strategy", "exhaustive-max", "--model", "plda"],
+    "masked-prediction": ["--theta", "predicted-label", "--x-kind", "feature-mask",
+                          "--strategy", "mc-expectation", "--model", "logistic"],
+    "mmd": ["--theta", "class-data-distribution", "--x-kind", "example-set",
+            "--strategy", "exhaustive-max", "--model", "plda"],
+    "surrogate-fit": ["--theta", "local-decision-boundary", "--x-kind", "linear-weights",
+                      "--strategy", "gradient-fit", "--model", "logistic"],
+}
+
+
+@pytest.mark.parametrize("learner, param", [
+    ("nearest-class", "temperature=nan"),
+    ("nearest-class", "temperature=Infinity"),
+    ("masked-prediction", "baseline=NaN"),
+    ("masked-prediction", "baseline=[0.5,NaN]"),
+    ("masked-prediction", "keep_prob=nan"),
+    ("mmd", "bandwidth=-Infinity"),
+    ("surrogate-fit", "ridge=nan"),
+    ("surrogate-fit", "kernel_width=inf"),
+])
+def test_recombine_rejects_a_non_finite_param(capsys, ws, learner, param):
+    argv = [ws[a] if a in ("plda", "logistic") else a for a in _RECIPES[learner]]
+    err = run_err(capsys, [
+        "explain", "recombine", "--learner", learner, *argv, "--data", ws["data"],
+        "--point", ws["point"], "--param", param, "--seed", "0",
+    ], cli.DATA_EXIT)
+    key = param.split("=")[0]
+    assert err["type"] == "BadSpec"
+    assert err["message"].startswith(f"--param {key}=")
+    assert err["message"].endswith("not a finite number")
+
+
 @pytest.mark.parametrize("combination, params, unknown, accepted", [
     (["--theta", "latent-class-means", "--x-kind", "example-set", "--learner", "plda",
       "--strategy", "mh-sample"],
@@ -429,6 +473,40 @@ def test_missing_required_flag_exits_2(capsys, tmp_path):
     ], cli.USAGE_EXIT)
     assert err["type"] == "UsageError"
     assert "--seed" in err["message"]
+
+
+# every float flag, with the arguments its command requires
+_FLOAT_FLAGS = [
+    ("--separation", ["dataset", "make", "--generator", "gaussian-blobs", "--seed", "0",
+                      "--csv", "out"]),
+    ("--noise", ["dataset", "make", "--generator", "two-moons", "--seed", "0", "--csv", "out"]),
+    ("--learning-rate", ["model", "fit", "--data", "data", "--family", "mlp", "--seed", "0",
+                         "--save", "out"]),
+    ("--bandwidth", ["explain", "mmd-critic", "--data", "data", "--prototypes", "2",
+                     "--criticisms", "1"]),
+    ("--keep", ["explain", "rise", "--model", "logistic", "--point", "point", "--seed", "0"]),
+    ("--baseline", ["explain", "rise", "--model", "logistic", "--point", "point", "--seed", "0"]),
+    ("--kernel-width", ["explain", "lime", "--model", "logistic", "--point", "point",
+                        "--class", "1", "--seed", "0"]),
+    ("--ridge", ["explain", "lime", "--model", "logistic", "--point", "point",
+                 "--class", "1", "--seed", "0"]),
+    ("--beta", ["explain", "tree-distill", "--model", "logistic", "--data", "data", "--seed", "0"]),
+    ("--learning-rate", ["explain", "tree-distill", "--model", "logistic", "--data", "data",
+                         "--seed", "0"]),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "abc"])
+@pytest.mark.parametrize("flag, command", [
+    pytest.param(flag, command, id=f"{command[1]}{flag}") for flag, command in _FLOAT_FLAGS
+])
+def test_non_finite_float_flag_exits_2(capsys, ws, tmp_path, flag, command, value):
+    names = dict(ws, out=str(tmp_path / "out"))
+    argv = [names[a] if a in names else a for a in command]
+    err = run_err(capsys, argv + [f"{flag}={value}"], cli.USAGE_EXIT)
+    assert err["type"] == "UsageError"
+    assert err["message"] == f"argument {flag}: expected a finite number, got {value!r}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_file_exits_3(capsys):
