@@ -262,7 +262,10 @@ class MaskSpace(ExplanationSpace):
 
 
 class EnumeratedSpace(ExplanationSpace):
-    """An explicit candidate list, optionally with per-candidate weights."""
+    """An explicit candidate list, optionally with per-candidate weights.
+
+    A weighted list must not repeat a candidate, since a prior is looked
+    up by candidate; an unweighted one may."""
 
     def __init__(self, candidates: Sequence[Explanation], prior_weights: Sequence[float] | None = None, descriptor: str = "enumerated"):
         if len(candidates) == 0:
@@ -280,6 +283,8 @@ class EnumeratedSpace(ExplanationSpace):
             with np.errstate(divide="ignore"):
                 self._log_weights = np.log(weights)
         self._index = {c.key(): i for i, c in enumerate(self._candidates)}
+        if self._weights is not None and len(self._index) < len(self._candidates):
+            raise BadSpec("weighted candidates must be distinct")
         self.descriptor = f"{descriptor} [{len(self._candidates)}]"
 
     def size(self) -> int:

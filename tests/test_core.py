@@ -85,6 +85,18 @@ def test_zero_prior_elements_are_excluded_from_support():
     assert [s.payload for s in post.support] == [(0,), (2,)]
 
 
+def test_weighted_enumerated_space_rejects_duplicate_candidates():
+    # the prior of a candidate is looked up by its key, so a weighted
+    # duplicate would read another copy's weight
+    cands = [example_set((0,)), example_set((1,)), example_set((0,))]
+    with pytest.raises(BadSpec, match="distinct"):
+        EnumeratedSpace(cands, prior_weights=[5.0, 1.0, 0.0])
+    learner = table_learner((c, -1.0) for c in cands)
+    post = teacher_posterior(learner, THETA, EnumeratedSpace(cands))
+    assert [x.payload for x in post.support] == [(0,), (1,), (0,)]
+    np.testing.assert_allclose(post.probabilities(), [1 / 3] * 3, rtol=1e-15)
+
+
 def test_all_zero_mass_raises():
     cands = [example_set((i,)) for i in range(3)]
     learner = table_learner((c, -math.inf) for c in cands)
