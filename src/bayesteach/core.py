@@ -10,12 +10,11 @@ or walking it with a Markov chain when the space is too large to sweep.
 All weight arithmetic is carried in log space and normalized with
 log-sum-exp. Zero total mass raises instead of silently renormalizing.
 
-When the likelihood splits over the pools of a subset space with a
-uniform prior, the posterior is a product of per-pool posteriors, and
-``posterior_max`` takes its argmax and normalizer pool by pool instead
-of sweeping the joint space. A full sweep of a uniform-prior subset
-space is scored as an array by the learner's batch scorer, when it has
-one.
+When the likelihood splits over the pools of a uniform-prior subset
+space (the learner's ``block_terms``), each pool's combinations are
+scored once, by ``posterior_max`` and by a Metropolis walk alike. An
+additive split makes the posterior a product of per-pool posteriors,
+whose argmax and normalizer are taken pool by pool.
 
 A Metropolis walk reports its mode: the most visited state, ties going
 to the smallest payload (``ChainSamples.mode``).
@@ -32,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroMass, BadSpec, ZeroStartMass
-from .spaces import ExplanationSpace, SubsetRows, SubsetSpace
-from .types import Explanation, LearnerModel, TargetInference, TeacherPosterior, example_set
+from .spaces import ExplanationSpace, SubsetSpace
+from .types import Explanation, LearnerModel, TargetInference, TeacherPosterior, example_set, feature_mask
 
 
 def logsumexp(a) -> float:
@@ -57,26 +56,35 @@ def logsumexp(a) -> float:
     return float(out[0])
 
 
-def score_rows(learner: LearnerModel, theta: TargetInference, rows: np.ndarray, explanation) -> np.ndarray:
-    """Log likelihood of every row of a candidate array, row i read as
-    ``explanation(rows[i])``. The first row is scored by the joint
-    ``log_likelihood``, so any error a per-candidate sweep would raise is
-    raised here too; the rest go through ``batch_log_likelihood`` when the
-    learner has one, and one by one otherwise."""
-    first = learner.log_likelihood(theta, explanation(rows[0]))
+def score_rows(learner: LearnerModel, theta: TargetInference, masks: np.ndarray) -> np.ndarray:
+    """Log likelihood of every row of an (N, d) array of feature masks.
+    The first row is scored by the joint ``log_likelihood``, so any error
+    a per-draw loop would raise is raised here too; the rest go through
+    ``batch_log_likelihood`` when the learner has one, and one by one
+    otherwise."""
+    first = learner.log_likelihood(theta, feature_mask(masks[0]))
     if learner.batch_log_likelihood is None:
-        rest = [learner.log_likelihood(theta, explanation(r)) for r in rows[1:]]
+        rest = [learner.log_likelihood(theta, feature_mask(r)) for r in masks[1:]]
         return np.array([first] + rest, dtype=float)
-    return np.asarray(learner.batch_log_likelihood(theta, rows), dtype=float)
+    return np.asarray(learner.batch_log_likelihood(theta, masks), dtype=float)
 
 
 def pool_terms(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
-    """The learner's ``block_terms`` scorers, one per pool, when the space
-    is a uniform-prior ``SubsetSpace`` whose pools they split; None for
-    any other learner or space."""
+    """The learner's ``block_terms`` on the space's pools, ``(scorers,
+    combine)``, when the space is a uniform-prior ``SubsetSpace`` whose
+    pools they split; None for any other learner or space."""
     if not isinstance(space, SubsetSpace) or space._prior_fn is not None or learner.block_terms is None:
         return None
     return learner.block_terms(theta, space._pools)
+
+
+def in_order_sum(terms) -> float:
+    """The terms added left to right from 0.0; builtin ``sum`` compensates
+    its rounding from Python 3.12 on."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def pool_scores(terms, space: SubsetSpace):
@@ -87,20 +95,6 @@ def pool_scores(terms, space: SubsetSpace):
         yield combos, np.array([term(combo) for combo in combos], dtype=float)
 
 
-def _array_sweep(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
-    """The support and log weights of a uniform-prior subset space, scored
-    by the learner's batch scorer on the space's index array; None when
-    the space or the learner does not allow it. The uniform prior adds
-    log 1 = 0 to every weight."""
-    if not isinstance(space, SubsetSpace) or space._prior_fn is not None:
-        return None
-    if learner.batch_log_likelihood is None:
-        return None
-    space._check_enumerable()
-    rows = space.index_array()
-    return SubsetRows(rows), score_rows(learner, theta, rows, example_set)
-
-
 def teacher_posterior(
     learner: LearnerModel,
     theta: TargetInference,
@@ -109,32 +103,25 @@ def teacher_posterior(
     """Normalize likelihood * prior over every positive-prior candidate.
 
     The support keeps enumeration order, so downstream tie-breaking by
-    index is well defined. A uniform-prior subset space is scored as an
-    array when the learner has a batch scorer, with the same weights and
-    errors as the per-candidate sweep.
+    index is well defined.
     """
-    swept = _array_sweep(learner, theta, space)
-    if swept is not None:
-        support, log_weights = swept
-    else:
-        support: list[Explanation] = []
-        log_priors: list[float] = []
-        for x in space.elements():
-            lp = space.log_prior(x)
-            if lp > -np.inf:
-                support.append(x)
-                log_priors.append(lp)
-        if not support:
-            raise AllZeroMass(f"{space.descriptor}: no candidate has positive prior weight")
+    support: list[Explanation] = []
+    log_priors: list[float] = []
+    for x in space.elements():
+        lp = space.log_prior(x)
+        if lp > -np.inf:
+            support.append(x)
+            log_priors.append(lp)
+    if not support:
+        raise AllZeroMass(f"{space.descriptor}: no candidate has positive prior weight")
 
-        log_liks = [learner.log_likelihood(theta, x) for x in support]
-        log_weights = np.asarray(log_liks, dtype=float) + np.asarray(log_priors, dtype=float)
-        support = tuple(support)
+    log_liks = [learner.log_likelihood(theta, x) for x in support]
+    log_weights = np.asarray(log_liks, dtype=float) + np.asarray(log_priors, dtype=float)
     if np.all(np.isneginf(log_weights)):
         raise AllZeroMass(
             f"{space.descriptor}: every candidate has zero likelihood * prior"
         )
-    return TeacherPosterior(support, log_weights, logsumexp(log_weights))
+    return TeacherPosterior(tuple(support), log_weights, logsumexp(log_weights))
 
 
 @dataclass(frozen=True)
@@ -157,20 +144,22 @@ def posterior_max(
     """The argmax of the teacher posterior; ties go to the lowest index.
 
     On a subset space with a uniform prior, a learner whose
-    ``block_terms`` split its likelihood over the space's pools gets a
-    product posterior: each pool's combinations are scored once, log Z
-    is the sum of the per-pool log-sum-exps, and the argmax is the
-    concatenation of the per-pool first argmaxes, which is the first
-    argmax in the space's lexicographic product order. The chosen set is
-    then scored by the joint likelihood, so its log weight, and any error
-    the joint sweep would raise, are those of ``teacher_posterior``. The
-    joint size limit still applies. Every other case sweeps the joint
-    space with ``teacher_posterior``.
+    ``block_terms`` split its likelihood over the space's pools has each
+    pool's combinations scored once. When the likelihood is their sum,
+    the posterior is a product: log Z is the sum of the per-pool
+    log-sum-exps, and the argmax is the concatenation of the per-pool
+    first argmaxes, which is the first argmax in the space's
+    lexicographic product order. Otherwise the ``combine`` step maps the
+    pool terms of every candidate, in product order, to its weight. The
+    chosen set is then scored by the joint likelihood, so its log weight,
+    and any error the joint sweep would raise, are those of
+    ``teacher_posterior``. The joint size limit still applies. Every
+    other case sweeps the joint space with ``teacher_posterior``.
     """
     if isinstance(space, SubsetSpace):
         space._check_enumerable()
-    terms = pool_terms(learner, theta, space)
-    if terms is None:
+    split = pool_terms(learner, theta, space)
+    if split is None:
         posterior = teacher_posterior(learner, theta, space)
         i = int(np.argmax(posterior.log_weights))
         return PosteriorMax(
@@ -181,12 +170,18 @@ def posterior_max(
             len(posterior),
         )
 
-    picks: list[int] = []
-    log_z = 0.0
-    for combos, scores in pool_scores(terms, space):
-        picks.extend(combos[int(np.argmax(scores))])
-        log_z += logsumexp(scores)
-    x = example_set(picks)
+    terms, combine = split
+    pools = list(pool_scores(terms, space))
+    if combine is None:
+        picks = [int(np.argmax(scores)) for _, scores in pools]
+        log_z = in_order_sum(logsumexp(scores) for _, scores in pools)
+    else:
+        grid = np.indices([len(scores) for _, scores in pools]).reshape(len(pools), -1)
+        columns = [scores[g].tolist() for (_, scores), g in zip(pools, grid)]
+        weights = np.fromiter(map(combine, zip(*columns)), dtype=float, count=grid.shape[1])
+        picks = grid[:, int(np.argmax(weights))]
+        log_z = logsumexp(weights)
+    x = example_set(itertools.chain.from_iterable(combos[i] for (combos, _), i in zip(pools, picks)))
     log_weight = float(learner.log_likelihood(theta, x))
     if log_z == -np.inf:
         raise AllZeroMass(
@@ -240,24 +235,27 @@ def chain_log_weight(learner: LearnerModel, theta: TargetInference, space: Expla
     """The log weight (likelihood plus log prior) of a chain state, memoized.
 
     On a uniform-prior subset space whose pools the learner's
-    ``block_terms`` split, it is the sum of the per-pool terms, each
-    memoized by its pool's rows and added in pool order from 0.0 as the
-    joint likelihood adds them, so it equals the joint weight to the bit.
-    Otherwise one memo keyed by the state holds the joint weight; a
-    candidate of zero prior weight is not scored.
+    ``block_terms`` split, each per-pool term is memoized by its pool's
+    rows, and the terms are combined in pool order by the learner's
+    ``combine`` step, or added from 0.0 (``in_order_sum``) as an additive
+    joint likelihood adds them; either way the weight equals the joint
+    weight to the bit. Otherwise one memo keyed by the state holds the
+    joint weight; a candidate of zero prior weight is not scored.
     """
-    terms = pool_terms(learner, theta, space)
-    if terms is not None:
+    split = pool_terms(learner, theta, space)
+    if split is not None:
+        terms, combine = split
+        combine = combine or in_order_sum
         memos = [{} for _ in terms]
 
         def pooled(state) -> float:
-            total = 0.0
+            scores = []
             for term, memo, rows in zip(terms, memos, state):
                 t = memo.get(rows)
                 if t is None:
                     t = memo[rows] = term(rows)
-                total += t
-            return total
+                scores.append(t)
+            return combine(scores)
 
         return pooled
 

@@ -99,7 +99,8 @@ def explain_by_examples(
         # The mean posterior factorizes over classes, so the per-class
         # argmax assembles the joint argmax directly.
         chosen: list[int] = []
-        for combos, scores in core.pool_scores(core.pool_terms(learner, theta, space), space):
+        terms, _ = core.pool_terms(learner, theta, space)
+        for combos, scores in core.pool_scores(terms, space):
             chosen.extend(combos[int(np.argmax(scores))])
         x = example_set(chosen)
         ll = learner.log_likelihood(theta, x)

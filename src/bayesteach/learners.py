@@ -106,7 +106,18 @@ def witness(point: np.ndarray, data: np.ndarray, prototypes: np.ndarray, kernel:
 
 
 # ---------------------------------------------------------------------------
-# PLDA learner
+# subset learners
+
+
+def _pool_classes(data: Dataset, pools) -> list[int] | None:
+    """The class of each pool when every pool holds a single class and the
+    classes ascend, the order in which the subset learners visit classes;
+    None otherwise. Their ``block_terms`` apply only then."""
+    classes = [np.unique(data.labels[list(pool)]) for pool in pools]
+    if any(c.size != 1 for c in classes):
+        return None
+    classes = [int(c[0]) for c in classes]
+    return classes if classes == sorted(set(classes)) else None
 
 
 def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
@@ -152,18 +163,15 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
         return total
 
     def block_terms(theta: TargetInference, pools):
-        """One scorer per pool when every pool holds a single class and the
-        pools' classes ascend, the order in which ``log_likelihood`` adds
-        the terms; rows of a class the model lacks add 0."""
+        """One class term per pool, added in pool order as
+        ``log_likelihood`` adds them (``_pool_classes``); rows of a class
+        the model lacks add 0."""
         if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
             raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
         theta_arr = theta_array(theta)
         theta_key = theta_arr.tobytes()
-        classes = [np.unique(data.labels[list(pool)]) for pool in pools]
-        if any(c.size != 1 for c in classes):
-            return None
-        classes = [int(c[0]) for c in classes]
-        if classes != sorted(set(classes)):
+        classes = _pool_classes(data, pools)
+        if classes is None:
             return None
 
         def scorer(c: int):
@@ -171,7 +179,7 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
                 return lambda rows: 0.0
             return lambda rows: class_term(theta_arr, theta_key, c, rows)
 
-        return [scorer(c) for c in classes]
+        return [scorer(c) for c in classes], None
 
     return LearnerModel("plda mean-posterior learner", log_likelihood).factored(block_terms)
 
@@ -322,7 +330,10 @@ def make_mmd_learner(data: Dataset, kernel: KernelConfig, temperature: float = 1
 
 def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: float = 1.0) -> LearnerModel:
     """A learner that classifies the point by nearest class centroid of
-    the shown examples; likelihood is its softmax class probability."""
+    the shown examples; likelihood is its softmax class probability. A
+    class's score depends only on that class's rows, so ``block_terms``
+    scores single-class pools apart and combines them by the same softmax.
+    """
     if temperature <= 0:
         raise BadSpec("temperature must be positive")
     point = np.asarray(point, dtype=float)
@@ -331,6 +342,13 @@ def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: fl
         if theta.kind is not ThetaKind.PREDICTED_LABEL:
             raise BadSpec(f"nearest-class learner scores predicted labels, not {theta.kind.value}")
 
+    def class_score(rows: np.ndarray) -> float:
+        return -float(((point - rows.mean(axis=0)) ** 2).sum()) / temperature
+
+    def softmax_at(scores, j: int) -> float:
+        top = max(scores)
+        return scores[j] - (math.log(math.fsum(math.exp(s - top) for s in scores)) + top)
+
     def log_likelihood(theta: TargetInference, x: Explanation) -> float:
         check_theta(theta)
         if x.kind is not ExplanationKind.EXAMPLE_SET:
@@ -338,42 +356,26 @@ def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: fl
         indices = np.asarray(x.payload, dtype=int)
         labels = data.labels[indices]
         wanted = int(theta.payload)
-        scores = {}
-        for c in np.unique(labels):
-            centroid = data.features[indices[labels == c]].mean(axis=0)
-            scores[int(c)] = -float(((point - centroid) ** 2).sum()) / temperature
-        if wanted not in scores:
+        classes = np.unique(labels).tolist()
+        if wanted not in classes:
             return -math.inf
-        log_z = math.log(math.fsum(math.exp(s - max(scores.values())) for s in scores.values())) + max(scores.values())
-        return scores[wanted] - log_z
+        scores = [class_score(data.features[indices[labels == c]]) for c in classes]
+        return softmax_at(scores, classes.index(wanted))
 
-    def batch_log_likelihood(theta: TargetInference, rows: np.ndarray) -> np.ndarray:
-        """``log_likelihood`` of each row, to the bit: rows that share a
-        label pattern hold each class in the same columns, so their
-        centroids are one (rows, k_c, d) mean, reduced as the per-set mean
-        is; the normalizer uses the same math.exp and math.fsum."""
+    def block_terms(theta: TargetInference, pools):
+        """One centroid score per pool (``_pool_classes``), combined by the
+        softmax at the wanted class; -inf when no pool holds it."""
         check_theta(theta)
-        rows = np.asarray(rows, dtype=np.intp)
-        labels = data.labels[rows]
-        classes = np.unique(labels)
+        classes = _pool_classes(data, pools)
+        if classes is None:
+            return None
+        scorers = [lambda rows: class_score(data.features[list(rows)])] * len(pools)
         wanted = int(theta.payload)
         if wanted not in classes:
-            return np.full(len(rows), -math.inf)
-        scores = np.full((len(rows), classes.size), -math.inf)
-        patterns, group = np.unique(labels, axis=0, return_inverse=True)
-        group = group.reshape(-1)
-        bounds = np.cumsum(np.bincount(group))[:-1]
-        for pattern, members in zip(patterns, np.split(np.argsort(group, kind="stable"), bounds)):
-            for j, c in enumerate(classes):
-                cols = np.flatnonzero(pattern == c)
-                if cols.size:
-                    centroids = data.features[rows[np.ix_(members, cols)]].mean(axis=1)
-                    scores[members, j] = -((point - centroids) ** 2).sum(axis=1) / temperature
-        top = scores.max(axis=1)
-        sums = [math.log(math.fsum(map(math.exp, r))) for r in (scores - top[:, None]).tolist()]
-        return scores[:, int(np.searchsorted(classes, wanted))] - (np.array(sums) + top)
+            return scorers, lambda scores: -math.inf
+        return scorers, lambda scores, j=classes.index(wanted): softmax_at(scores, j)
 
-    return LearnerModel("nearest-class-centroid learner", log_likelihood).batched(batch_log_likelihood)
+    return LearnerModel("nearest-class-centroid learner", log_likelihood).factored(block_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -132,17 +132,6 @@ class SubsetSpace(ExplanationSpace):
         for combo in itertools.product(*per_class):
             yield example_set(itertools.chain.from_iterable(combo))
 
-    def index_array(self) -> np.ndarray:
-        """Every candidate as one row of an (N, k) array of row indices,
-        in the order of ``elements``."""
-        self._check_enumerable()
-        blocks = [
-            np.array(list(itertools.combinations(pool, k)), dtype=np.intp).reshape(-1, k)
-            for pool, k in zip(self._pools, self._ks)
-        ]
-        picks = np.indices([len(b) for b in blocks]).reshape(len(blocks), -1)
-        return np.hstack([b[p] for b, p in zip(blocks, picks)])
-
     def prior_weight(self, x: Explanation) -> float:
         if self._prior_fn is None:
             return 1.0
@@ -198,20 +187,6 @@ class SubsetSpace(ExplanationSpace):
         state = tuple(state)
         moved = self.chain_step(state, rng)
         return x if moved is state else self.explanation_of(moved)
-
-
-class SubsetRows(Sequence):
-    """Example sets held as the rows of an (N, k) index array; each is
-    built as an Explanation only when it is read."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i: int) -> Explanation:
-        return example_set(self.rows[i])
 
 
 class MaskSpace(ExplanationSpace):

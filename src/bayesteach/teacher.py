@@ -29,7 +29,6 @@ from .types import (
     LearnerModel,
     TargetInference,
     example_set,
-    feature_mask,
 )
 
 STRATEGIES = ("exhaustive-max", "greedy", "mh-sample", "mc-expectation")
@@ -85,7 +84,7 @@ def run_strategy(
         if not isinstance(space, MaskSpace):
             raise StrategySpaceMismatch("mc-expectation needs a mask space")
         _, weights, values, stderr = mask_expectation(
-            space, n, seed, lambda masks: np.exp(core.score_rows(learner, theta, masks, feature_mask))
+            space, n, seed, lambda masks: np.exp(core.score_rows(learner, theta, masks))
         )
         meta = {"n": n, "weight_total": float(weights.sum())}
         return StrategyResult(

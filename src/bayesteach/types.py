@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -131,16 +130,17 @@ class LearnerModel:
 
     ``block_terms`` is for learners whose likelihood of an example set
     splits over the index pools of a subset space. Called as
-    ``block_terms(theta, pools)`` it returns one scorer per pool, each
-    mapping a sorted tuple of that pool's rows to a log-likelihood term,
-    such that ``log_likelihood`` of the concatenated picks is the sum of
-    the terms added in pool order, rounding included; or None when the
-    likelihood does not split over those pools that way.
+    ``block_terms(theta, pools)`` it returns ``(scorers, combine)``: one
+    scorer per pool, each mapping a sorted tuple of that pool's rows to a
+    term, and a ``combine`` step mapping the list of terms, in pool
+    order, to ``log_likelihood`` of the concatenated picks, rounding
+    included. A ``combine`` of None means the terms added in pool order
+    from 0.0. It returns None when the likelihood does not split over
+    those pools that way.
 
-    ``batch_log_likelihood(theta, rows)`` scores a 2-D array of
-    candidates in one pass: an (N, k) array of dataset row indices for
-    example sets, or an (N, d) array of 0/1 entries for feature masks.
-    Row i of the result is ``log_likelihood`` of row i as an explanation.
+    ``batch_log_likelihood(theta, masks)`` scores an (N, d) array of 0/1
+    feature-mask entries in one pass; row i of the result is
+    ``log_likelihood`` of row i as a mask.
     """
 
     description: str
@@ -166,13 +166,12 @@ class LearnerModel:
 class TeacherPosterior:
     """Normalized teacher posterior over an enumerated explanation support.
 
-    ``support`` lists the positive-prior elements in enumeration order;
-    it is a tuple, or a sequence that builds each element when read.
+    ``support`` lists the positive-prior elements in enumeration order.
     ``log_weights`` holds the unnormalized log(likelihood * prior) per
     element; ``log_normalizer`` is their log-sum-exp.
     """
 
-    support: Sequence[Explanation]
+    support: tuple[Explanation, ...]
     log_weights: np.ndarray = field(repr=False)
     log_normalizer: float
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bayesteach import oracle
 from bayesteach.core import (
     chain_log_weight,
+    in_order_sum,
     logsumexp,
     mh_sample,
     posterior_max,
@@ -280,7 +281,8 @@ def test_mask_proposal_flips_exactly_one_bit(dim, seed):
 
 def block_learner(ks, terms):
     """A learner whose log likelihood is the sum, in pool order, of one
-    term per pool; counts its joint calls and its block_terms calls."""
+    term per pool (block terms with the default additive combine); counts
+    its joint calls and its block_terms calls."""
     calls = Counter()
 
     def log_likelihood(theta, x):
@@ -293,7 +295,7 @@ def block_learner(ks, terms):
 
     def block_terms(theta, pools):
         calls["blocks"] += 1
-        return terms
+        return terms, None
 
     return LearnerModel("blocks", log_likelihood).factored(block_terms), calls
 
@@ -423,7 +425,8 @@ def test_plda_block_terms_refuse_pools_that_are_not_single_classes(plda3, blobs3
     )
     learner = make_plda_learner(plda3, extra)
     space = SubsetSpace.per_class(extra.labels, 1)
-    assert len(learner.block_terms(theta, space._pools)) == 4
+    terms, combine = learner.block_terms(theta, space._pools)
+    assert len(terms) == 4 and combine is None
     best = posterior_max(learner, theta, space)
     post = teacher_posterior(learner, theta, space)
     i = int(np.argmax(post.log_weights))
@@ -511,10 +514,11 @@ def plain(learner):
     return LearnerModel(learner.description, learner.log_likelihood)
 
 
-def nearest_case(rng):
+def nearest_case(rng, per_class=None):
     """A small labelled dataset, a point, a wanted class, and a subset
     space: class-factorized with unequal k, or one pool across classes so
-    some candidates lack the wanted class."""
+    some candidates lack the wanted class; ``per_class`` picks one, None
+    either at random."""
     n_classes = int(rng.integers(2, 5))
     dim = int(rng.integers(1, 4))
     sizes = rng.integers(2, 6, n_classes)
@@ -526,7 +530,7 @@ def nearest_case(rng):
     data = Dataset(features, labels, n_classes)
     point = rng.normal(size=dim)
     wanted = int(rng.integers(0, n_classes))
-    if rng.random() < 0.5:
+    if per_class if per_class is not None else rng.random() < 0.5:
         ks = [int(rng.integers(1, min(3, s) + 1)) for s in sizes]
         space = SubsetSpace.per_class(labels, ks)
     else:
@@ -534,7 +538,7 @@ def nearest_case(rng):
     return data, point, wanted, space
 
 
-def test_nearest_class_array_sweep_matches_the_oracle(rng):
+def test_nearest_class_sweeps_match_the_oracle(rng):
     absent = 0
     for _ in range(150):
         data, point, wanted, space = nearest_case(rng)
@@ -550,49 +554,121 @@ def test_nearest_class_array_sweep_matches_the_oracle(rng):
         np.testing.assert_allclose(post.log_weights[finite], ref_logs[finite], rtol=1e-12, atol=0)
         assert int(np.argmax(post.log_weights)) == int(np.argmax(ref_probs))
         np.testing.assert_allclose(post.probabilities(), ref_probs, rtol=1e-9, atol=1e-300)
+        best = posterior_max(learner, theta, space)
+        assert best.explanation == oracle.best_subset_bruteforce(learner, theta, space)
     assert absent > 20  # candidates lacking the wanted class were exercised
 
 
-def test_nearest_class_batch_covers_large_k_in_one_dimension(rng):
-    # eight or more rows per centroid in one dimension reduce pairwise
+def softmax_reference(data, point, temperature, wanted, x):
+    """The nearest-class log likelihood in probability space: the
+    wanted class's share of exp(score) over the classes shown."""
+    rows = np.asarray(x.payload)
+    classes = sorted(set(data.labels[rows].tolist()))
+    if wanted not in classes:
+        return -math.inf
+    scores = {c: -np.sum((point - data.features[rows[data.labels[rows] == c]].mean(axis=0)) ** 2)
+              / temperature for c in classes}
+    return math.log(1.0 / math.fsum(math.exp(scores[c] - scores[wanted]) for c in classes))
+
+
+def test_nearest_class_combine_route_matches_the_joint_sweep(rng):
+    ties = absent = 0
+    for _ in range(150):
+        data, point, wanted, space = nearest_case(rng, per_class=True)
+        if rng.random() < 0.1:
+            wanted = data.class_count  # no pool holds it
+        temperature = float(rng.uniform(0.5, 2.0))
+        learner = make_nearest_class_learner(data, point, temperature)
+        theta = TargetInference(ThetaKind.PREDICTED_LABEL, wanted)
+        terms, combine = learner.block_terms(theta, space._pools)
+        assert len(terms) == data.class_count and combine is not None
+        if wanted == data.class_count:
+            absent += 1
+            for search in (posterior_max, teacher_posterior):
+                with pytest.raises(AllZeroMass):
+                    search(learner, theta, space)
+            continue
+        best = posterior_max(learner, theta, space)
+        post = teacher_posterior(learner, theta, space)
+        i = int(np.argmax(post.log_weights))
+        ties += int(np.sum(post.log_weights == post.log_weights[i]) > 1)
+        assert best.explanation == post.support[i]
+        assert best.log_weight == post.log_weights[i]
+        assert math.isclose(best.probability, post.probabilities()[i], rel_tol=1e-12)
+        assert math.isclose(best.log_normalizer, post.log_normalizer, rel_tol=1e-12)
+        assert best.support_size == len(post) == space.size()
+        ref = softmax_reference(data, point, temperature, wanted, best.explanation)
+        assert math.isclose(best.log_weight, ref, rel_tol=1e-9, abs_tol=1e-12)
+    assert ties > 10 and absent > 5
+
+
+def test_nearest_class_pool_scores_cover_large_k_in_one_dimension(rng):
+    # eight or more rows per centroid, far from the point: every exp(score)
+    # underflows unless the softmax is shifted by its maximum
     labels = np.repeat([0, 1], [10, 9])
     data = Dataset(rng.normal(size=(19, 1)) * 1e3, labels, 2)
     learner = make_nearest_class_learner(data, np.array([0.1]))
     theta = TargetInference(ThetaKind.PREDICTED_LABEL, 1)
     space = SubsetSpace.per_class(labels, [8, 8])
-    post = teacher_posterior(learner, theta, space)
+    best = posterior_max(learner, theta, space)
     ref = teacher_posterior(plain(learner), theta, space)
-    np.testing.assert_allclose(post.log_weights, ref.log_weights, rtol=1e-12, atol=0)
+    i = int(np.argmax(ref.log_weights))
+    assert best.explanation == ref.support[i]
+    assert best.log_weight == ref.log_weights[i]
+    assert math.isclose(best.log_normalizer, ref.log_normalizer, rel_tol=1e-12)
+    weight = chain_log_weight(learner, theta, space)
+    states = [(x.payload[:8], x.payload[8:]) for x in ref.support]
+    assert [weight(s) for s in states] == ref.log_weights.tolist()
 
 
 def test_nearest_class_wanted_class_absent_everywhere_raises(blobs3):
     learner = make_nearest_class_learner(blobs3, np.zeros(2))
     theta = TargetInference(ThetaKind.PREDICTED_LABEL, 7)
     space = SubsetSpace.per_class(blobs3.labels, 1)
-    rows = space.index_array()
-    assert np.all(np.isneginf(learner.batch_log_likelihood(theta, rows)))
+    terms, combine = learner.block_terms(theta, space._pools)
+    assert combine([t(pool[:1]) for t, pool in zip(terms, space._pools)]) == -math.inf
     for search in (learner, plain(learner)):
-        with pytest.raises(AllZeroMass):
-            teacher_posterior(search, theta, space)
+        for run in (posterior_max, teacher_posterior):
+            with pytest.raises(AllZeroMass):
+                run(search, theta, space)
+        with pytest.raises(ZeroStartMass):
+            mh_sample(search, theta, space, 10, 0, 0)
 
 
-def test_subset_index_array_follows_enumeration_order(rng):
-    for _ in range(20):
-        space, _, _ = block_case(rng)
-        rows = space.index_array()
-        assert [tuple(r) for r in rows.tolist()] == [x.payload for x in space.elements()]
+def test_nearest_class_block_terms_need_single_class_pools_in_order(blobs3):
+    learner = make_nearest_class_learner(blobs3, np.zeros(2))
+    theta = TargetInference(ThetaKind.PREDICTED_LABEL, 1)
+    rows = [blobs3.class_rows(c).tolist() for c in range(3)]
+    for pools in (
+        [rows[0][:4] + rows[1][:4], rows[0][4:] + rows[1][4:], rows[2]],  # mixed classes
+        [rows[0][:4], rows[0][4:], rows[1], rows[2]],  # one class split
+        [rows[2], rows[0], rows[1]],  # classes out of order
+    ):
+        assert learner.block_terms(theta, pools) is None
+        space = SubsetSpace(pools, [1] * len(pools))
+        best = posterior_max(learner, theta, space)
+        assert best.explanation == select_max(teacher_posterior(learner, theta, space))
 
 
 def test_plda_array_sweep_weights_equal_the_joint_sweep_to_the_bit(plda3, blobs3):
+    # the per-pool routes, chain weights and posterior_max, give the joint
+    # likelihood's weights to the bit
     learner = make_plda_learner(plda3, blobs3)
     theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
     for k in (1, 2, [1, 3, 2]):
         space = SubsetSpace.per_class(blobs3.labels, k)
-        post = teacher_posterior(learner, theta, space)
-        ref = teacher_posterior(plain(learner), theta, space)
-        assert [x.payload for x in post.support] == [x.payload for x in ref.support]
-        assert np.array_equal(post.log_weights, ref.log_weights)
-        assert post.log_normalizer == ref.log_normalizer
+        weight = chain_log_weight(learner, theta, space)
+        ks = space._ks
+        for x in space.elements():
+            cuts = np.cumsum([0] + ks)
+            state = tuple(x.payload[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+            assert weight(state) == learner.log_likelihood(theta, x)
+        post = teacher_posterior(plain(learner), theta, space)
+        best = posterior_max(learner, theta, space)
+        i = int(np.argmax(post.log_weights))
+        assert best.explanation == post.support[i]
+        assert best.log_weight == post.log_weights[i]
+        assert math.isclose(best.log_normalizer, post.log_normalizer, rel_tol=1e-12)
 
     # pools out of class order would add the terms in another order
     rows = [blobs3.class_rows(c).tolist() for c in (2, 0, 1)]
@@ -600,6 +676,17 @@ def test_plda_array_sweep_weights_equal_the_joint_sweep_to_the_bit(plda3, blobs3
     space = SubsetSpace(rows, [1, 1, 1])
     post = teacher_posterior(learner, theta, space)
     assert np.array_equal(post.log_weights, [learner.log_likelihood(theta, x) for x in post.support])
+
+
+def test_additive_pool_weights_add_in_order_without_compensation():
+    # 1e16 + 1.0 rounds back to 1e16, so in-order addition gives 0.0 where
+    # a compensated sum gives 1.0
+    assert in_order_sum([1e16, 1.0, -1e16]) == 0.0
+    terms = [lambda rows: 1e16, lambda rows: 1.0, lambda rows: -1e16]
+    learner, _ = block_learner([1, 1, 1], terms)
+    space = SubsetSpace([[0, 1], [2, 3], [4, 5]], [1, 1, 1])
+    weight = chain_log_weight(learner, THETA, space)
+    assert weight(((0,), (2,), (4,))) == learner.log_likelihood(THETA, example_set((0, 2, 4))) == 0.0
 
 
 def test_array_routes_raise_the_errors_of_the_joint_sweep(blobs3, logistic_grid, grid_image):
@@ -676,6 +763,21 @@ def test_mh_walk_replays_the_reference_for_nearest_class(rng):
         learner = make_nearest_class_learner(data, point, float(rng.uniform(0.5, 2.0)))
         theta = TargetInference(ThetaKind.PREDICTED_LABEL, wanted)
         assert_same_chain(learner, theta, space, 300, 20, i)
+
+
+def test_nearest_class_chains_combine_pool_terms_as_the_joint_likelihood(rng):
+    moved = 0
+    for i in range(40):
+        data, point, wanted, space = nearest_case(rng, per_class=True)
+        learner = make_nearest_class_learner(data, point, float(rng.uniform(0.5, 2.0)))
+        theta = TargetInference(ThetaKind.PREDICTED_LABEL, wanted)
+        assert learner.block_terms(theta, space._pools)[1] is not None
+        samples = assert_same_chain(learner, theta, space, 400, int(rng.integers(0, 20)), i)
+        weight = chain_log_weight(learner, theta, space)
+        for state in samples.counts():
+            assert weight(state) == learner.log_likelihood(theta, space.explanation_of(state))
+        moved += len(samples.counts()) > 1
+    assert moved > 30
 
 
 def test_mh_walk_replays_the_reference_on_mask_and_enumerated_spaces(rng, logistic_grid, grid_image):

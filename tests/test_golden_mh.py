@@ -9,9 +9,16 @@ byte for byte. The chains must not change their samples, modes or study
 floats when the sampler is rewritten, and a recipe must not change its
 output when the recombination table is reorganized; regenerate a golden
 file only for a deliberate change of output.
+
+Two of the cases also run under the benchmark tracer,
+``benchmarks/launcher.py``, which wraps functions of the package by name;
+a traced run must succeed, write its spans and print the same document.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +26,7 @@ import pytest
 from bayesteach import cli
 
 GOLDEN = Path(__file__).with_name("golden")
+ROOT = Path(__file__).resolve().parents[1]
 
 CASES = {
     "plda-examples-mh": [
@@ -208,3 +216,20 @@ def test_every_golden_file_is_the_document_of_exactly_one_case():
     stored += [f"{name}.err.json" for name in REJECTED_CASES]
     assert len(stored) == len(set(stored)), "two cases share a stored document"
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(stored)
+
+
+@pytest.mark.parametrize("name", ["recombine-nearest-mh", "plda-examples-max"])
+def test_traced_run_matches_the_stored_document(name, readme_ws, tmp_path):
+    spans = tmp_path / "spans.json"
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "launcher.py"), str(spans), "--",
+         *{**CASES, **README_CASES}[name]],
+        cwd=readme_ws, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    recorded = json.loads(spans.read_text(encoding="utf-8"))
+    assert {"cli.import", "cli.main"} <= {span[1] for span in recorded["spans"]}
+    assert any(call[1] == "learners.log_likelihood" for call in recorded["calls"])
