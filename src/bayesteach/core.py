@@ -34,6 +34,9 @@ from .errors import AllZeroMass, BadSpec, ZeroStartMass
 from .spaces import ExplanationSpace, SubsetSpace
 from .types import Explanation, LearnerModel, TargetInference, TeacherPosterior, example_set, feature_mask
 
+# A Metropolis walk draws its moves and uniforms this many steps at a time.
+CHAIN_BLOCK = 4096
+
 
 def logsumexp(a) -> float:
     """log(sum(exp(a))) over a 1-D sequence, computed as
@@ -207,17 +210,25 @@ class ChainSamples(Sequence):
 
     ``states`` holds the raw chain states in step order; an Explanation
     is built from one only when it is read. ``counts`` tallies the
-    states in order of first visit."""
+    states in order of first visit. ``accepted`` counts the proposals,
+    burn-in included, that passed the Metropolis test, out of
+    ``proposals``."""
 
-    def __init__(self, space: ExplanationSpace, states: list):
+    def __init__(self, space: ExplanationSpace, states: list, accepted: int, proposals: int):
         self.space = space
         self.states = states
+        self.accepted = accepted
+        self.proposals = proposals
 
     def __len__(self) -> int:
         return len(self.states)
 
     def __getitem__(self, i: int) -> Explanation:
         return self.space.explanation_of(self.states[i])
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepted / self.proposals
 
     def counts(self) -> Counter:
         return Counter(self.states)
@@ -283,17 +294,21 @@ def mh_sample(
     """Metropolis walk over the space using its symmetric proposal kernel.
 
     Acceptance is min(1, w'/w) on the unnormalized weights, valid because
-    the proposal is symmetric; the uniform draw is made only when w' < w.
-    The current state is recorded after every post-burn-in step,
-    rejections included, so n samples are returned.
+    the proposal is symmetric: a proposal passes when log(w'/w) >= 0 or
+    a uniform draw falls below w'/w. The current state is recorded after
+    every post-burn-in step, rejections included, so n samples are
+    returned.
 
     The chain walks the space's own states (``chain_start``,
     ``chain_step``): on a ``SubsetSpace`` the tuple of per-pool sorted
     row tuples, on a ``MaskSpace`` or ``EnumeratedSpace`` the Explanation
-    itself. Weights come from ``chain_log_weight``. The start state is
-    scored by the joint likelihood, so the errors of a joint sweep are
-    raised. The returned ``ChainSamples`` builds each Explanation only
-    when it is read. ``n < 1`` or ``burn_in < 0`` raises ``BadSpec``.
+    itself. Its randomness is drawn in blocks of ``CHAIN_BLOCK`` steps
+    (the last block is shorter): the block's moves (``chain_moves``),
+    then one uniform per step, used or not. Weights come from
+    ``chain_log_weight``. The start state is scored by the joint
+    likelihood, so the errors of a joint sweep are raised. The returned
+    ``ChainSamples`` builds each Explanation only when it is read.
+    ``n < 1`` or ``burn_in < 0`` raises ``BadSpec``.
     """
     if n < 1 or burn_in < 0:
         raise BadSpec(f"a chain needs n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
@@ -306,14 +321,20 @@ def mh_sample(
         raise ZeroStartMass(f"{space.descriptor}: initial state has zero posterior mass")
 
     log_weight = chain_log_weight(learner, theta, space)
-    step, uniform = space.chain_step, rng.random
+    step, exp = space.chain_step, math.exp
+    total = burn_in + n
     states: list = []
-    for i in range(burn_in + n):
-        proposal = step(state, rng)
-        prop_w = log_weight(proposal)
-        log_alpha = prop_w - state_w
-        if log_alpha >= 0 or uniform() < np.exp(log_alpha):
-            state, state_w = proposal, prop_w
-        if i >= burn_in:
+    accepted = 0
+    for start in range(0, total, CHAIN_BLOCK):
+        count = min(CHAIN_BLOCK, total - start)
+        moves = space.chain_moves(rng, count)
+        for move, u in zip(moves, rng.random(count).tolist()):
+            proposal = step(state, move)
+            prop_w = log_weight(proposal)
+            log_alpha = prop_w - state_w
+            if log_alpha >= 0 or u < exp(log_alpha):
+                state, state_w = proposal, prop_w
+                accepted += 1
             states.append(state)
-    return ChainSamples(space, states)
+    # the burn-in steps are the first ones recorded
+    return ChainSamples(space, states[burn_in:], accepted, total)

@@ -7,7 +7,8 @@ come from the subset-sum definition with exact combinatorial weights,
 never from a regression; subset search is a full scan. The Metropolis
 reference is the exception: to replay a chain step for step it must
 draw and compare exactly as the fast walk does, so it shares the
-acceptance arithmetic and keeps only the loop-first form.
+acceptance arithmetic and the block schedule of its draws, and keeps
+only the loop-first form.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import CHAIN_BLOCK
 from .errors import AllZeroMass, ZeroStartMass
 from .spaces import ExplanationSpace, SubsetSpace
 from .types import Explanation, LearnerModel, TargetInference, example_set
@@ -80,9 +82,9 @@ def best_subset_bruteforce(
 
 
 def _subset_walk(space: SubsetSpace):
-    """Start and proposal of a subset space, on the concatenated payload:
-    one chosen row is swapped for one unchosen row of a uniformly drawn
-    pool."""
+    """Start, block draws and move of a subset space, on the concatenated
+    payload: one chosen row is swapped for one unchosen row of a
+    uniformly drawn pool."""
 
     def initial_state(rng: np.random.Generator) -> Explanation:
         parts = []
@@ -91,22 +93,31 @@ def _subset_walk(space: SubsetSpace):
             parts.extend(sorted(pool[i] for i in chosen))
         return example_set(parts)
 
-    def propose(x: Explanation, rng: np.random.Generator) -> Explanation:
+    def moves(rng: np.random.Generator, count: int):
+        # the pools, then for each the position of the dropped row among
+        # the pool's k chosen rows and of the added row among its
+        # unchosen rows (at least one position is drawn)
+        ks = np.array(space._ks)
+        free = np.array([len(pool) for pool in space._pools]) - ks
+        c = rng.integers(len(space._pools), size=count)
+        drop = rng.integers(0, ks[c])
+        add = rng.integers(0, np.maximum(free[c], 1))
+        return list(zip(c, drop, add))
+
+    def apply(x: Explanation, move) -> Explanation:
+        c, drop, add = (int(v) for v in move)
         segs, start = [], 0
         for k in space._ks:
             segs.append(tuple(x.payload[start : start + k]))
             start += k
-        c = int(rng.integers(len(space._pools)))
         pool, seg = space._pools[c], segs[c]
         out = [i for i in pool if i not in seg]
         if not out:
             return x
-        drop = seg[int(rng.integers(len(seg)))]
-        add = out[int(rng.integers(len(out)))]
-        segs[c] = tuple(sorted(set(seg) - {drop} | {add}))
+        segs[c] = tuple(sorted(set(seg) - {seg[drop]} | {out[add]}))
         return example_set(i for seg in segs for i in seg)
 
-    return initial_state, propose
+    return initial_state, moves, apply
 
 
 def mh_reference(
@@ -116,17 +127,20 @@ def mh_reference(
     n: int,
     burn_in: int,
     seed: int,
-) -> list[Explanation]:
+) -> tuple[list[Explanation], int]:
     """Metropolis walk over Explanations: every proposal is an
     Explanation, its weight is the joint likelihood plus log prior cached
     by its key, and subset spaces rebuild their segments and unchosen
-    rows at every step. Same draws and acceptance rule as
-    ``core.mh_sample``, so a seeded chain gives the same samples."""
+    rows at every step. Same draws, in the same blocks of
+    ``core.CHAIN_BLOCK`` steps, and the same acceptance rule as
+    ``core.mh_sample``, so a seeded chain gives the same samples.
+    Returns the samples and the number of proposals, burn-in included,
+    that passed the Metropolis test."""
     rng = np.random.default_rng(seed)
     if isinstance(space, SubsetSpace):
-        initial_state, propose = _subset_walk(space)
+        initial_state, moves, apply = _subset_walk(space)
     else:
-        initial_state, propose = space.initial_state, space.propose
+        initial_state, moves, apply = space.initial_state, space.chain_moves, space.chain_step
     cache: dict[tuple, float] = {}
 
     def log_weight(x: Explanation) -> float:
@@ -142,15 +156,22 @@ def mh_reference(
         raise ZeroStartMass(f"{space.descriptor}: initial state has zero posterior mass")
 
     samples: list[Explanation] = []
+    accepted = 0
+    block_moves, uniforms = [], []
     for step in range(burn_in + n):
-        proposal = propose(state, rng)
+        if step % CHAIN_BLOCK == 0:
+            count = min(CHAIN_BLOCK, burn_in + n - step)
+            block_moves = moves(rng, count)
+            uniforms = rng.random(count)
+        proposal = apply(state, block_moves[step % CHAIN_BLOCK])
         prop_w = log_weight(proposal)
         log_alpha = prop_w - state_w
-        if log_alpha >= 0 or rng.random() < np.exp(log_alpha):
+        if log_alpha >= 0 or uniforms[step % CHAIN_BLOCK] < math.exp(log_alpha):
             state, state_w = proposal, prop_w
+            accepted += 1
         if step >= burn_in:
             samples.append(state)
-    return samples
+    return samples, accepted
 
 
 def exact_shapley(value_fn: Callable[[tuple[int, ...]], float], n_features: int) -> np.ndarray:

@@ -49,22 +49,33 @@ class ExplanationSpace:
         raise NotImplementedError
 
     def propose(self, x: Explanation, rng: np.random.Generator) -> Explanation:
-        """Draw a neighbour. The kernel must satisfy q(a->b) = q(b->a)."""
-        raise NotImplementedError
+        """Draw a neighbour: one move of ``chain_moves`` applied to x. The
+        kernel must satisfy q(a->b) = q(b->a)."""
+        state = self.state_of(x)
+        moved = self.chain_step(state, self.chain_moves(rng, 1)[0])
+        return x if moved is state else self.explanation_of(moved)
 
-    # A Markov chain walks hashable states with the same draws as
-    # ``initial_state`` and ``propose``. By default a state is the
+    # A Markov chain walks hashable states. By default a state is the
     # Explanation itself; a space may walk a cheaper form and build the
-    # Explanation only when one is read.
+    # Explanation only when one is read. The chain starts with the draws
+    # of ``initial_state``, then draws its moves in blocks:
+    # ``chain_moves`` makes ``count`` moves from a few array draws, and
+    # ``chain_step`` applies one move without drawing.
 
     def chain_start(self, rng: np.random.Generator) -> Hashable:
         return self.initial_state(rng)
 
-    def chain_step(self, state: Hashable, rng: np.random.Generator) -> Hashable:
-        return self.propose(state, rng)
+    def chain_moves(self, rng: np.random.Generator, count: int) -> list:
+        raise NotImplementedError
+
+    def chain_step(self, state: Hashable, move) -> Hashable:
+        raise NotImplementedError
 
     def explanation_of(self, state: Hashable) -> Explanation:
         return state
+
+    def state_of(self, x: Explanation) -> Hashable:
+        return x
 
     def _check_enumerable(self) -> None:
         if not self.enumerable:
@@ -103,6 +114,8 @@ class SubsetSpace(ExplanationSpace):
                 raise BadSpec(f"cannot pick {k} rows from a pool of {len(pool)}")
             if len(set(pool)) != len(pool):
                 raise BadSpec("index pools must not repeat rows")
+        self._k_of = np.array(self._ks)
+        self._free_of = np.maximum([len(p) - k for p, k in zip(self._pools, self._ks)], 1)
         self._prior_fn = prior_fn
         sizes = "x".join(f"C({len(p)},{k})" for p, k in zip(self._pools, self._ks))
         self.descriptor = f"example subsets [{sizes}]"
@@ -153,20 +166,25 @@ class SubsetSpace(ExplanationSpace):
             for pool, k in zip(self._pools, self._ks)
         )
 
-    def chain_step(self, state: tuple[tuple[int, ...], ...], rng: np.random.Generator):
+    def chain_moves(self, rng: np.random.Generator, count: int) -> list[tuple[int, int, int]]:
         # Swap one chosen row for one unchosen row of the same pool. The
         # pool is drawn uniformly, then both endpoints uniformly, so the
-        # move and its reverse have identical probability. A pool with no
-        # unchosen row draws nothing more and keeps the state.
-        c = int(rng.integers(len(self._pools)))
+        # move and its reverse have identical probability. A move is
+        # (pool, position of the dropped row in the pool's chosen rows,
+        # position of the added row among its unchosen rows). A pool
+        # with no unchosen row draws j from [0, 1) and keeps the state.
+        c = rng.integers(len(self._pools), size=count)
+        drop = rng.integers(0, self._k_of[c])
+        j = rng.integers(0, self._free_of[c])
+        return list(zip(c.tolist(), drop.tolist(), j.tolist()))
+
+    def chain_step(self, state: tuple[tuple[int, ...], ...], move: tuple[int, int, int]):
+        c, drop, j = move
         pool, seg = self._pools[c], state[c]
-        free = len(pool) - len(seg)
-        if not free:
+        if len(seg) == len(pool):
             return state
-        drop = int(rng.integers(len(seg)))
         # the j-th unchosen row in pool order: step over the chosen rows
         # (both tuples ascend) at or before it
-        j = int(rng.integers(free))
         for row in seg:
             if bisect.bisect_left(pool, row) <= j:
                 j += 1
@@ -176,17 +194,15 @@ class SubsetSpace(ExplanationSpace):
     def explanation_of(self, state: tuple[tuple[int, ...], ...]) -> Explanation:
         return example_set(itertools.chain.from_iterable(state))
 
-    def initial_state(self, rng: np.random.Generator) -> Explanation:
-        return self.explanation_of(self.chain_start(rng))
-
-    def propose(self, x: Explanation, rng: np.random.Generator) -> Explanation:
+    def state_of(self, x: Explanation) -> tuple[tuple[int, ...], ...]:
         state, start = [], 0
         for k in self._ks:
             state.append(tuple(x.payload[start : start + k]))
             start += k
-        state = tuple(state)
-        moved = self.chain_step(state, rng)
-        return x if moved is state else self.explanation_of(moved)
+        return tuple(state)
+
+    def initial_state(self, rng: np.random.Generator) -> Explanation:
+        return self.explanation_of(self.chain_start(rng))
 
 
 class MaskSpace(ExplanationSpace):
@@ -229,10 +245,13 @@ class MaskSpace(ExplanationSpace):
     def initial_state(self, rng: np.random.Generator) -> Explanation:
         return feature_mask(self.draw(rng, 1)[0])
 
-    def propose(self, x: Explanation, rng: np.random.Generator) -> Explanation:
-        bits = np.array(x.payload, copy=True)
-        j = int(rng.integers(self.dim))
-        bits[j] = 1 - bits[j]
+    def chain_moves(self, rng: np.random.Generator, count: int) -> list[int]:
+        # a move flips the bit it names
+        return rng.integers(self.dim, size=count).tolist()
+
+    def chain_step(self, state: Explanation, move: int) -> Explanation:
+        bits = np.array(state.payload, copy=True)
+        bits[move] = 1 - bits[move]
         return feature_mask(bits)
 
 
@@ -282,11 +301,14 @@ class EnumeratedSpace(ExplanationSpace):
     def initial_state(self, rng: np.random.Generator) -> Explanation:
         return self._candidates[int(rng.integers(len(self._candidates)))]
 
-    def propose(self, x: Explanation, rng: np.random.Generator) -> Explanation:
+    def chain_moves(self, rng: np.random.Generator, count: int) -> list[int]:
+        # a move names one of the other candidates, skipping the current
+        # one; a single candidate draws from [0, 1) and keeps the state
+        return rng.integers(max(len(self._candidates) - 1, 1), size=count).tolist()
+
+    def chain_step(self, state: Explanation, move: int) -> Explanation:
         if len(self._candidates) == 1:
-            return x
-        here = self._index[x.key()]
-        j = int(rng.integers(len(self._candidates) - 1))
-        if j >= here:
-            j += 1
-        return self._candidates[j]
+            return state
+        if move >= self._index[state.key()]:
+            move += 1
+        return self._candidates[move]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bayesteach import oracle
 from bayesteach.core import (
+    CHAIN_BLOCK,
     chain_log_weight,
     in_order_sum,
     logsumexp,
@@ -715,9 +716,10 @@ def test_array_routes_raise_the_errors_of_the_joint_sweep(blobs3, logistic_grid,
 
 def assert_same_chain(learner, theta, space, n, burn_in, seed):
     """The walk and ``oracle.mh_reference`` give the same samples, state
-    for state, or both raise the same error; returns the samples."""
+    for state, and accept the same number of proposals, or both raise the
+    same error; returns the samples."""
     try:
-        ref = oracle.mh_reference(learner, theta, space, n, burn_in, seed)
+        ref, accepted = oracle.mh_reference(learner, theta, space, n, burn_in, seed)
     except Exception as exc:  # the walk must fail the same way
         with pytest.raises(type(exc)):
             mh_sample(learner, theta, space, n, burn_in, seed)
@@ -725,6 +727,7 @@ def assert_same_chain(learner, theta, space, n, burn_in, seed):
     samples = mh_sample(learner, theta, space, n, burn_in, seed)
     assert len(samples) == len(ref) == n
     assert [s.key() for s in samples] == [x.key() for x in ref]
+    assert (samples.accepted, samples.proposals) == (accepted, n + burn_in)
     return samples
 
 
@@ -803,6 +806,23 @@ def test_mh_walk_on_plda_sums_the_block_terms_as_the_joint_likelihood(plda3, blo
             assert weight(state) == learner.log_likelihood(theta, samples.space.explanation_of(state))
 
 
+def test_mh_walk_replays_the_reference_across_draw_blocks(plda3, blobs3, logistic_grid, grid_image):
+    # two full blocks and seven more steps, the burn-in ending inside the
+    # second block
+    burn_in = CHAIN_BLOCK + 100
+    n = 2 * CHAIN_BLOCK + 7 - burn_in
+    plda = make_plda_learner(plda3, blobs3)
+    means = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+    masked = make_masked_prediction_learner(logistic_grid, grid_image.features[0])
+    cases = [
+        (plda, means, SubsetSpace.per_class(blobs3.labels, [2, 1, 3])),
+        (masked, TargetInference(ThetaKind.PREDICTED_LABEL, 1), MaskSpace(grid_image.features.shape[1], 0.5)),
+    ]
+    for seed, (learner, theta, space) in enumerate(cases):
+        samples = assert_same_chain(learner, theta, space, n, burn_in, seed)
+        assert 0 < samples.accepted < n + burn_in
+
+
 def test_mh_walk_needs_no_enumeration():
     pools = [range(0, 12), range(12, 24), range(24, 36)]
     space = SubsetSpace(pools, [5, 5, 5])
@@ -844,7 +864,7 @@ def test_mh_mode_searches_match_the_reference_counts(plda3, blobs3):
     for seed in range(20):
         k = 1 + seed % 2
         space = SubsetSpace.per_class(blobs3.labels, k)
-        ref = oracle.mh_reference(learner, theta, space, 25, 3, seed)
+        ref, _ = oracle.mh_reference(learner, theta, space, 25, 3, seed)
         counts = Counter(x.payload for x in ref)
         top = max(counts.items(), key=lambda kv: (kv[1], tuple(-i for i in kv[0])))
         report = explain_by_examples(plda3, blobs3, k, "mh-sample", seed, mh_steps=25, mh_burn_in=3)

@@ -142,7 +142,7 @@ def test_mh_sample_reports_the_reference_chain_mode(plda3, blobs3, logistic2, bl
     for seed in range(8):
         for learner, theta, space in cases:
             n, burn_in = 20 + 7 * seed, seed
-            ref = oracle.mh_reference(learner, theta, space, n, burn_in, seed)
+            ref, _ = oracle.mh_reference(learner, theta, space, n, burn_in, seed)
             payload, frequency, tied = reference_mode(ref)
             ties += tied > 1
             result = run_strategy(learner, theta, space, "mh-sample", seed=seed, n=n, burn_in=burn_in)
@@ -151,7 +151,7 @@ def test_mh_sample_reports_the_reference_chain_mode(plda3, blobs3, logistic2, bl
 
         k = 1 + seed % 2
         space = SubsetSpace.per_class(blobs3.labels, k)
-        ref = oracle.mh_reference(make_plda_learner(plda3, blobs3), means, space, 30, 2, seed)
+        ref, _ = oracle.mh_reference(make_plda_learner(plda3, blobs3), means, space, 30, 2, seed)
         payload, frequency, _ = reference_mode(ref)
         report = explain_by_examples(plda3, blobs3, k, "mh-sample", seed, mh_steps=30, mh_burn_in=2)
         assert report.indices == payload
