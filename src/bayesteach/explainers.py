@@ -117,12 +117,14 @@ def explain_by_examples(
             strategy, space.size(), {"log_normalizer": best.log_normalizer},
         )
     if strategy == "mh-sample":
-        x, frequency = core.mh_sample(learner, theta, space, mh_steps, mh_burn_in, seed).mode()
+        samples = core.mh_sample(learner, theta, space, mh_steps, mh_burn_in, seed)
+        x, frequency = samples.mode()
         ll = learner.log_likelihood(theta, x)
         return ExampleSelectionReport(
             x.payload, _split_by_class(data, x.payload), ll, None,
             "mh", space.size(),
-            {"mode_frequency": frequency, "steps": mh_steps, "burn_in": mh_burn_in},
+            {"mode_frequency": frequency, "steps": mh_steps, "burn_in": mh_burn_in,
+             "acceptance_rate": samples.acceptance_rate},
         )
     raise BadSpec(f"unknown strategy {strategy!r}; use exhaustive-max or mh-sample")
 

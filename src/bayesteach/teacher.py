@@ -77,6 +77,7 @@ def run_strategy(
             "burn_in": burn_in,
             "distinct_states": len(samples.counts()),
             "mode_frequency": frequency,
+            "acceptance_rate": samples.acceptance_rate,
         }
         return StrategyResult(mode, strategy, meta, samples=samples)
 

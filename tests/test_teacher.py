@@ -139,25 +139,30 @@ def test_mh_sample_reports_the_reference_chain_mode(plda3, blobs3, logistic2, bl
         (flat, THETA, EnumeratedSpace(cands)),
     ]
     ties = 0
+    rates = set()
     for seed in range(8):
         for learner, theta, space in cases:
             n, burn_in = 20 + 7 * seed, seed
-            ref, _ = oracle.mh_reference(learner, theta, space, n, burn_in, seed)
+            ref, accepted = oracle.mh_reference(learner, theta, space, n, burn_in, seed)
             payload, frequency, tied = reference_mode(ref)
             ties += tied > 1
+            rates.add(accepted / (n + burn_in))
             result = run_strategy(learner, theta, space, "mh-sample", seed=seed, n=n, burn_in=burn_in)
             assert tuple(int(v) for v in result.explanation.payload) == payload
             assert result.metadata["mode_frequency"] == frequency
+            assert result.metadata["acceptance_rate"] == accepted / (n + burn_in)
 
         k = 1 + seed % 2
         space = SubsetSpace.per_class(blobs3.labels, k)
-        ref, _ = oracle.mh_reference(make_plda_learner(plda3, blobs3), means, space, 30, 2, seed)
+        ref, accepted = oracle.mh_reference(make_plda_learner(plda3, blobs3), means, space, 30, 2, seed)
         payload, frequency, _ = reference_mode(ref)
         report = explain_by_examples(plda3, blobs3, k, "mh-sample", seed, mh_steps=30, mh_burn_in=2)
         assert report.indices == payload
         assert report.metadata["mode_frequency"] == frequency
+        assert report.metadata["acceptance_rate"] == accepted / 32
         assert report.strategy == "mh"
     assert ties >= 5  # the tie rule was exercised
+    assert len(rates) > 10 and 0 < min(rates) < max(rates) <= 1
 
 
 def test_mc_expectation_matches_exhaustive_mask_average(logistic_grid, grid_image):
