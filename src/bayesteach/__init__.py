@@ -14,6 +14,7 @@ from .errors import (
     IncompatibleCombination,
     InsufficientCoverage,
     MissingClass,
+    NonFiniteResult,
     NonNumericFeature,
     NotEnumerable,
     ParseError,

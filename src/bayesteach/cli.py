@@ -32,6 +32,7 @@ from .errors import (
     IncompatibleCombination,
     InsufficientCoverage,
     MissingClass,
+    NonFiniteResult,
     NotEnumerable,
     ParseError,
     SingularCovariance,
@@ -75,6 +76,7 @@ NUMERICAL_EXIT = 4
 
 _NUMERICAL_ERRORS = (
     AllZeroMass,
+    NonFiniteResult,
     SingularSystem,
     SingularCovariance,
     ZeroTotalWeight,

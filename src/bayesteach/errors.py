@@ -15,6 +15,10 @@ class AllZeroMass(EngineError):
     """Every candidate explanation received zero weight; no posterior exists."""
 
 
+class NonFiniteResult(EngineError):
+    """A score or loss overflowed or diverged to a non-finite value."""
+
+
 class NotEnumerable(EngineError):
     """An exhaustive operation was asked of a space that cannot be enumerated."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .errors import BadSpec, DimensionMismatch, SingularSystem, ZeroTotalWeight
+from .errors import BadSpec, DimensionMismatch, NonFiniteResult, SingularSystem, ZeroTotalWeight
 from .learners import (
     KernelConfig,
     class_column,
@@ -674,7 +674,9 @@ def distill_tree(
 
     Full-batch Adam on KL(target || tree) minus beta times the gate
     entropy prior; higher beta prefers trees whose inner nodes route
-    meaningful traffic both ways.
+    meaningful traffic both ways. A fit that diverges (a non-finite loss
+    or parameter, e.g. from a huge learning rate) raises
+    ``NonFiniteResult``.
     """
     if depth < 1:
         raise BadSpec(f"depth must be >= 1, got {depth}")
@@ -708,17 +710,30 @@ def distill_tree(
     v = {k: np.zeros_like(v) for k, v in params.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     trace = []
-    for step in range(1, epochs + 1):
-        loss, _, _, grads = tree_loss_and_grads(params, Z, targets, weights, beta, depth)
-        trace.append(loss)
-        for k in params:
-            m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
-            v[k] = beta2 * v[k] + (1 - beta2) * grads[k] ** 2
-            m_hat = m[k] / (1 - beta1**step)
-            v_hat = v[k] / (1 - beta2**step)
-            params[k] = params[k] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    loss, kl, entropy, _ = tree_loss_and_grads(params, Z, targets, weights, beta, depth)
+    def diverged(steps: int) -> NonFiniteResult:
+        return NonFiniteResult(
+            f"tree distillation diverged after {steps} Adam steps at learning rate "
+            f"{learning_rate!r}; lower the learning rate"
+        )
+
+    # overflow shows as a non-finite loss, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, epochs + 1):
+            loss, _, _, grads = tree_loss_and_grads(params, Z, targets, weights, beta, depth)
+            if not math.isfinite(loss):
+                raise diverged(step - 1)
+            trace.append(loss)
+            for k in params:
+                m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
+                v[k] = beta2 * v[k] + (1 - beta2) * grads[k] ** 2
+                m_hat = m[k] / (1 - beta1**step)
+                v_hat = v[k] / (1 - beta2**step)
+                params[k] = params[k] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+        loss, kl, entropy, _ = tree_loss_and_grads(params, Z, targets, weights, beta, depth)
+    if not (math.isfinite(loss) and all(np.all(np.isfinite(p)) for p in params.values())):
+        raise diverged(epochs)
     trace.append(loss)
     tree = SoftTree(depth, params["W"], params["b"], params["T"], params["L"], mean, scale)
     return DistillReport(tree, kl, entropy, beta, tuple(trace))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadSpec, DimensionMismatch, MissingClass, ZeroTotalWeight
+from .errors import BadSpec, DimensionMismatch, MissingClass, NonFiniteResult, ZeroTotalWeight
 from .models import (
     Dataset,
     TargetModel,
@@ -333,6 +333,8 @@ def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: fl
     the shown examples; likelihood is its softmax class probability. A
     class's score depends only on that class's rows, so ``block_terms``
     scores single-class pools apart and combines them by the same softmax.
+    A score that overflows (a squared distance over a tiny temperature)
+    raises ``NonFiniteResult``, since the softmax of -inf scores is NaN.
     """
     if temperature <= 0:
         raise BadSpec("temperature must be positive")
@@ -343,7 +345,14 @@ def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: fl
             raise BadSpec(f"nearest-class learner scores predicted labels, not {theta.kind.value}")
 
     def class_score(rows: np.ndarray) -> float:
-        return -float(((point - rows.mean(axis=0)) ** 2).sum()) / temperature
+        distance = float(((point - rows.mean(axis=0)) ** 2).sum())
+        score = -distance / temperature
+        if not math.isfinite(score):
+            raise NonFiniteResult(
+                f"nearest-class score of a squared distance {distance!r} at temperature "
+                f"{temperature!r} is not finite; raise the temperature"
+            )
+        return score
 
     def softmax_at(scores, j: int) -> float:
         top = max(scores)

@@ -428,6 +428,35 @@ def test_recombine_rejects_a_non_finite_param(capsys, ws, learner, param):
     assert err["message"].endswith("not a finite number")
 
 
+@pytest.mark.parametrize("strategy", ["exhaustive-max", "mh-sample"])
+def test_nearest_class_overflowing_scores_exit_4(capsys, ws, strategy):
+    # every squared distance over this temperature is -inf, whose softmax
+    # would be NaN
+    err = run_err(capsys, [
+        "explain", "recombine", "--theta", "predicted-label", "--x-kind", "example-set",
+        "--learner", "nearest-class", "--strategy", strategy, "--model", ws["plda"],
+        "--data", ws["data"], "--point", ws["point"], "--param", "per_class_k=1",
+        "--param", "temperature=1e-320", "--param", "n=20", "--param", "burn_in=0",
+        "--seed", "0",
+    ], cli.NUMERICAL_EXIT)
+    assert err["type"] == "NonFiniteResult"
+    assert "temperature 1e-320" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain", "tree-distill", "--epochs", "3", "--learning-rate", "1e308"],
+    ["explain", "recombine", "--theta", "predictive-distribution", "--x-kind", "soft-tree",
+     "--learner", "surrogate-fit", "--strategy", "gradient-fit", "--param", "epochs=3",
+     "--param", "learning_rate=1e308"],
+])
+def test_diverging_tree_distillation_exits_4(capsys, ws, argv):
+    err = run_err(capsys, argv + [
+        "--model", ws["logistic"], "--data", ws["data"], "--seed", "0",
+    ], cli.NUMERICAL_EXIT)
+    assert err["type"] == "NonFiniteResult"
+    assert err["message"].startswith("tree distillation diverged after ")
+
+
 @pytest.mark.parametrize("combination, params, unknown, accepted", [
     (["--theta", "latent-class-means", "--x-kind", "example-set", "--learner", "plda",
       "--strategy", "mh-sample"],

@@ -25,6 +25,7 @@ from bayesteach.errors import (
     BadSpec,
     DimensionMismatch,
     MissingClass,
+    NonFiniteResult,
     NotEnumerable,
     ZeroStartMass,
 )
@@ -634,6 +635,26 @@ def test_nearest_class_wanted_class_absent_everywhere_raises(blobs3):
                 run(search, theta, space)
         with pytest.raises(ZeroStartMass):
             mh_sample(search, theta, space, 10, 0, 0)
+
+
+def test_nearest_class_overflowing_scores_raise_on_every_route(blobs3):
+    # a squared distance over this temperature is -inf, and a softmax of
+    # -inf scores is NaN
+    learner = make_nearest_class_learner(blobs3, np.zeros(2), 1e-320)
+    theta = TargetInference(ThetaKind.PREDICTED_LABEL, 1)
+    space = SubsetSpace.per_class(blobs3.labels, 1)
+    assert learner.block_terms(theta, space._pools)[1] is not None
+    searches = [
+        lambda: learner.log_likelihood(theta, next(space.elements())),
+        lambda: posterior_max(learner, theta, space),  # the combine route
+        lambda: posterior_max(plain(learner), theta, space),  # the joint sweep
+        lambda: teacher_posterior(learner, theta, space),
+        lambda: mh_sample(learner, theta, space, 10, 0, 0),
+        lambda: chain_log_weight(learner, theta, space)(space.chain_start(np.random.default_rng(0))),
+    ]
+    for search in searches:
+        with pytest.raises(NonFiniteResult, match="temperature 1e-320"):
+            search()
 
 
 def test_nearest_class_block_terms_need_single_class_pools_in_order(blobs3):
