@@ -17,6 +17,7 @@ from .errors import (
     NonFiniteResult,
     NonNumericFeature,
     NotEnumerable,
+    NumericalError,
     ParseError,
     SingularCovariance,
     SingularSystem,

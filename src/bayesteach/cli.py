@@ -24,23 +24,7 @@ import numpy as np
 
 from . import render
 from .checks import run_oracle_suite
-from .errors import (
-    AllZeroMass,
-    BadSpec,
-    DimensionMismatch,
-    EngineError,
-    IncompatibleCombination,
-    InsufficientCoverage,
-    MissingClass,
-    NonFiniteResult,
-    NotEnumerable,
-    ParseError,
-    SingularCovariance,
-    SingularSystem,
-    StrategySpaceMismatch,
-    ZeroStartMass,
-    ZeroTotalWeight,
-)
+from .errors import BadSpec, EngineError, ParseError
 from .explainers import (
     distill_tree,
     explain_by_examples,
@@ -52,6 +36,7 @@ from .explainers import (
 )
 from .learners import KernelConfig
 from .models import (
+    FAMILIES,
     fit_model,
     inspect_model,
     jsonable,
@@ -71,29 +56,11 @@ from .studies import (
 from .types import ExplanationKind, ThetaKind
 
 USAGE_EXIT = 2
-DATA_EXIT = 3
+# An EngineError carries its own exit code: 3 for bad data or requests, 4
+# for numerical failures (errors.NumericalError). A missing or malformed
+# input file is a data error.
+DATA_EXIT = EngineError.exit_code
 NUMERICAL_EXIT = 4
-
-_NUMERICAL_ERRORS = (
-    AllZeroMass,
-    NonFiniteResult,
-    SingularSystem,
-    SingularCovariance,
-    ZeroTotalWeight,
-    ZeroStartMass,
-)
-_DATA_ERRORS = (
-    ParseError,
-    BadSpec,
-    DimensionMismatch,
-    MissingClass,
-    NotEnumerable,
-    IncompatibleCombination,
-    StrategySpaceMismatch,
-    InsufficientCoverage,
-    FileNotFoundError,
-    json.JSONDecodeError,
-)
 
 
 class _UsageError(Exception):
@@ -717,7 +684,7 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--label-column", default="label")
     p_fit.add_argument("--family", required=True,
-                       choices=("gaussian", "logistic", "mlp", "plda", "linear"))
+                       choices=FAMILIES)
     p_fit.add_argument("--seed", type=int, required=True)
     p_fit.add_argument("--save", required=True, help="model checkpoint path")
     p_fit.add_argument("--hidden", type=int)
@@ -864,16 +831,16 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _emit_error("UsageError", str(exc), USAGE_EXIT)
         return USAGE_EXIT
-    except _NUMERICAL_ERRORS as exc:
-        _emit_error(type(exc).__name__, str(exc), NUMERICAL_EXIT)
-        return NUMERICAL_EXIT
     except ParseError as exc:
         _emit_error(
-            type(exc).__name__, str(exc), DATA_EXIT,
+            type(exc).__name__, str(exc), exc.exit_code,
             {"row": exc.row, "col": exc.col},
         )
-        return DATA_EXIT
-    except _DATA_ERRORS as exc:
+        return exc.exit_code
+    except EngineError as exc:
+        _emit_error(type(exc).__name__, str(exc), exc.exit_code)
+        return exc.exit_code
+    except (FileNotFoundError, json.JSONDecodeError) as exc:
         _emit_error(type(exc).__name__, str(exc), DATA_EXIT)
         return DATA_EXIT
 

@@ -18,6 +18,9 @@ whose argmax and normalizer are taken pool by pool.
 
 A Metropolis walk reports its mode: the most visited state, ties going
 to the smallest payload (``ChainSamples.mode``).
+
+The posterior mean of a mask under likelihood weighting, the average
+behind RISE and mc-expectation, is ``mask_expectation``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroMass, BadSpec, ZeroStartMass
-from .spaces import ExplanationSpace, SubsetSpace
+from .errors import AllZeroMass, BadSpec, ZeroStartMass, ZeroTotalWeight
+from .spaces import ExplanationSpace, MaskSpace, SubsetSpace
 from .types import Explanation, LearnerModel, TargetInference, TeacherPosterior, example_set, feature_mask
 
 # A Metropolis walk draws its moves and uniforms this many steps at a time.
@@ -70,6 +73,35 @@ def score_rows(learner: LearnerModel, theta: TargetInference, masks: np.ndarray)
         rest = [learner.log_likelihood(theta, feature_mask(r)) for r in masks[1:]]
         return np.array([first] + rest, dtype=float)
     return np.asarray(learner.batch_log_likelihood(theta, masks), dtype=float)
+
+
+def weighted_mean_and_stderr(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight-normalized column means with delta-method standard errors.
+
+    With uniform weights the error term reduces to the familiar
+    std / sqrt(N).
+    """
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ZeroTotalWeight("all weights are zero; the average is undefined")
+    mean = weights @ matrix / total
+    resid = weights[:, None] * (matrix - mean)
+    stderr = np.sqrt((resid**2).sum(axis=0)) / total
+    return mean, stderr
+
+
+def mask_expectation(space: MaskSpace, n: int, seed: int, weigh):
+    """Draw n masks from the space's prior with ``default_rng(seed)`` and
+    average them weighted by ``weigh(masks)``, a likelihood per mask: the
+    posterior mean of the mask under the teacher posterior. RISE and the
+    mc-expectation strategy both run here. Returns the masks, the weights,
+    and the weighted means with their standard errors."""
+    if n < 1:
+        raise BadSpec(f"mask count must be >= 1, got {n}")
+    masks = space.draw(np.random.default_rng(seed), n)
+    weights = weigh(masks)
+    values, stderr = weighted_mean_and_stderr(masks, weights)
+    return masks, weights, values, stderr
 
 
 def pool_terms(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):

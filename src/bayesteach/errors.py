@@ -1,7 +1,10 @@
 """Exception types raised across the engine.
 
 Every failure mode that callers are expected to branch on gets its own
-class; nothing here is ever swallowed into a default fallback.
+class; nothing here is ever swallowed into a default fallback. Each
+class carries the exit code the command line reports it with: 3 for bad
+data or requests (``EngineError``), 4 for numerical failures
+(``NumericalError``).
 """
 
 from __future__ import annotations
@@ -10,12 +13,21 @@ from __future__ import annotations
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3
 
-class AllZeroMass(EngineError):
+
+class NumericalError(EngineError):
+    """Base class for numerical failures: a computation that ran on valid
+    input but has no finite or well-defined answer."""
+
+    exit_code = 4
+
+
+class AllZeroMass(NumericalError):
     """Every candidate explanation received zero weight; no posterior exists."""
 
 
-class NonFiniteResult(EngineError):
+class NonFiniteResult(NumericalError):
     """A score or loss overflowed or diverged to a non-finite value."""
 
 
@@ -23,7 +35,7 @@ class NotEnumerable(EngineError):
     """An exhaustive operation was asked of a space that cannot be enumerated."""
 
 
-class ZeroStartMass(EngineError):
+class ZeroStartMass(NumericalError):
     """A Markov chain was started from a state with zero posterior mass."""
 
 
@@ -44,7 +56,7 @@ class NonNumericFeature(ParseError):
     """A feature cell held a non-numeric value."""
 
 
-class SingularCovariance(EngineError):
+class SingularCovariance(NumericalError):
     """A covariance estimate is singular and regularization was disabled."""
 
 
@@ -56,11 +68,11 @@ class MissingClass(EngineError):
     """An example subset fails to cover a class the inference target needs."""
 
 
-class ZeroTotalWeight(EngineError):
+class ZeroTotalWeight(NumericalError):
     """A weighted average was requested but all weights are zero."""
 
 
-class SingularSystem(EngineError):
+class SingularSystem(NumericalError):
     """A least-squares system is rank deficient; the fit is not identified."""
 
 

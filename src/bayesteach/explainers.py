@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
-from .errors import BadSpec, DimensionMismatch, NonFiniteResult, SingularSystem, ZeroTotalWeight
+from . import core, teacher
+from .errors import BadSpec, DimensionMismatch, NonFiniteResult, SingularSystem
 from .learners import (
     KernelConfig,
     class_column,
@@ -88,7 +88,8 @@ def explain_by_examples(
     """Pick the example subset a subset-trained learner would most likely
     read the full-fit latent class means from: the posterior argmax
     (exhaustive-max), or the mode of a Metropolis chain (mh-sample),
-    reported as strategy "mh"."""
+    reported as strategy "mh". Both run through ``teacher.run_strategy``,
+    looked up at call time."""
     if model.family != "plda":
         raise BadSpec(f"example selection explains plda models, not {model.family}")
     learner = make_plda_learner(model, data)
@@ -109,24 +110,22 @@ def explain_by_examples(
             "per-class-independent", space.size(),
         )
 
+    if strategy not in ("exhaustive-max", "mh-sample"):
+        raise BadSpec(f"unknown strategy {strategy!r}; use exhaustive-max or mh-sample")
+    result = teacher.run_strategy(learner, theta, space, strategy, seed=seed, n=mh_steps, burn_in=mh_burn_in)
+    x, meta = result.explanation, result.metadata
     if strategy == "exhaustive-max":
-        best = core.posterior_max(learner, theta, space)
-        x = best.explanation
         return ExampleSelectionReport(
-            x.payload, _split_by_class(data, x.payload), best.log_weight, best.probability,
-            strategy, space.size(), {"log_normalizer": best.log_normalizer},
+            x.payload, _split_by_class(data, x.payload), meta["log_weight"],
+            meta["posterior_probability"], strategy, space.size(),
+            {"log_normalizer": result.log_normalizer},
         )
-    if strategy == "mh-sample":
-        samples = core.mh_sample(learner, theta, space, mh_steps, mh_burn_in, seed)
-        x, frequency = samples.mode()
-        ll = learner.log_likelihood(theta, x)
-        return ExampleSelectionReport(
-            x.payload, _split_by_class(data, x.payload), ll, None,
-            "mh", space.size(),
-            {"mode_frequency": frequency, "steps": mh_steps, "burn_in": mh_burn_in,
-             "acceptance_rate": samples.acceptance_rate},
-        )
-    raise BadSpec(f"unknown strategy {strategy!r}; use exhaustive-max or mh-sample")
+    return ExampleSelectionReport(
+        x.payload, _split_by_class(data, x.payload), learner.log_likelihood(theta, x), None,
+        "mh", space.size(),
+        {"mode_frequency": meta["mode_frequency"], "steps": mh_steps, "burn_in": mh_burn_in,
+         "acceptance_rate": meta["acceptance_rate"]},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +239,6 @@ class SaliencyReport:
         }
 
 
-def weighted_mean_and_stderr(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weight-normalized column means with delta-method standard errors.
-
-    With uniform weights the error term reduces to the familiar
-    std / sqrt(N).
-    """
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ZeroTotalWeight("all weights are zero; the average is undefined")
-    mean = weights @ matrix / total
-    resid = weights[:, None] * (matrix - mean)
-    stderr = np.sqrt((resid**2).sum(axis=0)) / total
-    return mean, stderr
-
-
 def rise_saliency(
     model_or_fn,
     point: np.ndarray,
@@ -277,25 +261,12 @@ def rise_saliency(
     predict = batch_predictor(model_or_fn)
     if target_class is None:
         target_class = int(np.argmax(predict(point[None, :])[0]))
-    masks, weights, values, stderr = mask_expectation(
+    masks, weights, values, stderr = core.mask_expectation(
         space, n_masks, seed, lambda m: masked_batch_values(predict, point, m, target_class, baseline)
     )
     return SaliencyReport(
         values, stderr, target_class, n_masks, keep_prob, masks=masks, weights=weights
     )
-
-
-def mask_expectation(space: MaskSpace, n: int, seed: int, weigh):
-    """Draw n masks from the space's prior with ``default_rng(seed)`` and
-    average them weighted by ``weigh(masks)``, a likelihood per mask.
-    RISE and the mc-expectation strategy both run here. Returns the masks,
-    the weights, and the weighted means with their standard errors."""
-    if n < 1:
-        raise BadSpec(f"mask count must be >= 1, got {n}")
-    masks = space.draw(np.random.default_rng(seed), n)
-    weights = weigh(masks)
-    values, stderr = weighted_mean_and_stderr(masks, weights)
-    return masks, weights, values, stderr
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import logsumexp, mh_sample, posterior_max
+from . import teacher
+from .core import logsumexp
 from .errors import BadSpec, InsufficientCoverage
-from .explainers import explain_by_examples
 from .learners import BiasConfig, biased_learner, make_plda_learner
 from .models import Dataset, TargetModel, jsonable
 from .spaces import SubsetSpace
-from .types import Explanation, LearnerModel, TargetInference, ThetaKind, example_set
+from .types import Explanation, LearnerModel, TargetInference, ThetaKind
 
 CALIBRATION_BINS = 10
 
@@ -323,6 +323,22 @@ def rank_order_independence(score_table: np.ndarray) -> RankReport:
 # named studies
 
 
+def _plda_candidates(model: TargetModel, distractor_scale: float, seed: int, key: int, study: str):
+    """The two candidates of a PLDA study: the model's latent class means
+    and a distractor jittered from them by ``distractor_scale`` standard
+    normals drawn from ``default_rng((seed, key))``. A model of another
+    family raises BadSpec naming the study."""
+    if model.family != "plda":
+        raise BadSpec(f"the {study} explains plda models")
+    rng = np.random.default_rng((seed, key))
+    true_means = model.parameters["latent_means"]
+    distractor = true_means + float(distractor_scale) * rng.standard_normal(true_means.shape)
+    return (
+        TargetInference(ThetaKind.LATENT_CLASS_MEANS, true_means),
+        TargetInference(ThetaKind.LATENT_CLASS_MEANS, distractor),
+    )
+
+
 def example_selection_study(
     model: TargetModel,
     data: Dataset,
@@ -340,27 +356,16 @@ def example_selection_study(
     jittered distractor. One arm shows the teacher's argmax subset on
     every trial; the other draws a fresh random subset per trial.
     """
-    if model.family != "plda":
-        raise BadSpec("the example selection study explains plda models")
-    rng = np.random.default_rng((seed, 0xD15))
-    true_means = model.parameters["latent_means"]
-    distractor = true_means + distractor_scale * rng.standard_normal(true_means.shape)
-    candidates = (
-        TargetInference(ThetaKind.LATENT_CLASS_MEANS, true_means),
-        TargetInference(ThetaKind.LATENT_CLASS_MEANS, distractor),
-    )
-
+    candidates = _plda_candidates(model, distractor_scale, seed, 0xD15, "example selection study")
     base = make_plda_learner(model, data)
+    space = SubsetSpace.per_class(data.labels, per_class_k)
     bias = None
     if bias_strength > 0:
         favored = (0.1, 0.9) if bias_favors_distractor else (0.9, 0.1)
         bias = BiasConfig(bias_strength, candidates, np.array(favored))
     member = PopulationMember(base, 1.0, bias)
 
-    selection = explain_by_examples(model, data, per_class_k=per_class_k, strategy="exhaustive-max")
-    selected_x = example_set(selection.indices)
-
-    space = SubsetSpace.per_class(data.labels, per_class_k)
+    selected_x = teacher.run_strategy(base, candidates[0], space, "exhaustive-max").explanation
     teacher_task = TwoAfcTask(candidates, 0, selected_x, trials=trials)
     teacher_report = simulate_2afc(SimulatedStudy((member,), (teacher_task,)), seed)
 
@@ -380,7 +385,7 @@ def example_selection_study(
     percentile_99 = float(np.quantile(random_lls, 0.99))
 
     return {
-        "selected_indices": list(selection.indices),
+        "selected_indices": list(selected_x.payload),
         "teacher_accuracy": teacher_report.overall_accuracy,
         "random_accuracy": random_report.overall_accuracy,
         "accuracy_gap": teacher_report.overall_accuracy - random_report.overall_accuracy,
@@ -410,15 +415,7 @@ def bias_sensitivity_study(
     member, so accuracy is comparable across the sweep; the final column
     reports mean posterior mass on the favored (wrong) candidate.
     """
-    if model.family != "plda":
-        raise BadSpec("the bias sweep explains plda models")
-    rng = np.random.default_rng((seed, 0xB1A5))
-    true_means = model.parameters["latent_means"]
-    distractor = true_means + distractor_scale * rng.standard_normal(true_means.shape)
-    candidates = (
-        TargetInference(ThetaKind.LATENT_CLASS_MEANS, true_means),
-        TargetInference(ThetaKind.LATENT_CLASS_MEANS, distractor),
-    )
+    candidates = _plda_candidates(model, distractor_scale, seed, 0xB1A5, "bias sweep")
     base = make_plda_learner(model, data)
     space = SubsetSpace.per_class(data.labels, per_class_k)
     draw_rng = np.random.default_rng((seed, 0xA11))
@@ -476,8 +473,9 @@ def strategy_mismatch_study(
     the two learners disagree.
     """
     theta = candidates[target_index]
-    x_max = posterior_max(selector, theta, space).explanation
-    samples = mh_sample(selector, theta, space, n=n, burn_in=burn_in, seed=seed)
+    x_max = teacher.run_strategy(selector, theta, space, "exhaustive-max").explanation
+    chain = teacher.run_strategy(selector, theta, space, "mh-sample", seed=seed, n=n, burn_in=burn_in)
+    samples = chain.samples
 
     def evaluator_mass(x: Explanation) -> float:
         return probe_value(evaluator, FidelityProbe(candidates, target_index, x))
@@ -512,15 +510,7 @@ def plda_strategy_mismatch_study(
     """``strategy_mismatch_study`` on a PLDA model: the selector is the
     PLDA learner and the evaluator the same learner with confirmation
     bias toward a jittered distractor of the latent class means."""
-    if model.family != "plda":
-        raise BadSpec("the strategy mismatch study explains plda models")
-    rng = np.random.default_rng((seed, 0xD15))
-    true_means = model.parameters["latent_means"]
-    distractor = true_means + float(distractor_scale) * rng.standard_normal(true_means.shape)
-    candidates = (
-        TargetInference(ThetaKind.LATENT_CLASS_MEANS, true_means),
-        TargetInference(ThetaKind.LATENT_CLASS_MEANS, distractor),
-    )
+    candidates = _plda_candidates(model, distractor_scale, seed, 0xD15, "strategy mismatch study")
     selector = make_plda_learner(model, data)
     evaluator = biased_learner(
         selector, BiasConfig(float(bias_strength), candidates, np.array([0.1, 0.9]))

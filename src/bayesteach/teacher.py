@@ -2,7 +2,8 @@
 
 Every explanation method reduces to: pick a learner, an inference
 target, and a candidate space, then search. This module gives the
-searches a uniform interface so methods can be rebuilt from parts.
+searches a uniform interface so methods can be rebuilt from parts; it is
+the one place in the package that dispatches a search strategy.
 
   exhaustive-max   normalize everything, take the argmax
   greedy           forward selection over subset slots
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import core
 from .errors import BadSpec, StrategySpaceMismatch
-from .explainers import mask_expectation
 from .spaces import ExplanationSpace, MaskSpace, SubsetSpace
 from .types import (
     Explanation,
@@ -41,6 +41,7 @@ class StrategyResult:
     metadata: dict = field(default_factory=dict)
     samples: Sequence[Explanation] | None = None
     stderr: np.ndarray | None = field(default=None, repr=False)
+    log_normalizer: float | None = None
 
 
 def run_strategy(
@@ -62,7 +63,7 @@ def run_strategy(
             "log_weight": best.log_weight,
             "support_size": best.support_size,
         }
-        return StrategyResult(best.explanation, strategy, meta)
+        return StrategyResult(best.explanation, strategy, meta, log_normalizer=best.log_normalizer)
 
     if strategy == "greedy":
         if not isinstance(space, SubsetSpace):
@@ -84,7 +85,7 @@ def run_strategy(
     if strategy == "mc-expectation":
         if not isinstance(space, MaskSpace):
             raise StrategySpaceMismatch("mc-expectation needs a mask space")
-        _, weights, values, stderr = mask_expectation(
+        _, weights, values, stderr = core.mask_expectation(
             space, n, seed, lambda masks: np.exp(core.score_rows(learner, theta, masks))
         )
         meta = {"n": n, "weight_total": float(weights.sum())}

@@ -9,7 +9,7 @@ import pytest
 
 from bayesteach import oracle
 from bayesteach.checks import TWO_CLUSTER_POINTS
-from bayesteach.core import mh_sample, teacher_posterior
+from bayesteach.core import mh_sample, teacher_posterior, weighted_mean_and_stderr
 from bayesteach.errors import BadSpec, DimensionMismatch, ZeroTotalWeight
 from bayesteach.explainers import (
     SoftTree,
@@ -21,7 +21,6 @@ from bayesteach.explainers import (
     mmd_prototypes,
     rise_saliency,
     tree_loss_and_grads,
-    weighted_mean_and_stderr,
 )
 from bayesteach.learners import (
     KernelConfig,

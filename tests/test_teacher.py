@@ -6,10 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bayesteach.core import teacher_posterior
+from bayesteach.core import teacher_posterior, weighted_mean_and_stderr
 from bayesteach import oracle
 from bayesteach.errors import BadSpec, DimensionMismatch, StrategySpaceMismatch
-from bayesteach.explainers import explain_by_examples, rise_saliency, weighted_mean_and_stderr
+from bayesteach.explainers import explain_by_examples, rise_saliency
 from bayesteach.learners import (
     make_masked_prediction_learner,
     make_nearest_class_learner,
