@@ -16,7 +16,6 @@ import hashlib
 import inspect
 import json
 import math
-import os
 import sys
 import time
 
@@ -639,14 +638,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_env_threads() -> int:
-    raw = os.environ.get("BT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="bayesteach", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -714,7 +705,7 @@ def build_parser() -> _Parser:
     p_plda.add_argument("--mh-steps", dest="mh_steps", type=int, default=20000)
     p_plda.add_argument("--mh-burn-in", dest="mh_burn_in", type=int, default=2000)
     p_plda.add_argument("--seed", type=int)
-    p_plda.add_argument("--threads", type=int, default=_int_env_threads())
+    p_plda.add_argument("--threads", type=int, default=1)
     _add_common(p_plda)
     p_plda.set_defaults(handler=_cmd_explain_plda_examples)
 
@@ -790,7 +781,7 @@ def build_parser() -> _Parser:
     p_comb.add_argument("--point")
     p_comb.add_argument("--param", action="append", metavar="KEY=VALUE")
     p_comb.add_argument("--seed", type=int, required=True)
-    p_comb.add_argument("--threads", type=int, default=_int_env_threads())
+    p_comb.add_argument("--threads", type=int, default=1)
     _add_common(p_comb)
     p_comb.set_defaults(handler=_cmd_explain_recombine)
 
@@ -799,7 +790,7 @@ def build_parser() -> _Parser:
     p_run = ssub.add_parser("run", help="run a study described by a JSON config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, required=True)
-    p_run.add_argument("--threads", type=int, default=_int_env_threads())
+    p_run.add_argument("--threads", type=int, default=1)
     _add_common(p_run)
     p_run.set_defaults(handler=_cmd_study_run)
 

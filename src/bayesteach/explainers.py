@@ -413,7 +413,6 @@ def lime_local(
     ridge: float = 1e-3,
     seed: int = 0,
     target_class: int = 1,
-    probe_scale: float | None = None,
 ) -> LimeReport:
     """Ridge regression from Gaussian probes to the target class
     probability, weighted by an rbf kernel around the point."""
@@ -424,8 +423,7 @@ def lime_local(
         raise BadSpec("kernel width must be positive and ridge nonnegative")
     predict = batch_predictor(model_or_fn)
     rng = np.random.default_rng(seed)
-    scale = kernel_width if probe_scale is None else probe_scale
-    probes = point + scale * rng.standard_normal((probe_count, point.shape[0]))
+    probes = point + kernel_width * rng.standard_normal((probe_count, point.shape[0]))
     target = class_column(predict(probes), target_class)
     sq = ((probes - point) ** 2).sum(axis=1)
     weights = np.exp(-sq / (2.0 * kernel_width**2))

@@ -605,12 +605,16 @@ def jsonable(value):
     return value
 
 
-_ARRAY_PARAMS = {
-    "gaussian": ("means", "covariance", "log_priors"),
-    "logistic": ("weights", "bias"),
-    "mlp": ("W1", "b1", "W2", "b2", "loss_trace"),
-    "plda": ("projection", "center", "latent_means", "psi", "within", "between", "log_priors"),
-    "linear": ("weights",),
+# The array parameters of each family, with their shapes: a letter names
+# a dimension that must agree across the family's arrays, and C is the
+# checkpoint's class_count. A per-class gaussian covariance is "Cdd".
+_PARAM_SHAPES = {
+    "gaussian": {"means": "Cd", "covariance": "dd", "log_priors": "C"},
+    "logistic": {"weights": "Cd", "bias": "C"},
+    "mlp": {"W1": "hd", "b1": "h", "W2": "Ch", "b2": "C", "loss_trace": "t"},
+    "plda": {"projection": "dL", "center": "d", "latent_means": "CL", "psi": "L",
+             "within": "dd", "between": "dd", "log_priors": "C"},
+    "linear": {"weights": "d"},
 }
 
 
@@ -625,20 +629,57 @@ def model_to_dict(model: TargetModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> TargetModel:
+    """A model from its checkpoint document. Anything a fit could not have
+    written raises BadSpec: a missing key, an array that does not convert
+    to finite floats, shapes that disagree with each other or with
+    ``class_count``, a PLDA ``psi`` that is not positive, or a linear
+    ``bias`` or ``clip_eps`` out of range."""
     try:
         family = payload["family"]
-        class_count = int(payload["class_count"])
+        class_count = payload["class_count"]
         parameters = dict(payload["parameters"])
         config = dict(payload.get("config", {}))
         seed = int(payload.get("seed", 0))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadSpec(f"malformed checkpoint: {exc}") from None
-    if family not in _ARRAY_PARAMS:
+    if not isinstance(family, str) or family not in _PARAM_SHAPES:
         raise BadSpec(f"unknown family {family!r}; choose from {FAMILIES}")
-    for key in _ARRAY_PARAMS[family]:
+    if type(class_count) is not int or class_count < 2 or (family == "linear" and class_count != 2):
+        raise BadSpec(f"a {family} checkpoint cannot have class_count {class_count!r}")
+    shapes = dict(_PARAM_SHAPES[family])
+    if family == "gaussian":
+        if not isinstance(parameters.get("shared"), bool):
+            raise BadSpec("a gaussian checkpoint needs 'shared' as true or false")
+        if not parameters["shared"]:
+            shapes["covariance"] = "Cdd"
+    dims = {"C": class_count}
+    for key, letters in shapes.items():
         if key not in parameters:
             raise BadSpec(f"checkpoint for {family!r} is missing parameter {key!r}")
-        parameters[key] = np.asarray(parameters[key], dtype=float)
+        try:
+            value = np.asarray(parameters[key], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise BadSpec(f"checkpoint parameter {key!r} is not an array of numbers") from None
+        if not np.all(np.isfinite(value)):
+            raise BadSpec(f"checkpoint parameter {key!r} holds a NaN or infinite value")
+        if value.ndim != len(letters) or any(
+            size < 1 or dims.setdefault(letter, size) != size for letter, size in zip(letters, value.shape)
+        ):
+            raise BadSpec(
+                f"checkpoint parameter {key!r} has shape {value.shape}, which disagrees with "
+                f"class_count {class_count} or the other parameters"
+            )
+        parameters[key] = value
+    if family == "plda" and np.any(parameters["psi"] <= 0):
+        raise BadSpec("checkpoint parameter 'psi' must be positive")
+    if family == "linear":
+        bias, eps = parameters.get("bias"), parameters.get("clip_eps")
+        numbers = all(type(v) in (int, float) and math.isfinite(v) for v in (bias, eps))
+        if not (numbers and 0 <= eps < 0.5):
+            raise BadSpec(
+                f"a linear checkpoint needs a finite 'bias' and a 'clip_eps' in [0, 0.5), "
+                f"got {bias!r} and {eps!r}"
+            )
     return TargetModel(family, class_count, parameters, config, seed)
 
 

@@ -7,6 +7,8 @@ with the package. One subprocess test covers the ``python -m`` entry.
 
 import hashlib
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from bayesteach import cli
+from bayesteach import cli, errors
 
 SCHEMA_DIR = Path(cli.__file__).with_name("schemas")
 _SCHEMAS = {}
@@ -170,16 +172,6 @@ def test_threads_leave_the_result_unchanged(capsys, ws):
     _, one = run_ok(capsys, argv + ["--threads", "1"], "explain")
     _, two = run_ok(capsys, argv + ["--threads", "2"], "explain")
     assert one == two
-
-
-def test_bt_threads_env_sets_the_default(monkeypatch, ws):
-    argv = ["explain", "plda-examples", "--model", ws["plda"], "--data", ws["data"]]
-    monkeypatch.setenv("BT_THREADS", "3")
-    assert cli.build_parser().parse_args(argv).threads == 3
-    monkeypatch.setenv("BT_THREADS", "zebra")
-    assert cli.build_parser().parse_args(argv).threads == 1
-    monkeypatch.delenv("BT_THREADS")
-    assert cli.build_parser().parse_args(argv).threads == 1
 
 
 def test_mh_sample_requires_a_seed(capsys, ws):
@@ -568,6 +560,85 @@ def test_numerical_collapse_exits_4(capsys, ws, tmp_path):
         "--class", "1", "--masks", "50", "--seed", "0",
     ], cli.NUMERICAL_EXIT)
     assert err["type"] == "ZeroTotalWeight"
+
+
+def _edit_checkpoint(path, edit, out):
+    with open(path, encoding="utf-8") as fh:
+        ckpt = json.load(fh)
+    edit(ckpt["parameters"])
+    out.write_text(json.dumps(ckpt), encoding="utf-8")
+    return str(out)
+
+
+def _set_cell(key, value):
+    def edit(params):
+        first = params[key][0]
+        (first if isinstance(first, list) else params[key])[0] = value
+    return edit
+
+
+_PLDA_EXAMPLES = ["explain", "plda-examples", "--per-class-k", "1", "--data", "{data}"]
+_RISE = ["explain", "rise", "--point", "{point}", "--masks", "50", "--seed", "0"]
+_SHAP_EXACT = ["explain", "shap", "--point", "{point}", "--background", "{data}",
+               "--class", "1", "--exact"]
+
+
+@pytest.mark.parametrize("family, edit, command", [
+    ("logistic", lambda p: p.update(weights="abc"), ["model", "inspect"]),
+    ("plda", lambda p: p.update(latent_means=p["latent_means"][:1]), _PLDA_EXAMPLES),
+    ("plda", lambda p: p.update(projection=p["projection"] + p["projection"][:1]), _PLDA_EXAMPLES),
+    ("plda", lambda p: p.update(projection=p["projection"] + p["projection"][:1]), ["model", "inspect"]),
+    ("plda", _set_cell("latent_means", math.nan), _PLDA_EXAMPLES),
+    ("plda", lambda p: p.update(psi=[0.0 for _ in p["psi"]]), _PLDA_EXAMPLES),
+    ("plda", _set_cell("psi", -1.0), _PLDA_EXAMPLES),
+    ("logistic", _set_cell("bias", math.inf), _RISE),
+    ("logistic", _set_cell("bias", math.inf), _SHAP_EXACT),
+], ids=["non-numeric-array", "short-latent-means", "projection-rows-plda-examples",
+        "projection-rows-inspect", "nan-latent-mean", "zero-psi", "negative-psi",
+        "infinite-bias-rise", "infinite-bias-shap"])
+def test_malformed_checkpoint_exits_3(capsys, ws, tmp_path, family, edit, command):
+    path = _edit_checkpoint(ws[family], edit, tmp_path / "edited.json")
+    argv = [arg.format(data=ws["data"], point=ws["point"]) for arg in command]
+    err = run_err(capsys, argv + ["--model", path], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+
+
+def _readme_exit_codes() -> dict:
+    """Error class name -> exit code, from the rows for codes 3 and 4 of
+    the README's exit-code table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    codes = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        row = re.match(r"\| ([34]) \|(.*)\|$", line)
+        if row:
+            for name in re.findall(r"`([A-Z]\w*)`", row.group(2)):
+                codes[name] = int(row.group(1))
+    return codes
+
+
+_ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.EngineError)
+    and cls not in (errors.EngineError, errors.NumericalError)
+]
+
+
+def test_readme_lists_every_error_class():
+    assert set(_readme_exit_codes()) == {cls.__name__ for cls in _ERROR_CLASSES}
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_class_exit_code_reaches_the_cli(capsys, monkeypatch, cls):
+    assert cls.exit_code == _readme_exit_codes()[cls.__name__]
+    parse = issubclass(cls, errors.ParseError)
+
+    def handler(args):
+        raise cls("raised on purpose", row=2, col=5) if parse else cls("raised on purpose")
+
+    monkeypatch.setattr(cli, "_cmd_model_inspect", handler)
+    err = run_err(capsys, ["model", "inspect", "--model", "unused.json"], cls.exit_code)
+    assert err["type"] == cls.__name__
+    assert err.get("detail") == ({"row": 2, "col": 5} if parse else None)
 
 
 def test_help_exits_zero(capsys):
