@@ -632,8 +632,9 @@ def model_from_dict(payload: dict) -> TargetModel:
     """A model from its checkpoint document. Anything a fit could not have
     written raises BadSpec: a missing key, an array that does not convert
     to finite floats, shapes that disagree with each other or with
-    ``class_count``, a PLDA ``psi`` that is not positive, or a linear
-    ``bias`` or ``clip_eps`` out of range."""
+    ``class_count``, a PLDA ``psi`` that is not positive, a linear
+    ``bias`` or ``clip_eps`` out of range, or a non-finite number in the
+    config."""
     try:
         family = payload["family"]
         class_count = payload["class_count"]
@@ -644,6 +645,11 @@ def model_from_dict(payload: dict) -> TargetModel:
         raise BadSpec(f"malformed checkpoint: {exc}") from None
     if not isinstance(family, str) or family not in _PARAM_SHAPES:
         raise BadSpec(f"unknown family {family!r}; choose from {FAMILIES}")
+    try:
+        # the config is echoed into documents, which must stay valid JSON
+        json.dumps(config, allow_nan=False)
+    except ValueError:
+        raise BadSpec("checkpoint config holds a NaN or infinite number") from None
     if type(class_count) is not int or class_count < 2 or (family == "linear" and class_count != 2):
         raise BadSpec(f"a {family} checkpoint cannot have class_count {class_count!r}")
     shapes = dict(_PARAM_SHAPES[family])

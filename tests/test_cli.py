@@ -603,6 +603,16 @@ def test_malformed_checkpoint_exits_3(capsys, ws, tmp_path, family, edit, comman
     assert err["type"] == "BadSpec"
 
 
+def test_checkpoint_config_with_a_nan_exits_3(capsys, ws, tmp_path):
+    with open(ws["logistic"], encoding="utf-8") as fh:
+        ckpt = json.load(fh)
+    ckpt["config"] = {"epochs": math.nan}
+    path = tmp_path / "nan-config.json"
+    path.write_text(json.dumps(ckpt), encoding="utf-8")
+    err = run_err(capsys, ["model", "inspect", "--model", str(path)], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+
+
 def _readme_exit_codes() -> dict:
     """Error class name -> exit code, from the rows for codes 3 and 4 of
     the README's exit-code table."""
