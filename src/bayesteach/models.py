@@ -405,18 +405,16 @@ def _fit_plda(data: Dataset, config: dict, seed: int) -> TargetModel:
         means[c] = data.features[rows].mean(axis=0)
     centered = data.features - means[data.labels]
     s_w = centered.T @ centered / n + ridge * np.eye(d)
-    _chol_or_raise(s_w, "within-class covariance")
+    inv_chol = np.linalg.inv(_chol_or_raise(s_w, "within-class covariance"))
     gap = means - center
     s_b = (gap * counts[:, None]).T @ gap / n
 
-    # Generalized eigenvectors scaled so V' S_w V = I: the projection
-    # whitens within-class covariance by construction. scipy.linalg is
-    # imported here, so only a PLDA fit pays its start-up time.
-    from scipy.linalg import eigh
-
-    eigvals, eigvecs = eigh(s_b, s_w)
+    # Generalized eigenvectors of (S_b, S_w) through S_w = L L': with U the
+    # eigenvectors of inv(L) S_b inv(L)', V = inv(L)' U has V' S_w V = I,
+    # so the projection whitens within-class covariance by construction.
+    eigvals, eigvecs = np.linalg.eigh(inv_chol @ s_b @ inv_chol.T)
     order = np.argsort(eigvals)[::-1][:latent_dim]
-    projection = eigvecs[:, order]
+    projection = inv_chol.T @ eigvecs[:, order]
     psi = np.maximum(eigvals[order], 1e-8)
     latent_means = (means - center) @ projection
     params = {

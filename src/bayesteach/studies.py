@@ -295,11 +295,8 @@ class RankReport:
 def rank_order_independence(score_table: np.ndarray) -> RankReport:
     """Rows are inference targets, columns are explanations. Reports the
     per-column ranking of targets (best first) and whether every column
-    agrees; disagreement comes with pairwise Spearman correlations."""
-    # imported here: scipy.stats costs more start-up time than the rest of
-    # the package together, and nothing else needs it
-    from scipy.stats import spearmanr
-
+    agrees; disagreement comes with pairwise Spearman correlations, which
+    are NaN in the row and column of a constant column."""
     scores = np.asarray(score_table, dtype=float)
     if scores.ndim != 2 or scores.shape[0] < 2 or scores.shape[1] < 1:
         raise BadSpec("the score table needs >= 2 targets and >= 1 explanation")
@@ -311,12 +308,16 @@ def rank_order_independence(score_table: np.ndarray) -> RankReport:
     if scores.shape[1] == 1:
         spearman = np.ones((1, 1))
     else:
-        rho = spearmanr(scores, axis=0).statistic
-        spearman = np.atleast_2d(np.asarray(rho, dtype=float))
-        if spearman.shape == (1, 1) and scores.shape[1] == 2:
-            r = float(spearman[0, 0])
-            spearman = np.array([[1.0, r], [r, 1.0]])
+        ranks = np.column_stack([_average_ranks(column) for column in scores.T])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spearman = np.corrcoef(ranks, rowvar=False)
     return RankReport(independent, rankings, spearman)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 # ---------------------------------------------------------------------------
