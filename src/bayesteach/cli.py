@@ -56,8 +56,8 @@ from .types import ExplanationKind, ThetaKind
 
 USAGE_EXIT = 2
 # An EngineError carries its own exit code: 3 for bad data or requests, 4
-# for numerical failures (errors.NumericalError). A missing or malformed
-# input file is a data error.
+# for numerical failures (errors.NumericalError). A missing, malformed or
+# undecodable input file is a data error.
 DATA_EXIT = EngineError.exit_code
 NUMERICAL_EXIT = 4
 
@@ -203,9 +203,9 @@ def _cmd_model_fit(args) -> tuple[dict, int]:
     data = load_csv(args.data, args.label_column)
     config = _model_config_from_args(args)
     model = fit_model(args.family, data, config, seed=args.seed)
-    save_model(model, args.save)
     probs = predict_proba(model, data.features)
     accuracy = float(np.mean(np.argmax(probs, axis=1) == data.labels))
+    save_model(model, args.save)
     result = inspect_model(model)
     result["train_accuracy"] = accuracy
     result["path"] = args.save
@@ -831,7 +831,7 @@ def main(argv=None) -> int:
     except EngineError as exc:
         _emit_error(type(exc).__name__, str(exc), exc.exit_code)
         return exc.exit_code
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(type(exc).__name__, str(exc), DATA_EXIT)
         return DATA_EXIT
 

@@ -27,6 +27,7 @@ from .errors import (
     BadSpec,
     DimensionMismatch,
     MissingClass,
+    NonFiniteResult,
     NonNumericFeature,
     ParseError,
     SingularCovariance,
@@ -55,6 +56,8 @@ class Dataset:
         labels = np.asarray(self.labels, dtype=np.int64)
         if feats.ndim != 2:
             raise DimensionMismatch(f"features must be 2-d, got shape {feats.shape}")
+        if feats.shape[1] < 1:
+            raise BadSpec("a dataset needs at least one feature column")
         if labels.shape != (feats.shape[0],):
             raise DimensionMismatch(
                 f"got {feats.shape[0]} rows but {labels.shape[0]} labels"
@@ -203,7 +206,7 @@ def make_synthetic(spec: dict, seed: int) -> Dataset:
 
 def save_csv(dataset: Dataset, path: str) -> None:
     """Write header plus rows; floats use repr so values round-trip."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.feature_names) + [dataset.label_name])
         label_names = dataset.metadata.get("label_names")
@@ -217,7 +220,7 @@ def load_csv(path: str, label_column: str) -> Dataset:
 
     Row and column numbers in errors are 1-based; the header is row 1.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -412,7 +415,10 @@ def _fit_plda(data: Dataset, config: dict, seed: int) -> TargetModel:
     # Generalized eigenvectors of (S_b, S_w) through S_w = L L': with U the
     # eigenvectors of inv(L) S_b inv(L)', V = inv(L)' U has V' S_w V = I,
     # so the projection whitens within-class covariance by construction.
-    eigvals, eigvecs = np.linalg.eigh(inv_chol @ s_b @ inv_chol.T)
+    whitened = inv_chol @ s_b @ inv_chol.T
+    if not np.all(np.isfinite(whitened)):
+        raise NonFiniteResult("the plda fit overflowed: the whitened between-class scatter is not finite")
+    eigvals, eigvecs = np.linalg.eigh(whitened)
     order = np.argsort(eigvals)[::-1][:latent_dim]
     projection = inv_chol.T @ eigvecs[:, order]
     psi = np.maximum(eigvals[order], 1e-8)
@@ -450,11 +456,19 @@ _FITTERS = {
 
 
 def fit_model(family: str, data: Dataset, config: dict | None = None, seed: int = 0) -> TargetModel:
+    """Fit one model family. A fit whose parameters overflow to a NaN or
+    infinite value (huge features, too large a learning rate) raises
+    NonFiniteResult, so no checkpoint of it can be written."""
     if family not in _FITTERS:
         raise BadSpec(f"unknown family {family!r}; choose from {FAMILIES}")
     if data.class_count < 2:
         raise BadSpec("target models need at least two classes")
-    return _FITTERS[family](data, dict(config or {}), int(seed))
+    with np.errstate(all="ignore"):
+        model = _FITTERS[family](data, dict(config or {}), int(seed))
+    diverged = sorted(k for k, v in model.parameters.items() if not np.all(np.isfinite(v)))
+    if diverged:
+        raise NonFiniteResult(f"the {family} fit overflowed: parameters {diverged} are not finite")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +491,21 @@ def _gaussian_log_joint(model: TargetModel, X: np.ndarray) -> np.ndarray:
 
 
 def predict_proba(model: TargetModel, X: np.ndarray) -> np.ndarray:
-    """Class probabilities for a batch of points, rows summing to one."""
+    """Class probabilities for a batch of points, rows summing to one.
+    Raises NonFiniteResult when a probability is not finite, as when a
+    huge parameter or point makes the scores overflow."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d_expected = _feature_dim(model)
     if X.shape[1] != d_expected:
         raise DimensionMismatch(f"model expects {d_expected} features, got {X.shape[1]}")
+    with np.errstate(all="ignore"):
+        probs = _family_proba(model, X)
+    if not np.all(np.isfinite(probs)):
+        raise NonFiniteResult(f"{model.family} class probabilities are not finite: the scores overflow")
+    return probs
+
+
+def _family_proba(model: TargetModel, X: np.ndarray) -> np.ndarray:
     p = model.parameters
     if model.family == "gaussian":
         return _softmax(_gaussian_log_joint(model, X))
@@ -507,14 +531,9 @@ def predict_dist(model: TargetModel, x: np.ndarray) -> np.ndarray:
 
 
 def _feature_dim(model: TargetModel) -> int:
-    p = model.parameters
-    return {
-        "gaussian": lambda: p["means"].shape[1],
-        "logistic": lambda: p["weights"].shape[1],
-        "mlp": lambda: p["W1"].shape[1],
-        "plda": lambda: p["projection"].shape[0],
-        "linear": lambda: p["weights"].shape[0],
-    }[model.family]()
+    """The ``d`` of the first parameter in ``_PARAM_SHAPES`` that has one."""
+    key, letters = next((k, s) for k, s in _PARAM_SHAPES[model.family].items() if "d" in s)
+    return model.parameters[key].shape[letters.index("d")]
 
 
 def batch_predictor(model_or_fn):
@@ -688,13 +707,13 @@ def model_from_dict(payload: dict) -> TargetModel:
 
 
 def save_model(model: TargetModel, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh, sort_keys=True)
         fh.write("\n")
 
 
 def load_model(path: str) -> TargetModel:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))
 
 

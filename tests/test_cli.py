@@ -449,6 +449,38 @@ def test_diverging_tree_distillation_exits_4(capsys, ws, argv):
     assert err["message"].startswith("tree distillation diverged after ")
 
 
+@pytest.mark.parametrize("command", [
+    ["rise", "--point", "{point}", "--masks", "20", "--seed", "0"],
+    ["shap", "--point", "{point}", "--background", "{data}", "--class", "0", "--exact"],
+    ["lime", "--point", "{point}", "--class", "0", "--seed", "0"],
+    ["tree-distill", "--data", "{data}", "--epochs", "3", "--seed", "0"],
+], ids=lambda command: command[0])
+def test_overflowing_prediction_exits_4(capsys, ws, tmp_path, command):
+    # finite weights whose logits at (5, 5) overflow to +-inf, so the
+    # softmax would be NaN
+    path = _edit_checkpoint(
+        ws["logistic"], lambda p: p.update(weights=[[1e308, 1e308], [-1e308, -1e308]]),
+        tmp_path / "huge.json",
+    )
+    point = tmp_path / "point.csv"
+    point.write_text("5,5\n", encoding="utf-8")
+    argv = [arg.format(data=ws["data"], point=point) for arg in command]
+    err = run_err(capsys, ["explain", *argv, "--model", path], cli.NUMERICAL_EXIT)
+    assert err["type"] == "NonFiniteResult"
+    assert err["message"] == "logistic class probabilities are not finite: the scores overflow"
+
+
+def test_diverging_fit_exits_4_and_saves_nothing(capsys, ws, tmp_path):
+    save = tmp_path / "x.json"
+    err = run_err(capsys, [
+        "model", "fit", "--data", ws["data"], "--family", "logistic", "--seed", "0",
+        "--save", str(save), "--learning-rate", "1e300",
+    ], cli.NUMERICAL_EXIT)
+    assert err["type"] == "NonFiniteResult"
+    assert err["message"].startswith("the logistic fit overflowed")
+    assert not save.exists()
+
+
 @pytest.mark.parametrize("combination, params, unknown, accepted", [
     (["--theta", "latent-class-means", "--x-kind", "example-set", "--learner", "plda",
       "--strategy", "mh-sample"],
@@ -542,6 +574,42 @@ def test_bad_csv_cell_reports_row_and_column(capsys, tmp_path):
     err = run_err(capsys, ["dataset", "import", "--in", str(bad)], cli.DATA_EXIT)
     assert err["type"] == "NonNumericFeature"
     assert err["detail"] == {"row": 2, "col": 2}
+
+
+# each command with the path whose file holds bytes that are not UTF-8
+_UNDECODABLE = {
+    "dataset-import": ["dataset", "import", "--in", "{bad}"],
+    "model-fit": ["model", "fit", "--data", "{bad}", "--family", "logistic", "--seed", "0",
+                  "--save", "{save}"],
+    "model-inspect": ["model", "inspect", "--model", "{bad}"],
+    "rise-point": ["explain", "rise", "--model", "{logistic}", "--point", "{bad}", "--seed", "0"],
+    "study-config": ["study", "run", "--config", "{bad}", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNDECODABLE))
+def test_undecodable_file_exits_3(capsys, ws, tmp_path, command):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"f0,f1,label\n1.0,2.0,\xff\xfe\n")
+    save = tmp_path / "m.json"
+    argv = [a.format(bad=bad, save=save, logistic=ws["logistic"]) for a in _UNDECODABLE[command]]
+    err = run_err(capsys, argv, cli.DATA_EXIT)
+    assert err["type"] == "UnicodeDecodeError"
+    assert not save.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["dataset", "import", "--in", "{csv}"],
+    ["model", "fit", "--data", "{csv}", "--family", "logistic", "--seed", "0", "--save", "{save}"],
+], ids=["import", "fit"])
+def test_label_only_csv_exits_3(capsys, tmp_path, command):
+    csv_path = tmp_path / "labels.csv"
+    csv_path.write_text("label\na\nb\na\n", encoding="utf-8")
+    save = tmp_path / "m.json"
+    err = run_err(capsys, [a.format(csv=csv_path, save=save) for a in command], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+    assert err["message"] == "a dataset needs at least one feature column"
+    assert not save.exists()
 
 
 def test_numerical_collapse_exits_4(capsys, ws, tmp_path):
@@ -745,19 +813,33 @@ def test_module_entry_point_runs():
     assert "usage: bayesteach" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_unloaded_and_plda_fit_loads_it(ws, tmp_path):
-    probe = "import sys, bayesteach.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = {}
+from bayesteach import cli
+loaded["import"] = scipy_modules()
+code = cli.main(sys.argv[1:])
+loaded["plda fit"] = scipy_modules()
+from bayesteach.studies import rank_order_independence
+rank_order_independence([[0.9, 0.1, 0.5], [0.2, 0.8, 0.5], [0.4, 0.4, 0.1]])
+loaded["rank correlations"] = scipy_modules()
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
 
+
+def test_no_scipy_module_is_loaded_by_import_plda_fit_or_rank_correlations(ws, tmp_path):
     out, saved = tmp_path / "fit.json", tmp_path / "plda.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "bayesteach.cli", "model", "fit", "--data", ws["data"],
+        [sys.executable, "-c", _SCIPY_PROBE, "model", "fit", "--data", ws["data"],
          "--family", "plda", "--seed", "0", "--save", str(saved), "--out", str(out)],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {"code": 0, "loaded": {
+        "import": [], "plda fit": [], "rank correlations": []}}
     doc = json.loads(out.read_text(encoding="utf-8"))
     jsonschema.validate(doc, schema("model"))
     assert saved.read_text(encoding="utf-8") == Path(ws["plda"]).read_text(encoding="utf-8")

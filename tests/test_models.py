@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bayesteach.errors import BadSpec, DimensionMismatch, MissingClass
+from bayesteach.errors import BadSpec, DimensionMismatch, MissingClass, NonFiniteResult
 from bayesteach.models import (
     Dataset,
     fit_model,
@@ -183,6 +183,40 @@ def test_plda_projection_whitens_within_class_covariance(plda3):
     V, s_w = p["projection"], p["within"]
     gram = V.T @ s_w @ V
     np.testing.assert_allclose(gram, np.eye(gram.shape[0]), atol=1e-8, rtol=0)
+
+
+@pytest.mark.parametrize("classes, dim", [(2, 2), (3, 2), (3, 4), (4, 5), (5, 5)])
+def test_plda_fit_matches_the_generalized_eigenproblem(classes, dim):
+    from scipy.linalg import eigh
+
+    for seed in range(5):
+        data = make_synthetic(
+            {"generator": "gaussian-blobs", "classes": classes, "dim": dim, "per_class": 10}, seed
+        )
+        p = fit_model("plda", data, seed=0).parameters
+        eigvals, eigvecs = eigh(p["between"], p["within"])
+        order = np.argsort(eigvals)[::-1][: classes - 1]
+        want = eigvecs[:, order]
+        # an eigenvector's sign is arbitrary; projection and latent means flip together
+        want = want * np.sign(np.sum(want * p["projection"], axis=0))
+        np.testing.assert_allclose(p["projection"], want, rtol=0, atol=1e-13 * np.abs(want).max())
+        np.testing.assert_allclose(p["psi"], np.maximum(eigvals[order], 1e-8), rtol=1e-13)
+
+
+def test_plda_fit_with_an_overflowing_scatter_raises_non_finite():
+    # one class mean at 1.2e153 squares past the largest float, and
+    # eigh cannot converge on the NaN that leaves in the whitened scatter
+    features = np.zeros((7, 3))
+    features[6, 2] = 1.2116583925090265e153
+    data = Dataset(features, np.array([0] * 6 + [1]), 2)
+    with pytest.raises(NonFiniteResult, match="between-class scatter is not finite"):
+        fit_model("plda", data, seed=0)
+
+
+def test_feature_count_of_every_family(blobs2):
+    for family in ("gaussian", "logistic", "mlp", "plda", "linear"):
+        model = fit_model(family, blobs2, seed=0)
+        assert inspect_model(model)["feature_count"] == blobs2.n_features == 4
 
 
 def test_full_subset_maximizes_mean_posterior(blobs3, plda3, rng):

@@ -217,6 +217,31 @@ def test_rank_table_shape_validation():
     assert one_col.independent and one_col.spearman.shape == (1, 1)
 
 
+def test_spearman_agrees_with_scipy_on_tables_with_ties():
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        rows, cols = int(rng.integers(3, 10)), int(rng.integers(2, 6))
+        table = rng.integers(0, 4, size=(rows, cols)).astype(float)
+        if np.any(np.ptp(table, axis=0) == 0):
+            continue  # scipy gives one scalar NaN for a constant column
+        want = np.atleast_2d(spearmanr(table, axis=0).statistic)
+        if cols == 2:
+            want = np.array([[1.0, want[0, 0]], [want[0, 0], 1.0]])
+        got = rank_order_independence(table).spearman
+        assert got.shape == (cols, cols)
+        assert got == pytest.approx(want, abs=1e-15)
+
+
+def test_a_constant_column_gets_nan_only_in_its_row_and_column():
+    table = np.array([[0.9, 0.5, 0.1], [0.2, 0.5, 0.8], [0.4, 0.5, 0.3]])
+    spearman = rank_order_independence(table).spearman
+    assert spearman.shape == (3, 3)
+    assert np.isnan(spearman[1]).all() and np.isnan(spearman[:, 1]).all()
+    assert spearman[np.ix_([0, 2], [0, 2])] == pytest.approx(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # named studies
 
