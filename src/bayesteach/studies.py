@@ -309,7 +309,7 @@ def rank_order_independence(score_table: np.ndarray) -> RankReport:
         spearman = np.ones((1, 1))
     else:
         ranks = np.column_stack([_average_ranks(column) for column in scores.T])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):  # 0/0 for a constant column
             spearman = np.corrcoef(ranks, rowvar=False)
     return RankReport(independent, rankings, spearman)
 
