@@ -12,7 +12,6 @@ from .errors import (
     DimensionMismatch,
     EngineError,
     IncompatibleCombination,
-    InsufficientCoverage,
     MissingClass,
     NonFiniteResult,
     NonNumericFeature,
@@ -73,9 +72,7 @@ from .studies import (
     TwoAfcTask,
     bias_sensitivity_study,
     example_selection_study,
-    fidelity_check,
     plda_strategy_mismatch_study,
-    rank_order_independence,
     simulate_2afc,
     strategy_mismatch_study,
 )

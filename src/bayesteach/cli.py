@@ -38,6 +38,7 @@ from .models import (
     FAMILIES,
     fit_model,
     inspect_model,
+    json_int,
     jsonable,
     load_csv,
     load_model,
@@ -57,7 +58,8 @@ from .types import ExplanationKind, ThetaKind
 USAGE_EXIT = 2
 # An EngineError carries its own exit code: 3 for bad data or requests, 4
 # for numerical failures (errors.NumericalError). A missing, malformed or
-# undecodable input file is a data error.
+# undecodable input file is a data error, and so is any file that cannot
+# be opened, read or written (OSError).
 DATA_EXIT = EngineError.exit_code
 NUMERICAL_EXIT = 4
 
@@ -119,6 +121,21 @@ def _load_point(path: str) -> np.ndarray:
             raise ParseError(f"non-finite value {cell!r}", row=start + 1, col=j + 1)
         values.append(value)
     return np.array(values, dtype=float)
+
+
+def _echoed_json(text: str, what: str):
+    """Parse JSON that a command echoes into its document: a study config
+    or a ``--param`` value. The document must stay strict JSON, so NaN,
+    infinities and literals that overflow (``1e999``) raise BadSpec naming
+    ``what``, and so does an integer too long to read."""
+
+    def finite(number: str) -> float:
+        value = float(number)
+        if not math.isfinite(value):
+            raise BadSpec(f"{what} holds {number}, not a finite number")
+        return value
+
+    return json.loads(text, parse_constant=finite, parse_float=finite, parse_int=json_int)
 
 
 def _require_seed_when(condition: bool, seed, why: str) -> None:
@@ -453,7 +470,7 @@ def _cmd_explain_recombine(args) -> tuple[dict, int]:
             raise _UsageError(f"--param needs key=value, got {item!r}")
         key, raw = item.split("=", 1)
         try:
-            params[key] = json.loads(raw)
+            params[key] = _echoed_json(raw, f"--param {item}")
         except json.JSONDecodeError:
             params[key] = raw
     try:
@@ -535,12 +552,19 @@ def _study_params(study, params) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a float can hold: an integer beyond the float range
+    (10**400) is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _cmd_study_run(args) -> tuple[dict, int]:
     with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
+        config = _echoed_json(fh.read(), "the study config")
     if not isinstance(config, dict):
         raise BadSpec("a study config must be a JSON object")
     name = config.get("study")
@@ -819,6 +843,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         doc, exit_code = args.handler(args)
+        if args.timing:
+            doc["runtime_ms"] = (time.perf_counter() - started) * 1000.0
+        _emit(doc, args.out)
+        return exit_code
     except _UsageError as exc:
         _emit_error("UsageError", str(exc), USAGE_EXIT)
         return USAGE_EXIT
@@ -831,14 +859,9 @@ def main(argv=None) -> int:
     except EngineError as exc:
         _emit_error(type(exc).__name__, str(exc), exc.exit_code)
         return exc.exit_code
-    except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(type(exc).__name__, str(exc), DATA_EXIT)
         return DATA_EXIT
-
-    if args.timing:
-        doc["runtime_ms"] = (time.perf_counter() - started) * 1000.0
-    _emit(doc, args.out)
-    return exit_code
 
 
 run = main

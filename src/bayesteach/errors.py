@@ -83,7 +83,3 @@ class IncompatibleCombination(EngineError):
 
 class StrategySpaceMismatch(EngineError):
     """A search strategy was paired with a space it cannot operate on."""
-
-
-class InsufficientCoverage(EngineError):
-    """A probe set leaves part of the predicted-value range unsampled."""

@@ -405,6 +405,25 @@ class LimeReport:
         }
 
 
+def local_probes(point: np.ndarray, count: int, width: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` Gaussian probes of scale ``width`` around the point, drawn
+    from ``default_rng(seed)``, and their rbf weights. A width so large
+    that the squared distances overflow, or so small that the weights
+    vanish, raises NonFiniteResult."""
+    if count < 2:
+        raise BadSpec(f"probe count must be >= 2, got {count}")
+    if width <= 0:
+        raise BadSpec("kernel width must be positive")
+    rng = np.random.default_rng(seed)
+    probes = point + width * rng.standard_normal((count, point.shape[0]))
+    with np.errstate(all="ignore"):
+        sq = ((probes - point) ** 2).sum(axis=1)
+        weights = np.exp(-sq / (2.0 * width * width))
+    if not (np.all(np.isfinite(weights)) and weights.sum() > 0):
+        raise NonFiniteResult(f"the probe weights at kernel width {width!r} are not finite or all zero")
+    return probes, weights
+
+
 def lime_local(
     model_or_fn,
     point: np.ndarray,
@@ -417,16 +436,11 @@ def lime_local(
     """Ridge regression from Gaussian probes to the target class
     probability, weighted by an rbf kernel around the point."""
     point = np.asarray(point, dtype=float)
-    if probe_count < 2:
-        raise BadSpec(f"probe count must be >= 2, got {probe_count}")
-    if kernel_width <= 0 or ridge < 0:
-        raise BadSpec("kernel width must be positive and ridge nonnegative")
+    if ridge < 0:
+        raise BadSpec("ridge must be nonnegative")
+    probes, weights = local_probes(point, probe_count, kernel_width, seed)
     predict = batch_predictor(model_or_fn)
-    rng = np.random.default_rng(seed)
-    probes = point + kernel_width * rng.standard_normal((probe_count, point.shape[0]))
     target = class_column(predict(probes), target_class)
-    sq = ((probes - point) ** 2).sum(axis=1)
-    weights = np.exp(-sq / (2.0 * kernel_width**2))
 
     design = np.column_stack([probes, np.ones(probe_count)])
     wd = weights[:, None] * design
@@ -476,10 +490,6 @@ class SoftTree:
     def n_inner(self) -> int:
         return 2**self.depth - 1
 
-    @property
-    def n_leaves(self) -> int:
-        return 2**self.depth
-
     def key(self) -> tuple:
         return (
             self.depth,
@@ -489,23 +499,14 @@ class SoftTree:
             self.leaf_logits.tobytes(),
         )
 
-    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        Z = (np.atleast_2d(X) - self.scaler_mean) / self.scaler_scale
-        pre = Z @ self.node_weights.T + self.node_bias
-        gates = 1.0 / (1.0 + np.exp(-self.node_temp * pre))
-        reach = np.ones((Z.shape[0], self.n_inner + self.n_leaves))
-        for i in range(self.n_inner):
-            reach[:, 2 * i + 1] = reach[:, i] * gates[:, i]
-            reach[:, 2 * i + 2] = reach[:, i] * (1.0 - gates[:, i])
-        return pre, gates, reach
-
     def leaf_distributions(self) -> np.ndarray:
         shifted = self.leaf_logits - self.leaf_logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
         return exp / exp.sum(axis=1, keepdims=True)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        _, _, reach = self._forward(X)
+        Z = (np.atleast_2d(X) - self.scaler_mean) / self.scaler_scale
+        _, _, reach = _route(Z, self.node_weights, self.node_bias, self.node_temp)
         return reach[:, self.n_inner :] @ self.leaf_distributions()
 
     def to_dict(self) -> dict:
@@ -519,17 +520,21 @@ class SoftTree:
             "scaler_scale": self.scaler_scale.tolist(),
         }
 
-    @staticmethod
-    def from_dict(payload: dict) -> "SoftTree":
-        return SoftTree(
-            int(payload["depth"]),
-            np.asarray(payload["node_weights"], dtype=float),
-            np.asarray(payload["node_bias"], dtype=float),
-            np.asarray(payload["node_temp"], dtype=float),
-            np.asarray(payload["leaf_logits"], dtype=float),
-            np.asarray(payload["scaler_mean"], dtype=float),
-            np.asarray(payload["scaler_scale"], dtype=float),
-        )
+
+def _route(Z: np.ndarray, W: np.ndarray, b: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-activations, gates and reach probabilities of a soft tree whose
+    inner nodes are the rows of ``W, b, T``, on standardized inputs ``Z``.
+    Column i of ``reach`` is the probability of reaching node i; the last
+    ``len(b) + 1`` columns are the leaves."""
+    n_inner = b.shape[0]
+    pre = Z @ W.T + b
+    with np.errstate(over="ignore"):  # exp overflowing to inf closes the gate
+        gates = 1.0 / (1.0 + np.exp(-T * pre))
+    reach = np.ones((Z.shape[0], 2 * n_inner + 1))
+    for i in range(n_inner):
+        reach[:, 2 * i + 1] = reach[:, i] * gates[:, i]
+        reach[:, 2 * i + 2] = reach[:, i] * (1.0 - gates[:, i])
+    return pre, gates, reach
 
 
 def _entropy_and_slope(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -554,16 +559,9 @@ def tree_loss_and_grads(
     """
     W, b, T, L = params["W"], params["b"], params["T"], params["L"]
     n_inner = 2**depth - 1
-    n_leaves = 2**depth
-    n = Z.shape[0]
     w_total = float(sample_weights.sum())
 
-    pre = Z @ W.T + b
-    gates = 1.0 / (1.0 + np.exp(-T * pre))
-    reach = np.ones((n, n_inner + n_leaves))
-    for i in range(n_inner):
-        reach[:, 2 * i + 1] = reach[:, i] * gates[:, i]
-        reach[:, 2 * i + 2] = reach[:, i] * (1.0 - gates[:, i])
+    pre, gates, reach = _route(Z, W, b, T)
     P = reach[:, n_inner:]
     shifted = L - L.max(axis=1, keepdims=True)
     expL = np.exp(shifted)

@@ -38,21 +38,19 @@ from .types import (
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Kernel family plus bandwidth; bandwidth None means median heuristic."""
+    """Bandwidth of the rbf kernel; None means median heuristic."""
 
-    name: str = "rbf"
     bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.name != "rbf":
-            raise BadSpec(f"unknown kernel {self.name!r}; only 'rbf' is supported")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise BadSpec("bandwidth must be positive")
+        # a bandwidth under ~1e-154 squares to 0, and the kernel to 0/0
+        if self.bandwidth is not None and not (self.bandwidth > 0 and self.bandwidth * self.bandwidth > 0):
+            raise BadSpec(f"bandwidth must be positive and square to a positive number, got {self.bandwidth!r}")
 
     def resolve(self, data: np.ndarray) -> "KernelConfig":
         if self.bandwidth is not None:
             return self
-        return KernelConfig(self.name, median_bandwidth(data))
+        return KernelConfig(median_bandwidth(data))
 
 
 def median_bandwidth(data: np.ndarray) -> float:
@@ -78,7 +76,7 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: KernelConfig) -> np.ndar
         raise DimensionMismatch(f"kernel inputs disagree: {A.shape[1]} vs {B.shape[1]} features")
     if kernel.bandwidth is None:
         raise BadSpec("kernel bandwidth is unresolved; call resolve() on data first")
-    return np.exp(-_sqdists(A, B) / (2.0 * kernel.bandwidth**2))
+    return np.exp(-_sqdists(A, B) / (2.0 * kernel.bandwidth * kernel.bandwidth))
 
 
 def mmd2(set_a: np.ndarray, set_b: np.ndarray, kernel: KernelConfig) -> float:

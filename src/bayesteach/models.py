@@ -305,11 +305,11 @@ def _chol_or_raise(cov: np.ndarray, what: str) -> np.ndarray:
         ) from None
 
 
-def _fit_gaussian(data: Dataset, config: dict, seed: int) -> TargetModel:
-    shared = bool(config.get("shared_covariance", True))
-    ridge = float(config.get("ridge", 1e-6))
-    C, d, n = data.class_count, data.n_features, data.n_rows
-    means = np.zeros((C, d))
+def _class_means(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class feature means and row counts; a class without rows
+    raises MissingClass."""
+    C = data.class_count
+    means = np.zeros((C, data.n_features))
     counts = np.zeros(C)
     for c in range(C):
         rows = data.class_rows(c)
@@ -317,6 +317,14 @@ def _fit_gaussian(data: Dataset, config: dict, seed: int) -> TargetModel:
             raise MissingClass(f"class {c} has no training rows")
         counts[c] = rows.size
         means[c] = data.features[rows].mean(axis=0)
+    return means, counts
+
+
+def _fit_gaussian(data: Dataset, config: dict, seed: int) -> TargetModel:
+    shared = bool(config.get("shared_covariance", True))
+    ridge = float(config.get("ridge", 1e-6))
+    C, d, n = data.class_count, data.n_features, data.n_rows
+    means, counts = _class_means(data)
     centered = data.features - means[data.labels]
     if shared:
         cov = centered.T @ centered / n + ridge * np.eye(d)
@@ -398,14 +406,7 @@ def _fit_plda(data: Dataset, config: dict, seed: int) -> TargetModel:
     if latent_dim < 1 or latent_dim > d:
         raise BadSpec(f"latent_dim must be in [1, {d}], got {latent_dim}")
     center = data.features.mean(axis=0)
-    means = np.zeros((C, d))
-    counts = np.zeros(C)
-    for c in range(C):
-        rows = data.class_rows(c)
-        if rows.size == 0:
-            raise MissingClass(f"class {c} has no training rows")
-        counts[c] = rows.size
-        means[c] = data.features[rows].mean(axis=0)
+    means, counts = _class_means(data)
     centered = data.features - means[data.labels]
     s_w = centered.T @ centered / n + ridge * np.eye(d)
     inv_chol = np.linalg.inv(_chol_or_raise(s_w, "within-class covariance"))
@@ -523,11 +524,6 @@ def _family_proba(model: TargetModel, X: np.ndarray) -> np.ndarray:
         p1 = np.clip(X @ p["weights"] + p["bias"], eps, 1.0 - eps)
         return np.column_stack([1.0 - p1, p1])
     raise BadSpec(f"unknown family {model.family!r}")
-
-
-def predict_dist(model: TargetModel, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for a single point."""
-    return predict_proba(model, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def _feature_dim(model: TargetModel) -> int:
@@ -714,7 +710,16 @@ def save_model(model: TargetModel, path: str) -> None:
 
 def load_model(path: str) -> TargetModel:
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        return model_from_dict(json.load(fh, parse_int=json_int))
+
+
+def json_int(text: str) -> int:
+    """``parse_int`` for every JSON input: an integer literal too long for
+    ``int()`` (over 4,300 digits) raises BadSpec, not a bare ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise BadSpec(f"a JSON integer of {len(text)} digits is too long to read") from None
 
 
 def inspect_model(model: TargetModel) -> dict:

@@ -24,13 +24,6 @@ from .spaces import ExplanationSpace, SubsetSpace
 from .types import Explanation, LearnerModel, TargetInference, example_set
 
 
-def _prior_weight(space: ExplanationSpace, x: Explanation) -> float:
-    fn = getattr(space, "prior_weight", None)
-    if callable(fn):
-        return fn(x)
-    return math.exp(space.log_prior(x))
-
-
 def exhaustive_posterior(
     learner: LearnerModel,
     theta: TargetInference,
@@ -44,7 +37,7 @@ def exhaustive_posterior(
     support: list[Explanation] = []
     weights: list[float] = []
     for x in space.elements():
-        prior = _prior_weight(space, x)
+        prior = space.prior_weight(x)
         if prior > 0.0:
             support.append(x)
             weights.append(learner.likelihood(theta, x) * prior)
@@ -67,7 +60,7 @@ def best_subset_bruteforce(
     best_w = -1.0
     any_prior = False
     for x in space.elements():
-        prior = _prior_weight(space, x)
+        prior = space.prior_weight(x)
         if prior <= 0.0:
             continue
         any_prior = True

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import teacher
 from .errors import BadSpec, IncompatibleCombination, StrategySpaceMismatch
-from .explainers import distill_tree, explain_by_examples, lime_local
+from .explainers import distill_tree, explain_by_examples, lime_local, local_probes
 from .learners import (
     KernelConfig,
     class_column,
@@ -121,10 +121,8 @@ def _surrogate_recipe(method, model, data, point, seed) -> dict:
         return report.to_dict()
 
     predict = batch_predictor(model)
-    rng = np.random.default_rng(seed)
-    probes = point + width * rng.standard_normal((count, point.shape[0]))
+    probes, weights = local_probes(point, count, width, seed)
     probs = predict(probes)
-    weights = np.exp(-((probes - point) ** 2).sum(axis=1) / (2.0 * width**2))
     tree_report = distill_tree(lambda X: _pair_predict(predict, X, target_class), probes, seed=seed,
                                sample_weights=weights, **_tree_options(p, epochs=600))
     surrogate = Explanation(ExplanationKind.SOFT_TREE, tree_report.tree)

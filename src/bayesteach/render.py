@@ -1,8 +1,7 @@
 """Render explanation artifacts to portable formats.
 
 Saliency vectors become binary P5 PGM images or SVG heat grids; soft
-trees become node-link SVG diagrams; calibration tables become bar
-charts. All output is byte-deterministic: floats are formatted with a
+trees become node-link SVG diagrams. All output is byte-deterministic: floats are formatted with a
 fixed precision and no locale-sensitive code paths are used.
 """
 
@@ -162,54 +161,6 @@ def tree_to_svg(tree, class_names=None, node_w: int = 96, node_h: int = 44) -> s
             f'<text x="{_fmt(x)}" y="{_fmt(y + 18)}" font-size="11" '
             f'text-anchor="middle" font-family="monospace">leaf {pos}: '
             f"{class_names[top]}</text>"
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def calibration_to_svg(calibration: dict, size: int = 320) -> str:
-    """Reliability diagram: predicted-mean vs realized-mean per bin,
-    with the identity diagonal for reference."""
-    bins = calibration["bins"]
-    pad = 36
-    plot = size - 2 * pad
-
-    def sx(v: float) -> float:
-        return pad + v * plot
-
-    def sy(v: float) -> float:
-        return size - pad - v * plot
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect x="{pad}" y="{pad}" width="{plot}" height="{plot}" '
-        f'fill="rgb(252,252,252)" stroke="rgb(60,60,60)"/>',
-        f'<line x1="{_fmt(sx(0))}" y1="{_fmt(sy(0))}" x2="{_fmt(sx(1))}" '
-        f'y2="{_fmt(sy(1))}" stroke="rgb(180,180,180)" stroke-dasharray="4 3"/>',
-    ]
-    for tick in (0.0, 0.5, 1.0):
-        parts.append(
-            f'<text x="{_fmt(sx(tick))}" y="{size - pad + 16}" font-size="10" '
-            f'text-anchor="middle" font-family="monospace">{_fmt(tick, 1)}</text>'
-        )
-        parts.append(
-            f'<text x="{pad - 8}" y="{_fmt(sy(tick) + 3)}" font-size="10" '
-            f'text-anchor="end" font-family="monospace">{_fmt(tick, 1)}</text>'
-        )
-    max_w = max((b["weight"] for b in bins if b["weight"] > 0), default=1.0)
-    for b in bins:
-        if b["predicted_mean"] is None:
-            continue
-        r = 3 + 5 * math.sqrt(b["weight"] / max_w)
-        parts.append(
-            f'<circle cx="{_fmt(sx(b["predicted_mean"]))}" '
-            f'cy="{_fmt(sy(b["realized_mean"]))}" r="{_fmt(r)}" '
-            f'fill="rgb(66,120,200)" fill-opacity="0.7" stroke="rgb(30,60,120)">'
-            f'<title>predicted {_fmt(b["predicted_mean"], 3)}, '
-            f'realized {_fmt(b["realized_mean"], 3)}, '
-            f'weight {_fmt(b["weight"], 2)}</title></circle>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

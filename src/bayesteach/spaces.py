@@ -42,6 +42,9 @@ class ExplanationSpace:
         """Yield every candidate exactly once, in a fixed documented order."""
         raise NotImplementedError
 
+    def prior_weight(self, x: Explanation) -> float:
+        raise NotImplementedError
+
     def log_prior(self, x: Explanation) -> float:
         raise NotImplementedError
 
@@ -119,10 +122,6 @@ class SubsetSpace(ExplanationSpace):
         self._prior_fn = prior_fn
         sizes = "x".join(f"C({len(p)},{k})" for p, k in zip(self._pools, self._ks))
         self.descriptor = f"example subsets [{sizes}]"
-
-    @classmethod
-    def plain(cls, n_rows: int, k: int, prior_fn=None) -> "SubsetSpace":
-        return cls([range(n_rows)], [k], prior_fn)
 
     @classmethod
     def per_class(cls, labels: np.ndarray, per_class_k: Sequence[int] | int, prior_fn=None) -> "SubsetSpace":

@@ -4,23 +4,18 @@ A study confronts a population of simulated learners with two-alternative
 forced-choice tasks: shown an explanation, pick which of two candidate
 inferences it teaches. Reports carry accuracy, belief shift, and a
 calibration table of predicted versus realized accuracy.
-
-fidelity_check compares one learner against a reference on probes that
-span the predicted-value range; rank_order_independence asks whether a
-score table induces the same ranking of inference targets for every
-explanation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import teacher
 from .core import logsumexp
-from .errors import BadSpec, InsufficientCoverage
+from .errors import BadSpec
 from .learners import BiasConfig, biased_learner, make_plda_learner
 from .models import Dataset, TargetModel, jsonable
 from .spaces import SubsetSpace
@@ -97,6 +92,14 @@ class StudyReport:
         }
 
 
+def _target_mass(log_liks: list[float], target: int) -> float:
+    """Normalized posterior mass on the target candidate; every candidate
+    gets an equal share when every likelihood is zero."""
+    if all(v == -math.inf for v in log_liks):
+        return 1.0 / len(log_liks)
+    return float(math.exp(log_liks[target] - logsumexp(log_liks)))
+
+
 def _choice_outcomes(log_liks: list[float], target: int, trials: int, rng: np.random.Generator) -> float:
     """Fraction of trials picking the target; exact ties flip a fair coin."""
     gap = log_liks[target] - log_liks[1 - target]
@@ -129,12 +132,7 @@ def simulate_2afc(study: SimulatedStudy, seed: int) -> StudyReport:
         for m_idx, member in enumerate(study.population):
             learner = member.learner()
             log_liks = [learner.log_likelihood(c, task.x) for c in task.candidates]
-            if all(v == -math.inf for v in log_liks):
-                predicted = 0.5
-            else:
-                predicted = float(
-                    math.exp(log_liks[task.target_index] - logsumexp(log_liks))
-                )
+            predicted = _target_mass(log_liks, task.target_index)
             rng = np.random.default_rng((seed, m_idx, t_idx))
             realized = _choice_outcomes(log_liks, task.target_index, task.trials, rng)
             prior = member.prior_on(task)[task.target_index]
@@ -179,7 +177,7 @@ def simulate_2afc(study: SimulatedStudy, seed: int) -> StudyReport:
 
 
 # ---------------------------------------------------------------------------
-# fidelity
+# probes
 
 
 @dataclass(frozen=True)
@@ -194,130 +192,7 @@ class FidelityProbe:
 
 def probe_value(learner: LearnerModel, probe: FidelityProbe) -> float:
     log_liks = [learner.log_likelihood(c, probe.x) for c in probe.candidates]
-    if all(v == -math.inf for v in log_liks):
-        return 1.0 / len(log_liks)
-    return float(math.exp(log_liks[probe.target_index] - logsumexp(log_liks)))
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    correlation: float
-    decile_counts: tuple[int, ...]
-    decile_mad: tuple[float, ...]
-    flagged_deciles: tuple[int, ...]
-    learner_values: tuple[float, ...] = field(repr=False)
-    reference_values: tuple[float, ...] = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "correlation": self.correlation,
-            "decile_counts": list(self.decile_counts),
-            "decile_mad": list(self.decile_mad),
-            "flagged_deciles": list(self.flagged_deciles),
-        }
-
-
-def fidelity_check(
-    learner: LearnerModel,
-    probes,
-    reference: LearnerModel,
-    min_per_decile: int = 5,
-    mad_threshold: float = 0.1,
-) -> FidelityReport:
-    """Compare a learner against a reference probe by probe.
-
-    Probes are binned into deciles of the learner's own predicted value;
-    each decile needs min_per_decile probes or the probe set cannot
-    support a calibration claim and InsufficientCoverage is raised.
-    """
-    probes = list(probes)
-    if not probes:
-        raise BadSpec("at least one probe is required")
-    mine = np.array([probe_value(learner, p) for p in probes])
-    theirs = np.array([probe_value(reference, p) for p in probes])
-    deciles = np.clip((mine * 10).astype(int), 0, 9)
-    counts = np.bincount(deciles, minlength=10)
-    thin = np.flatnonzero(counts < min_per_decile)
-    if thin.size:
-        raise InsufficientCoverage(
-            f"deciles {thin.tolist()} have fewer than {min_per_decile} probes"
-        )
-    mad = np.array([
-        float(np.mean(np.abs(mine[deciles == b] - theirs[deciles == b])))
-        for b in range(10)
-    ])
-    flagged = tuple(int(b) for b in range(10) if mad[b] > mad_threshold)
-    if mine.std() == 0.0 or theirs.std() == 0.0:
-        corr = 1.0 if np.allclose(mine, theirs) else 0.0
-    else:
-        corr = float(np.corrcoef(mine, theirs)[0, 1])
-    return FidelityReport(
-        corr, tuple(int(c) for c in counts), tuple(mad.tolist()), flagged,
-        tuple(mine.tolist()), tuple(theirs.tolist()),
-    )
-
-
-def stratified_probe_set(learner: LearnerModel, pool, per_decile: int = 5):
-    """Select probes from a pool so every decile of the learner's value
-    has per_decile entries. Raises InsufficientCoverage if the pool
-    cannot fill some decile."""
-    buckets: dict[int, list] = {b: [] for b in range(10)}
-    for probe in pool:
-        b = min(int(probe_value(learner, probe) * 10), 9)
-        if len(buckets[b]) < per_decile:
-            buckets[b].append(probe)
-    thin = [b for b, items in buckets.items() if len(items) < per_decile]
-    if thin:
-        raise InsufficientCoverage(
-            f"probe pool cannot fill deciles {thin} with {per_decile} probes each"
-        )
-    return [p for b in range(10) for p in buckets[b]]
-
-
-# ---------------------------------------------------------------------------
-# rank order
-
-
-@dataclass(frozen=True)
-class RankReport:
-    independent: bool
-    rankings: tuple[tuple[int, ...], ...]
-    spearman: np.ndarray = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "independent": self.independent,
-            "rankings": [list(r) for r in self.rankings],
-            "spearman": self.spearman.tolist(),
-        }
-
-
-def rank_order_independence(score_table: np.ndarray) -> RankReport:
-    """Rows are inference targets, columns are explanations. Reports the
-    per-column ranking of targets (best first) and whether every column
-    agrees; disagreement comes with pairwise Spearman correlations, which
-    are NaN in the row and column of a constant column."""
-    scores = np.asarray(score_table, dtype=float)
-    if scores.ndim != 2 or scores.shape[0] < 2 or scores.shape[1] < 1:
-        raise BadSpec("the score table needs >= 2 targets and >= 1 explanation")
-    rankings = tuple(
-        tuple(int(i) for i in np.argsort(-scores[:, j], kind="stable"))
-        for j in range(scores.shape[1])
-    )
-    independent = all(r == rankings[0] for r in rankings)
-    if scores.shape[1] == 1:
-        spearman = np.ones((1, 1))
-    else:
-        ranks = np.column_stack([_average_ranks(column) for column in scores.T])
-        with np.errstate(invalid="ignore"):  # 0/0 for a constant column
-            spearman = np.corrcoef(ranks, rowvar=False)
-    return RankReport(independent, rankings, spearman)
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``values``; tied values share the mean of their ranks."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return _target_mass(log_liks, probe.target_index)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .errors import BadSpec, StrategySpaceMismatch
+from .errors import AllZeroMass, BadSpec, StrategySpaceMismatch
 from .spaces import ExplanationSpace, MaskSpace, SubsetSpace
 from .types import (
     Explanation,
@@ -103,7 +103,8 @@ def _greedy_subsets(learner: LearnerModel, theta: TargetInference, space: Subset
     """Fill per-class quotas one row at a time, each time adding the row
     whose partial subset the learner scores highest; ties keep the lowest
     index. Exact when the objective is separable across rows; requires a
-    learner that can score partial subsets."""
+    learner that can score partial subsets. Raises AllZeroMass when the
+    finished subset still scores -inf, as every search strategy does."""
     pools, quotas = space._pools, space._ks
     chosen: list[list[int]] = [[] for _ in pools]
     trace: list[float] = []
@@ -125,6 +126,8 @@ def _greedy_subsets(learner: LearnerModel, theta: TargetInference, space: Subset
             chosen[c].append(best)
             chosen[c].sort()
             trace.append(best_score)
+    if trace[-1] == -math.inf:
+        raise AllZeroMass(f"{space.descriptor}: the learner gives the greedy subset zero likelihood")
     final = example_set(itertools.chain.from_iterable(chosen))
     meta = {"score_trace": trace, "log_likelihood": trace[-1]}
     return StrategyResult(final, "greedy", meta)

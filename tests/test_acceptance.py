@@ -228,8 +228,8 @@ def test_criterion_04_rise_identity(logistic_grid, grid_image):
 
 
 def test_criterion_05_mmd_critic(blobs2):
-    kernel = KernelConfig("rbf", 1.0)
-    self_mmd = mmd2(blobs2.features, blobs2.features, KernelConfig("rbf", 2.0))
+    kernel = KernelConfig(1.0)
+    self_mmd = mmd2(blobs2.features, blobs2.features, KernelConfig(2.0))
 
     data = Dataset(TWO_CLUSTER_POINTS.copy(), np.repeat([0, 1], 6), 2)
     report = mmd_prototypes(data, 3, kernel)

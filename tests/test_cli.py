@@ -407,6 +407,7 @@ _RECIPES = {
     ("mmd", "bandwidth=-Infinity"),
     ("surrogate-fit", "ridge=nan"),
     ("surrogate-fit", "kernel_width=inf"),
+    ("surrogate-fit", "learning_rate=NaN"),  # a key the linear-weights recipe does not read
 ])
 def test_recombine_rejects_a_non_finite_param(capsys, ws, learner, param):
     argv = [ws[a] if a in ("plda", "logistic") else a for a in _RECIPES[learner]]
@@ -447,6 +448,21 @@ def test_diverging_tree_distillation_exits_4(capsys, ws, argv):
     ], cli.NUMERICAL_EXIT)
     assert err["type"] == "NonFiniteResult"
     assert err["message"].startswith("tree distillation diverged after ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain", "lime", "--point", "{point}", "--class", "0", "--kernel-width", "{width}"],
+    ["explain", "recombine", "--theta", "local-decision-boundary", "--x-kind", "soft-tree",
+     "--learner", "surrogate-fit", "--strategy", "gradient-fit", "--point", "{point}",
+     "--data", "{data}", "--param", "kernel_width={width}", "--param", "epochs=3"],
+], ids=["lime", "recombine-tree"])
+@pytest.mark.parametrize("width", ["2e+154", "1e-200"])
+def test_a_kernel_width_whose_squares_overflow_or_vanish_exits_4(capsys, ws, argv, width):
+    err = run_err(capsys, [a.format(point=ws["point"], data=ws["data"], width=width) for a in argv] + [
+        "--model", ws["logistic"], "--seed", "0",
+    ], cli.NUMERICAL_EXIT)
+    assert err == {"type": "NonFiniteResult", "exit_code": cli.NUMERICAL_EXIT,
+                   "message": f"the probe weights at kernel width {width} are not finite or all zero"}
 
 
 @pytest.mark.parametrize("command", [
@@ -576,6 +592,24 @@ def test_bad_csv_cell_reports_row_and_column(capsys, tmp_path):
     assert err["detail"] == {"row": 2, "col": 2}
 
 
+# each command with a directory where it reads or writes a file
+_DIRECTORY_PATHS = {
+    "import-in": ["dataset", "import", "--in", "{dir}"],
+    "fit-save": ["model", "fit", "--data", "{data}", "--family", "logistic", "--seed", "0",
+                 "--save", "{dir}"],
+    "inspect-out": ["model", "inspect", "--model", "{logistic}", "--out", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DIRECTORY_PATHS))
+def test_a_directory_in_place_of_a_file_exits_3(capsys, ws, tmp_path, command):
+    argv = [a.format(dir=tmp_path, data=ws["data"], logistic=ws["logistic"])
+            for a in _DIRECTORY_PATHS[command]]
+    err = run_err(capsys, argv, cli.DATA_EXIT)
+    assert err["type"] == "IsADirectoryError"
+    assert list(tmp_path.iterdir()) == []
+
+
 # each command with the path whose file holds bytes that are not UTF-8
 _UNDECODABLE = {
     "dataset-import": ["dataset", "import", "--in", "{bad}"],
@@ -596,6 +630,23 @@ def test_undecodable_file_exits_3(capsys, ws, tmp_path, command):
     err = run_err(capsys, argv, cli.DATA_EXIT)
     assert err["type"] == "UnicodeDecodeError"
     assert not save.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["model", "inspect", "--model", "{file}"],
+    ["study", "run", "--config", "{file}", "--seed", "0"],
+    ["explain", "recombine", "--theta", "latent-class-means", "--x-kind", "example-set",
+     "--learner", "plda", "--strategy", "exhaustive-max", "--model", "{plda}", "--data", "{data}",
+     "--seed", "0", "--param", "n={digits}"],
+], ids=["checkpoint", "study-config", "param"])
+def test_a_json_integer_too_long_to_read_exits_3(capsys, ws, tmp_path, command):
+    digits = "9" * 5000  # int() reads at most 4,300 digits
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"seed": {digits}}}', encoding="utf-8")
+    argv = [a.format(file=path, plda=ws["plda"], data=ws["data"], digits=digits) for a in command]
+    err = run_err(capsys, argv, cli.DATA_EXIT)
+    assert err == {"type": "BadSpec", "exit_code": cli.DATA_EXIT,
+                   "message": "a JSON integer of 5000 digits is too long to read"}
 
 
 @pytest.mark.parametrize("command", [
@@ -791,6 +842,12 @@ def test_failed_threshold_exits_1_but_still_reports(capsys, ws, tmp_path):
     {"study": "example-selection", "model": "PLDA", "data": "DATA",
      "params": {"trials": 5, "random_subset_count": 5},
      "thresholds": [{"field": "calibration", "op": "ge", "value": 1}]},
+    {"study": "example-selection", "model": "PLDA", "data": "DATA", "note": math.nan},
+    {"study": "example-selection", "model": "PLDA", "data": "DATA",
+     "params": {"distractor_scale": math.nan}},
+    {"study": "bias-sweep", "model": "PLDA", "data": "DATA", "params": {"strengths": [-math.inf]}},
+    {"study": "example-selection", "model": "PLDA", "data": "DATA",
+     "params": {"distractor_scale": 10**400}},
 ])
 def test_bad_study_configs_exit_3(capsys, ws, tmp_path, config):
     text = json.dumps(config).replace('"PLDA"', json.dumps(ws["plda"]))
@@ -822,14 +879,11 @@ from bayesteach import cli
 loaded["import"] = scipy_modules()
 code = cli.main(sys.argv[1:])
 loaded["plda fit"] = scipy_modules()
-from bayesteach.studies import rank_order_independence
-rank_order_independence([[0.9, 0.1, 0.5], [0.2, 0.8, 0.5], [0.4, 0.4, 0.1]])
-loaded["rank correlations"] = scipy_modules()
 print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
-def test_no_scipy_module_is_loaded_by_import_plda_fit_or_rank_correlations(ws, tmp_path):
+def test_no_scipy_module_is_loaded_by_import_or_plda_fit(ws, tmp_path):
     out, saved = tmp_path / "fit.json", tmp_path / "plda.json"
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, "model", "fit", "--data", ws["data"],
@@ -838,8 +892,7 @@ def test_no_scipy_module_is_loaded_by_import_plda_fit_or_rank_correlations(ws, t
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report == {"code": 0, "loaded": {
-        "import": [], "plda fit": [], "rank correlations": []}}
+    assert report == {"code": 0, "loaded": {"import": [], "plda fit": []}}
     doc = json.loads(out.read_text(encoding="utf-8"))
     jsonschema.validate(doc, schema("model"))
     assert saved.read_text(encoding="utf-8") == Path(ws["plda"]).read_text(encoding="utf-8")

@@ -1,0 +1,248 @@
+"""Fuzzing of study configs and of ``--param`` and ``--class`` values.
+
+Study configs are drawn as JSON objects: a known or unknown study, params
+named after the study's keyword parameters (and an unknown one) holding
+values of their own type or of any JSON type, thresholds, and extra keys.
+``explain recombine`` gets drawn ``--param`` values for every learner's
+keys, and ``explain rise``, ``shap`` and ``lime`` get drawn ``--class``
+values. Counts stay at 50 or below so that runs are short; floats span
+the whole finite range. Every run goes in-process through ``cli.main``
+and must end one of two ways: exit 0 (or 1 for a study whose threshold
+fails) with one JSON document on stdout that holds no NaN or infinity
+(``GREEDY_TRACE`` names the one known exception), or exit 2, 3 or 4 with
+one JSON error on stderr, valid against the error schema, and no
+traceback.
+"""
+
+import contextlib
+import io
+import json
+import math
+import warnings
+from pathlib import Path
+
+import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bayesteach import cli
+
+ERROR_SCHEMA = json.loads(
+    (Path(cli.__file__).with_name("schemas") / "error.schema.json").read_text(encoding="utf-8")
+)
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)  # up to 1.8e308
+# half the draws near the defaults, so that many runs get past validation
+USUAL_OR_ANY = st.floats(0.05, 5.0) | FLOATS
+KINDS = {
+    "count": st.integers(1, 50),
+    "k": st.integers(1, 7),  # the fixture has 6 rows per class
+    "float": st.one_of(USUAL_OR_ANY, USUAL_OR_ANY, USUAL_OR_ANY, st.integers(-(10**400), 10**400)),
+    "bool": st.booleans(),
+    "floats": st.lists(FLOATS, max_size=4),
+    "class": st.integers(0, 1) | st.integers(),
+    "depth": st.integers(-1, 4),  # a tree of depth d has 2**d leaves
+}
+ANY_JSON = st.recursive(  # its integers stay counts a run can afford
+    st.none() | st.booleans() | st.integers(-50, 50) | FLOATS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+# each study's keyword parameters; a few are left out at random, but
+# counts are always set, so no run falls back to thousands of trials
+STUDY_PARAMS = {
+    "example-selection": {
+        "per_class_k": "k", "distractor_scale": "float", "trials": "count",
+        "random_subset_count": "count", "bias_strength": "float", "bias_favors_distractor": "bool",
+    },
+    "bias-sweep": {
+        "strengths": "floats", "per_class_k": "k", "distractor_scale": "float", "task_count": "count",
+    },
+    "strategy-mismatch": {
+        "per_class_k": "k", "n": "count", "burn_in": "count", "distractor_scale": "float",
+        "bias_strength": "float",
+    },
+}
+ALWAYS_SET = {"trials", "random_subset_count", "task_count", "n", "burn_in"}
+RESULT_FIELDS = [
+    "accuracy_gap", "teacher_accuracy", "beats_random_p99", "calibration", "rows",
+    "monotone_non_increasing", "sampled_mean_value", "sampling_beats_max", "no.such.field",
+]
+OPS = ["ge", "le", "gt", "lt", "eq", "is", "near"]
+
+# learner -> (theta, x-kinds, strategies, model, {param: kind})
+RECOMBINE = {
+    "plda": ("latent-class-means", ["example-set"], ["exhaustive-max", "mh-sample"], "plda",
+             {"per_class_k": "k", "n": "count", "burn_in": "count"}),
+    "masked-prediction": ("predicted-label", ["feature-mask"],
+                          ["exhaustive-max", "mh-sample", "mc-expectation"], "logistic",
+                          {"baseline": "float", "target_class": "class", "keep_prob": "float",
+                           "n": "count", "burn_in": "count"}),
+    "nearest-class": ("predicted-label", ["example-set"], ["exhaustive-max", "mh-sample", "greedy"],
+                      "logistic", {"target_class": "class", "temperature": "float",
+                                   "per_class_k": "k", "n": "count", "burn_in": "count"}),
+    "mmd": ("class-data-distribution", ["example-set"], ["exhaustive-max", "mh-sample", "greedy"],
+            "logistic", {"class_index": "class", "bandwidth": "float", "temperature": "float",
+                         "m": "k", "n": "count", "burn_in": "count"}),
+    "surrogate-fit": ("local-decision-boundary", ["linear-weights", "soft-tree"], ["gradient-fit"],
+                      "logistic", {"depth": "depth", "beta": "float", "epochs": "count",
+                                   "learning_rate": "float", "kernel_width": "float",
+                                   "probe_count": "count", "target_class": "class", "ridge": "float"}),
+}
+RECOMBINE_COUNTS = {"n", "burn_in", "epochs", "probe_count"}
+ODD_TEXT = st.sampled_from(
+    ["0", "-1", "NaN", "-Infinity", "1e999", "null", "true", "[1, 2]", "{}", "abc", "", "1.5"]
+)
+
+
+def rarely(draw) -> bool:
+    """True for about one draw in six."""
+    return draw(st.integers(0, 5)) == 5
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    # Known and left open: a study distractor_scale of 1e155 or more
+    # overflows inside numpy, though the run still ends in a finite
+    # document, so only a study may warn, and only of overflow.
+    odd = [str(w.message) for w in caught if not (
+        argv[0] == "study" and issubclass(w.category, RuntimeWarning) and "overflow" in str(w.message))]
+    assert odd == [], (argv[:3], odd)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Known and left for a change that may regenerate golden files: greedy
+# search records a score of -inf for each step before its subset reaches
+# every class the learner needs, and the document writes it as -Infinity
+# (tests/golden/recombine-nearest-greedy.json holds two).
+GREEDY_TRACE = ("result", "result", "metadata", "score_trace")
+
+
+def non_finite(node, path=()):
+    """(path, value) of every NaN or infinite float in a parsed document."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield path, node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from non_finite(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from non_finite(value, path + (i,))
+
+
+def check(argv, document_codes=(0,)):
+    """Run ``argv`` and check how it ended; return its exit code."""
+    code, out, err = run(argv)
+    if code in document_codes:
+        assert err == "", (argv[:3], err)
+        found = non_finite(json.loads(out))
+        odd = [(p, v) for p, v in found if not (p[:-1] == GREEDY_TRACE and v == -math.inf)]
+        assert odd == [], (argv, odd)
+    else:
+        assert code in (2, 3, 4), (argv[:3], code, err)
+        assert out == "" and "Traceback" not in err, (argv[:3], err)
+        doc = json.loads(err)
+        jsonschema.validate(doc, ERROR_SCHEMA)
+        assert doc["error"]["exit_code"] == code
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzz_ws(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config_fuzz")
+    paths = {name: str(root / f"{name}.json") for name in ("plda", "logistic")}
+    paths["data"], scratch = str(root / "blobs.csv"), str(root / "setup.json")
+    assert run([
+        "dataset", "make", "--generator", "gaussian-blobs", "--classes", "2", "--dim", "2",
+        "--per-class", "6", "--seed", "1", "--csv", paths["data"], "--out", scratch,
+    ])[0] == 0
+    for family in ("plda", "logistic"):
+        assert run([
+            "model", "fit", "--data", paths["data"], "--family", family, "--seed", "0",
+            "--save", paths[family], "--out", scratch,
+        ])[0] == 0
+    paths["point"] = str(root / "point.csv")
+    Path(paths["point"]).write_text("0.5,-0.25\n", encoding="utf-8")
+    paths["root"] = root
+    return paths
+
+
+@st.composite
+def study_configs(draw):
+    """A study config without its model and data paths."""
+    study = "no-such-study" if rarely(draw) else draw(st.sampled_from(sorted(STUDY_PARAMS)))
+    kinds = STUDY_PARAMS.get(study, {})
+    keys = {key for key in kinds if key in ALWAYS_SET or not rarely(draw)}
+    if rarely(draw):
+        keys.add("bogus")
+    odd = rarely(draw)  # give some values another JSON type
+    params = {}
+    for key in sorted(keys):
+        well_typed = key in kinds and not (odd and draw(st.booleans()))
+        params[key] = draw(KINDS[kinds[key]] if well_typed else ANY_JSON)
+    config = {"study": study, "params": params}
+    if draw(st.booleans()):
+        config["thresholds"] = draw(st.lists(st.fixed_dictionaries({
+            "field": st.sampled_from(RESULT_FIELDS), "op": st.sampled_from(OPS), "value": ANY_JSON,
+        }), max_size=2))
+    if draw(st.booleans()):
+        config["note"] = draw(ANY_JSON)
+    if rarely(draw):
+        config["label_column"] = draw(ANY_JSON)
+    return config, "logistic" if rarely(draw) else "plda"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=study_configs())
+def test_a_drawn_study_config_ends_in_a_document_or_one_json_error(fuzz_ws, case):
+    config, model = case
+    config = {**config, "model": fuzz_ws[model], "data": fuzz_ws["data"]}
+    path = fuzz_ws["root"] / "study.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    check(["study", "run", "--config", str(path), "--seed", "0"], document_codes=(0, 1))
+
+
+@st.composite
+def recombine_argvs(draw, ws):
+    learner = draw(st.sampled_from(sorted(RECOMBINE)))
+    theta, x_kinds, strategies, model, kinds = RECOMBINE[learner]
+    keys = {key for key in kinds if key in RECOMBINE_COUNTS or not rarely(draw)}
+    if rarely(draw):
+        keys.add("bogus")
+    argv = [
+        "explain", "recombine", "--theta", theta, "--x-kind", draw(st.sampled_from(x_kinds)),
+        "--learner", learner, "--strategy", draw(st.sampled_from(strategies)),
+        "--model", ws[model], "--data", ws["data"], "--point", ws["point"], "--seed", "0",
+    ]
+    odd = rarely(draw)  # give some values an odd text
+    for key in sorted(keys):
+        well_typed = key in kinds and not (odd and draw(st.booleans()))
+        value = json.dumps(draw(KINDS[kinds[key]])) if well_typed else draw(ODD_TEXT)
+        argv += ["--param", f"{key}={value}"]
+    return argv
+
+
+CLASS_COMMANDS = {
+    "rise": ["--masks", "16"],
+    "shap": ["--background", "{data}", "--exact"],
+    "lime": ["--probes", "20"],
+}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_drawn_param_and_class_values_end_in_a_document_or_one_json_error(fuzz_ws, data):
+    check(data.draw(recombine_argvs(fuzz_ws)))
+
+    method = data.draw(st.sampled_from(sorted(CLASS_COMMANDS)))
+    target = data.draw(KINDS["class"].map(str) | ODD_TEXT)
+    check([
+        "explain", method, "--model", fuzz_ws["logistic"], "--point", fuzz_ws["point"],
+        "--seed", "0", f"--class={target}",
+        *(a.format(data=fuzz_ws["data"]) for a in CLASS_COMMANDS[method]),
+    ])

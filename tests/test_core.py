@@ -562,7 +562,7 @@ def nearest_case(rng, per_class=None):
         ks = [int(rng.integers(1, min(3, s) + 1)) for s in sizes]
         space = SubsetSpace.per_class(labels, ks)
     else:
-        space = SubsetSpace.plain(labels.size, int(rng.integers(1, 4)))
+        space = SubsetSpace([range(labels.size)], [int(rng.integers(1, 4))])
     return data, point, wanted, space
 
 

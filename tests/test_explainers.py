@@ -12,7 +12,6 @@ from bayesteach.checks import TWO_CLUSTER_POINTS
 from bayesteach.core import mh_sample, teacher_posterior, weighted_mean_and_stderr
 from bayesteach.errors import BadSpec, DimensionMismatch, ZeroTotalWeight
 from bayesteach.explainers import (
-    SoftTree,
     distill_tree,
     explain_by_examples,
     kernel_shap,
@@ -107,7 +106,7 @@ def two_cluster_dataset():
 
 def test_greedy_prototypes_match_exhaustive_and_trace_is_monotone():
     data = two_cluster_dataset()
-    kernel = KernelConfig("rbf", 1.0)
+    kernel = KernelConfig(1.0)
     report = mmd_prototypes(data, 3, kernel)
     assert len(report.indices) == 3
     assert np.all(np.diff(report.mmd2_trace) < 0)
@@ -123,14 +122,14 @@ def test_greedy_prototypes_match_exhaustive_and_trace_is_monotone():
 
 def test_prototypes_cover_both_clusters():
     data = two_cluster_dataset()
-    report = mmd_prototypes(data, 2, KernelConfig("rbf", 1.0))
+    report = mmd_prototypes(data, 2, KernelConfig(1.0))
     sides = {0 if i < 6 else 1 for i in report.indices}
     assert sides == {0, 1}
 
 
 def test_prototype_ties_break_to_the_lowest_index():
     flat = Dataset(np.zeros((6, 2)), np.repeat([0, 1], 3), 2)
-    report = mmd_prototypes(flat, 2, KernelConfig("rbf", 1.0))
+    report = mmd_prototypes(flat, 2, KernelConfig(1.0))
     assert tuple(report.indices) == (0, 1)
 
 
@@ -144,7 +143,7 @@ def test_prototype_count_bounds():
 
 def test_criticisms_surface_the_omitted_cluster():
     data = two_cluster_dataset()
-    kernel = KernelConfig("rbf", 1.0)
+    kernel = KernelConfig(1.0)
     protos = [0, 1, 2]  # first cluster only
     report = mmd_criticisms(data, protos, 3, kernel)
     assert all(i >= 6 for i in report.indices)
@@ -416,15 +415,6 @@ def test_tree_outputs_valid_distributions(moons, rng):
     P = tree.predict_proba(X)
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12, rtol=0)
     assert np.all(P >= 0)
-
-
-def test_tree_round_trips_through_dict(moons):
-    model = fit_model("logistic", moons, seed=0)
-    tree = distill_tree(model, moons.features, depth=2, seed=0, epochs=50).tree
-    back = SoftTree.from_dict(tree.to_dict())
-    np.testing.assert_array_equal(
-        back.predict_proba(moons.features), tree.predict_proba(moons.features)
-    )
 
 
 def test_distill_parameter_validation(moons):

@@ -19,7 +19,6 @@ from bayesteach.models import (
     model_from_dict,
     model_to_dict,
     plda_posterior_over_means,
-    predict_dist,
     predict_proba,
     save_csv,
     save_model,
@@ -128,7 +127,7 @@ def test_logistic_boundary_point_is_half_half(blobs2):
     w = W[1] - W[0]
     # solve for a point on the boundary: w.x + (b1-b0) = 0
     x = -(b[1] - b[0]) / float(w @ w) * w
-    p = predict_dist(model, x)
+    p = predict_proba(model, x[None])[0]
     np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-9, rtol=0)
 
 
@@ -160,7 +159,7 @@ def test_mlp_loss_trace_is_non_increasing(moons):
 def test_predict_dimension_mismatch(blobs3):
     model = fit_model("gaussian", blobs3, seed=0)
     with pytest.raises(DimensionMismatch):
-        predict_dist(model, np.zeros(blobs3.n_features + 1))
+        predict_proba(model, np.zeros(blobs3.n_features + 1)[None])[0]
 
 
 def test_fit_rejects_unknown_family(blobs3):

@@ -1,6 +1,5 @@
 """PGM and SVG artifact generation."""
 
-import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,13 +9,10 @@ from bayesteach.errors import BadSpec
 from bayesteach.models import fit_model
 from bayesteach.explainers import distill_tree
 from bayesteach.render import (
-    calibration_to_svg,
     saliency_to_pgm,
     saliency_to_svg,
     tree_to_svg,
 )
-from bayesteach.studies import PopulationMember, SimulatedStudy, TwoAfcTask, simulate_2afc
-from bayesteach.types import LearnerModel, TargetInference, ThetaKind, example_set
 
 
 def test_pgm_header_and_pixel_payload():
@@ -66,22 +62,6 @@ def test_tree_svg_renders_every_node(moons):
     assert sum(1 for t in texts if t and t.startswith("n")) == tree.n_inner
     lines = [e for e in root.iter() if e.tag.endswith("line")]
     assert len(lines) >= tree.n_inner * 2  # one edge per child
-
-
-def test_calibration_svg_draws_points_and_diagonal():
-    member = PopulationMember(
-        LearnerModel("half", lambda theta, x: math.log(0.75) if theta.payload == 0 else math.log(0.25))
-    )
-    c0 = TargetInference(ThetaKind.PREDICTED_LABEL, 0)
-    c1 = TargetInference(ThetaKind.PREDICTED_LABEL, 1)
-    task = TwoAfcTask((c0, c1), 0, example_set((0,)), trials=10)
-    report = simulate_2afc(SimulatedStudy((member,), (task,)), seed=0)
-    svg = calibration_to_svg(report.calibration)
-    root = ET.fromstring(svg)
-    circles = [e for e in root.iter() if e.tag.endswith("circle")]
-    assert len(circles) == 1  # one occupied bin
-    lines = [e for e in root.iter() if e.tag.endswith("line")]
-    assert any(e.get("stroke-dasharray") for e in lines)
 
 
 def test_renders_are_deterministic(moons):

@@ -1,11 +1,11 @@
-"""Simulated explainee studies: 2AFC runs, fidelity, rank order, named studies."""
+"""Simulated explainee studies: 2AFC runs, probe values, named studies."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bayesteach.errors import BadSpec, InsufficientCoverage
+from bayesteach.errors import BadSpec
 from bayesteach.learners import BiasConfig
 from bayesteach.models import fit_model, make_synthetic
 from bayesteach.spaces import EnumeratedSpace
@@ -16,12 +16,9 @@ from bayesteach.studies import (
     TwoAfcTask,
     bias_sensitivity_study,
     example_selection_study,
-    fidelity_check,
     probe_value,
-    rank_order_independence,
     simulate_2afc,
     strategy_mismatch_study,
-    stratified_probe_set,
 )
 from bayesteach.types import LearnerModel, TargetInference, ThetaKind, example_set
 
@@ -123,7 +120,7 @@ def test_study_validation():
 
 
 # ---------------------------------------------------------------------------
-# fidelity
+# probes
 
 
 def value_learner(values):
@@ -137,109 +134,12 @@ def value_learner(values):
     return LearnerModel("valued", ll)
 
 
-def spread_probes(n_per_decile=5):
-    values = []
-    for b in range(10):
-        for j in range(n_per_decile):
-            values.append(b / 10 + (j + 0.5) / (10 * n_per_decile))
-    probes = [FidelityProbe((C0, C1), 0, example_set((i,))) for i in range(len(values))]
-    return values, probes
-
-
 def test_probe_value_is_normalized_mass():
     learner = value_learner([0.3])
     assert probe_value(learner, FidelityProbe((C0, C1), 0, X)) == pytest.approx(0.3)
     assert probe_value(learner, FidelityProbe((C0, C1), 1, X)) == pytest.approx(0.7)
     dead = LearnerModel("dead", lambda theta, x: -math.inf)
     assert probe_value(dead, FidelityProbe((C0, C1), 0, X)) == 0.5
-
-
-def test_fidelity_self_comparison_is_perfect():
-    values, probes = spread_probes()
-    learner = value_learner(values)
-    report = fidelity_check(learner, probes, learner)
-    assert report.correlation == pytest.approx(1.0)
-    assert report.flagged_deciles == ()
-    assert max(report.decile_mad) == 0.0
-    assert all(c >= 5 for c in report.decile_counts)
-
-
-def test_fidelity_requires_decile_coverage():
-    values = [0.55] * 30
-    probes = [FidelityProbe((C0, C1), 0, example_set((i,))) for i in range(30)]
-    with pytest.raises(InsufficientCoverage):
-        fidelity_check(value_learner(values), probes, value_learner(values))
-
-
-def test_fidelity_flags_the_deciles_where_the_reference_drifts():
-    values, probes = spread_probes()
-    drifted = [v - 0.3 if v >= 0.7 else v for v in values]
-    report = fidelity_check(value_learner(values), probes, value_learner(drifted))
-    assert set(report.flagged_deciles) == {7, 8, 9}
-    assert all(report.decile_mad[b] == pytest.approx(0.3) for b in (7, 8, 9))
-    assert all(report.decile_mad[b] == pytest.approx(0.0, abs=1e-12) for b in range(7))
-    assert report.correlation < 1.0
-
-
-def test_stratified_probe_set_balances_deciles():
-    values, probes = spread_probes(n_per_decile=9)
-    learner = value_learner(values)
-    picked = stratified_probe_set(learner, probes, per_decile=5)
-    assert len(picked) == 50
-    report = fidelity_check(learner, picked, learner)
-    assert all(c == 5 for c in report.decile_counts)
-    with pytest.raises(InsufficientCoverage):
-        stratified_probe_set(learner, probes[:12], per_decile=5)
-
-
-# ---------------------------------------------------------------------------
-# rank order
-
-
-def test_rank_inversion_is_detected():
-    report = rank_order_independence(np.array([[0.9, 0.1], [0.2, 0.8]]))
-    assert not report.independent
-    assert report.rankings == ((0, 1), (1, 0))
-    assert report.spearman[0, 1] == pytest.approx(-1.0)
-
-
-def test_consistent_rankings_are_independent():
-    report = rank_order_independence(np.array([[0.9, 0.8], [0.2, 0.1], [0.5, 0.4]]))
-    assert report.independent
-    assert report.rankings == ((0, 2, 1), (0, 2, 1))
-    assert report.spearman[0, 1] == pytest.approx(1.0)
-
-
-def test_rank_table_shape_validation():
-    with pytest.raises(BadSpec):
-        rank_order_independence(np.array([[1.0, 2.0]]))
-    one_col = rank_order_independence(np.array([[0.9], [0.1]]))
-    assert one_col.independent and one_col.spearman.shape == (1, 1)
-
-
-def test_spearman_agrees_with_scipy_on_tables_with_ties():
-    from scipy.stats import spearmanr
-
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        rows, cols = int(rng.integers(3, 10)), int(rng.integers(2, 6))
-        table = rng.integers(0, 4, size=(rows, cols)).astype(float)
-        if np.any(np.ptp(table, axis=0) == 0):
-            continue  # scipy gives one scalar NaN for a constant column
-        want = np.atleast_2d(spearmanr(table, axis=0).statistic)
-        if cols == 2:
-            want = np.array([[1.0, want[0, 0]], [want[0, 0], 1.0]])
-        got = rank_order_independence(table).spearman
-        assert got.shape == (cols, cols)
-        assert got == pytest.approx(want, abs=1e-15)
-
-
-def test_a_constant_column_gets_nan_only_in_its_row_and_column():
-    table = np.array([[0.9, 0.5, 0.1], [0.2, 0.5, 0.8], [0.4, 0.5, 0.3]])
-    spearman = rank_order_independence(table).spearman
-    assert spearman.shape == (3, 3)
-    assert np.isnan(spearman[1]).all() and np.isnan(spearman[:, 1]).all()
-    assert spearman[np.ix_([0, 2], [0, 2])] == pytest.approx(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

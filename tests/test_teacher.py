@@ -8,7 +8,7 @@ import pytest
 
 from bayesteach.core import teacher_posterior, weighted_mean_and_stderr
 from bayesteach import oracle
-from bayesteach.errors import BadSpec, DimensionMismatch, StrategySpaceMismatch
+from bayesteach.errors import AllZeroMass, BadSpec, DimensionMismatch, StrategySpaceMismatch
 from bayesteach.explainers import explain_by_examples, rise_saliency
 from bayesteach.learners import (
     make_masked_prediction_learner,
@@ -50,6 +50,13 @@ def test_greedy_equals_exhaustive_on_a_separable_objective(rng):
         math.fsum(scores[i] for i in greedy.explanation.payload)
     )
     assert len(trace) == 6
+
+
+def test_greedy_with_no_scoring_subset_raises_all_zero_mass():
+    space = SubsetSpace.per_class(np.repeat([0, 1], 3), 1)
+    learner = LearnerModel("nothing", lambda theta, x: -math.inf)
+    with pytest.raises(AllZeroMass):
+        run_strategy(learner, THETA, space, "greedy")
 
 
 def test_greedy_breaks_ties_toward_the_lowest_index():
