@@ -44,8 +44,8 @@ def _table_case(rng: np.random.Generator, max_size: int):
         keep = int(rng.integers(0, size))
         priors[keep] = 1.0
         log_liks[keep] = -1.0
-    table = {c.key(): ll for c, ll in zip(candidates, log_liks)}
-    learner = LearnerModel("lookup table", lambda theta, x, t=table: t[x.key()])
+    table = dict(zip(candidates, log_liks))
+    learner = LearnerModel("lookup table", lambda theta, x, t=table: t[x])
     space = EnumeratedSpace(candidates, prior_weights=priors, descriptor="check pool")
     return learner, space
 
@@ -60,10 +60,8 @@ def posterior_agreement(cases: int = 500, max_size: int = 5000, tol: float = 1e-
         post = teacher_posterior(learner, _THETA, space)
         ref_support, ref_probs = oracle.exhaustive_posterior(learner, _THETA, space)
         probs = post.probabilities()
-        if len(ref_support) != len(post.support):
-            return "posterior-agreement", False, "support size mismatch"
-        if any(a.key() != b.key() for a, b in zip(post.support, ref_support)):
-            return "posterior-agreement", False, "support order mismatch"
+        if post.support != ref_support:
+            return "posterior-agreement", False, "support mismatch"
         worst = max(worst, float(np.max(np.abs(probs - np.asarray(ref_probs)))))
     passed = worst <= tol
     return "posterior-agreement", passed, f"max |p - p_ref| = {worst:.3e} over {cases} cases (tol {tol:g})"
@@ -75,7 +73,7 @@ def argmax_agreement(cases: int = 500, max_size: int = 2000, seed: int = 0):
         learner, space = _table_case(rng, max_size)
         mine = select_max(teacher_posterior(learner, _THETA, space))
         ref = oracle.best_subset_bruteforce(learner, _THETA, space)
-        if mine.key() != ref.key():
+        if mine != ref:
             return "argmax-agreement", False, f"disagreement on case {i}"
     return "argmax-agreement", True, f"select_max equals brute force on {cases} cases"
 
@@ -83,13 +81,12 @@ def argmax_agreement(cases: int = 500, max_size: int = 2000, seed: int = 0):
 def argmax_tie_rule(seed: int = 0):
     """Forced multi-way tie built from exactly representable weights."""
     candidates = [example_set((i,)) for i in range(6)]
-    log_liks = {c.key(): 0.0 for c in candidates}
     priors = np.array([0.25, 0.5, 0.5, 0.25, 0.5, 0.125])
-    learner = LearnerModel("flat", lambda theta, x: log_liks[x.key()])
+    learner = LearnerModel("flat", lambda theta, x: 0.0)
     space = EnumeratedSpace(candidates, prior_weights=priors, descriptor="tie pool")
     mine = select_max(teacher_posterior(learner, _THETA, space))
     ref = oracle.best_subset_bruteforce(learner, _THETA, space)
-    ok = mine.key() == ref.key() == candidates[1].key()
+    ok = mine == ref == candidates[1]
     return "argmax-tie-rule", ok, "ties resolve to the lowest enumeration index"
 
 

@@ -12,6 +12,7 @@ exactly the unbiased learner.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -122,34 +123,28 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
     """PLDA learner with per-class memoization.
 
     The mean posterior factorizes over classes: the log likelihood is a
-    sum of one term per class, and each (class, subset rows) term is
-    scored once even when a joint space repeats it. ``block_terms``
+    sum of one term per class, and each (target, class, subset rows) term
+    is scored once even when a joint space repeats it. ``block_terms``
     exposes the terms for subset spaces whose pools are single classes.
     """
-    p = model.parameters
-    cache: dict[tuple, float] = {}
+    shape = model.parameters["latent_means"].shape
 
     def theta_array(theta: TargetInference) -> np.ndarray:
         theta_arr = np.asarray(theta.payload, dtype=float)
-        if theta_arr.shape != p["latent_means"].shape:
-            raise DimensionMismatch(
-                f"latent means must have shape {p['latent_means'].shape}, got {theta_arr.shape}"
-            )
+        if theta_arr.shape != shape:
+            raise DimensionMismatch(f"latent means must have shape {shape}, got {theta_arr.shape}")
         return theta_arr
 
-    def class_term(theta_arr: np.ndarray, theta_key: bytes, c: int, rows: tuple[int, ...]) -> float:
-        key = (theta_key, c, rows)
-        if key not in cache:
-            cache[key] = plda_class_logpdf(model, data.features[list(rows)], theta_arr[c])
-        return cache[key]
+    @functools.lru_cache(maxsize=None)
+    def class_term(theta: TargetInference, c: int, rows: tuple[int, ...]) -> float:
+        return plda_class_logpdf(model, data.features[list(rows)], theta_array(theta)[c])
 
     def log_likelihood(theta: TargetInference, x: Explanation) -> float:
         if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
             raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
         if x.kind is not ExplanationKind.EXAMPLE_SET:
             raise BadSpec(f"plda learner consumes example sets, not {x.kind.value}")
-        theta_arr = theta_array(theta)
-        theta_key = theta_arr.tobytes()
+        theta_array(theta)
         indices = np.asarray(x.payload, dtype=int)
         labels = data.labels[indices]
         total = 0.0
@@ -157,7 +152,7 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
             rows = tuple(sorted(indices[labels == c].tolist()))
             if not rows:
                 raise MissingClass(f"subset has no row of class {c}")
-            total += class_term(theta_arr, theta_key, c, rows)
+            total += class_term(theta, c, rows)
         return total
 
     def block_terms(theta: TargetInference, pools):
@@ -166,8 +161,7 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
         the model lacks add 0."""
         if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
             raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
-        theta_arr = theta_array(theta)
-        theta_key = theta_arr.tobytes()
+        theta_array(theta)
         classes = _pool_classes(data, pools)
         if classes is None:
             return None
@@ -175,7 +169,7 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
         def scorer(c: int):
             if c >= model.class_count:
                 return lambda rows: 0.0
-            return lambda rows: class_term(theta_arr, theta_key, c, rows)
+            return lambda rows: class_term(theta, c, rows)
 
         return [scorer(c) for c in classes], None
 

@@ -13,6 +13,7 @@ only the loop-first form.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -123,7 +124,7 @@ def mh_reference(
 ) -> tuple[list[Explanation], int]:
     """Metropolis walk over Explanations: every proposal is an
     Explanation, its weight is the joint likelihood plus log prior cached
-    by its key, and subset spaces rebuild their segments and unchosen
+    per Explanation, and subset spaces rebuild their segments and unchosen
     rows at every step. Same draws, in the same blocks of
     ``core.CHAIN_BLOCK`` steps, and the same acceptance rule as
     ``core.mh_sample``, so a seeded chain gives the same samples.
@@ -134,14 +135,10 @@ def mh_reference(
         initial_state, moves, apply = _subset_walk(space)
     else:
         initial_state, moves, apply = space.initial_state, space.chain_moves, space.chain_step
-    cache: dict[tuple, float] = {}
-
+    @functools.lru_cache(maxsize=None)
     def log_weight(x: Explanation) -> float:
-        key = x.key()
-        if key not in cache:
-            lp = space.log_prior(x)
-            cache[key] = -np.inf if lp == -np.inf else learner.log_likelihood(theta, x) + lp
-        return cache[key]
+        lp = space.log_prior(x)
+        return -np.inf if lp == -np.inf else learner.log_likelihood(theta, x) + lp
 
     state = initial_state(rng)
     state_w = log_weight(state)

@@ -275,7 +275,7 @@ class EnumeratedSpace(ExplanationSpace):
             self._weights = weights
             with np.errstate(divide="ignore"):
                 self._log_weights = np.log(weights)
-        self._index = {c.key(): i for i, c in enumerate(self._candidates)}
+        self._index = {c: i for i, c in enumerate(self._candidates)}
         if self._weights is not None and len(self._index) < len(self._candidates):
             raise BadSpec("weighted candidates must be distinct")
         self.descriptor = f"{descriptor} [{len(self._candidates)}]"
@@ -290,12 +290,12 @@ class EnumeratedSpace(ExplanationSpace):
     def prior_weight(self, x: Explanation) -> float:
         if self._weights is None:
             return 1.0
-        return float(self._weights[self._index[x.key()]])
+        return float(self._weights[self._index[x]])
 
     def log_prior(self, x: Explanation) -> float:
         if self._log_weights is None:
             return 0.0
-        return float(self._log_weights[self._index[x.key()]])
+        return float(self._log_weights[self._index[x]])
 
     def initial_state(self, rng: np.random.Generator) -> Explanation:
         return self._candidates[int(rng.integers(len(self._candidates)))]
@@ -308,6 +308,6 @@ class EnumeratedSpace(ExplanationSpace):
     def chain_step(self, state: Explanation, move: int) -> Explanation:
         if len(self._candidates) == 1:
             return state
-        if move >= self._index[state.key()]:
+        if move >= self._index[state]:
             move += 1
         return self._candidates[move]

@@ -2,13 +2,15 @@
 
 An inference target (what the explanation should teach) and an explanation
 (the artifact shown to the learner) are tagged unions: a kind plus a
-payload. Payloads are canonicalized to hashable keys so explanations can
-index dictionaries and histograms regardless of payload representation.
+payload. Both are immutable values: construction copies array payloads
+read-only and computes the canonical key once, which equality and hashing
+read; no other module builds keys.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -41,24 +43,57 @@ class ExplanationKind(enum.Enum):
     SOFT_TREE = "soft-tree"
 
 
+_dtype_name = functools.lru_cache(maxsize=None)(str)  # str(dtype) is slow
+_INT = frozenset({int})
+
+
 def _canonical(value: Any) -> Any:
     """Reduce a payload to a hashable, equality-comparable form."""
     if isinstance(value, np.ndarray):
-        return (value.shape, str(value.dtype), value.tobytes())
+        return (value.shape, _dtype_name(value.dtype), value.tobytes())
     if isinstance(value, (tuple, list)):
         return tuple(_canonical(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _canonical(v)) for k, v in value.items()))
     if isinstance(value, (np.integer, np.floating)):
         return value.item()
-    key_fn = getattr(value, "key", None)
-    if callable(key_fn):
-        return key_fn()
+    return value.key() if hasattr(value, "key") else value
+
+
+def _frozen(value: Any) -> Any:
+    """A read-only copy of an array; any other value as it is."""
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flags.writeable = False
     return value
 
 
-@dataclass(frozen=True, eq=False)
-class TargetInference:
+@dataclass(frozen=True, eq=False, init=False)
+class _Value:
+    """A kind plus a frozen payload, compared and hashed by its stored key."""
+
+    kind: enum.Enum
+    payload: Any
+
+    def __init__(self, kind: enum.Enum, payload: Any) -> None:
+        if type(payload) is tuple and _INT.issuperset(map(type, payload)):
+            canonical = payload  # an example set is its own canonical form
+        else:
+            payload = tuple(map(_frozen, payload)) if type(payload) is tuple else _frozen(payload)
+            canonical = _canonical(payload)
+        # the kind's enum hash is slow and left out; __eq__ compares it
+        self.__dict__.update(kind=kind, payload=payload, _key=(kind, canonical), _hash=hash(canonical))
+
+    def key(self) -> tuple:
+        return self._key
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class TargetInference(_Value):
     """A candidate inference about the target model: kind plus payload.
 
     Payload conventions by kind:
@@ -69,21 +104,9 @@ class TargetInference:
       LATENT_CLASS_MEANS        (C, q) array of latent class means
     """
 
-    kind: ThetaKind
-    payload: Any
 
-    def key(self) -> tuple:
-        return (self.kind, _canonical(self.payload))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TargetInference) and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-
-@dataclass(frozen=True, eq=False)
-class Explanation:
+@dataclass(frozen=True, eq=False, init=False)
+class Explanation(_Value):
     """One candidate explanation: kind plus payload.
 
     Payload conventions by kind:
@@ -94,26 +117,13 @@ class Explanation:
       SOFT_TREE        SoftTree instance
     """
 
-    kind: ExplanationKind
-    payload: Any
-
-    def key(self) -> tuple:
-        return (self.kind, _canonical(self.payload))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Explanation) and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
 
 def example_set(indices) -> Explanation:
-    return Explanation(ExplanationKind.EXAMPLE_SET, tuple(int(i) for i in indices))
+    return Explanation(ExplanationKind.EXAMPLE_SET, tuple(map(int, indices)))
 
 
 def feature_mask(bits) -> Explanation:
-    arr = np.asarray(bits, dtype=np.int8)
-    return Explanation(ExplanationKind.FEATURE_MASK, arr)
+    return Explanation(ExplanationKind.FEATURE_MASK, np.asarray(bits, dtype=np.int8))
 
 
 @dataclass(frozen=True)

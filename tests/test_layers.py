@@ -92,3 +92,20 @@ def test_every_definition_is_named_by_the_package_or_the_benchmarks():
         q for q in UNREACHED_ALLOWED if q.rsplit(".", 1)[1] in named
     )
     assert allowed_yet_named == [], f"drop {allowed_yet_named} from UNREACHED_ALLOWED"
+
+
+def key_calls(path: Path) -> list:
+    """Line numbers of the ``.key()`` calls in a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "key"
+    ]
+
+
+def test_only_types_builds_the_identity_of_a_value():
+    """Explanations and targets are compared, hashed and used as dict
+    keys as they are; their canonical key is built in ``types`` alone."""
+    calls = {m: key_calls(PACKAGE / f"{m}.py") for m in MODULES if m != "types"}
+    assert {m: lines for m, lines in calls.items() if lines} == {}
