@@ -103,11 +103,12 @@ def _greedy_subsets(learner: LearnerModel, theta: TargetInference, space: Subset
     """Fill per-class quotas one row at a time, each time adding the row
     whose partial subset the learner scores highest; ties keep the lowest
     index. Exact when the objective is separable across rows; requires a
-    learner that can score partial subsets. Raises AllZeroMass when the
+    learner that can score partial subsets. A step whose best score is
+    -inf enters ``score_trace`` as None. Raises AllZeroMass when the
     finished subset still scores -inf, as every search strategy does."""
     pools, quotas = space._pools, space._ks
     chosen: list[list[int]] = [[] for _ in pools]
-    trace: list[float] = []
+    trace: list[float | None] = []
     for c, (pool, quota) in enumerate(zip(pools, quotas)):
         for _ in range(quota):
             best, best_score = None, -math.inf
@@ -125,8 +126,8 @@ def _greedy_subsets(learner: LearnerModel, theta: TargetInference, space: Subset
                     best, best_score = cand, score
             chosen[c].append(best)
             chosen[c].sort()
-            trace.append(best_score)
-    if trace[-1] == -math.inf:
+            trace.append(None if best_score == -math.inf else best_score)
+    if trace[-1] is None:
         raise AllZeroMass(f"{space.descriptor}: the learner gives the greedy subset zero likelihood")
     final = example_set(itertools.chain.from_iterable(chosen))
     meta = {"score_trace": trace, "log_likelihood": trace[-1]}

@@ -8,10 +8,9 @@ keys, and ``explain rise``, ``shap`` and ``lime`` get drawn ``--class``
 values. Counts stay at 50 or below so that runs are short; floats span
 the whole finite range. Every run goes in-process through ``cli.main``
 and must end one of two ways: exit 0 (or 1 for a study whose threshold
-fails) with one JSON document on stdout that holds no NaN or infinity
-(``GREEDY_TRACE`` names the one known exception), or exit 2, 3 or 4 with
-one JSON error on stderr, valid against the error schema, and no
-traceback.
+fails) with one JSON document on stdout that holds no NaN or infinity,
+or exit 2, 3 or 4 with one JSON error on stderr, valid against the error
+schema, and no traceback.
 """
 
 import contextlib
@@ -116,13 +115,6 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# Known and left for a change that may regenerate golden files: greedy
-# search records a score of -inf for each step before its subset reaches
-# every class the learner needs, and the document writes it as -Infinity
-# (tests/golden/recombine-nearest-greedy.json holds two).
-GREEDY_TRACE = ("result", "result", "metadata", "score_trace")
-
-
 def non_finite(node, path=()):
     """(path, value) of every NaN or infinite float in a parsed document."""
     if isinstance(node, float) and not math.isfinite(node):
@@ -140,9 +132,7 @@ def check(argv, document_codes=(0,)):
     code, out, err = run(argv)
     if code in document_codes:
         assert err == "", (argv[:3], err)
-        found = non_finite(json.loads(out))
-        odd = [(p, v) for p, v in found if not (p[:-1] == GREEDY_TRACE and v == -math.inf)]
-        assert odd == [], (argv, odd)
+        assert list(non_finite(json.loads(out))) == [], argv
     else:
         assert code in (2, 3, 4), (argv[:3], code, err)
         assert out == "" and "Traceback" not in err, (argv[:3], err)

@@ -1,5 +1,6 @@
 """The uniform strategy runner and its space compatibility rules."""
 
+import json
 import math
 from collections import Counter
 
@@ -50,6 +51,19 @@ def test_greedy_equals_exhaustive_on_a_separable_objective(rng):
         math.fsum(scores[i] for i in greedy.explanation.payload)
     )
     assert len(trace) == 6
+
+
+def test_greedy_writes_none_for_steps_before_every_class_is_reached():
+    # the learner scores a subset only once it holds a row of each class
+    labels = np.repeat([0, 1], 3)
+    space = SubsetSpace.per_class(labels, 2)
+    learner = LearnerModel(
+        "both classes",
+        lambda theta, x: -float(sum(x.payload)) if {0, 1} <= set(labels[list(x.payload)]) else -math.inf,
+    )
+    trace = run_strategy(learner, THETA, space, "greedy").metadata["score_trace"]
+    assert trace == [None, None, -4.0, -8.0]
+    assert json.loads(json.dumps(trace, allow_nan=False)) == trace
 
 
 def test_greedy_with_no_scoring_subset_raises_all_zero_mass():
