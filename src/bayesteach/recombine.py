@@ -165,9 +165,12 @@ def _point(point, what: str) -> np.ndarray:
 
 
 def _label_target(model, point: np.ndarray, params: dict) -> TargetInference:
-    """The predicted-label target: ``target_class``, by default the model's label for the point."""
-    label = int(np.argmax(batch_predictor(model)(point[None, :])[0]))
-    return TargetInference(ThetaKind.PREDICTED_LABEL, _param(params, "target_class", label, int))
+    """The predicted-label target: ``target_class``, by default the model's
+    label for the point; a class outside [0, C) raises BadSpec."""
+    probs = batch_predictor(model)(point[None, :])
+    label = _param(params, "target_class", int(np.argmax(probs[0])), int)
+    class_column(probs, label)
+    return TargetInference(ThetaKind.PREDICTED_LABEL, label)
 
 
 LEARNER_REGISTRY: dict[str, LearnerSpec] = {

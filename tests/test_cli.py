@@ -284,6 +284,23 @@ def test_class_out_of_range_exits_3(capsys, ws, method, label):
     assert err["message"] == f"label {label} out of range for 2 classes"
 
 
+@pytest.mark.parametrize("label", ["2", "5", "-1"])
+@pytest.mark.parametrize("learner, strategy", [
+    ("nearest-class", "exhaustive-max"),
+    ("nearest-class", "mh-sample"),
+    ("masked-prediction", "mc-expectation"),
+])
+def test_recombine_target_class_out_of_range_exits_3(capsys, ws, learner, strategy, label):
+    x_kind, model = ("example-set", "plda") if learner == "nearest-class" else ("feature-mask", "logistic")
+    err = run_err(capsys, [
+        "explain", "recombine", "--theta", "predicted-label", "--x-kind", x_kind,
+        "--learner", learner, "--strategy", strategy, "--model", ws[model], "--data", ws["data"],
+        "--point", ws["point"], "--param", f"target_class={label}", "--seed", "0",
+    ], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+    assert err["message"] == f"label {label} out of range for 2 classes"
+
+
 @pytest.mark.parametrize("cells, col", [("nan,0.5", 1), ("0.5,inf", 2), ("-inf,nan", 1)])
 @pytest.mark.parametrize("method", ["rise", "lime"])
 def test_non_finite_point_exits_3(capsys, ws, tmp_path, method, cells, col):
