@@ -3,9 +3,7 @@
 import xml.etree.ElementTree as ET
 
 import numpy as np
-import pytest
 
-from bayesteach.errors import BadSpec
 from bayesteach.models import fit_model
 from bayesteach.explainers import distill_tree
 from bayesteach.render import (
@@ -35,12 +33,10 @@ def test_pgm_scales_by_largest_magnitude_and_clamps_negatives():
 
 
 def test_grid_shape_rules():
-    square = saliency_to_pgm([0.1] * 9, side=3)
+    square = saliency_to_pgm([0.1] * 9)
     assert b"3 3" in square
     flat = saliency_to_pgm([0.1] * 6)  # not a perfect square: one row
     assert b"6 1" in flat
-    with pytest.raises(BadSpec):
-        saliency_to_pgm([0.1] * 6, side=3)
 
 
 def test_saliency_svg_is_well_formed_and_sized():
