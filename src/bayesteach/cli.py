@@ -183,7 +183,6 @@ def _cmd_dataset_make(args) -> tuple[dict, int]:
         "seed": args.seed,
         "config": spec,
         "result": _dataset_result(data, args.csv),
-        "runtime_ms": None,
     }
     return doc, 0
 
@@ -198,7 +197,6 @@ def _cmd_dataset_import(args) -> tuple[dict, int]:
         "seed": None,
         "config": {"in": args.infile, "label_column": args.label_column},
         "result": _dataset_result(data, args.csv),
-        "runtime_ms": None,
     }
     return doc, 0
 
@@ -232,7 +230,6 @@ def _cmd_model_fit(args) -> tuple[dict, int]:
         "seed": args.seed,
         "config": {"data": args.data, "family": args.family, **config},
         "result": result,
-        "runtime_ms": None,
     }
     return doc, 0
 
@@ -247,7 +244,6 @@ def _cmd_model_inspect(args) -> tuple[dict, int]:
         "seed": None,
         "config": {"model": args.model},
         "result": result,
-        "runtime_ms": None,
     }
     return doc, 0
 
@@ -261,7 +257,6 @@ def _explain_envelope(method: str, theta_kind: str, config: dict, seed,
         "seed": seed,
         "result": result,
         "diagnostics": diagnostics,
-        "runtime_ms": None,
     }
 
 
@@ -618,7 +613,6 @@ def _cmd_study_run(args) -> tuple[dict, int]:
         "config": config,
         "result": result,
         "thresholds": thresholds,
-        "runtime_ms": None,
     }
     exit_code = 0 if all(t["passed"] for t in thresholds) else 1
     return doc, exit_code
@@ -631,7 +625,6 @@ def _cmd_oracle_check(args) -> tuple[dict, int]:
         "suite": report["suite"],
         "passed": report["passed"],
         "checks": report["checks"],
-        "runtime_ms": None,
     }
     return doc, 0 if report["passed"] else 1
 
@@ -843,8 +836,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         doc, exit_code = args.handler(args)
-        if args.timing:
-            doc["runtime_ms"] = (time.perf_counter() - started) * 1000.0
+        doc["runtime_ms"] = (time.perf_counter() - started) * 1000.0 if args.timing else None
         _emit(doc, args.out)
         return exit_code
     except _UsageError as exc:
