@@ -25,6 +25,7 @@ behind RISE and mc-expectation, is ``mask_expectation``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -240,68 +241,173 @@ def sample_posterior(posterior: TeacherPosterior, n: int, seed: int) -> list[Exp
 class ChainSamples(Sequence):
     """The recorded states of a Metropolis walk, read as Explanations.
 
-    ``states`` holds the raw chain states in step order; an Explanation
-    is built from one only when it is read. ``counts`` tallies the
-    states in order of first visit. ``accepted`` counts the proposals,
-    burn-in included, that passed the Metropolis test, out of
-    ``proposals``."""
+    ``states`` holds one record per step, in step order: the chain state
+    itself, or, on a walk over per-pool tables, an int that ``decode``
+    maps to the state. An Explanation is built from a record only when
+    it is read (``explanation_of``). ``counts`` tallies the states in
+    order of first visit. ``accepted`` counts the proposals, burn-in
+    included, that passed the Metropolis test, out of ``proposals``."""
 
-    def __init__(self, space: ExplanationSpace, states: list, accepted: int, proposals: int):
+    def __init__(self, space: ExplanationSpace, states: list, accepted: int, proposals: int, decode=None):
         self.space = space
         self.states = states
         self.accepted = accepted
         self.proposals = proposals
+        self.decode = decode
 
     def __len__(self) -> int:
         return len(self.states)
 
     def __getitem__(self, i: int) -> Explanation:
-        return self.space.explanation_of(self.states[i])
+        return self.explanation_of(self.states[i])
+
+    def explanation_of(self, record) -> Explanation:
+        """The Explanation of one record of ``states``."""
+        return self.space.explanation_of(record if self.decode is None else self.decode(record))
 
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.proposals
 
-    def counts(self) -> Counter:
+    @functools.cached_property
+    def tally(self) -> Counter:
+        """Visits per record, in order of first visit; counted once."""
         return Counter(self.states)
+
+    def counts(self) -> Counter:
+        """Visits per chain state, in order of first visit, read off
+        ``tally`` into a new Counter."""
+        if self.decode is None:
+            return Counter(self.tally)
+        return Counter({self.decode(r): c for r, c in self.tally.items()})
 
     def mode(self) -> tuple[Explanation, float]:
         """The most visited state and the share of samples it holds; a tie
         goes to the smallest payload read as a tuple of ints."""
-        counts = self.counts()
-        top = max(counts.values())
-        tied = (self.space.explanation_of(s) for s, c in counts.items() if c == top)
+        top = max(self.tally.values())
+        tied = (self.explanation_of(r) for r, c in self.tally.items() if c == top)
         return min(tied, key=lambda x: tuple(int(v) for v in x.payload)), top / len(self)
+
+
+class PoolWalk:
+    """A Metropolis walk's per-pool tables on a uniform-prior subset space
+    whose pools the learner's ``block_terms`` split, each filled when the
+    walk first needs an entry:
+
+    - each pool's segments (sorted row tuples) interned to ids, in order
+      of first sight;
+    - the term of each id, computed the first time a proposal holds that
+      segment;
+    - the neighbour id of each move from an id, found by the space's
+      ``segment_step``.
+
+    A weight is ``combine`` (or ``in_order_sum``) of the pool terms in
+    pool order, so it equals the joint likelihood to the bit. A walk
+    records one int per step, the mixed-radix index of the per-pool ids
+    with the per-pool combination counts as radices; ``decode`` maps it
+    back to the state, a tuple of segments."""
+
+    def __init__(self, space: SubsetSpace, terms, combine):
+        self.space = space
+        self.terms = terms
+        self.combine = combine or in_order_sum
+        self.segments: list[list] = [[] for _ in terms]
+        self.ids: list[dict] = [{} for _ in terms]
+        self.values: list[list] = [[] for _ in terms]
+        self.radices = [math.comb(len(pool), k) for pool, k in zip(space._pools, space._ks)]
+        self.strides = [math.prod(self.radices[c + 1 :]) for c in range(len(terms))]
+
+    def intern(self, c: int, segment: tuple[int, ...]) -> int:
+        i = self.ids[c].get(segment)
+        if i is None:
+            i = self.ids[c][segment] = len(self.segments[c])
+            self.segments[c].append(segment)
+            self.values[c].append(None)
+        return i
+
+    def term(self, c: int, i: int) -> float:
+        t = self.values[c][i]
+        if t is None:
+            t = self.values[c][i] = self.terms[c](self.segments[c][i])
+        return t
+
+    def __call__(self, state) -> float:
+        """The log weight of a state, a tuple of per-pool segments."""
+        return self.combine([self.term(c, self.intern(c, seg)) for c, seg in enumerate(state)])
+
+    def decode(self, index: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            segments[index // stride % radix]
+            for segments, stride, radix in zip(self.segments, self.strides, self.radices)
+        )
+
+    def walk(self, state, state_w: float, rng: np.random.Generator, total: int) -> tuple[list[int], int]:
+        """``mh_sample``'s steps from ``state`` of weight ``state_w``: the
+        records of all ``total`` steps and the accepted count."""
+        space, combine, values, strides, exp = self.space, self.combine, self.values, self.strides, math.exp
+        frees = space._free_of.tolist()
+        spans = [k * free for k, free in zip(space._ks, frees)]
+        neighbours: list[dict] = [{} for _ in values]
+        ids = [self.intern(c, seg) for c, seg in enumerate(state)]
+        bases = [i * span for i, span in zip(ids, spans)]
+        index = sum(i * stride for i, stride in zip(ids, strides))
+        # The terms of the current state. The start state's are computed
+        # only as proposals come to hold its segments, so a term is first
+        # computed exactly when a proposal first holds its segment.
+        current: list = [None] * len(values)
+        pending = True
+        records: list[int] = []
+        record = records.append
+        accepted = 0
+        for start in range(0, total, CHAIN_BLOCK):
+            count = min(CHAIN_BLOCK, total - start)
+            c_of, drop, j = space.move_arrays(rng, count)
+            moves = (drop * space._free_of[c_of] + j).tolist()
+            for c, m, u in zip(c_of.tolist(), moves, rng.random(count).tolist()):
+                key = bases[c] + m
+                nid = neighbours[c].get(key)
+                if nid is None:
+                    seg = space.segment_step(c, self.segments[c][ids[c]], *divmod(m, frees[c]))
+                    nid = neighbours[c][key] = self.intern(c, seg)
+                if pending:
+                    proposal = [self.term(p, nid if p == c else i) for p, i in enumerate(ids)]
+                    prop_w = combine(proposal)
+                    kept = current[c]
+                    current = proposal
+                else:
+                    kept = current[c]
+                    t = values[c][nid]
+                    current[c] = self.term(c, nid) if t is None else t
+                    prop_w = combine(current)
+                log_alpha = prop_w - state_w
+                if log_alpha >= 0 or u < exp(log_alpha):
+                    state_w = prop_w
+                    index += (nid - ids[c]) * strides[c]
+                    ids[c], bases[c] = nid, nid * spans[c]
+                    accepted += 1
+                    pending = False
+                else:
+                    current[c] = kept
+                    pending = kept is None
+                record(index)
+        return records, accepted
 
 
 def chain_log_weight(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
     """The log weight (likelihood plus log prior) of a chain state, memoized.
 
     On a uniform-prior subset space whose pools the learner's
-    ``block_terms`` split, each per-pool term is memoized by its pool's
-    rows, and the terms are combined in pool order by the learner's
-    ``combine`` step, or added from 0.0 (``in_order_sum``) as an additive
-    joint likelihood adds them; either way the weight equals the joint
-    weight to the bit. Otherwise one memo keyed by the state holds the
-    joint weight; a candidate of zero prior weight is not scored.
+    ``block_terms`` split, this is a ``PoolWalk``, called on a state:
+    each per-pool term is memoized by its pool's rows, and the terms are
+    combined in pool order by the learner's ``combine`` step, or added
+    from 0.0 (``in_order_sum``) as an additive joint likelihood adds
+    them; either way the weight equals the joint weight to the bit.
+    Otherwise one memo keyed by the state holds the joint weight; a
+    candidate of zero prior weight is not scored.
     """
     split = pool_terms(learner, theta, space)
     if split is not None:
-        terms, combine = split
-        combine = combine or in_order_sum
-        memos = [{} for _ in terms]
-
-        def pooled(state) -> float:
-            scores = []
-            for term, memo, rows in zip(terms, memos, state):
-                t = memo.get(rows)
-                if t is None:
-                    t = memo[rows] = term(rows)
-                scores.append(t)
-            return combine(scores)
-
-        return pooled
-
+        return PoolWalk(space, *split)
     cache: dict = {}
 
     def joint(state) -> float:
@@ -336,11 +442,13 @@ def mh_sample(
     row tuples, on a ``MaskSpace`` or ``EnumeratedSpace`` the Explanation
     itself. Its randomness is drawn in blocks of ``CHAIN_BLOCK`` steps
     (the last block is shorter): the block's moves (``chain_moves``),
-    then one uniform per step, used or not. Weights come from
-    ``chain_log_weight``. The start state is scored by the joint
-    likelihood, so the errors of a joint sweep are raised. The returned
-    ``ChainSamples`` builds each Explanation only when it is read.
-    ``n < 1`` or ``burn_in < 0`` raises ``BadSpec``.
+    then one uniform per step, used or not. The start state is scored by
+    the joint likelihood, so the errors of a joint sweep are raised. On a
+    space whose pools the learner's ``block_terms`` split, a ``PoolWalk``
+    takes the steps over its per-pool tables and records ints; otherwise
+    weights come from ``chain_log_weight``'s memo of joint weights. The
+    returned ``ChainSamples`` builds each Explanation only when it is
+    read. ``n < 1`` or ``burn_in < 0`` raises ``BadSpec``.
     """
     if n < 1 or burn_in < 0:
         raise BadSpec(f"a chain needs n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
@@ -352,9 +460,13 @@ def mh_sample(
     if state_w == -np.inf:
         raise ZeroStartMass(f"{space.descriptor}: initial state has zero posterior mass")
 
-    log_weight = chain_log_weight(learner, theta, space)
-    step, exp = space.chain_step, math.exp
     total = burn_in + n
+    log_weight = chain_log_weight(learner, theta, space)
+    if isinstance(log_weight, PoolWalk):
+        states, accepted = log_weight.walk(state, state_w, rng, total)
+        return ChainSamples(space, states[burn_in:], accepted, total, log_weight.decode)
+
+    step, exp = space.chain_step, math.exp
     states: list = []
     accepted = 0
     for start in range(0, total, CHAIN_BLOCK):

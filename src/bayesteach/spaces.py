@@ -172,23 +172,34 @@ class SubsetSpace(ExplanationSpace):
         # (pool, position of the dropped row in the pool's chosen rows,
         # position of the added row among its unchosen rows). A pool
         # with no unchosen row draws j from [0, 1) and keeps the state.
+        return list(zip(*(a.tolist() for a in self.move_arrays(rng, count))))
+
+    def move_arrays(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pools, dropped positions and added positions of ``count``
+        moves of ``chain_moves``, as three arrays."""
         c = rng.integers(len(self._pools), size=count)
         drop = rng.integers(0, self._k_of[c])
         j = rng.integers(0, self._free_of[c])
-        return list(zip(c.tolist(), drop.tolist(), j.tolist()))
+        return c, drop, j
 
     def chain_step(self, state: tuple[tuple[int, ...], ...], move: tuple[int, int, int]):
         c, drop, j = move
-        pool, seg = self._pools[c], state[c]
+        seg = self.segment_step(c, state[c], drop, j)
+        return state if seg is state[c] else state[:c] + (seg,) + state[c + 1 :]
+
+    def segment_step(self, c: int, seg: tuple[int, ...], drop: int, j: int) -> tuple[int, ...]:
+        """Pool c's chosen rows ``seg`` after a move that drops its
+        ``drop``-th row and adds the pool's ``j``-th unchosen row; ``seg``
+        itself when the pool has no unchosen row."""
+        pool = self._pools[c]
         if len(seg) == len(pool):
-            return state
+            return seg
         # the j-th unchosen row in pool order: step over the chosen rows
         # (both tuples ascend) at or before it
         for row in seg:
             if bisect.bisect_left(pool, row) <= j:
                 j += 1
-        new_seg = tuple(sorted(seg[:drop] + seg[drop + 1 :] + (pool[j],)))
-        return state[:c] + (new_seg,) + state[c + 1 :]
+        return tuple(sorted(seg[:drop] + seg[drop + 1 :] + (pool[j],)))
 
     def explanation_of(self, state: tuple[tuple[int, ...], ...]) -> Explanation:
         return example_set(itertools.chain.from_iterable(state))

@@ -361,7 +361,7 @@ def strategy_mismatch_study(
     total = 0.0
     for state in samples.states:
         if state not in cache:
-            cache[state] = evaluator_mass(samples.space.explanation_of(state))
+            cache[state] = evaluator_mass(samples.explanation_of(state))
         total += cache[state]
     sampled_value = total / len(samples)
     return {

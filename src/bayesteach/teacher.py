@@ -76,7 +76,7 @@ def run_strategy(
         meta = {
             "n": n,
             "burn_in": burn_in,
-            "distinct_states": len(samples.counts()),
+            "distinct_states": len(samples.tally),
             "mode_frequency": frequency,
             "acceptance_rate": samples.acceptance_rate,
         }

@@ -879,6 +879,45 @@ def test_mh_walk_needs_no_enumeration():
     assert_same_chain(learner, THETA, space, 500, 50, 3)
 
 
+def test_mh_walk_beyond_the_enumeration_limit_scores_each_proposed_segment_once():
+    # three pools of 40 rows, k = 6: C(40,6)^3 > 2^64 states, and records
+    # past 2^53, which a float cannot hold exactly
+    ks = [6, 6, 6]
+    space = SubsetSpace([range(40 * b, 40 * b + 40) for b in range(3)], ks)
+    assert space.size() > 2**64 and space.size() > MAX_ENUMERATION
+
+    def term(b):
+        def score(rows):
+            calls[b, rows] += 1
+            return -0.02 * (sum(rows) - 240 * b - 150) ** 2
+        return score
+
+    learner, calls = block_learner(ks, [term(b) for b in range(3)])
+    n, seed = CHAIN_BLOCK + 900, 5
+    samples = assert_same_chain(learner, THETA, space, n, 0, seed)
+    assert max(samples.states) > 2**53 and 0.2 < samples.accepted / n < 0.9
+
+    # every proposal of the reference's walk, from the start state on
+    rng = np.random.default_rng(seed)
+    start, moves, apply = oracle._subset_walk(space)
+    state, proposed, cuts = start(rng), set(), np.cumsum([0] + ks)
+    for block in range(0, n, CHAIN_BLOCK):
+        count = min(CHAIN_BLOCK, n - block)
+        block_moves = moves(rng, count)
+        rng.random(count)
+        for i, move in enumerate(block_moves):
+            x = apply(state, move)
+            proposed |= {(b, x.payload[cuts[b] : cuts[b + 1]]) for b in range(3)}
+            state = samples[block + i]
+    first = space.state_of(start(np.random.default_rng(seed)))
+    calls.clear()
+    mh_sample(learner, THETA, space, n, 0, seed)
+    # the start state once by the joint likelihood, then each proposed
+    # segment once by its pool term
+    expected = Counter(proposed) + Counter(enumerate(first))
+    assert calls == expected + Counter(joint=1, blocks=1)
+
+
 def test_mh_walk_raises_the_errors_of_the_reference(plda3, blobs3):
     theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
     keep = blobs3.labels != 2
