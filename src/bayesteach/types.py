@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -59,10 +59,14 @@ def _canonical(value: Any) -> Any:
 
 
 def _frozen(value: Any) -> Any:
-    """A read-only copy of an array; any other value as it is."""
+    """A read-only copy of an array; a copy of a dataclass payload (a soft
+    tree) with its array fields copied read-only; any other value as it
+    is."""
     if isinstance(value, np.ndarray):
         value = value.copy()
         value.flags.writeable = False
+    elif is_dataclass(value) and not isinstance(value, type):
+        value = replace(value, **{f.name: _frozen(getattr(value, f.name)) for f in fields(value)})
     return value
 
 
