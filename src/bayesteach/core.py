@@ -41,6 +41,10 @@ from .types import Explanation, LearnerModel, TargetInference, TeacherPosterior,
 # A Metropolis walk draws its moves and uniforms this many steps at a time.
 CHAIN_BLOCK = 4096
 
+# Chains of more steps (burn-in included) and mask draws of more entries
+# (masks times dimension) are refused before anything is drawn.
+MAX_DRAWS = 1 << 24
+
 
 def logsumexp(a) -> float:
     """log(sum(exp(a))) over a 1-D sequence, computed as
@@ -96,9 +100,12 @@ def mask_expectation(space: MaskSpace, n: int, seed: int, weigh):
     average them weighted by ``weigh(masks)``, a likelihood per mask: the
     posterior mean of the mask under the teacher posterior. RISE and the
     mc-expectation strategy both run here. Returns the masks, the weights,
-    and the weighted means with their standard errors."""
+    and the weighted means with their standard errors. ``n < 1`` or more
+    than ``MAX_DRAWS`` mask entries raises ``BadSpec``."""
     if n < 1:
         raise BadSpec(f"mask count must be >= 1, got {n}")
+    if n * space.dim > MAX_DRAWS:
+        raise BadSpec(f"{n} masks of {space.dim} entries exceed the limit of {MAX_DRAWS} entries")
     masks = space.draw(np.random.default_rng(seed), n)
     weights = weigh(masks)
     values, stderr = weighted_mean_and_stderr(masks, weights)
@@ -448,10 +455,13 @@ def mh_sample(
     takes the steps over its per-pool tables and records ints; otherwise
     weights come from ``chain_log_weight``'s memo of joint weights. The
     returned ``ChainSamples`` builds each Explanation only when it is
-    read. ``n < 1`` or ``burn_in < 0`` raises ``BadSpec``.
+    read. ``n < 1``, ``burn_in < 0`` or ``n + burn_in`` over
+    ``MAX_DRAWS`` raises ``BadSpec``.
     """
     if n < 1 or burn_in < 0:
         raise BadSpec(f"a chain needs n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
+    if n + burn_in > MAX_DRAWS:
+        raise BadSpec(f"a chain of {n + burn_in} steps exceeds the limit of {MAX_DRAWS}")
     rng = np.random.default_rng(seed)
     state = space.chain_start(rng)
     x = space.explanation_of(state)

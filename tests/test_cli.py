@@ -366,6 +366,7 @@ def test_recombine_incompatible_pairing_exits_3(capsys, ws):
     ["--mh-steps", "0"],
     ["--mh-steps", "-4"],
     ["--mh-steps", "10", "--mh-burn-in", "-5"],
+    ["--mh-steps", str(10**24)],
 ])
 def test_plda_examples_rejects_bad_chain_lengths(capsys, ws, steps):
     err = run_err(capsys, [
@@ -375,7 +376,7 @@ def test_plda_examples_rejects_bad_chain_lengths(capsys, ws, steps):
     assert err["type"] == "BadSpec"
 
 
-@pytest.mark.parametrize("param", ["n=0", "burn_in=-1"])
+@pytest.mark.parametrize("param", ["n=0", "burn_in=-1", f"n={10**24}", f"burn_in={10**24}"])
 def test_recombine_mh_rejects_bad_chain_lengths(capsys, ws, param):
     err = run_err(capsys, [
         "explain", "recombine", "--theta", "predicted-label",
@@ -384,6 +385,20 @@ def test_recombine_mh_rejects_bad_chain_lengths(capsys, ws, param):
         "--point", ws["point"], "--param", "per_class_k=1", "--param", param, "--seed", "0",
     ], cli.DATA_EXIT)
     assert err["type"] == "BadSpec"
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain", "recombine", "--theta", "predicted-label", "--x-kind", "feature-mask",
+     "--learner", "masked-prediction", "--strategy", "mc-expectation", "--param", f"n={10**24}",
+     "--data", "{data}"],
+    ["explain", "rise", "--masks", str(10**24)],
+])
+def test_mask_draws_past_the_limit_exit_3(capsys, ws, argv):
+    argv = [a.format(data=ws["data"]) for a in argv]
+    err = run_err(capsys, argv + [
+        "--model", ws["logistic"], "--point", ws["point"], "--seed", "0",
+    ], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec" and "limit" in err["message"]
 
 
 @pytest.mark.parametrize("param, key", [
@@ -852,6 +867,8 @@ def test_failed_threshold_exits_1_but_still_reports(capsys, ws, tmp_path):
     {"study": "strategy-mismatch", "model": "PLDA", "data": "DATA", "params": {"n": "many"}},
     {"study": "strategy-mismatch", "model": "PLDA", "data": "DATA", "params": {"n": 0}},
     {"study": "strategy-mismatch", "model": "PLDA", "data": "DATA", "params": {"burn_in": -1}},
+    {"study": "strategy-mismatch", "model": "PLDA", "data": "DATA", "params": {"n": 10**24}},
+    {"study": "strategy-mismatch", "model": "PLDA", "data": "DATA", "params": {"burn_in": 10**24}},
     {"study": "example-selection", "model": "PLDA", "data": "DATA", "params": [1]},
     {"study": ["example-selection"], "model": "PLDA", "data": "DATA"},
     {"study": "example-selection", "model": "PLDA", "data": "DATA",

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from bayesteach import oracle
 from bayesteach.core import (
     CHAIN_BLOCK,
+    MAX_DRAWS,
     chain_log_weight,
     in_order_sum,
     logsumexp,
+    mask_expectation,
     mh_sample,
     posterior_max,
     sample_posterior,
@@ -936,11 +938,22 @@ def test_mh_walk_raises_the_errors_of_the_reference(plda3, blobs3):
             mh_sample(learner, th, space, 10, 0, 0)
 
 
-@pytest.mark.parametrize("n, burn_in", [(0, 10), (-3, 0), (10, -1)])
+@pytest.mark.parametrize("n, burn_in", [(0, 10), (-3, 0), (10, -1), (MAX_DRAWS, 1), (1, MAX_DRAWS)])
 def test_mh_rejects_bad_chain_lengths(n, burn_in):
     cands = [example_set((i,)) for i in range(3)]
     with pytest.raises(BadSpec):
         mh_sample(table_learner((c, 0.0) for c in cands), THETA, EnumeratedSpace(cands), n, burn_in, 0)
+
+
+def test_mask_draws_past_the_limit_raise_before_drawing():
+    def weigh(masks):
+        raise AssertionError("nothing may be drawn or weighed")
+
+    space = MaskSpace(4, 0.5)
+    with pytest.raises(BadSpec, match="limit"):
+        mask_expectation(space, MAX_DRAWS // 4 + 1, 0, weigh)
+    masks, weights, _, _ = mask_expectation(space, 3, 0, lambda m: np.ones(len(m)))
+    assert masks.shape == (3, 4) and weights.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_mh_mode_searches_match_the_reference_counts(plda3, blobs3):
