@@ -5,12 +5,14 @@ named after the study's keyword parameters (and an unknown one) holding
 values of their own type or of any JSON type, thresholds, and extra keys.
 ``explain recombine`` gets drawn ``--param`` values for every learner's
 keys, and ``explain rise``, ``shap`` and ``lime`` get drawn ``--class``
-values. Counts stay at 50 or below so that runs are short; floats span
-the whole finite range. Every run goes in-process through ``cli.main``
-and must end one of two ways: exit 0 (or 1 for a study whose threshold
-fails) with one JSON document on stdout that holds no NaN or infinity,
-or exit 2, 3 or 4 with one JSON error on stderr, valid against the error
-schema, and no traceback.
+values. Greedy nearest-class runs are drawn on their own as well: when
+the wanted class is not class 0, their first steps score -inf, which
+the document must write as null. Counts stay at 50 or below so that
+runs are short; floats span the whole finite range. Every run goes
+in-process through ``cli.main`` and must end one of two ways: exit 0
+(or 1 for a study whose threshold fails) with one JSON document on
+stdout that holds no NaN or infinity, or exit 2, 3 or 4 with one JSON
+error on stderr, valid against the error schema, and no traceback.
 """
 
 import contextlib
@@ -128,18 +130,20 @@ def non_finite(node, path=()):
 
 
 def check(argv, document_codes=(0,)):
-    """Run ``argv`` and check how it ended; return its exit code."""
+    """Run ``argv`` and check how it ended; return its exit code and its
+    document, or None after an error."""
     code, out, err = run(argv)
     if code in document_codes:
         assert err == "", (argv[:3], err)
-        assert list(non_finite(json.loads(out))) == [], argv
-    else:
-        assert code in (2, 3, 4), (argv[:3], code, err)
-        assert out == "" and "Traceback" not in err, (argv[:3], err)
-        doc = json.loads(err)
-        jsonschema.validate(doc, ERROR_SCHEMA)
-        assert doc["error"]["exit_code"] == code
-    return code
+        doc = json.loads(out)
+        assert list(non_finite(doc)) == [], argv
+        return code, doc
+    assert code in (2, 3, 4), (argv[:3], code, err)
+    assert out == "" and "Traceback" not in err, (argv[:3], err)
+    doc = json.loads(err)
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"]["exit_code"] == code
+    return code, None
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +240,21 @@ def test_drawn_param_and_class_values_end_in_a_document_or_one_json_error(fuzz_w
         "--seed", "0", f"--class={target}",
         *(a.format(data=fuzz_ws["data"]) for a in CLASS_COMMANDS[method]),
     ])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(k=st.integers(1, 6), target=st.integers(0, 1), temperature=USUAL_OR_ANY)
+def test_drawn_greedy_runs_whose_first_steps_score_minus_infinity(fuzz_ws, k, target, temperature):
+    # nearest-class needs the wanted class, and greedy fills class 0's pool
+    # first, so wanting class 1 gives the first k steps a score of -inf
+    code, doc = check([
+        "explain", "recombine", "--theta", "predicted-label", "--x-kind", "example-set",
+        "--learner", "nearest-class", "--strategy", "greedy", "--model", fuzz_ws["logistic"],
+        "--data", fuzz_ws["data"], "--point", fuzz_ws["point"], "--seed", "0",
+        "--param", f"per_class_k={k}", "--param", f"target_class={target}",
+        "--param", f"temperature={json.dumps(temperature)}",
+    ])
+    if code == 0:
+        trace = doc["result"]["result"]["metadata"]["score_trace"]
+        assert len(trace) == 2 * k
+        assert (trace[:k] == [None] * k) == (target == 1)
