@@ -248,14 +248,14 @@ def sample_posterior(posterior: TeacherPosterior, n: int, seed: int) -> list[Exp
 class ChainSamples(Sequence):
     """The recorded states of a Metropolis walk, read as Explanations.
 
-    ``states`` holds one record per step, in step order: the chain state
-    itself, or, on a walk over per-pool tables, an int that ``decode``
-    maps to the state. An Explanation is built from a record only when
-    it is read (``explanation_of``). ``counts`` tallies the states in
-    order of first visit. ``accepted`` counts the proposals, burn-in
-    included, that passed the Metropolis test, out of ``proposals``."""
+    ``states`` holds one int record per step, in step order, that
+    ``decode`` maps to the chain state. An Explanation is built from a
+    record only when it is read (``explanation_of``). ``counts`` tallies
+    the states in order of first visit. ``accepted`` counts the
+    proposals, burn-in included, that passed the Metropolis test, out of
+    ``proposals``."""
 
-    def __init__(self, space: ExplanationSpace, states: list, accepted: int, proposals: int, decode=None):
+    def __init__(self, space: ExplanationSpace, states: list[int], accepted: int, proposals: int, decode):
         self.space = space
         self.states = states
         self.accepted = accepted
@@ -268,9 +268,9 @@ class ChainSamples(Sequence):
     def __getitem__(self, i: int) -> Explanation:
         return self.explanation_of(self.states[i])
 
-    def explanation_of(self, record) -> Explanation:
+    def explanation_of(self, record: int) -> Explanation:
         """The Explanation of one record of ``states``."""
-        return self.space.explanation_of(record if self.decode is None else self.decode(record))
+        return self.space.explanation_of(self.decode(record))
 
     @property
     def acceptance_rate(self) -> float:
@@ -284,8 +284,6 @@ class ChainSamples(Sequence):
     def counts(self) -> Counter:
         """Visits per chain state, in order of first visit, read off
         ``tally`` into a new Counter."""
-        if self.decode is None:
-            return Counter(self.tally)
         return Counter({self.decode(r): c for r, c in self.tally.items()})
 
     def mode(self) -> tuple[Explanation, float]:
@@ -296,35 +294,39 @@ class ChainSamples(Sequence):
         return min(tied, key=lambda x: tuple(int(v) for v in x.payload)), top / len(self)
 
 
-class PoolWalk:
-    """A Metropolis walk's per-pool tables on a uniform-prior subset space
-    whose pools the learner's ``block_terms`` split, each filled when the
-    walk first needs an entry:
+class ChainWalk:
+    """A Metropolis walk's tables over the parts of the space's chain
+    state, each filled when the walk first needs an entry:
 
-    - each pool's segments (sorted row tuples) interned to ids, in order
-      of first sight;
-    - the term of each id, computed the first time a proposal holds that
-      segment;
+    - each part's segments interned to ids, in order of first sight;
     - the neighbour id of each move from an id, found by the space's
       ``segment_step``.
 
-    A weight is ``combine`` (or ``in_order_sum``) of the pool terms in
-    pool order, so it equals the joint likelihood to the bit. A walk
-    records one int per step, the mixed-radix index of the per-pool ids
-    with the per-pool combination counts as radices; ``decode`` maps it
-    back to the state, a tuple of segments."""
+    A walk records one int per step, the mixed-radix index of the
+    per-part ids with the space's ``radices``; ``decode`` maps it back to
+    the state, a tuple of segments. On a one-part space the record is the
+    id itself.
 
-    def __init__(self, space: SubsetSpace, terms, combine):
-        self.space = space
-        self.terms = terms
+    When ``pool_terms`` splits the space, a weight is ``combine`` (or
+    ``in_order_sum``) of the pool terms in pool order, so it equals the
+    joint likelihood to the bit; each id's term is computed the first
+    time a proposal holds that segment. Otherwise one memo keyed by the
+    record holds the joint weight, the likelihood plus the log prior; a
+    state of zero prior weight is not scored. Called on a state, the walk
+    gives its log weight."""
+
+    def __init__(self, learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
+        self.learner, self.theta, self.space = learner, theta, space
+        split = pool_terms(learner, theta, space)
+        self.terms, combine = split if split is not None else (None, None)
         self.combine = combine or in_order_sum
-        self.segments: list[list] = [[] for _ in terms]
-        self.ids: list[dict] = [{} for _ in terms]
-        self.values: list[list] = [[] for _ in terms]
-        self.radices = [math.comb(len(pool), k) for pool, k in zip(space._pools, space._ks)]
-        self.strides = [math.prod(self.radices[c + 1 :]) for c in range(len(terms))]
+        radices = space.radices
+        self.segments: list[list] = [[] for _ in radices]
+        self.ids: list[dict] = [{} for _ in radices]
+        self.values: list[list] = [[] for _ in radices]
+        self.strides = [math.prod(radices[c + 1 :]) for c in range(len(radices))]
 
-    def intern(self, c: int, segment: tuple[int, ...]) -> int:
+    def intern(self, c: int, segment) -> int:
         i = self.ids[c].get(segment)
         if i is None:
             i = self.ids[c][segment] = len(self.segments[c])
@@ -338,29 +340,39 @@ class PoolWalk:
             t = self.values[c][i] = self.terms[c](self.segments[c][i])
         return t
 
-    def __call__(self, state) -> float:
-        """The log weight of a state, a tuple of per-pool segments."""
-        return self.combine([self.term(c, self.intern(c, seg)) for c, seg in enumerate(state)])
+    def joint_weight(self, ids) -> float:
+        """The likelihood plus log prior of the state of the per-part
+        ``ids``; a state of zero prior weight is not scored."""
+        x = self.space.explanation_of(tuple(self.segments[c][i] for c, i in enumerate(ids)))
+        lp = self.space.log_prior(x)
+        return -np.inf if lp == -np.inf else self.learner.log_likelihood(self.theta, x) + lp
 
-    def decode(self, index: int) -> tuple[tuple[int, ...], ...]:
+    def __call__(self, state) -> float:
+        """The log weight of a state, a tuple of segments."""
+        ids = [self.intern(c, seg) for c, seg in enumerate(state)]
+        if self.terms is None:
+            return self.joint_weight(ids)
+        return self.combine([self.term(c, i) for c, i in enumerate(ids)])
+
+    def decode(self, record: int) -> tuple:
         return tuple(
-            segments[index // stride % radix]
-            for segments, stride, radix in zip(self.segments, self.strides, self.radices)
+            segments[record // stride % radix]
+            for segments, stride, radix in zip(self.segments, self.strides, self.space.radices)
         )
 
     def walk(self, state, state_w: float, rng: np.random.Generator, total: int) -> tuple[list[int], int]:
         """``mh_sample``'s steps from ``state`` of weight ``state_w``: the
         records of all ``total`` steps and the accepted count."""
         space, combine, values, strides, exp = self.space, self.combine, self.values, self.strides, math.exp
-        frees = space._free_of.tolist()
-        spans = [k * free for k, free in zip(space._ks, frees)]
+        split, joint, spans = self.terms is not None, {}, space.spans
         neighbours: list[dict] = [{} for _ in values]
         ids = [self.intern(c, seg) for c, seg in enumerate(state)]
         bases = [i * span for i, span in zip(ids, spans)]
         index = sum(i * stride for i, stride in zip(ids, strides))
-        # The terms of the current state. The start state's are computed
-        # only as proposals come to hold its segments, so a term is first
-        # computed exactly when a proposal first holds its segment.
+        # The pool terms of the current state. The start state's are
+        # computed only as proposals come to hold its segments, so a term
+        # is first computed exactly when a proposal first holds its
+        # segment.
         current: list = [None] * len(values)
         pending = True
         records: list[int] = []
@@ -368,28 +380,29 @@ class PoolWalk:
         accepted = 0
         for start in range(0, total, CHAIN_BLOCK):
             count = min(CHAIN_BLOCK, total - start)
-            c_of, drop, j = space.move_arrays(rng, count)
-            moves = (drop * space._free_of[c_of] + j).tolist()
-            for c, m, u in zip(c_of.tolist(), moves, rng.random(count).tolist()):
+            parts, moves = space.chain_moves(rng, count)
+            for c, m, u in zip(parts.tolist(), moves.tolist(), rng.random(count).tolist()):
                 key = bases[c] + m
                 nid = neighbours[c].get(key)
                 if nid is None:
-                    seg = space.segment_step(c, self.segments[c][ids[c]], *divmod(m, frees[c]))
+                    seg = space.segment_step(c, self.segments[c][ids[c]], m)
                     nid = neighbours[c][key] = self.intern(c, seg)
-                if pending:
-                    proposal = [self.term(p, nid if p == c else i) for p, i in enumerate(ids)]
-                    prop_w = combine(proposal)
-                    kept = current[c]
-                    current = proposal
+                proposal = index + (nid - ids[c]) * strides[c]
+                kept = current[c]
+                if not split:
+                    prop_w = joint.get(proposal)
+                    if prop_w is None:
+                        prop_w = joint[proposal] = self.joint_weight([nid if p == c else i for p, i in enumerate(ids)])
+                elif pending:
+                    current = [self.term(p, nid if p == c else i) for p, i in enumerate(ids)]
+                    prop_w = combine(current)
                 else:
-                    kept = current[c]
                     t = values[c][nid]
                     current[c] = self.term(c, nid) if t is None else t
                     prop_w = combine(current)
                 log_alpha = prop_w - state_w
                 if log_alpha >= 0 or u < exp(log_alpha):
-                    state_w = prop_w
-                    index += (nid - ids[c]) * strides[c]
+                    state_w, index = prop_w, proposal
                     ids[c], bases[c] = nid, nid * spans[c]
                     accepted += 1
                     pending = False
@@ -398,34 +411,6 @@ class PoolWalk:
                     pending = kept is None
                 record(index)
         return records, accepted
-
-
-def chain_log_weight(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
-    """The log weight (likelihood plus log prior) of a chain state, memoized.
-
-    On a uniform-prior subset space whose pools the learner's
-    ``block_terms`` split, this is a ``PoolWalk``, called on a state:
-    each per-pool term is memoized by its pool's rows, and the terms are
-    combined in pool order by the learner's ``combine`` step, or added
-    from 0.0 (``in_order_sum``) as an additive joint likelihood adds
-    them; either way the weight equals the joint weight to the bit.
-    Otherwise one memo keyed by the state holds the joint weight; a
-    candidate of zero prior weight is not scored.
-    """
-    split = pool_terms(learner, theta, space)
-    if split is not None:
-        return PoolWalk(space, *split)
-    cache: dict = {}
-
-    def joint(state) -> float:
-        w = cache.get(state)
-        if w is None:
-            x = space.explanation_of(state)
-            lp = space.log_prior(x)
-            w = cache[state] = -np.inf if lp == -np.inf else learner.log_likelihood(theta, x) + lp
-        return w
-
-    return joint
 
 
 def mh_sample(
@@ -444,19 +429,19 @@ def mh_sample(
     every post-burn-in step, rejections included, so n samples are
     returned.
 
-    The chain walks the space's own states (``chain_start``,
-    ``chain_step``): on a ``SubsetSpace`` the tuple of per-pool sorted
-    row tuples, on a ``MaskSpace`` or ``EnumeratedSpace`` the Explanation
-    itself. Its randomness is drawn in blocks of ``CHAIN_BLOCK`` steps
-    (the last block is shorter): the block's moves (``chain_moves``),
-    then one uniform per step, used or not. The start state is scored by
-    the joint likelihood, so the errors of a joint sweep are raised. On a
-    space whose pools the learner's ``block_terms`` split, a ``PoolWalk``
-    takes the steps over its per-pool tables and records ints; otherwise
-    weights come from ``chain_log_weight``'s memo of joint weights. The
-    returned ``ChainSamples`` builds each Explanation only when it is
-    read. ``n < 1``, ``burn_in < 0`` or ``n + burn_in`` over
-    ``MAX_DRAWS`` raises ``BadSpec``.
+    Every chain is one ``ChainWalk`` over the parts of the space's chain
+    state (``chain_start``, ``segment_step``): the pools of a
+    ``SubsetSpace``, the Explanation itself on a ``MaskSpace`` or
+    ``EnumeratedSpace``. It interns each part's segments and records one
+    int per step. Its randomness is drawn in blocks of ``CHAIN_BLOCK``
+    steps (the last block is shorter): the block's parts and moves
+    (``chain_moves``), then one uniform per step, used or not. The start
+    state is scored by the joint likelihood, so the errors of a joint
+    sweep are raised. Proposals are weighed by the learner's per-pool
+    terms when ``pool_terms`` splits the space, and by a memo of joint
+    weights otherwise. The returned ``ChainSamples`` builds each
+    Explanation only when it is read. ``n < 1``, ``burn_in < 0`` or
+    ``n + burn_in`` over ``MAX_DRAWS`` raises ``BadSpec``.
     """
     if n < 1 or burn_in < 0:
         raise BadSpec(f"a chain needs n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
@@ -470,25 +455,7 @@ def mh_sample(
     if state_w == -np.inf:
         raise ZeroStartMass(f"{space.descriptor}: initial state has zero posterior mass")
 
-    total = burn_in + n
-    log_weight = chain_log_weight(learner, theta, space)
-    if isinstance(log_weight, PoolWalk):
-        states, accepted = log_weight.walk(state, state_w, rng, total)
-        return ChainSamples(space, states[burn_in:], accepted, total, log_weight.decode)
-
-    step, exp = space.chain_step, math.exp
-    states: list = []
-    accepted = 0
-    for start in range(0, total, CHAIN_BLOCK):
-        count = min(CHAIN_BLOCK, total - start)
-        moves = space.chain_moves(rng, count)
-        for move, u in zip(moves, rng.random(count).tolist()):
-            proposal = step(state, move)
-            prop_w = log_weight(proposal)
-            log_alpha = prop_w - state_w
-            if log_alpha >= 0 or u < exp(log_alpha):
-                state, state_w = proposal, prop_w
-                accepted += 1
-            states.append(state)
+    walk = ChainWalk(learner, theta, space)
+    records, accepted = walk.walk(state, state_w, rng, burn_in + n)
     # the burn-in steps are the first ones recorded
-    return ChainSamples(space, states[burn_in:], accepted, total)
+    return ChainSamples(space, records[burn_in:], accepted, burn_in + n, walk.decode)

@@ -114,6 +114,22 @@ def _subset_walk(space: SubsetSpace):
     return initial_state, moves, apply
 
 
+def _walk(space: ExplanationSpace):
+    """Start, block draws and move of a space, on Explanations: the
+    subset walk above, or the one-part kernel of a mask or enumerated
+    space read through its ``chain_moves`` and ``segment_step``."""
+    if isinstance(space, SubsetSpace):
+        return _subset_walk(space)
+
+    def moves(rng: np.random.Generator, count: int) -> list[int]:
+        return space.chain_moves(rng, count)[1].tolist()
+
+    def apply(x: Explanation, move: int) -> Explanation:
+        return space.segment_step(0, x, move)
+
+    return space.initial_state, moves, apply
+
+
 def mh_reference(
     learner: LearnerModel,
     theta: TargetInference,
@@ -131,10 +147,8 @@ def mh_reference(
     Returns the samples and the number of proposals, burn-in included,
     that passed the Metropolis test."""
     rng = np.random.default_rng(seed)
-    if isinstance(space, SubsetSpace):
-        initial_state, moves, apply = _subset_walk(space)
-    else:
-        initial_state, moves, apply = space.initial_state, space.chain_moves, space.chain_step
+    initial_state, moves, apply = _walk(space)
+
     @functools.lru_cache(maxsize=None)
     def log_weight(x: Explanation) -> float:
         lp = space.log_prior(x)

@@ -54,31 +54,38 @@ class ExplanationSpace:
     def propose(self, x: Explanation, rng: np.random.Generator) -> Explanation:
         """Draw a neighbour: one move of ``chain_moves`` applied to x. The
         kernel must satisfy q(a->b) = q(b->a)."""
-        state = self.state_of(x)
-        moved = self.chain_step(state, self.chain_moves(rng, 1)[0])
-        return x if moved is state else self.explanation_of(moved)
+        parts, moves = self.chain_moves(rng, 1)
+        c, state = int(parts[0]), self.state_of(x)
+        seg = self.segment_step(c, state[c], int(moves[0]))
+        return x if seg is state[c] else self.explanation_of(state[:c] + (seg,) + state[c + 1 :])
 
-    # A Markov chain walks hashable states. By default a state is the
-    # Explanation itself; a space may walk a cheaper form and build the
-    # Explanation only when one is read. The chain starts with the draws
-    # of ``initial_state``, then draws its moves in blocks:
-    # ``chain_moves`` makes ``count`` moves from a few array draws, and
-    # ``chain_step`` applies one move without drawing.
+    # A Markov chain walks a state that is a tuple of parts, each part a
+    # hashable segment; the Explanation is built from the parts only when
+    # one is read. By default there is one part, the Explanation itself.
+    # Part c has ``radices[c]`` possible segments and ``spans[c]`` moves
+    # from each. The chain starts with the draws of ``initial_state``,
+    # then draws its moves in blocks: ``chain_moves`` gives the part and
+    # the move of ``count`` steps as two int arrays from a few array
+    # draws, and ``segment_step`` applies one move to one part without
+    # drawing, returning the segment itself when the move keeps it.
 
-    def chain_start(self, rng: np.random.Generator) -> Hashable:
-        return self.initial_state(rng)
+    radices: list[int]
+    spans: list[int]
 
-    def chain_moves(self, rng: np.random.Generator, count: int) -> list:
+    def chain_start(self, rng: np.random.Generator) -> tuple:
+        return (self.initial_state(rng),)
+
+    def chain_moves(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(count, dtype=np.int64), rng.integers(self.spans[0], size=count)
+
+    def segment_step(self, c: int, seg: Hashable, move: int) -> Hashable:
         raise NotImplementedError
 
-    def chain_step(self, state: Hashable, move) -> Hashable:
-        raise NotImplementedError
+    def explanation_of(self, state: tuple) -> Explanation:
+        return state[0]
 
-    def explanation_of(self, state: Hashable) -> Explanation:
-        return state
-
-    def state_of(self, x: Explanation) -> Hashable:
-        return x
+    def state_of(self, x: Explanation) -> tuple:
+        return (x,)
 
     def _check_enumerable(self) -> None:
         if not self.enumerable:
@@ -119,6 +126,8 @@ class SubsetSpace(ExplanationSpace):
                 raise BadSpec("index pools must not repeat rows")
         self._k_of = np.array(self._ks)
         self._free_of = np.maximum([len(p) - k for p, k in zip(self._pools, self._ks)], 1)
+        self.radices = [math.comb(len(p), k) for p, k in zip(self._pools, self._ks)]
+        self.spans = [k * int(free) for k, free in zip(self._ks, self._free_of)]
         self._prior_fn = prior_fn
         sizes = "x".join(f"C({len(p)},{k})" for p, k in zip(self._pools, self._ks))
         self.descriptor = f"example subsets [{sizes}]"
@@ -126,17 +135,14 @@ class SubsetSpace(ExplanationSpace):
     @classmethod
     def per_class(cls, labels: np.ndarray, per_class_k: Sequence[int] | int, prior_fn=None) -> "SubsetSpace":
         labels = np.asarray(labels)
-        classes = sorted(int(c) for c in np.unique(labels))
+        classes = sorted(set(labels.tolist()))
         pools = [np.flatnonzero(labels == c).tolist() for c in classes]
         if isinstance(per_class_k, int):
             per_class_k = [per_class_k] * len(pools)
         return cls(pools, list(per_class_k), prior_fn)
 
     def size(self) -> int:
-        total = 1
-        for pool, k in zip(self._pools, self._ks):
-            total *= math.comb(len(pool), k)
-        return total
+        return math.prod(self.radices)
 
     def elements(self) -> Iterator[Explanation]:
         self._check_enumerable()
@@ -156,8 +162,14 @@ class SubsetSpace(ExplanationSpace):
         weight = self.prior_weight(x)
         return math.log(weight) if weight > 0 else -math.inf
 
-    # A chain state is the tuple of per-pool sorted row tuples; the
-    # Explanation is their concatenation.
+    # The chain's parts are the pools, each segment a sorted row tuple;
+    # the Explanation is their concatenation. A move swaps one chosen row
+    # for one unchosen row of the same pool. The pool is drawn uniformly,
+    # then both endpoints uniformly, so the move and its reverse have
+    # identical probability. It is ``drop * free + j``: the position of
+    # the dropped row among the pool's k chosen rows, and of the added row
+    # among its ``free`` unchosen rows. A pool with no unchosen row draws
+    # j from [0, 1) and keeps its segment.
 
     def chain_start(self, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
         return tuple(
@@ -165,35 +177,17 @@ class SubsetSpace(ExplanationSpace):
             for pool, k in zip(self._pools, self._ks)
         )
 
-    def chain_moves(self, rng: np.random.Generator, count: int) -> list[tuple[int, int, int]]:
-        # Swap one chosen row for one unchosen row of the same pool. The
-        # pool is drawn uniformly, then both endpoints uniformly, so the
-        # move and its reverse have identical probability. A move is
-        # (pool, position of the dropped row in the pool's chosen rows,
-        # position of the added row among its unchosen rows). A pool
-        # with no unchosen row draws j from [0, 1) and keeps the state.
-        return list(zip(*(a.tolist() for a in self.move_arrays(rng, count))))
-
-    def move_arrays(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pools, dropped positions and added positions of ``count``
-        moves of ``chain_moves``, as three arrays."""
+    def chain_moves(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
         c = rng.integers(len(self._pools), size=count)
         drop = rng.integers(0, self._k_of[c])
-        j = rng.integers(0, self._free_of[c])
-        return c, drop, j
+        free = self._free_of[c]
+        return c, drop * free + rng.integers(0, free)
 
-    def chain_step(self, state: tuple[tuple[int, ...], ...], move: tuple[int, int, int]):
-        c, drop, j = move
-        seg = self.segment_step(c, state[c], drop, j)
-        return state if seg is state[c] else state[:c] + (seg,) + state[c + 1 :]
-
-    def segment_step(self, c: int, seg: tuple[int, ...], drop: int, j: int) -> tuple[int, ...]:
-        """Pool c's chosen rows ``seg`` after a move that drops its
-        ``drop``-th row and adds the pool's ``j``-th unchosen row; ``seg``
-        itself when the pool has no unchosen row."""
+    def segment_step(self, c: int, seg: tuple[int, ...], move: int) -> tuple[int, ...]:
         pool = self._pools[c]
         if len(seg) == len(pool):
             return seg
+        drop, j = divmod(move, len(pool) - len(seg))
         # the j-th unchosen row in pool order: step over the chosen rows
         # (both tuples ascend) at or before it
         for row in seg:
@@ -230,6 +224,7 @@ class MaskSpace(ExplanationSpace):
         self._log_p = math.log(self.keep_prob)
         self._log_q = math.log1p(-self.keep_prob)
         self.descriptor = f"feature masks [2^{dim}, keep_prob={keep_prob}]"
+        self.radices, self.spans = [1 << self.dim], [self.dim]
 
     def size(self) -> int:
         return 1 << self.dim
@@ -255,12 +250,9 @@ class MaskSpace(ExplanationSpace):
     def initial_state(self, rng: np.random.Generator) -> Explanation:
         return feature_mask(self.draw(rng, 1)[0])
 
-    def chain_moves(self, rng: np.random.Generator, count: int) -> list[int]:
+    def segment_step(self, c: int, seg: Explanation, move: int) -> Explanation:
         # a move flips the bit it names
-        return rng.integers(self.dim, size=count).tolist()
-
-    def chain_step(self, state: Explanation, move: int) -> Explanation:
-        bits = np.array(state.payload, copy=True)
+        bits = np.array(seg.payload, copy=True)
         bits[move] = 1 - bits[move]
         return feature_mask(bits)
 
@@ -290,6 +282,7 @@ class EnumeratedSpace(ExplanationSpace):
         if self._weights is not None and len(self._index) < len(self._candidates):
             raise BadSpec("weighted candidates must be distinct")
         self.descriptor = f"{descriptor} [{len(self._candidates)}]"
+        self.radices, self.spans = [len(self._candidates)], [max(len(self._candidates) - 1, 1)]
 
     def size(self) -> int:
         return len(self._candidates)
@@ -311,14 +304,11 @@ class EnumeratedSpace(ExplanationSpace):
     def initial_state(self, rng: np.random.Generator) -> Explanation:
         return self._candidates[int(rng.integers(len(self._candidates)))]
 
-    def chain_moves(self, rng: np.random.Generator, count: int) -> list[int]:
+    def segment_step(self, c: int, seg: Explanation, move: int) -> Explanation:
         # a move names one of the other candidates, skipping the current
         # one; a single candidate draws from [0, 1) and keeps the state
-        return rng.integers(max(len(self._candidates) - 1, 1), size=count).tolist()
-
-    def chain_step(self, state: Explanation, move: int) -> Explanation:
         if len(self._candidates) == 1:
-            return state
-        if move >= self._index[state]:
+            return seg
+        if move >= self._index[seg]:
             move += 1
         return self._candidates[move]

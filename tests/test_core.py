@@ -12,11 +12,12 @@ from bayesteach import oracle
 from bayesteach.core import (
     CHAIN_BLOCK,
     MAX_DRAWS,
-    chain_log_weight,
+    ChainWalk,
     in_order_sum,
     logsumexp,
     mask_expectation,
     mh_sample,
+    pool_terms,
     posterior_max,
     sample_posterior,
     select_max,
@@ -34,8 +35,10 @@ from bayesteach.errors import (
 from bayesteach.explainers import explain_by_examples
 from bayesteach.learners import (
     BiasConfig,
+    KernelConfig,
     biased_learner,
     make_masked_prediction_learner,
+    make_mmd_learner,
     make_nearest_class_learner,
     make_plda_learner,
 )
@@ -646,7 +649,7 @@ def test_nearest_class_pool_scores_cover_large_k_in_one_dimension(rng):
     assert best.explanation == ref.support[i]
     assert best.log_weight == ref.log_weights[i]
     assert math.isclose(best.log_normalizer, ref.log_normalizer, rel_tol=1e-12)
-    weight = chain_log_weight(learner, theta, space)
+    weight = ChainWalk(learner, theta, space)
     states = [(x.payload[:8], x.payload[8:]) for x in ref.support]
     assert [weight(s) for s in states] == ref.log_weights.tolist()
 
@@ -678,7 +681,7 @@ def test_nearest_class_overflowing_scores_raise_on_every_route(blobs3):
         lambda: posterior_max(plain(learner), theta, space),  # the joint sweep
         lambda: teacher_posterior(learner, theta, space),
         lambda: mh_sample(learner, theta, space, 10, 0, 0),
-        lambda: chain_log_weight(learner, theta, space)(space.chain_start(np.random.default_rng(0))),
+        lambda: ChainWalk(learner, theta, space)(space.chain_start(np.random.default_rng(0))),
     ]
     for search in searches:
         with pytest.raises(NonFiniteResult, match="temperature 1e-320"):
@@ -707,7 +710,7 @@ def test_plda_array_sweep_weights_equal_the_joint_sweep_to_the_bit(plda3, blobs3
     theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
     for k in (1, 2, [1, 3, 2]):
         space = SubsetSpace.per_class(blobs3.labels, k)
-        weight = chain_log_weight(learner, theta, space)
+        weight = ChainWalk(learner, theta, space)
         ks = space._ks
         for x in space.elements():
             cuts = np.cumsum([0] + ks)
@@ -735,7 +738,7 @@ def test_additive_pool_weights_add_in_order_without_compensation():
     terms = [lambda rows: 1e16, lambda rows: 1.0, lambda rows: -1e16]
     learner, _ = block_learner([1, 1, 1], terms)
     space = SubsetSpace([[0, 1], [2, 3], [4, 5]], [1, 1, 1])
-    weight = chain_log_weight(learner, THETA, space)
+    weight = ChainWalk(learner, THETA, space)
     assert weight(((0,), (2,), (4,))) == learner.log_likelihood(THETA, example_set((0, 2, 4))) == 0.0
 
 
@@ -825,7 +828,7 @@ def test_nearest_class_chains_combine_pool_terms_as_the_joint_likelihood(rng):
         theta = TargetInference(ThetaKind.PREDICTED_LABEL, wanted)
         assert learner.block_terms(theta, space._pools)[1] is not None
         samples = assert_same_chain(learner, theta, space, 400, int(rng.integers(0, 20)), i)
-        weight = chain_log_weight(learner, theta, space)
+        weight = ChainWalk(learner, theta, space)
         for state in samples.counts():
             assert weight(state) == learner.log_likelihood(theta, space.explanation_of(state))
         moved += len(samples.counts()) > 1
@@ -850,7 +853,7 @@ def test_mh_walk_on_plda_sums_the_block_terms_as_the_joint_likelihood(plda3, blo
     for seed, k in enumerate((1, 2, 3, [1, 3, 2], [4, 1, 2])):
         space = SubsetSpace.per_class(blobs3.labels, k)
         samples = assert_same_chain(learner, theta, space, 2000, 100, seed)
-        weight = chain_log_weight(learner, theta, space)
+        weight = ChainWalk(learner, theta, space)
         for state in samples.counts():
             assert weight(state) == learner.log_likelihood(theta, samples.space.explanation_of(state))
 
@@ -870,6 +873,24 @@ def test_mh_walk_replays_the_reference_across_draw_blocks(plda3, blobs3, logisti
     for seed, (learner, theta, space) in enumerate(cases):
         samples = assert_same_chain(learner, theta, space, n, burn_in, seed)
         assert 0 < samples.accepted < n + burn_in
+
+
+def replayed_proposals(space, samples, seed):
+    """The start state and every proposal, in step order, of the seeded
+    chain without burn-in whose samples are given, drawn as
+    ``oracle.mh_reference`` draws them."""
+    rng = np.random.default_rng(seed)
+    initial_state, moves, apply = oracle._walk(space)
+    start = state = initial_state(rng)
+    proposals = []
+    for block in range(0, len(samples), CHAIN_BLOCK):
+        count = min(CHAIN_BLOCK, len(samples) - block)
+        block_moves = moves(rng, count)
+        rng.random(count)
+        for i, move in enumerate(block_moves):
+            proposals.append(apply(state, move))
+            state = samples[block + i]
+    return start, proposals
 
 
 def test_mh_walk_needs_no_enumeration():
@@ -899,25 +920,64 @@ def test_mh_walk_beyond_the_enumeration_limit_scores_each_proposed_segment_once(
     samples = assert_same_chain(learner, THETA, space, n, 0, seed)
     assert max(samples.states) > 2**53 and 0.2 < samples.accepted / n < 0.9
 
-    # every proposal of the reference's walk, from the start state on
-    rng = np.random.default_rng(seed)
-    start, moves, apply = oracle._subset_walk(space)
-    state, proposed, cuts = start(rng), set(), np.cumsum([0] + ks)
-    for block in range(0, n, CHAIN_BLOCK):
-        count = min(CHAIN_BLOCK, n - block)
-        block_moves = moves(rng, count)
-        rng.random(count)
-        for i, move in enumerate(block_moves):
-            x = apply(state, move)
-            proposed |= {(b, x.payload[cuts[b] : cuts[b + 1]]) for b in range(3)}
-            state = samples[block + i]
-    first = space.state_of(start(np.random.default_rng(seed)))
+    start, proposals = replayed_proposals(space, samples, seed)
+    cuts = np.cumsum([0] + ks)
+    proposed = {(b, x.payload[cuts[b] : cuts[b + 1]]) for x in proposals for b in range(3)}
     calls.clear()
     mh_sample(learner, THETA, space, n, 0, seed)
     # the start state once by the joint likelihood, then each proposed
     # segment once by its pool term
-    expected = Counter(proposed) + Counter(enumerate(first))
+    expected = Counter(proposed) + Counter(enumerate(space.state_of(start)))
     assert calls == expected + Counter(joint=1, blocks=1)
+
+
+def counted(learner):
+    """The learner, block terms kept, and the list of the explanations
+    its joint likelihood is called on."""
+    seen = []
+
+    def log_likelihood(theta, x):
+        seen.append(x)
+        return learner.log_likelihood(theta, x)
+
+    out = LearnerModel(learner.description, log_likelihood)
+    return (out if learner.block_terms is None else out.factored(learner.block_terms)), seen
+
+
+def test_mh_joint_route_scores_the_start_then_each_proposed_state_once(rng, logistic_grid, grid_image):
+    # mask, enumerated, prior-weighted subset and plain-learner subset
+    # chains weigh proposals by the joint likelihood; a state of zero
+    # prior weight is not scored
+    masked = make_masked_prediction_learner(logistic_grid, grid_image.features[0])
+    checked = Counter()
+    for seed in range(48):
+        kind = ("mask", "enumerated", "prior", "plain")[seed % 4]
+        if kind == "mask":
+            theta = TargetInference(ThetaKind.PREDICTED_LABEL, seed // 4 % 2)
+            learner, space = masked, MaskSpace(grid_image.features.shape[1], float(rng.uniform(0.2, 0.8)))
+        elif kind == "enumerated":
+            theta, (learner, space) = THETA, random_case(rng, max_size=40)
+        else:
+            space, ks, terms = block_case(rng)
+            theta, learner = THETA, block_learner(ks, terms)[0]
+            if kind == "prior":
+                space = SubsetSpace(space._pools, ks, prior_fn=lambda x: float(x.payload[0] % 3))
+            else:
+                learner = plain(learner)
+        assert pool_terms(learner, theta, space) is None
+        learner, seen = counted(learner)
+        n = int(rng.integers(1, 500))
+        samples = assert_same_chain(learner, theta, space, n, 0, seed)
+        if samples is None:
+            continue
+        assert all(type(record) is int for record in samples.states)
+        start, proposals = replayed_proposals(space, samples, seed)
+        scored = {x for x in proposals if space.log_prior(x) > -math.inf}
+        seen.clear()
+        mh_sample(learner, theta, space, n, 0, seed)
+        assert Counter(seen) == Counter([start]) + Counter(scored)
+        checked[kind] += 1
+    assert len(checked) == 4 and min(checked.values()) >= 5
 
 
 def test_mh_walk_raises_the_errors_of_the_reference(plda3, blobs3):
@@ -956,10 +1016,15 @@ def test_mask_draws_past_the_limit_raise_before_drawing():
     assert masks.shape == (3, 4) and weights.tolist() == [1.0, 1.0, 1.0]
 
 
-def test_mh_mode_searches_match_the_reference_counts(plda3, blobs3):
+def test_mh_mode_searches_match_the_reference_counts(plda3, blobs3, logistic_grid, grid_image):
     # short chains leave many states tied for the mode
     theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
     learner = make_plda_learner(plda3, blobs3)
+    masked = make_masked_prediction_learner(logistic_grid, grid_image.features[0])
+    label = TargetInference(ThetaKind.PREDICTED_LABEL, 1)
+    mmd = make_mmd_learner(blobs3, KernelConfig(None), 0.5)
+    rows = blobs3.class_rows(1)
+    reference = TargetInference(ThetaKind.CLASS_DATA_DISTRIBUTION, (blobs3.features[rows], 1))
     for seed in range(20):
         k = 1 + seed % 2
         space = SubsetSpace.per_class(blobs3.labels, k)
@@ -970,7 +1035,16 @@ def test_mh_mode_searches_match_the_reference_counts(plda3, blobs3):
         assert report.indices == top[0]
         assert report.metadata["mode_frequency"] == top[1] / 25
 
-        result = run_strategy(learner, theta, space, "mh-sample", seed=seed, n=25, burn_in=3)
-        assert result.metadata["distinct_states"] == len(counts)
-        assert result.metadata["mode_frequency"] == max(counts.values()) / 25
-        assert result.explanation.payload == top[0]
+        searches = [
+            (learner, theta, space),
+            (masked, label, MaskSpace(grid_image.features.shape[1], 0.5)),
+            (mmd, reference, SubsetSpace([rows.tolist()], [k + 1])),
+        ]
+        for search, target, where in searches:
+            ref, _ = oracle.mh_reference(search, target, where, 25, 3, seed)
+            counts = Counter(ref)
+            top = max(counts.items(), key=lambda kv: (kv[1], tuple(-int(i) for i in kv[0].payload)))
+            result = run_strategy(search, target, where, "mh-sample", seed=seed, n=25, burn_in=3)
+            assert result.metadata["distinct_states"] == len(counts)
+            assert result.metadata["mode_frequency"] == top[1] / 25
+            assert result.explanation == top[0]
