@@ -71,7 +71,7 @@ def _split_by_class(data: Dataset, indices) -> dict[int, tuple[int, ...]]:
     labels = data.labels[arr]
     return {
         int(c): tuple(sorted(arr[labels == c].tolist()))
-        for c in np.unique(labels)
+        for c in sorted(set(labels.tolist()))
     }
 
 

@@ -112,10 +112,10 @@ def _pool_classes(data: Dataset, pools) -> list[int] | None:
     """The class of each pool when every pool holds a single class and the
     classes ascend, the order in which the subset learners visit classes;
     None otherwise. Their ``block_terms`` apply only then."""
-    classes = [np.unique(data.labels[list(pool)]) for pool in pools]
-    if any(c.size != 1 for c in classes):
+    classes = [set(data.labels[list(pool)].tolist()) for pool in pools]
+    if any(len(c) != 1 for c in classes):
         return None
-    classes = [int(c[0]) for c in classes]
+    classes = [int(c.pop()) for c in classes]
     return classes if classes == sorted(set(classes)) else None
 
 
@@ -357,7 +357,7 @@ def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: fl
         indices = np.asarray(x.payload, dtype=int)
         labels = data.labels[indices]
         wanted = int(theta.payload)
-        classes = np.unique(labels).tolist()
+        classes = sorted(set(labels.tolist()))
         if wanted not in classes:
             return -math.inf
         scores = [class_score(data.features[indices[labels == c]]) for c in classes]

@@ -930,3 +930,25 @@ def test_no_scipy_module_is_loaded_by_import_or_plda_fit(ws, tmp_path):
     doc = json.loads(out.read_text(encoding="utf-8"))
     jsonschema.validate(doc, schema("model"))
     assert saved.read_text(encoding="utf-8") == Path(ws["plda"]).read_text(encoding="utf-8")
+
+
+_NUMPY_MA_PROBE = """
+import sys
+from bayesteach import cli
+code = cli.main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_example_selection_leaves_numpy_ma_unloaded(ws, tmp_path):
+    # np.unique imports numpy.ma, about 14 ms, on its first call
+    for strategy in ("exhaustive-max", "mh-sample"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_MA_PROBE, "explain", "plda-examples",
+             "--model", ws["plda"], "--data", ws["data"], "--per-class-k", "1",
+             "--strategy", strategy, "--mh-steps", "50", "--seed", "0",
+             "--out", str(tmp_path / "doc.json")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
