@@ -549,7 +549,9 @@ def mean_posterior_logpdf(observations: np.ndarray, prior_var: np.ndarray, at: n
     """Log density of ``at`` under the posterior over a Gaussian mean.
 
     Model per coordinate j: mean ~ N(0, prior_var[j]), each observation
-    ~ N(mean, 1). Conjugate update, evaluated at ``at``.
+    ~ N(mean, 1). Conjugate update, evaluated at ``at``. A squared
+    distance that overflows gives -inf, the exact limit, without a
+    warning.
     """
     obs = np.atleast_2d(observations)
     n = obs.shape[0]
@@ -557,9 +559,8 @@ def mean_posterior_logpdf(observations: np.ndarray, prior_var: np.ndarray, at: n
     post_var = 1.0 / precision
     post_mean = obs.sum(axis=0) / precision
     diff = np.asarray(at, dtype=float) - post_mean
-    return float(
-        np.sum(-0.5 * (np.log(2 * math.pi * post_var) + diff * diff / post_var))
-    )
+    with np.errstate(over="ignore"):
+        return float(np.sum(-0.5 * (np.log(2 * math.pi * post_var) + diff * diff / post_var)))
 
 
 def plda_class_logpdf(model: TargetModel, rows: np.ndarray, class_mean: np.ndarray) -> float:

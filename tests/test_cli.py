@@ -858,6 +858,18 @@ def test_failed_threshold_exits_1_but_still_reports(capsys, ws, tmp_path):
     assert doc["thresholds"][0]["passed"] is False
 
 
+@pytest.mark.parametrize("study", ["example-selection", "bias-sweep", "strategy-mismatch"])
+def test_an_overflowing_distractor_warns_nothing(capsys, ws, tmp_path, study):
+    # the distractor's squared distances overflow: its density is exactly
+    # 0, and numpy's overflow warning would reach stderr
+    config = {"study": study, "model": ws["plda"], "data": ws["data"],
+              "params": {"per_class_k": 1, "distractor_scale": 1e155}}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    _, out = run_ok(capsys, ["study", "run", "--config", str(path), "--seed", "0"], "study")
+    json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in the document"))
+
+
 @pytest.mark.parametrize("config", [
     {"study": "example-selection", "data": "DATA"},  # no model
     [1, 2],  # not an object
