@@ -65,7 +65,6 @@ from .models import (
 from .recombine import RecombinedExplainer, check_compatibility, recombine
 from .spaces import EnumeratedSpace, MaskSpace, SubsetSpace
 from .studies import (
-    FidelityProbe,
     PopulationMember,
     SimulatedStudy,
     StudyReport,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracle
-from .core import select_max, teacher_posterior
+from .core import posterior_max, teacher_posterior
 from .explainers import kernel_shap, mmd_prototypes, rise_saliency
 from .learners import KernelConfig, kernel_matrix, make_masked_prediction_learner
 from .spaces import EnumeratedSpace
@@ -71,11 +71,11 @@ def argmax_agreement(cases: int = 500, max_size: int = 2000, seed: int = 0):
     rng = np.random.default_rng((seed, 2))
     for i in range(cases):
         learner, space = _table_case(rng, max_size)
-        mine = select_max(teacher_posterior(learner, _THETA, space))
+        mine = posterior_max(learner, _THETA, space).explanation
         ref = oracle.best_subset_bruteforce(learner, _THETA, space)
         if mine != ref:
             return "argmax-agreement", False, f"disagreement on case {i}"
-    return "argmax-agreement", True, f"select_max equals brute force on {cases} cases"
+    return "argmax-agreement", True, f"posterior_max equals brute force on {cases} cases"
 
 
 def argmax_tie_rule(seed: int = 0):
@@ -84,7 +84,7 @@ def argmax_tie_rule(seed: int = 0):
     priors = np.array([0.25, 0.5, 0.5, 0.25, 0.5, 0.125])
     learner = LearnerModel("flat", lambda theta, x: 0.0)
     space = EnumeratedSpace(candidates, prior_weights=priors, descriptor="tie pool")
-    mine = select_max(teacher_posterior(learner, _THETA, space))
+    mine = posterior_max(learner, _THETA, space).explanation
     ref = oracle.best_subset_bruteforce(learner, _THETA, space)
     ok = mine == ref == candidates[1]
     return "argmax-tie-rule", ok, "ties resolve to the lowest enumeration index"

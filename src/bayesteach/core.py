@@ -250,8 +250,8 @@ class ChainSamples(Sequence):
 
     ``states`` holds one int record per step, in step order, that
     ``decode`` maps to the chain state. An Explanation is built from a
-    record only when it is read (``explanation_of``). ``counts`` tallies
-    the states in order of first visit. ``accepted`` counts the
+    record only when it is read (``explanation_of``). ``tally`` counts
+    the records in order of first visit. ``accepted`` counts the
     proposals, burn-in included, that passed the Metropolis test, out of
     ``proposals``."""
 
@@ -281,11 +281,6 @@ class ChainSamples(Sequence):
         """Visits per record, in order of first visit; counted once."""
         return Counter(self.states)
 
-    def counts(self) -> Counter:
-        """Visits per chain state, in order of first visit, read off
-        ``tally`` into a new Counter."""
-        return Counter({self.decode(r): c for r, c in self.tally.items()})
-
     def mode(self) -> tuple[Explanation, float]:
         """The most visited state and the share of samples it holds; a tie
         goes to the smallest payload read as a tuple of ints."""
@@ -307,13 +302,15 @@ class ChainWalk:
     the state, a tuple of segments. On a one-part space the record is the
     id itself.
 
-    When ``pool_terms`` splits the space, a weight is ``combine`` (or
-    ``in_order_sum``) of the pool terms in pool order, so it equals the
-    joint likelihood to the bit; each id's term is computed the first
-    time a proposal holds that segment. Otherwise one memo keyed by the
-    record holds the joint weight, the likelihood plus the log prior; a
-    state of zero prior weight is not scored. Called on a state, the walk
-    gives its log weight."""
+    A walk's start is weighed by ``joint_weight``, the likelihood plus
+    the log prior, a state of zero prior weight left unscored. It then
+    enters the tables as a proposal would. When ``pool_terms`` splits the
+    space, a proposal's weight is ``combine`` (or ``in_order_sum``) of the
+    pool terms in pool order, so it equals the joint likelihood to the
+    bit; each id's term is computed once, for the start or for the first
+    proposal that holds that segment. Otherwise one memo keyed by the
+    record holds the joint weight of each state met, the start included.
+    Called on a state, the walk gives its log weight."""
 
     def __init__(self, learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
         self.learner, self.theta, self.space = learner, theta, space
@@ -360,21 +357,21 @@ class ChainWalk:
             for segments, stride, radix in zip(self.segments, self.strides, self.space.radices)
         )
 
-    def walk(self, state, state_w: float, rng: np.random.Generator, total: int) -> tuple[list[int], int]:
-        """``mh_sample``'s steps from ``state`` of weight ``state_w``: the
-        records of all ``total`` steps and the accepted count."""
+    def walk(self, state, rng: np.random.Generator, total: int) -> tuple[list[int], int]:
+        """``mh_sample``'s steps from ``state``: the records of all
+        ``total`` steps and the accepted count. A start of zero weight
+        raises ``ZeroStartMass``."""
         space, combine, values, strides, exp = self.space, self.combine, self.values, self.strides, math.exp
-        split, joint, spans = self.terms is not None, {}, space.spans
+        split, spans = self.terms is not None, space.spans
         neighbours: list[dict] = [{} for _ in values]
         ids = [self.intern(c, seg) for c, seg in enumerate(state)]
+        state_w = self.joint_weight(ids)
+        if state_w == -np.inf:
+            raise ZeroStartMass(f"{space.descriptor}: initial state has zero posterior mass")
         bases = [i * span for i, span in zip(ids, spans)]
         index = sum(i * stride for i, stride in zip(ids, strides))
-        # The pool terms of the current state. The start state's are
-        # computed only as proposals come to hold its segments, so a term
-        # is first computed exactly when a proposal first holds its
-        # segment.
-        current: list = [None] * len(values)
-        pending = True
+        joint = {index: state_w}
+        current = [self.term(c, i) for c, i in enumerate(ids)] if split else None
         records: list[int] = []
         record = records.append
         accepted = 0
@@ -388,27 +385,21 @@ class ChainWalk:
                     seg = space.segment_step(c, self.segments[c][ids[c]], m)
                     nid = neighbours[c][key] = self.intern(c, seg)
                 proposal = index + (nid - ids[c]) * strides[c]
-                kept = current[c]
-                if not split:
+                if split:
+                    kept, t = current[c], values[c][nid]
+                    current[c] = self.term(c, nid) if t is None else t
+                    prop_w = combine(current)
+                else:
                     prop_w = joint.get(proposal)
                     if prop_w is None:
                         prop_w = joint[proposal] = self.joint_weight([nid if p == c else i for p, i in enumerate(ids)])
-                elif pending:
-                    current = [self.term(p, nid if p == c else i) for p, i in enumerate(ids)]
-                    prop_w = combine(current)
-                else:
-                    t = values[c][nid]
-                    current[c] = self.term(c, nid) if t is None else t
-                    prop_w = combine(current)
                 log_alpha = prop_w - state_w
                 if log_alpha >= 0 or u < exp(log_alpha):
                     state_w, index = prop_w, proposal
                     ids[c], bases[c] = nid, nid * spans[c]
                     accepted += 1
-                    pending = False
-                else:
+                elif split:
                     current[c] = kept
-                    pending = kept is None
                 record(index)
         return records, accepted
 
@@ -435,11 +426,12 @@ def mh_sample(
     ``EnumeratedSpace``. It interns each part's segments and records one
     int per step. Its randomness is drawn in blocks of ``CHAIN_BLOCK``
     steps (the last block is shorter): the block's parts and moves
-    (``chain_moves``), then one uniform per step, used or not. The start
-    state is scored by the joint likelihood, so the errors of a joint
-    sweep are raised. Proposals are weighed by the learner's per-pool
-    terms when ``pool_terms`` splits the space, and by a memo of joint
-    weights otherwise. The returned ``ChainSamples`` builds each
+    (``chain_moves``), then one uniform per step, used or not. The walk
+    weighs the start state once, by the joint likelihood, so the errors
+    of a joint sweep are raised, and ``ZeroStartMass`` when its weight is
+    zero. Proposals are weighed by the learner's per-pool terms when
+    ``pool_terms`` splits the space, and by a memo of joint weights
+    otherwise. The returned ``ChainSamples`` builds each
     Explanation only when it is read. ``n < 1``, ``burn_in < 0`` or
     ``n + burn_in`` over ``MAX_DRAWS`` raises ``BadSpec``.
     """
@@ -448,14 +440,7 @@ def mh_sample(
     if n + burn_in > MAX_DRAWS:
         raise BadSpec(f"a chain of {n + burn_in} steps exceeds the limit of {MAX_DRAWS}")
     rng = np.random.default_rng(seed)
-    state = space.chain_start(rng)
-    x = space.explanation_of(state)
-    lp = space.log_prior(x)
-    state_w = -np.inf if lp == -np.inf else learner.log_likelihood(theta, x) + lp
-    if state_w == -np.inf:
-        raise ZeroStartMass(f"{space.descriptor}: initial state has zero posterior mass")
-
     walk = ChainWalk(learner, theta, space)
-    records, accepted = walk.walk(state, state_w, rng, burn_in + n)
+    records, accepted = walk.walk(space.chain_start(rng), rng, burn_in + n)
     # the burn-in steps are the first ones recorded
     return ChainSamples(space, records[burn_in:], accepted, burn_in + n, walk.decode)

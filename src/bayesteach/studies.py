@@ -177,25 +177,6 @@ def simulate_2afc(study: SimulatedStudy, seed: int) -> StudyReport:
 
 
 # ---------------------------------------------------------------------------
-# probes
-
-
-@dataclass(frozen=True)
-class FidelityProbe:
-    """A candidate pair plus explanation; the measured response is the
-    normalized posterior mass on the target candidate, a value in [0, 1]."""
-
-    candidates: tuple[TargetInference, ...]
-    target_index: int
-    x: Explanation
-
-
-def probe_value(learner: LearnerModel, probe: FidelityProbe) -> float:
-    log_liks = [learner.log_likelihood(c, probe.x) for c in probe.candidates]
-    return _target_mass(log_liks, probe.target_index)
-
-
-# ---------------------------------------------------------------------------
 # named studies
 
 
@@ -354,7 +335,7 @@ def strategy_mismatch_study(
     samples = chain.samples
 
     def evaluator_mass(x: Explanation) -> float:
-        return probe_value(evaluator, FidelityProbe(candidates, target_index, x))
+        return _target_mass([evaluator.log_likelihood(c, x) for c in candidates], target_index)
 
     max_value = evaluator_mass(x_max)
     cache: dict = {}

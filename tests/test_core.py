@@ -794,7 +794,7 @@ def test_mh_walk_replays_the_reference_on_factored_subset_spaces(rng):
             zero_start += 1
             continue
         full_pools += any(k == len(pool) for pool, k in zip(space._pools, ks))
-        moved += len(samples.counts()) > 1
+        moved += len(samples.tally) > 1
         calls.clear()
         mh_sample(learner, THETA, space, n, burn_in, seed)
         assert calls == Counter(joint=1, blocks=1)  # the start state only, then block terms
@@ -829,9 +829,9 @@ def test_nearest_class_chains_combine_pool_terms_as_the_joint_likelihood(rng):
         assert learner.block_terms(theta, space._pools)[1] is not None
         samples = assert_same_chain(learner, theta, space, 400, int(rng.integers(0, 20)), i)
         weight = ChainWalk(learner, theta, space)
-        for state in samples.counts():
+        for state in map(samples.decode, samples.tally):
             assert weight(state) == learner.log_likelihood(theta, space.explanation_of(state))
-        moved += len(samples.counts()) > 1
+        moved += len(samples.tally) > 1
     assert moved > 30
 
 
@@ -854,7 +854,7 @@ def test_mh_walk_on_plda_sums_the_block_terms_as_the_joint_likelihood(plda3, blo
         space = SubsetSpace.per_class(blobs3.labels, k)
         samples = assert_same_chain(learner, theta, space, 2000, 100, seed)
         weight = ChainWalk(learner, theta, space)
-        for state in samples.counts():
+        for state in map(samples.decode, samples.tally):
             assert weight(state) == learner.log_likelihood(theta, samples.space.explanation_of(state))
 
 
@@ -925,10 +925,10 @@ def test_mh_walk_beyond_the_enumeration_limit_scores_each_proposed_segment_once(
     proposed = {(b, x.payload[cuts[b] : cuts[b + 1]]) for x in proposals for b in range(3)}
     calls.clear()
     mh_sample(learner, THETA, space, n, 0, seed)
-    # the start state once by the joint likelihood, then each proposed
-    # segment once by its pool term
-    expected = Counter(proposed) + Counter(enumerate(space.state_of(start)))
-    assert calls == expected + Counter(joint=1, blocks=1)
+    # the start state once by the joint likelihood and once by its pool
+    # terms, then each other proposed segment once by its pool term
+    held = set(enumerate(space.state_of(start)))
+    assert calls == Counter(proposed | held) + Counter(held) + Counter(joint=1, blocks=1)
 
 
 def counted(learner):
@@ -946,8 +946,8 @@ def counted(learner):
 
 def test_mh_joint_route_scores_the_start_then_each_proposed_state_once(rng, logistic_grid, grid_image):
     # mask, enumerated, prior-weighted subset and plain-learner subset
-    # chains weigh proposals by the joint likelihood; a state of zero
-    # prior weight is not scored
+    # chains weigh the start and the proposals by the joint likelihood,
+    # each distinct state once; a state of zero prior weight is not scored
     masked = make_masked_prediction_learner(logistic_grid, grid_image.features[0])
     checked = Counter()
     for seed in range(48):
@@ -975,7 +975,7 @@ def test_mh_joint_route_scores_the_start_then_each_proposed_state_once(rng, logi
         scored = {x for x in proposals if space.log_prior(x) > -math.inf}
         seen.clear()
         mh_sample(learner, theta, space, n, 0, seed)
-        assert Counter(seen) == Counter([start]) + Counter(scored)
+        assert Counter(seen) == Counter(scored | {start})
         checked[kind] += 1
     assert len(checked) == 4 and min(checked.values()) >= 5
 

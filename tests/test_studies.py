@@ -1,4 +1,4 @@
-"""Simulated explainee studies: 2AFC runs, probe values, named studies."""
+"""Simulated explainee studies: 2AFC runs, target mass, named studies."""
 
 import math
 
@@ -10,13 +10,12 @@ from bayesteach.learners import BiasConfig
 from bayesteach.models import fit_model, make_synthetic
 from bayesteach.spaces import EnumeratedSpace
 from bayesteach.studies import (
-    FidelityProbe,
     PopulationMember,
     SimulatedStudy,
     TwoAfcTask,
+    _target_mass,
     bias_sensitivity_study,
     example_selection_study,
-    probe_value,
     simulate_2afc,
     strategy_mismatch_study,
 )
@@ -120,26 +119,14 @@ def test_study_validation():
 
 
 # ---------------------------------------------------------------------------
-# probes
+# target mass
 
 
-def value_learner(values):
-    # probe i carries payload (i,); the learner's normalized mass on C0
-    # at probe i is exactly values[i]
-    def ll(theta, x):
-        v = values[x.payload[0]]
-        target = v if theta == C0 else 1.0 - v
-        return math.log(target) if target > 0 else -math.inf
-
-    return LearnerModel("valued", ll)
-
-
-def test_probe_value_is_normalized_mass():
-    learner = value_learner([0.3])
-    assert probe_value(learner, FidelityProbe((C0, C1), 0, X)) == pytest.approx(0.3)
-    assert probe_value(learner, FidelityProbe((C0, C1), 1, X)) == pytest.approx(0.7)
-    dead = LearnerModel("dead", lambda theta, x: -math.inf)
-    assert probe_value(dead, FidelityProbe((C0, C1), 0, X)) == 0.5
+def test_target_mass_is_normalized_mass():
+    log_liks = [math.log(0.3), math.log(0.7)]
+    assert _target_mass(log_liks, 0) == pytest.approx(0.3)
+    assert _target_mass(log_liks, 1) == pytest.approx(0.7)
+    assert _target_mass([-math.inf, -math.inf], 0) == 0.5
 
 
 # ---------------------------------------------------------------------------
