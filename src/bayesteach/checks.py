@@ -15,7 +15,7 @@ from . import oracle
 from .core import posterior_max, teacher_posterior
 from .explainers import kernel_shap, mmd_prototypes, rise_saliency
 from .learners import KernelConfig, kernel_matrix, make_masked_prediction_learner
-from .spaces import EnumeratedSpace
+from .spaces import EnumeratedSpace, MaskSpace
 from .types import (
     Explanation,
     ExplanationKind,
@@ -120,8 +120,8 @@ def rise_identity(n_masks: int = 500, tol: float = 1e-12, seed: int = 0):
     """Saliency as a posterior-weighted mean over the same mask sample.
 
     The masked-prediction learner with a uniform prior over the drawn
-    masks makes the teaching formulation reproduce the direct estimator
-    feature by feature.
+    masks makes the normalized teaching posterior reproduce RISE, which
+    runs mc-expectation, feature by feature.
     """
     rng = np.random.default_rng((seed, 4))
     d = 9
@@ -139,9 +139,10 @@ def rise_identity(n_masks: int = 500, tol: float = 1e-12, seed: int = 0):
         predict, point, n_masks=n_masks, keep_prob=0.5, seed=seed,
         baseline=baseline, target_class=0,
     )
-    masks = np.asarray(report.masks, dtype=float)
-    # same mask sample, rebuilt as a uniform-prior pool; the normalized
-    # teaching posterior then weights each mask by its prediction value
+    # the mask sample RISE drew, redrawn and rebuilt as a uniform-prior
+    # pool; the normalized teaching posterior then weights each mask by
+    # its prediction value
+    masks = MaskSpace(d, 0.5).draw(np.random.default_rng(seed), n_masks)
     pool = [
         Explanation(ExplanationKind.FEATURE_MASK, tuple(int(b) for b in row))
         for row in masks

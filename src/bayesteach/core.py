@@ -20,7 +20,7 @@ A Metropolis walk reports its mode: the most visited state, ties going
 to the smallest payload (``ChainSamples.mode``).
 
 The posterior mean of a mask under likelihood weighting, the average
-behind RISE and mc-expectation, is ``mask_expectation``.
+behind mc-expectation and so behind RISE, is ``mask_expectation``.
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ def weighted_mean_and_stderr(matrix: np.ndarray, weights: np.ndarray) -> tuple[n
 def mask_expectation(space: MaskSpace, n: int, seed: int, weigh):
     """Draw n masks from the space's prior with ``default_rng(seed)`` and
     average them weighted by ``weigh(masks)``, a likelihood per mask: the
-    posterior mean of the mask under the teacher posterior. RISE and the
-    mc-expectation strategy both run here. Returns the masks, the weights,
-    and the weighted means with their standard errors. ``n < 1`` or more
-    than ``MAX_DRAWS`` mask entries raises ``BadSpec``."""
+    posterior mean of the mask under the teacher posterior. The
+    mc-expectation strategy runs here, and RISE through it. Returns the
+    weights, and the weighted means with their standard errors. ``n < 1``
+    or more than ``MAX_DRAWS`` mask entries raises ``BadSpec``."""
     if n < 1:
         raise BadSpec(f"mask count must be >= 1, got {n}")
     if n * space.dim > MAX_DRAWS:
@@ -109,7 +109,7 @@ def mask_expectation(space: MaskSpace, n: int, seed: int, weigh):
     masks = space.draw(np.random.default_rng(seed), n)
     weights = weigh(masks)
     values, stderr = weighted_mean_and_stderr(masks, weights)
-    return masks, weights, values, stderr
+    return weights, values, stderr
 
 
 def pool_terms(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):

@@ -9,7 +9,10 @@ target, explanation space, and search strategy.
   lime_local           local linear surrogate of one class probability
   distill_tree         soft decision tree matching a model's distribution
 
-Result objects are plain dataclasses with ``to_dict`` for reporting.
+The example, prototype and saliency methods build their learner, target
+and space and search them through ``teacher.run_strategy``, looked up at
+call time; they keep no search of their own. Result objects are plain
+dataclasses with ``to_dict`` for reporting.
 """
 
 from __future__ import annotations
@@ -24,20 +27,14 @@ from .errors import BadSpec, DimensionMismatch, NonFiniteResult, SingularSystem
 from .learners import (
     KernelConfig,
     class_column,
-    kernel_matrix,
+    make_masked_prediction_learner,
+    make_mmd_learner,
     make_plda_learner,
-    masked_batch_values,
     witness,
 )
-from .models import Dataset, TargetModel, batch_predictor, jsonable, predict_proba
+from .models import Dataset, TargetModel, batch_predictor, jsonable
 from .spaces import MaskSpace, SubsetSpace
-from .types import (
-    Explanation,
-    ExplanationKind,
-    TargetInference,
-    ThetaKind,
-    example_set,
-)
+from .types import TargetInference, ThetaKind, example_set
 
 
 # ---------------------------------------------------------------------------
@@ -162,37 +159,19 @@ class CriticismReport:
 
 def mmd_prototypes(data: Dataset, m: int, kernel: KernelConfig = KernelConfig()) -> PrototypeReport:
     """Greedy forward selection of m rows minimizing squared MMD to the
-    full dataset; ties break toward the lower row index."""
+    full dataset; ties break toward the lower row index. The mmd learner
+    at temperature 1 scores -mmd2 against the whole data, and
+    ``teacher.run_strategy`` runs greedy over the m-subsets of all rows,
+    so the trace is the negated score trace."""
     X = data.features
     n = X.shape[0]
     if not 1 <= m <= n:
         raise BadSpec(f"prototype count must be in [1, {n}], got {m}")
     resolved = kernel.resolve(X)
-    K = kernel_matrix(X, X, resolved)
-    mean_xx = float(K.mean())
-    row_sums = K.sum(axis=1)
-
-    chosen: list[int] = []
-    pp_sum = 0.0  # sum of K over chosen x chosen
-    px_sum = 0.0  # sum of K over chosen x all
-    trace: list[float] = []
-    for step in range(m):
-        size = step + 1
-        best_idx, best_val = -1, math.inf
-        for c in range(n):
-            if c in chosen:
-                continue
-            cross = 2.0 * sum(K[c, p] for p in chosen) + K[c, c]
-            cand_pp = (pp_sum + cross) / size**2
-            cand_px = (px_sum + row_sums[c]) / (size * n)
-            val = cand_pp + mean_xx - 2.0 * cand_px
-            if val < best_val:
-                best_idx, best_val = c, val
-        chosen.append(best_idx)
-        pp_sum += 2.0 * sum(K[best_idx, p] for p in chosen[:-1]) + K[best_idx, best_idx]
-        px_sum += row_sums[best_idx]
-        trace.append(best_val)
-    return PrototypeReport(tuple(chosen), tuple(trace), resolved.bandwidth)
+    theta = TargetInference(ThetaKind.CLASS_DATA_DISTRIBUTION, (X, None))
+    space = SubsetSpace([range(n)], [m])
+    meta = teacher.run_strategy(make_mmd_learner(data, resolved), theta, space, "greedy").metadata
+    return PrototypeReport(tuple(meta["picks"]), tuple(-s for s in meta["score_trace"]), resolved.bandwidth)
 
 
 def mmd_criticisms(
@@ -205,6 +184,8 @@ def mmd_criticisms(
     X = data.features
     protos = np.asarray(list(prototype_indices), dtype=int)
     rest = np.setdiff1d(np.arange(X.shape[0]), protos)
+    if rest.size == 0:
+        raise BadSpec(f"no non-prototype row is left to criticise: all {X.shape[0]} rows are prototypes")
     if not 1 <= c <= rest.size:
         raise BadSpec(f"criticism count must be in [1, {rest.size}], got {c}")
     resolved = kernel.resolve(X)
@@ -226,8 +207,6 @@ class SaliencyReport:
     target_class: int
     mask_count: int
     keep_prob: float
-    masks: np.ndarray | None = field(default=None, repr=False)
-    weights: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -253,20 +232,18 @@ def rise_saliency(
     saliency_j = sum_i w_i M_ij / sum_i w_i with w_i the probability the
     model keeps the target class under mask M_i. An expectation, not a
     maximum: averaging is what cancels the noise in individual masks.
+    This is the masked-prediction learner searched by mc-expectation over
+    ``n_masks`` draws of the mask space.
     """
     point = np.asarray(point, dtype=float)
-    if n_masks < 1:
-        raise BadSpec(f"mask count must be >= 1, got {n_masks}")
     space = MaskSpace(point.shape[0], keep_prob)
     predict = batch_predictor(model_or_fn)
     if target_class is None:
         target_class = int(np.argmax(predict(point[None, :])[0]))
-    masks, weights, values, stderr = core.mask_expectation(
-        space, n_masks, seed, lambda m: masked_batch_values(predict, point, m, target_class, baseline)
-    )
-    return SaliencyReport(
-        values, stderr, target_class, n_masks, keep_prob, masks=masks, weights=weights
-    )
+    learner = make_masked_prediction_learner(predict, point, baseline)
+    theta = TargetInference(ThetaKind.PREDICTED_LABEL, target_class)
+    result = teacher.run_strategy(learner, theta, space, "mc-expectation", seed=seed, n=n_masks)
+    return SaliencyReport(result.explanation.payload, result.stderr, target_class, n_masks, keep_prob)
 
 
 # ---------------------------------------------------------------------------

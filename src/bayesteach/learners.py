@@ -64,10 +64,17 @@ def median_bandwidth(data: np.ndarray) -> float:
     return float(np.sqrt(np.median(positive)))
 
 
+# The rounding error of a² + b² - 2ab is below this times a² + b².
+_EXPANSION_ROUNDING = 4.0 * np.finfo(float).eps
+
+
 def _sqdists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    a2 = (A * A).sum(axis=1)[:, None]
-    b2 = (B * B).sum(axis=1)[None, :]
-    return np.maximum(a2 + b2 - 2.0 * A @ B.T, 0.0)
+    """Squared distances by the expansion a² + b² - 2ab. An entry below
+    its rounding error is 0, so a point's distance to itself is exactly 0
+    and k(x, x) = 1; an entry whose norms overflow stays inf (or NaN)."""
+    norms = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
+    sq = norms - 2.0 * A @ B.T
+    return np.where(sq < _EXPANSION_ROUNDING * norms, 0.0, sq)
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: KernelConfig) -> np.ndarray:
@@ -80,14 +87,16 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: KernelConfig) -> np.ndar
     return np.exp(-_sqdists(A, B) / (2.0 * kernel.bandwidth * kernel.bandwidth))
 
 
-def mmd2(set_a: np.ndarray, set_b: np.ndarray, kernel: KernelConfig) -> float:
+def mmd2(set_a: np.ndarray, set_b: np.ndarray, kernel: KernelConfig, *, kbb=None) -> float:
     """Squared maximum mean discrepancy, biased V-statistic.
 
     The biased form keeps mmd2(X, X) exactly representable as zero up to
-    rounding and stays nonnegative for positive-definite kernels.
+    rounding and stays nonnegative for positive-definite kernels. ``kbb``,
+    the mean kernel value over set_b x set_b, is computed when not given.
     """
     kaa = kernel_matrix(set_a, set_a, kernel).mean()
-    kbb = kernel_matrix(set_b, set_b, kernel).mean()
+    if kbb is None:
+        kbb = kernel_matrix(set_b, set_b, kernel).mean()
     kab = kernel_matrix(set_a, set_b, kernel).mean()
     return float(kaa + kbb - 2.0 * kab)
 
@@ -303,19 +312,25 @@ def surrogate_fit_loss(
 
 def make_mmd_learner(data: Dataset, kernel: KernelConfig, temperature: float = 1.0) -> LearnerModel:
     """Scores how well an example subset matches a reference sample,
-    via exp(-mmd2 / temperature)."""
+    via exp(-mmd2 / temperature). The bandwidth resolved on the reference
+    and the reference's kernel self-term are computed once per target."""
     if temperature <= 0:
         raise BadSpec("temperature must be positive")
+
+    @functools.lru_cache(maxsize=None)
+    def reference_terms(theta: TargetInference):
+        reference = np.asarray(theta.payload[0], dtype=float)
+        resolved = kernel.resolve(reference)
+        return reference, resolved, kernel_matrix(reference, reference, resolved).mean()
 
     def log_likelihood(theta: TargetInference, x: Explanation) -> float:
         if theta.kind is not ThetaKind.CLASS_DATA_DISTRIBUTION:
             raise BadSpec(f"mmd learner scores class data distributions, not {theta.kind.value}")
         if x.kind is not ExplanationKind.EXAMPLE_SET:
             raise BadSpec(f"mmd learner consumes example sets, not {x.kind.value}")
-        reference, _class_index = theta.payload
+        reference, resolved, kbb = reference_terms(theta)
         subset = data.features[np.asarray(x.payload, dtype=int)]
-        resolved = kernel.resolve(np.asarray(reference, dtype=float))
-        return -mmd2(subset, np.asarray(reference, dtype=float), resolved) / temperature
+        return -mmd2(subset, reference, resolved, kbb=kbb) / temperature
 
     return LearnerModel("distribution-matching learner", log_likelihood)
 

@@ -85,7 +85,7 @@ def run_strategy(
     if strategy == "mc-expectation":
         if not isinstance(space, MaskSpace):
             raise StrategySpaceMismatch("mc-expectation needs a mask space")
-        _, weights, values, stderr = core.mask_expectation(
+        weights, values, stderr = core.mask_expectation(
             space, n, seed, lambda masks: np.exp(core.score_rows(learner, theta, masks))
         )
         meta = {"n": n, "weight_total": float(weights.sum())}
@@ -103,11 +103,14 @@ def _greedy_subsets(learner: LearnerModel, theta: TargetInference, space: Subset
     """Fill per-class quotas one row at a time, each time adding the row
     whose partial subset the learner scores highest; ties keep the lowest
     index. Exact when the objective is separable across rows; requires a
-    learner that can score partial subsets. A step whose best score is
-    -inf enters ``score_trace`` as None. Raises AllZeroMass when the
-    finished subset still scores -inf, as every search strategy does."""
+    learner that can score partial subsets. ``picks`` lists the row added
+    at each step, in step order, and ``score_trace`` the score after it; a
+    step whose best score is -inf enters ``score_trace`` as None. Raises
+    AllZeroMass when the finished subset still scores -inf, as every
+    search strategy does."""
     pools, quotas = space._pools, space._ks
     chosen: list[list[int]] = [[] for _ in pools]
+    picks: list[int] = []
     trace: list[float | None] = []
     for c, (pool, quota) in enumerate(zip(pools, quotas)):
         for _ in range(quota):
@@ -126,9 +129,10 @@ def _greedy_subsets(learner: LearnerModel, theta: TargetInference, space: Subset
                     best, best_score = cand, score
             chosen[c].append(best)
             chosen[c].sort()
+            picks.append(best)
             trace.append(None if best_score == -math.inf else best_score)
     if trace[-1] is None:
         raise AllZeroMass(f"{space.descriptor}: the learner gives the greedy subset zero likelihood")
     final = example_set(itertools.chain.from_iterable(chosen))
-    meta = {"score_trace": trace, "log_likelihood": trace[-1]}
+    meta = {"score_trace": trace, "log_likelihood": trace[-1], "picks": picks}
     return StrategyResult(final, "greedy", meta)

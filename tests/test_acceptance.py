@@ -36,7 +36,7 @@ from bayesteach.learners import (
     mmd2,
 )
 from bayesteach.models import Dataset, fit_model, make_synthetic
-from bayesteach.spaces import EnumeratedSpace
+from bayesteach.spaces import EnumeratedSpace, MaskSpace
 from bayesteach.studies import bias_sensitivity_study, example_selection_study
 from bayesteach.types import (
     Explanation,
@@ -197,9 +197,10 @@ def test_criterion_03_shap_anchor():
 def test_criterion_04_rise_identity(logistic_grid, grid_image):
     point = grid_image.features[0]
     report = rise_saliency(logistic_grid, point, n_masks=400, seed=4)
+    masks = MaskSpace(grid_image.n_features, 0.5).draw(np.random.default_rng(4), 400)
     pool = [
         Explanation(ExplanationKind.FEATURE_MASK, tuple(int(b) for b in row))
-        for row in report.masks
+        for row in masks
     ]
     learner = make_masked_prediction_learner(logistic_grid, point)
     post = teacher_posterior(
@@ -207,7 +208,7 @@ def test_criterion_04_rise_identity(logistic_grid, grid_image):
         TargetInference(ThetaKind.PREDICTED_LABEL, report.target_class),
         EnumeratedSpace(pool, descriptor="drawn masks"),
     )
-    delta = float(np.max(np.abs(report.values - post.probabilities() @ report.masks)))
+    delta = float(np.max(np.abs(report.values - post.probabilities() @ masks)))
 
     salient = set(grid_image.metadata["salient_pixels"][0])
     probe = grid_image.features[grid_image.class_rows(0)[0]]

@@ -207,6 +207,35 @@ def test_mmd_critic_document(capsys, ws):
     assert doc["diagnostics"]["final_mmd2"] >= 0.0
 
 
+def test_mmd_critic_with_every_row_a_prototype_exits_3(capsys, ws):
+    err = run_err(capsys, [
+        "explain", "mmd-critic", "--data", ws["data"], "--prototypes", "12", "--criticisms", "1",
+    ], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec"
+    assert "no non-prototype row is left to criticise" in err["message"]
+
+
+def test_mmd_critic_at_a_tiny_bandwidth_has_a_non_increasing_trace(capsys, tmp_path):
+    # at bandwidth 1e-8 the README rows are kernel-orthogonal: k(x, x) = 1
+    # and k(x, y) = 0, so m prototypes leave mmd2 = 1/m - 1/24, first
+    # reached by the lowest rows
+    data = str(tmp_path / "blobs.csv")
+    assert cli.main([
+        "dataset", "make", "--generator", "gaussian-blobs", "--classes", "3", "--dim", "2",
+        "--per-class", "8", "--separation", "5.0", "--seed", "11", "--csv", data,
+        "--out", str(tmp_path / "made.json"),
+    ]) == 0
+    doc, _ = run_ok(capsys, [
+        "explain", "mmd-critic", "--data", data, "--prototypes", "3", "--criticisms", "2",
+        "--bandwidth", "1e-8",
+    ], "explain")
+    prototypes = doc["result"]["prototypes"]
+    trace = prototypes["mmd2_trace"]
+    assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
+    assert prototypes["indices"] == [0, 1, 2]
+    assert trace == pytest.approx([1 / m - 1 / 24 for m in (1, 2, 3)], abs=1e-15)
+
+
 def test_rise_renders_a_pgm_with_the_default_name(capsys, ws, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     doc, _ = run_ok(capsys, [

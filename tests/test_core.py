@@ -1012,8 +1012,8 @@ def test_mask_draws_past_the_limit_raise_before_drawing():
     space = MaskSpace(4, 0.5)
     with pytest.raises(BadSpec, match="limit"):
         mask_expectation(space, MAX_DRAWS // 4 + 1, 0, weigh)
-    masks, weights, _, _ = mask_expectation(space, 3, 0, lambda m: np.ones(len(m)))
-    assert masks.shape == (3, 4) and weights.tolist() == [1.0, 1.0, 1.0]
+    weights, values, _ = mask_expectation(space, 3, 0, lambda m: np.ones(len(m)))
+    assert values.shape == (4,) and weights.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_mh_mode_searches_match_the_reference_counts(plda3, blobs3, logistic_grid, grid_image):

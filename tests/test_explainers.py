@@ -29,7 +29,7 @@ from bayesteach.learners import (
     witness,
 )
 from bayesteach.models import Dataset, fit_model, make_synthetic, predict_proba
-from bayesteach.spaces import EnumeratedSpace, SubsetSpace
+from bayesteach.spaces import EnumeratedSpace, MaskSpace, SubsetSpace
 from bayesteach.types import Explanation, ExplanationKind, TargetInference, ThetaKind
 
 # ---------------------------------------------------------------------------
@@ -168,9 +168,10 @@ def test_criticism_count_bounds():
 def test_rise_equals_posterior_expected_mask(logistic_grid, grid_image):
     point = grid_image.features[0]
     report = rise_saliency(logistic_grid, point, n_masks=400, seed=4)
+    masks = MaskSpace(grid_image.n_features, 0.5).draw(np.random.default_rng(4), 400)
     pool = [
         Explanation(ExplanationKind.FEATURE_MASK, tuple(int(b) for b in row))
-        for row in report.masks
+        for row in masks
     ]
     learner = make_masked_prediction_learner(logistic_grid, point)
     post = teacher_posterior(
@@ -178,7 +179,7 @@ def test_rise_equals_posterior_expected_mask(logistic_grid, grid_image):
         TargetInference(ThetaKind.PREDICTED_LABEL, report.target_class),
         EnumeratedSpace(pool, descriptor="drawn masks"),
     )
-    expected = post.probabilities() @ report.masks
+    expected = post.probabilities() @ masks
     np.testing.assert_allclose(report.values, expected, atol=1e-12, rtol=0)
 
 

@@ -1,6 +1,7 @@
 """Stored CLI output of small seeded Metropolis runs, of every
 recombination recipe, and of the README's exhaustive example selection,
-example-selection study, and rise, shap, lime and tree-distill commands.
+example-selection study, and rise, shap, lime, tree-distill and
+mmd-critic commands.
 
 Each case runs one command in a fresh workspace built from the README's
 dataset and checkpoints, and compares stdout (or, for a rejected
@@ -104,7 +105,7 @@ RECIPE_CASES = {
 
 # the README's example selection, joint and class by class, its
 # example-selection study with fewer trials and random subsets, and its
-# attribution and surrogate commands
+# attribution, surrogate and prototype commands
 README_CASES = {
     "plda-examples-max": [
         "explain", "plda-examples", "--model", "plda.json", "--data", "blobs.csv",
@@ -115,7 +116,7 @@ README_CASES = {
         "--per-class-k", "2", "--independent", "--seed", "0",
     ],
     "study-example-selection": ["study", "run", "--config", "selection.json", "--seed", "0"],
-    # the README's saliency, Shapley, LIME and soft-tree commands
+    # the README's saliency, Shapley, LIME, soft-tree and MMD-critic commands
     "explain-rise": [
         "explain", "rise", "--model", "logistic.json", "--point", "point.csv",
         "--masks", "4000", "--seed", "0", "--render", "pgm", "--render-out", "saliency.pgm",
@@ -131,6 +132,9 @@ README_CASES = {
     "explain-tree-distill": [
         "explain", "tree-distill", "--model", "logistic.json", "--data", "blobs.csv",
         "--seed", "0", "--render", "svg", "--render-out", "tree.svg",
+    ],
+    "explain-mmd-critic": [
+        "explain", "mmd-critic", "--data", "blobs.csv", "--prototypes", "3", "--criticisms", "2",
     ],
 }
 

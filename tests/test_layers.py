@@ -112,3 +112,29 @@ def test_only_types_builds_the_identity_of_a_value():
     keys as they are; their canonical key is built in ``types`` alone."""
     calls = {m: key_calls(PACKAGE / f"{m}.py") for m in MODULES if m != "types"}
     assert {m: lines for m, lines in calls.items() if lines} == {}
+
+
+# core's searches; only the strategy layer runs them, and the oracle
+# checks, which compare them with brute force
+SEARCHES = {"posterior_max", "mh_sample", "mask_expectation"}
+
+
+def core_names(path: Path) -> set:
+    """The names a source file imports from ``core`` or reads as an
+    attribute of it."""
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] == "core":
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "core":
+            named.add(node.attr)
+    return named
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"core", "teacher", "checks"}))
+def test_only_the_strategy_layer_runs_a_search_of_core(module):
+    """One search path: every method searches through
+    ``teacher.run_strategy``, the only caller of core's argmax, Metropolis
+    walk and mask average. (The package ``__init__`` re-exports
+    ``mh_sample`` and runs nothing.)"""
+    assert sorted(core_names(PACKAGE / f"{module}.py") & SEARCHES) == []

@@ -66,6 +66,14 @@ def test_kernel_matrix_shape_and_bounds(rng):
         kernel_matrix(A, A, KernelConfig(None))
 
 
+def test_kernel_self_similarity_is_exactly_one_at_a_tiny_bandwidth(blobs3):
+    # the expansion a² + b² - 2ab leaves self-distances of a few ulps,
+    # which a bandwidth of 1e-8 would turn into k(x, x) well below 1
+    K = kernel_matrix(blobs3.features, blobs3.features, KernelConfig(1e-8))
+    assert np.all(np.diag(K) == 1.0)
+    assert np.all(K[~np.eye(blobs3.n_rows, dtype=bool)] == 0.0)
+
+
 def test_mmd2_of_a_set_with_itself_is_zero(rng):
     X = rng.normal(size=(30, 4))
     assert abs(mmd2(X, X, RBF1)) <= 1e-12

@@ -51,6 +51,13 @@ def test_greedy_equals_exhaustive_on_a_separable_objective(rng):
         math.fsum(scores[i] for i in greedy.explanation.payload)
     )
     assert len(trace) == 6
+    # each step adds the best row left in its class, so picks, in step
+    # order, list a class's rows by decreasing score
+    picks = greedy.metadata["picks"]
+    assert sorted(picks) == sorted(greedy.explanation.payload)
+    for c in range(3):
+        in_class = [scores[i] for i in picks if labels[i] == c]
+        assert in_class == sorted(in_class, reverse=True)
 
 
 def test_greedy_writes_none_for_steps_before_every_class_is_reached():
@@ -232,10 +239,10 @@ def test_mc_expectation_batch_equals_the_per_draw_stream(logistic_grid, grid_ima
     np.testing.assert_allclose(result.stderr, stderr, rtol=1e-12, atol=0)
     assert math.isclose(result.metadata["weight_total"], weights.sum(), rel_tol=1e-12)
 
-    # RISE draws the same masks and weighs them by the same predictions
+    # RISE is this search: the masked-prediction learner under mc-expectation
     rise = rise_saliency(logistic_grid, point, n_masks=3000, keep_prob=0.3, seed=7, target_class=1)
-    assert np.array_equal(rise.masks, masks)
-    np.testing.assert_allclose(rise.values, values, rtol=1e-12, atol=0)
+    assert np.array_equal(rise.values, result.explanation.payload)
+    assert np.array_equal(rise.stderr, result.stderr)
 
 
 def test_mc_expectation_raises_the_errors_of_the_per_draw_loop(logistic_grid, grid_image):
