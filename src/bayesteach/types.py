@@ -103,7 +103,7 @@ class TargetInference(_Value):
     Payload conventions by kind:
       PREDICTED_LABEL           int class index
       PREDICTIVE_DISTRIBUTION   (points (n, d), probabilities (n, C))
-      CLASS_DATA_DISTRIBUTION   (reference points (n, d), class index)
+      CLASS_DATA_DISTRIBUTION   (reference points (n, d), class index; None for all rows)
       LOCAL_DECISION_BOUNDARY   (point (d,), kernel width)
       LATENT_CLASS_MEANS        (C, q) array of latent class means
     """
