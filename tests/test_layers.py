@@ -114,8 +114,8 @@ def test_only_types_builds_the_identity_of_a_value():
     assert {m: lines for m, lines in calls.items() if lines} == {}
 
 
-# core's searches; only the strategy layer runs them, and the oracle
-# checks, which compare them with brute force
+# core's searches: only teacher runs them, and checks, which compares
+# them with brute force
 SEARCHES = {"posterior_max", "mh_sample", "mask_expectation"}
 
 
