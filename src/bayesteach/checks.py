@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracle
-from .core import posterior_max, teacher_posterior
+from .core import CHAIN_BLOCK, mask_expectation, posterior_max, teacher_posterior
 from .explainers import kernel_shap, mmd_prototypes, rise_saliency
 from .learners import KernelConfig, kernel_matrix, make_masked_prediction_learner
 from .spaces import EnumeratedSpace, MaskSpace
@@ -116,6 +116,18 @@ def shap_agreement(cases: int = 10, tol: float = 1e-9, seed: int = 0):
     return "shap-agreement", passed, f"max |phi - phi_ref| = {worst:.3e} over {cases} cases (tol {tol:g})"
 
 
+def _softmax_model(w: np.ndarray):
+    """Class probabilities of a linear softmax model with weights w."""
+
+    def predict(points):
+        logits = np.asarray(points) @ w
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        return e / e.sum(axis=1, keepdims=True)
+
+    return predict
+
+
 def rise_identity(n_masks: int = 500, tol: float = 1e-12, seed: int = 0):
     """Saliency as a posterior-weighted mean over the same mask sample.
 
@@ -125,14 +137,7 @@ def rise_identity(n_masks: int = 500, tol: float = 1e-12, seed: int = 0):
     """
     rng = np.random.default_rng((seed, 4))
     d = 9
-    w = rng.standard_normal((d, 3))
-
-    def predict(points):
-        logits = np.asarray(points) @ w
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-
+    predict = _softmax_model(rng.standard_normal((d, 3)))
     point = rng.standard_normal(d)
     baseline = np.zeros(d)
     report = rise_saliency(
@@ -155,6 +160,40 @@ def rise_identity(n_masks: int = 500, tol: float = 1e-12, seed: int = 0):
     worst = float(np.max(np.abs(weighted - report.values)))
     passed = worst <= tol
     return "rise-identity", passed, f"max |teaching - direct| = {worst:.3e} (tol {tol:g})"
+
+
+def mask_expectation_stream(tol: float = 1e-12, seed: int = 0):
+    """The block-streamed mask average against the one-shot weighted mean
+    of the same sample: weight total, means and standard errors, each to
+    a relative tolerance, at mask counts of one, one block, a block and a
+    short one, and three blocks."""
+    rng = np.random.default_rng((seed, 6))
+    d = 9
+    predict = _softmax_model(rng.standard_normal((d, 3)))
+    learner = make_masked_prediction_learner(predict, rng.standard_normal(d))
+
+    def weigh(masks):
+        return np.exp(learner.batch_log_likelihood(_THETA, masks))
+
+    def gap(mine, ref) -> float:
+        mine, ref = np.atleast_1d(mine), np.atleast_1d(ref)
+        return float(np.max(np.abs(mine - ref) / np.maximum(np.abs(ref), np.finfo(float).tiny)))
+
+    space = MaskSpace(d, 0.5)
+    counts = (1, CHAIN_BLOCK, CHAIN_BLOCK + 900, 3 * CHAIN_BLOCK)
+    worst = 0.0
+    for i, n in enumerate(counts):
+        total, values, stderr = mask_expectation(space, n, seed + i, weigh)
+        masks = space.draw(np.random.default_rng(seed + i), n)
+        weights = weigh(masks)
+        ref_values, ref_stderr = oracle.weighted_mean_and_stderr(masks, weights)
+        worst = max(worst, gap(total, weights.sum()), gap(values, ref_values), gap(stderr, ref_stderr))
+    passed = worst <= tol
+    return (
+        "mask-expectation-stream",
+        passed,
+        f"max relative gap to the one-shot mean = {worst:.3e} at n in {counts} (tol {tol:g})",
+    )
 
 
 # Two clusters, cluster spread on the order of the bandwidth. Tighter
@@ -207,7 +246,7 @@ def mmd_greedy_optimality(seed: int = 0):
 SUITES = {
     "posterior": [posterior_agreement, argmax_agreement, argmax_tie_rule],
     "shap": [shap_agreement],
-    "rise": [rise_identity],
+    "rise": [rise_identity, mask_expectation_stream],
     "mmd": [mmd_greedy_optimality],
 }
 SUITES["all"] = [fn for group in ("posterior", "shap", "rise", "mmd") for fn in SUITES[group]]

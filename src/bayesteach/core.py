@@ -20,7 +20,10 @@ A Metropolis walk reports its mode: the most visited state, ties going
 to the smallest payload (``ChainSamples.mode``).
 
 The posterior mean of a mask under likelihood weighting, the average
-behind mc-expectation and so behind RISE, is ``mask_expectation``.
+behind mc-expectation and so behind RISE, is ``mask_expectation``. It
+draws, weighs and sums ``CHAIN_BLOCK`` masks at a time, so its memory
+does not grow with the mask count, and takes each standard error from
+per-entry weight sums in closed form.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .errors import AllZeroMass, BadSpec, ZeroStartMass, ZeroTotalWeight
 from .spaces import ExplanationSpace, MaskSpace, SubsetSpace
 from .types import Explanation, LearnerModel, TargetInference, TeacherPosterior, example_set, feature_mask
 
-# A Metropolis walk draws its moves and uniforms this many steps at a time.
+# A Metropolis walk draws its moves and uniforms this many steps at a
+# time, and a mask expectation draws, weighs and sums this many masks.
 CHAIN_BLOCK = 4096
 
 # Chains of more steps (burn-in included) and mask draws of more entries
@@ -68,48 +72,49 @@ def logsumexp(a) -> float:
 
 
 def score_rows(learner: LearnerModel, theta: TargetInference, masks: np.ndarray) -> np.ndarray:
-    """Log likelihood of every row of an (N, d) array of feature masks.
-    The first row is scored by the joint ``log_likelihood``, so any error
-    a per-draw loop would raise is raised here too; the rest go through
-    ``batch_log_likelihood`` when the learner has one, and one by one
-    otherwise."""
-    first = learner.log_likelihood(theta, feature_mask(masks[0]))
+    """Log likelihood of every row of an (N, d) array of feature masks,
+    in one ``batch_log_likelihood`` call when the learner has one, and
+    row by row through ``log_likelihood`` otherwise."""
     if learner.batch_log_likelihood is None:
-        rest = [learner.log_likelihood(theta, feature_mask(r)) for r in masks[1:]]
-        return np.array([first] + rest, dtype=float)
+        return np.array([learner.log_likelihood(theta, feature_mask(r)) for r in masks], dtype=float)
     return np.asarray(learner.batch_log_likelihood(theta, masks), dtype=float)
-
-
-def weighted_mean_and_stderr(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weight-normalized column means with delta-method standard errors.
-
-    With uniform weights the error term reduces to the familiar
-    std / sqrt(N).
-    """
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ZeroTotalWeight("all weights are zero; the average is undefined")
-    mean = weights @ matrix / total
-    resid = weights[:, None] * (matrix - mean)
-    stderr = np.sqrt((resid**2).sum(axis=0)) / total
-    return mean, stderr
 
 
 def mask_expectation(space: MaskSpace, n: int, seed: int, weigh):
     """Draw n masks from the space's prior with ``default_rng(seed)`` and
     average them weighted by ``weigh(masks)``, a likelihood per mask: the
     posterior mean of the mask under the teacher posterior. The
-    mc-expectation strategy runs here, and RISE through it. Returns the
-    weights, and the weighted means with their standard errors. ``n < 1``
-    or more than ``MAX_DRAWS`` mask entries raises ``BadSpec``."""
+    mc-expectation strategy runs here, and RISE through it.
+
+    The masks are drawn, weighed and summed ``CHAIN_BLOCK`` at a time
+    (the last block is shorter); successive draws from one rng give the
+    sample a single draw would. Per entry the blocks add up the weight
+    total W, the sum of w m, and the sums of w^2 over the draws with
+    m = 1 and with m = 0. The mean is mu = sum(w m) / W, and for 0/1
+    masks the delta-method standard error sqrt(sum((w (m - mu))^2)) / W
+    is exactly sqrt((1 - mu)^2 sum_{m=1} w^2 + mu^2 sum_{m=0} w^2) / W.
+
+    Returns ``(W, means, stderrs)``. ``n < 1`` or more than ``MAX_DRAWS``
+    mask entries raises ``BadSpec``, and a zero W ``ZeroTotalWeight``."""
     if n < 1:
         raise BadSpec(f"mask count must be >= 1, got {n}")
     if n * space.dim > MAX_DRAWS:
         raise BadSpec(f"{n} masks of {space.dim} entries exceed the limit of {MAX_DRAWS} entries")
-    masks = space.draw(np.random.default_rng(seed), n)
-    weights = weigh(masks)
-    values, stderr = weighted_mean_and_stderr(masks, weights)
-    return weights, values, stderr
+    rng = np.random.default_rng(seed)
+    total, weighted, sq_kept, sq_dropped = 0.0, np.zeros(space.dim), np.zeros(space.dim), np.zeros(space.dim)
+    for start in range(0, n, CHAIN_BLOCK):
+        masks = space.draw(rng, min(CHAIN_BLOCK, n - start))
+        weights = weigh(masks)
+        squares = weights * weights
+        total += float(weights.sum())
+        weighted += weights @ masks
+        sq_kept += squares @ masks
+        sq_dropped += squares @ (1.0 - masks)
+    if total <= 0.0:
+        raise ZeroTotalWeight("all weights are zero; the average is undefined")
+    mean = weighted / total
+    stderr = np.sqrt((1.0 - mean) ** 2 * sq_kept + mean**2 * sq_dropped) / total
+    return total, mean, stderr
 
 
 def pool_terms(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):

@@ -8,7 +8,9 @@ never from a regression; subset search is a full scan. The Metropolis
 reference is the exception: to replay a chain step for step it must
 draw and compare exactly as the fast walk does, so it shares the
 acceptance arithmetic and the block schedule of its draws, and keeps
-only the loop-first form.
+only the loop-first form. The weighted mean of a mask sample is taken
+over the whole sample at once, with the standard error summed from the
+residuals, where the fast path streams blocks and uses a closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import CHAIN_BLOCK
-from .errors import AllZeroMass, ZeroStartMass
+from .errors import AllZeroMass, ZeroStartMass, ZeroTotalWeight
 from .spaces import ExplanationSpace, SubsetSpace
 from .types import Explanation, LearnerModel, TargetInference, example_set
 
@@ -176,6 +178,23 @@ def mh_reference(
         if step >= burn_in:
             samples.append(state)
     return samples, accepted
+
+
+def weighted_mean_and_stderr(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight-normalized column means with delta-method standard errors,
+    over the whole (N, d) matrix in one pass: the reference for
+    ``core.mask_expectation``.
+
+    With uniform weights the error term reduces to the familiar
+    std / sqrt(N).
+    """
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ZeroTotalWeight("all weights are zero; the average is undefined")
+    mean = weights @ matrix / total
+    resid = weights[:, None] * (matrix - mean)
+    stderr = np.sqrt((resid**2).sum(axis=0)) / total
+    return mean, stderr
 
 
 def exact_shapley(value_fn: Callable[[tuple[int, ...]], float], n_features: int) -> np.ndarray:

@@ -85,10 +85,10 @@ def run_strategy(
     if strategy == "mc-expectation":
         if not isinstance(space, MaskSpace):
             raise StrategySpaceMismatch("mc-expectation needs a mask space")
-        weights, values, stderr = core.mask_expectation(
+        weight_total, values, stderr = core.mask_expectation(
             space, n, seed, lambda masks: np.exp(core.score_rows(learner, theta, masks))
         )
-        meta = {"n": n, "weight_total": float(weights.sum())}
+        meta = {"n": n, "weight_total": weight_total}
         return StrategyResult(
             Explanation(ExplanationKind.SALIENCY_VECTOR, values),
             strategy,

@@ -1,6 +1,7 @@
 """Posterior normalization, selection, and sampling against brute force."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesteach import oracle
+from bayesteach import checks, oracle
 from bayesteach.core import (
     CHAIN_BLOCK,
     MAX_DRAWS,
@@ -1012,8 +1013,39 @@ def test_mask_draws_past_the_limit_raise_before_drawing():
     space = MaskSpace(4, 0.5)
     with pytest.raises(BadSpec, match="limit"):
         mask_expectation(space, MAX_DRAWS // 4 + 1, 0, weigh)
-    weights, values, _ = mask_expectation(space, 3, 0, lambda m: np.ones(len(m)))
-    assert values.shape == (4,) and weights.tolist() == [1.0, 1.0, 1.0]
+    weight_total, values, _ = mask_expectation(space, 3, 0, lambda m: np.ones(len(m)))
+    assert values.shape == (4,) and weight_total == 3.0
+
+
+@pytest.mark.parametrize("dim", [36, 5])
+@pytest.mark.parametrize("n", [CHAIN_BLOCK, CHAIN_BLOCK + 1, 2 * CHAIN_BLOCK + 900])
+def test_mask_draws_in_blocks_continue_one_stream(dim, n):
+    # mask_expectation draws a block at a time, the last block shorter;
+    # the sample must be the one a single draw of every mask gives
+    space = MaskSpace(dim, 0.3)
+    rng = np.random.default_rng(11)
+    blocks = [space.draw(rng, min(CHAIN_BLOCK, n - start)) for start in range(0, n, CHAIN_BLOCK)]
+    assert np.array_equal(np.vstack(blocks), space.draw(np.random.default_rng(11), n))
+
+
+def test_mask_expectation_memory_does_not_grow_with_the_mask_count():
+    space = MaskSpace(36, 0.5)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            mask_expectation(space, n, 0, lambda masks: masks[:, 0] + 1.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16 * CHAIN_BLOCK) <= 1.25 * peak(2 * CHAIN_BLOCK)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_streamed_mask_expectation_equals_the_one_shot_mean(seed):
+    name, passed, detail = checks.mask_expectation_stream(seed=seed)
+    assert passed, detail
 
 
 def test_mh_mode_searches_match_the_reference_counts(plda3, blobs3, logistic_grid, grid_image):

@@ -9,7 +9,7 @@ import pytest
 
 from bayesteach import oracle
 from bayesteach.checks import TWO_CLUSTER_POINTS
-from bayesteach.core import mh_sample, teacher_posterior, weighted_mean_and_stderr
+from bayesteach.core import mh_sample, teacher_posterior
 from bayesteach.errors import BadSpec, DimensionMismatch, ZeroTotalWeight
 from bayesteach.explainers import (
     distill_tree,
@@ -214,15 +214,28 @@ def test_rise_parameter_validation(logistic_grid, grid_image):
         rise_saliency(logistic_grid, point, keep_prob=1.0)
 
 
+@pytest.mark.parametrize("n_masks, rows", [(4000, [1, 4000]), (50_000, [1] + [4096] * 12 + [848])])
+def test_rise_calls_the_model_once_per_block_of_masks(logistic_grid, grid_image, n_masks, rows):
+    # the call for the target class on the point, then one per block
+    calls = []
+
+    def predict(points):
+        calls.append(len(points))
+        return predict_proba(logistic_grid, points)
+
+    rise_saliency(predict, grid_image.features[0], n_masks=n_masks, seed=0)
+    assert calls == rows
+
+
 def test_weighted_mean_and_stderr_reduce_to_plain_statistics(rng):
     M = rng.normal(size=(400, 3))
-    mean, stderr = weighted_mean_and_stderr(M, np.ones(400))
+    mean, stderr = oracle.weighted_mean_and_stderr(M, np.ones(400))
     np.testing.assert_allclose(mean, M.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(
         stderr, M.std(axis=0) / math.sqrt(400), rtol=1e-10
     )
     with pytest.raises(ZeroTotalWeight):
-        weighted_mean_and_stderr(M, np.zeros(400))
+        oracle.weighted_mean_and_stderr(M, np.zeros(400))
 
 
 # ---------------------------------------------------------------------------

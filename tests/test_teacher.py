@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bayesteach.core import teacher_posterior, weighted_mean_and_stderr
+from bayesteach.core import teacher_posterior
 from bayesteach import oracle
 from bayesteach.errors import AllZeroMass, BadSpec, DimensionMismatch, StrategySpaceMismatch
 from bayesteach.explainers import explain_by_examples, rise_saliency
@@ -233,7 +233,7 @@ def test_mc_expectation_batch_equals_the_per_draw_stream(logistic_grid, grid_ima
     batch = np.exp(learner.batch_log_likelihood(theta, masks))
     np.testing.assert_allclose(batch, weights, rtol=1e-12, atol=0)
 
-    values, stderr = weighted_mean_and_stderr(masks, weights)
+    values, stderr = oracle.weighted_mean_and_stderr(masks, weights)
     result = run_strategy(learner, theta, space, "mc-expectation", seed=7, n=3000)
     np.testing.assert_allclose(result.explanation.payload, values, rtol=1e-12, atol=0)
     np.testing.assert_allclose(result.stderr, stderr, rtol=1e-12, atol=0)
