@@ -101,7 +101,8 @@ def mask_expectation(space: MaskSpace, n: int, seed: int, weigh):
     if n * space.dim > MAX_DRAWS:
         raise BadSpec(f"{n} masks of {space.dim} entries exceed the limit of {MAX_DRAWS} entries")
     rng = np.random.default_rng(seed)
-    total, weighted, sq_kept, sq_dropped = 0.0, np.zeros(space.dim), np.zeros(space.dim), np.zeros(space.dim)
+    total = 0.0
+    weighted, sq_kept, sq_dropped = np.zeros((3, space.dim))
     for start in range(0, n, CHAIN_BLOCK):
         masks = space.draw(rng, min(CHAIN_BLOCK, n - start))
         weights = weigh(masks)
