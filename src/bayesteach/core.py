@@ -50,25 +50,29 @@ CHAIN_BLOCK = 4096
 MAX_DRAWS = 1 << 24
 
 
-def logsumexp(a) -> float:
-    """log(sum(exp(a))) over a 1-D sequence, computed as
+def logsumexp(a):
+    """log(sum(exp(a))) over the last axis, computed as
     ``scipy.special.logsumexp`` computes it, to the bit: the maxima are
-    summed apart and the remaining terms enter through log1p. An empty or
-    all -inf input gives -inf."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    if a.size == 0:
-        return -math.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, keepdims=True)
-        at_max = a == a_max
-        count = np.sum(at_max, keepdims=True, dtype=float)
-        rest = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), keepdims=True)
-        rest = np.where(rest == 0, rest, rest / count)
-        out = np.log1p(rest) + np.log(count) + a_max
-        if not np.isfinite(out[0]):
-            # infinite or NaN entries: the direct formula handles them
-            out = np.log(np.sum(np.exp(a), keepdims=True))
-    return float(out[0])
+    summed apart and the remaining terms enter through log1p. A 1-D input
+    gives a float, an (..., n) array an array of its row values; an empty
+    or all -inf row gives -inf."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.shape[-1] == 0:
+        out = np.full(a.shape[:-1] + (1,), -np.inf)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a_max = np.max(a, axis=-1, keepdims=True)
+            at_max = a == a_max
+            count = np.sum(at_max, axis=-1, keepdims=True, dtype=float)
+            rest = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=-1, keepdims=True)
+            rest = np.where(rest == 0, rest, rest / count)
+            out = np.log1p(rest) + np.log(count) + a_max
+            odd = ~np.isfinite(out)
+            if odd.any():
+                # infinite or NaN entries: the direct formula handles them
+                out = np.where(odd, np.log(np.sum(np.exp(a), axis=-1, keepdims=True)), out)
+    out = out[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def score_rows(learner: LearnerModel, theta: TargetInference, masks: np.ndarray) -> np.ndarray:

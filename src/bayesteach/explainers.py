@@ -483,7 +483,7 @@ class SoftTree:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         Z = (np.atleast_2d(X) - self.scaler_mean) / self.scaler_scale
-        _, _, reach = _route(Z, self.node_weights, self.node_bias, self.node_temp)
+        *_, reach = _route(Z, self.node_weights, self.node_bias, self.node_temp)
         return reach[:, self.n_inner :] @ self.leaf_distributions()
 
     def to_dict(self) -> dict:
@@ -498,25 +498,40 @@ class SoftTree:
         }
 
 
-def _route(Z: np.ndarray, W: np.ndarray, b: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-activations, gates and reach probabilities of a soft tree whose
-    inner nodes are the rows of ``W, b, T``, on standardized inputs ``Z``.
-    Column i of ``reach`` is the probability of reaching node i; the last
-    ``len(b) + 1`` columns are the leaves."""
+def _levels(n_inner: int):
+    """The inner nodes of a complete tree level by level from the root, as
+    (lo, hi): level [lo, hi) has children [hi, 2 hi + 1), the left child
+    of node i, 2i + 1, at hi + 2 (i - lo) and the right one just after."""
+    lo = 0
+    while lo < n_inner:
+        yield lo, 2 * lo + 1
+        lo = 2 * lo + 1
+
+
+def _route(Z: np.ndarray, W: np.ndarray, b: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Pre-activations, gates, one minus the gates, and reach probabilities
+    of a soft tree whose inner nodes are the rows of ``W, b, T``, on
+    standardized inputs ``Z``. Column i of ``reach`` is the probability of
+    reaching node i; the last ``len(b) + 1`` columns are the leaves. Reach
+    is filled one level at a time: a node's reach times its gate goes to
+    its left child, times one minus its gate to its right child."""
     n_inner = b.shape[0]
     pre = Z @ W.T + b
     with np.errstate(over="ignore"):  # exp overflowing to inf closes the gate
         gates = 1.0 / (1.0 + np.exp(-T * pre))
+    ungates = 1.0 - gates
     reach = np.ones((Z.shape[0], 2 * n_inner + 1))
-    for i in range(n_inner):
-        reach[:, 2 * i + 1] = reach[:, i] * gates[:, i]
-        reach[:, 2 * i + 2] = reach[:, i] * (1.0 - gates[:, i])
-    return pre, gates, reach
+    for lo, hi in _levels(n_inner):
+        parent = reach[:, lo:hi]
+        np.multiply(parent, gates[:, lo:hi], out=reach[:, hi : 2 * hi + 1 : 2])
+        np.multiply(parent, ungates[:, lo:hi], out=reach[:, hi + 1 : 2 * hi + 1 : 2])
+    return pre, gates, ungates, reach
 
 
 def _entropy_and_slope(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.clip(alpha, 1e-12, 1.0 - 1e-12)
-    return -a * np.log(a) - (1 - a) * np.log1p(-a), np.log1p(-a) - np.log(a)
+    a = np.minimum(np.maximum(alpha, 1e-12), 1.0 - 1e-12)
+    log_a, log_b = np.log(a), np.log1p(-a)
+    return -a * log_a - (1 - a) * log_b, log_b - log_a
 
 
 def tree_loss_and_grads(
@@ -532,29 +547,34 @@ def tree_loss_and_grads(
 
     Gate entropy is the binary entropy of each node's reach-weighted mean
     gate activation, averaged over inner nodes; the gradient flows through
-    both the gates and the reach probabilities.
+    both the gates and the reach probabilities. The entropy term enters
+    every node with reach mass at once, and the backward pass runs one
+    tree level at a time from the deepest, each node taking its
+    children's reach gradients; a node of zero reach mass gets no entropy
+    term.
     """
     W, b, T, L = params["W"], params["b"], params["T"], params["L"]
     n_inner = 2**depth - 1
     w_total = float(sample_weights.sum())
 
-    pre, gates, reach = _route(Z, W, b, T)
+    pre, gates, ungates, reach = _route(Z, W, b, T)
     P = reach[:, n_inner:]
     shifted = L - L.max(axis=1, keepdims=True)
     expL = np.exp(shifted)
     Q = expL / expL.sum(axis=1, keepdims=True)
-    pi = np.clip(P @ Q, 1e-300, None)
+    pi = np.maximum(P @ Q, 1e-300)
 
-    safe_t = np.clip(targets, 1e-300, None)
+    safe_t = np.maximum(targets, 1e-300)
     kl_per = np.sum(targets * (np.log(safe_t) - np.log(pi)), axis=1)
     kl = float(sample_weights @ kl_per / w_total)
 
     reach_mass = sample_weights @ reach[:, :n_inner]
     gate_mass = sample_weights @ (reach[:, :n_inner] * gates)
     ok = reach_mass > 0
-    alpha = np.where(ok, gate_mass / np.where(ok, reach_mass, 1.0), 0.5)
+    safe_mass = np.where(ok, reach_mass, 1.0)
+    alpha = np.where(ok, gate_mass / safe_mass, 0.5)
     entropies, slopes = _entropy_and_slope(alpha)
-    gate_entropy = float(np.where(ok, entropies, 0.0).mean())
+    gate_entropy = float(np.where(ok, entropies, 0.0).sum() / n_inner)
 
     loss = kl - beta * gate_entropy
 
@@ -565,20 +585,19 @@ def tree_loss_and_grads(
 
     grad_reach = np.zeros_like(reach)
     grad_reach[:, n_inner:] = dpi @ Q.T
+    # the entropy term of each node with reach mass, added to zeros
+    coeff = (-beta / n_inner) * slopes / safe_mass
+    weighted = coeff * sample_weights[:, None]
     grad_gates = np.zeros_like(gates)
-    ent_scale = -beta / n_inner
-    for i in range(n_inner):
-        if ok[i]:
-            coeff = ent_scale * slopes[i] / reach_mass[i]
-            grad_gates[:, i] += coeff * sample_weights * reach[:, i]
-            grad_reach[:, i] += coeff * sample_weights * (gates[:, i] - alpha[i])
-    for i in reversed(range(n_inner)):
-        gl = grad_reach[:, 2 * i + 1]
-        gr = grad_reach[:, 2 * i + 2]
-        grad_reach[:, i] += gl * gates[:, i] + gr * (1.0 - gates[:, i])
-        grad_gates[:, i] += reach[:, i] * (gl - gr)
+    grad_gates += np.where(ok, weighted * reach[:, :n_inner], 0.0)
+    grad_reach[:, :n_inner] += np.where(ok, weighted * (gates - alpha), 0.0)
+    for lo, hi in reversed(list(_levels(n_inner))):
+        gl = grad_reach[:, hi : 2 * hi + 1 : 2]
+        gr = grad_reach[:, hi + 1 : 2 * hi + 1 : 2]
+        grad_reach[:, lo:hi] += gl * gates[:, lo:hi] + gr * ungates[:, lo:hi]
+        grad_gates[:, lo:hi] += reach[:, lo:hi] * (gl - gr)
 
-    sig_slope = grad_gates * gates * (1.0 - gates)
+    sig_slope = grad_gates * gates * ungates
     dpre = sig_slope * T
     dW = dpre.T @ Z
     db = dpre.sum(axis=0)
@@ -621,16 +640,30 @@ def distill_tree(
     meaningful traffic both ways. A fit that diverges (a non-finite loss
     or parameter, e.g. from a huge learning rate) raises
     ``NonFiniteResult``.
+
+    Sizes are bounded before the tree is allocated: its 2^(depth + 1) - 1
+    nodes times the largest of the row, feature and class counts (rows
+    times nodes is the route array) may not exceed ``core.MAX_DRAWS``, and
+    epochs must lie in [0, ``MAX_DRAWS``]; zero epochs return the initial
+    tree. The parameters W, b, T and L are views into one flat vector,
+    which Adam updates in one step per epoch.
     """
     if depth < 1:
         raise BadSpec(f"depth must be >= 1, got {depth}")
     if beta < 0:
         raise BadSpec("the entropy prior weight must be nonnegative")
+    if not 0 <= epochs <= core.MAX_DRAWS:
+        raise BadSpec(f"epochs must be in [0, {core.MAX_DRAWS}], got {epochs}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     predict = batch_predictor(model_or_fn)
     targets = predict(points)
     n, d = points.shape
     classes = targets.shape[1]
+    # any depth past 62 is over the limit; min() spares building its int
+    width = max(n, d, classes)
+    if (2 ** (min(depth, 62) + 1) - 1) * width > core.MAX_DRAWS:
+        raise BadSpec(f"a depth-{depth} tree holds 2^{depth + 1} - 1 nodes times {width} rows, features "
+                      f"or classes, over the limit of {core.MAX_DRAWS} entries; lower the depth")
     weights = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=float)
     if weights.shape != (n,) or np.any(weights < 0) or weights.sum() <= 0:
         raise BadSpec("sample weights must be nonnegative with positive total")
@@ -642,16 +675,18 @@ def distill_tree(
 
     rng = np.random.default_rng(seed)
     n_inner = 2**depth - 1
-    params = {
-        "W": 0.5 * rng.standard_normal((n_inner, d)),
-        "b": 0.1 * rng.standard_normal(n_inner),
-        "T": np.ones(n_inner),
-        "L": 0.1 * rng.standard_normal((2**depth, classes)),
-    }
+    flat = np.concatenate([
+        0.5 * rng.standard_normal(n_inner * d),
+        0.1 * rng.standard_normal(n_inner),
+        np.ones(n_inner),
+        0.1 * rng.standard_normal(2**depth * classes),
+    ])
+    W, b, T, L = np.split(flat, np.cumsum([n_inner * d, n_inner, n_inner]))
+    params = {"W": W.reshape(n_inner, d), "b": b, "T": T, "L": L.reshape(2**depth, classes)}
 
     # Adam, full batch.
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v = {k: np.zeros_like(v) for k, v in params.items()}
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     trace = []
 
@@ -668,15 +703,15 @@ def distill_tree(
             if not math.isfinite(loss):
                 raise diverged(step - 1)
             trace.append(loss)
-            for k in params:
-                m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
-                v[k] = beta2 * v[k] + (1 - beta2) * grads[k] ** 2
-                m_hat = m[k] / (1 - beta1**step)
-                v_hat = v[k] / (1 - beta2**step)
-                params[k] = params[k] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            grad = np.concatenate([grads[k].reshape(-1) for k in params])
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad**2
+            m_hat = m / (1 - beta1**step)
+            v_hat = v / (1 - beta2**step)
+            flat -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
         loss, kl, entropy, _ = tree_loss_and_grads(params, Z, targets, weights, beta, depth)
-    if not (math.isfinite(loss) and all(np.all(np.isfinite(p)) for p in params.values())):
+    if not (math.isfinite(loss) and np.all(np.isfinite(flat))):
         raise diverged(epochs)
     trace.append(loss)
     tree = SoftTree(depth, params["W"], params["b"], params["T"], params["L"], mean, scale)

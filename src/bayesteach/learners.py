@@ -148,20 +148,25 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
     def class_term(theta: TargetInference, c: int, rows: tuple[int, ...]) -> float:
         return plda_class_logpdf(model, data.features[list(rows)], theta_array(theta)[c])
 
+    label_of = data.labels.tolist()
+
     def log_likelihood(theta: TargetInference, x: Explanation) -> float:
         if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
             raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
         if x.kind is not ExplanationKind.EXAMPLE_SET:
             raise BadSpec(f"plda learner consumes example sets, not {x.kind.value}")
         theta_array(theta)
-        indices = np.asarray(x.payload, dtype=int)
-        labels = data.labels[indices]
+        # rows of a class the model lacks are ignored
+        by_class = [[] for _ in range(model.class_count)]
+        for i in x.payload:
+            c = label_of[i]
+            if c < model.class_count:
+                by_class[c].append(i)
         total = 0.0
-        for c in range(model.class_count):
-            rows = tuple(sorted(indices[labels == c].tolist()))
+        for c, rows in enumerate(by_class):
             if not rows:
                 raise MissingClass(f"subset has no row of class {c}")
-            total += class_term(theta, c, rows)
+            total += class_term(theta, c, tuple(sorted(rows)))
         return total
 
     def block_terms(theta: TargetInference, pools):

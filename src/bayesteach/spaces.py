@@ -173,7 +173,7 @@ class SubsetSpace(ExplanationSpace):
 
     def chain_start(self, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
         return tuple(
-            tuple(sorted(pool[i] for i in rng.choice(len(pool), size=k, replace=False)))
+            tuple(sorted(pool[i] for i in rng.choice(len(pool), size=k, replace=False).tolist()))
             for pool, k in zip(self._pools, self._ks)
         )
 

@@ -92,22 +92,18 @@ class StudyReport:
         }
 
 
-def _target_mass(log_liks: list[float], target: int) -> float:
-    """Normalized posterior mass on the target candidate; every candidate
-    gets an equal share when every likelihood is zero."""
-    if all(v == -math.inf for v in log_liks):
-        return 1.0 / len(log_liks)
-    return float(math.exp(log_liks[target] - logsumexp(log_liks)))
-
-
-def _choice_outcomes(log_liks: list[float], target: int, trials: int, rng: np.random.Generator) -> float:
-    """Fraction of trials picking the target; exact ties flip a fair coin."""
-    gap = log_liks[target] - log_liks[1 - target]
-    if gap > 0:
-        return 1.0
-    if gap < 0:
-        return 0.0
-    return float(np.mean(rng.random(trials) < 0.5))
+def _target_masses(log_liks: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Normalized posterior mass on the target candidate of each row of a
+    (T, k) log-likelihood array, from one row-wise log-sum-exp; a row
+    whose likelihoods are all zero gives every candidate an equal share."""
+    lse = logsumexp(log_liks)
+    on_target = log_liks[np.arange(len(targets)), targets]
+    flat = np.all(log_liks == -np.inf, axis=1)
+    # math.exp, not np.exp: the two can differ in the last bit
+    return np.array([
+        1.0 / log_liks.shape[1] if f else math.exp(v - z)
+        for f, v, z in zip(flat.tolist(), on_target.tolist(), lse.tolist())
+    ])
 
 
 def simulate_2afc(study: SimulatedStudy, seed: int) -> StudyReport:
@@ -115,50 +111,57 @@ def simulate_2afc(study: SimulatedStudy, seed: int) -> StudyReport:
 
     The predicted accuracy for a pair is the learner's normalized
     posterior mass on the target candidate; realized accuracy is the
-    simulated argmax choice. Randomness is derived per (seed, member,
-    task) so results do not depend on iteration order.
+    simulated argmax choice, the fraction of trials picking the target.
+    Each member's learner is built once and scores its tasks into one
+    (T, 2) log-likelihood array, whose target masses ``_target_masses``
+    takes from one row-wise log-sum-exp. A pair whose likelihood gap is
+    not strictly positive or negative (an exact tie, or NaN) flips a fair
+    coin per trial, drawn from ``default_rng((seed, member, task))``, so
+    results do not depend on iteration order. Per-task sums add members
+    in population order, and the calibration records run task by task.
     """
     member_w = np.array([m.weight for m in study.population], dtype=float)
     member_w = member_w / member_w.sum()
+    tasks = study.tasks
+    rows = np.arange(len(tasks))
+    targets = np.array([t.target_index for t in tasks], dtype=np.intp)
+    trials = np.array([t.trials for t in tasks], dtype=float)
 
-    per_task: list[dict] = []
-    records: list[tuple[float, float, float]] = []  # (weight, predicted, realized)
-    total_trials = 0
-    for t_idx, task in enumerate(study.tasks):
-        total_trials += task.trials
-        task_acc = 0.0
-        task_pred = 0.0
-        task_shift = 0.0
-        for m_idx, member in enumerate(study.population):
-            learner = member.learner()
-            log_liks = [learner.log_likelihood(c, task.x) for c in task.candidates]
-            predicted = _target_mass(log_liks, task.target_index)
-            rng = np.random.default_rng((seed, m_idx, t_idx))
-            realized = _choice_outcomes(log_liks, task.target_index, task.trials, rng)
-            prior = member.prior_on(task)[task.target_index]
-            task_acc += member_w[m_idx] * realized
-            task_pred += member_w[m_idx] * predicted
-            task_shift += member_w[m_idx] * (predicted - prior)
-            records.append((member_w[m_idx] * task.trials, predicted, realized))
-        per_task.append(
-            {
-                "accuracy": task_acc,
-                "predicted": task_pred,
-                "belief_shift": task_shift,
-                "trials": task.trials,
-            }
+    acc = np.zeros(len(tasks))
+    pred_sum = np.zeros(len(tasks))
+    shift = np.zeros(len(tasks))
+    predicted = np.empty((len(tasks), len(study.population)))
+    realized = np.empty_like(predicted)
+    for m_idx, member in enumerate(study.population):
+        learner = member.learner()
+        log_liks = np.array(
+            [[learner.log_likelihood(c, t.x) for c in t.candidates] for t in tasks], dtype=float
         )
+        pred = _target_masses(log_liks, targets)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which ties
+            gap = log_liks[rows, targets] - log_liks[rows, 1 - targets]
+        real = np.where(gap > 0, 1.0, 0.0)
+        for t_idx in np.flatnonzero(~((gap > 0) | (gap < 0))).tolist():
+            rng = np.random.default_rng((seed, m_idx, t_idx))
+            real[t_idx] = float(np.mean(rng.random(tasks[t_idx].trials) < 0.5))
+        prior = np.array([member.prior_on(t)[t.target_index] for t in tasks])
+        w = member_w[m_idx]
+        acc += w * real
+        pred_sum += w * pred
+        shift += w * (pred - prior)
+        predicted[:, m_idx], realized[:, m_idx] = pred, real
 
-    trials_per_task = np.array([t.trials for t in study.tasks], dtype=float)
-    acc = np.array([t["accuracy"] for t in per_task])
-    shift = np.array([t["belief_shift"] for t in per_task])
-    overall_acc = float(acc @ trials_per_task / trials_per_task.sum())
-    overall_shift = float(shift @ trials_per_task / trials_per_task.sum())
+    per_task = tuple(
+        {"accuracy": a, "predicted": p, "belief_shift": s, "trials": t.trials}
+        for a, p, s, t in zip(acc, pred_sum, shift, tasks)
+    )
+    overall_acc = float(acc @ trials / trials.sum())
+    overall_shift = float(shift @ trials / trials.sum())
 
     edges = np.linspace(0.0, 1.0, CALIBRATION_BINS + 1)
-    pred = np.array([r[1] for r in records])
-    real = np.array([r[2] for r in records])
-    wts = np.array([r[0] for r in records])
+    pred = predicted.reshape(-1)
+    real = realized.reshape(-1)
+    wts = (trials[:, None] * member_w[None, :]).reshape(-1)
     bins = np.clip((pred * CALIBRATION_BINS).astype(int), 0, CALIBRATION_BINS - 1)
     calibration = {"bin_edges": edges.tolist(), "bins": []}
     for b in range(CALIBRATION_BINS):
@@ -173,7 +176,7 @@ def simulate_2afc(study: SimulatedStudy, seed: int) -> StudyReport:
             entry["realized_mean"] = None
         calibration["bins"].append(entry)
 
-    return StudyReport(overall_acc, overall_shift, tuple(per_task), calibration, total_trials)
+    return StudyReport(overall_acc, overall_shift, per_task, calibration, sum(t.trials for t in tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +214,12 @@ def example_selection_study(
 
     The learner must identify the true latent class means against a
     jittered distractor. One arm shows the teacher's argmax subset on
-    every trial; the other draws a fresh random subset per trial.
+    every trial; the other draws a fresh random subset per trial. The
+    selected subset's likelihood is ranked against ``random_subset_count``
+    random ones, which must be at least 1.
     """
+    if random_subset_count < 1:
+        raise BadSpec(f"random_subset_count must be >= 1, got {random_subset_count}")
     candidates = _plda_candidates(model, distractor_scale, seed, 0xD15, "example selection study")
     base = make_plda_learner(model, data)
     space = SubsetSpace.per_class(data.labels, per_class_k)
@@ -334,23 +341,23 @@ def strategy_mismatch_study(
     chain = teacher.run_strategy(selector, theta, space, "mh-sample", seed=seed, n=n, burn_in=burn_in)
     samples = chain.samples
 
-    def evaluator_mass(x: Explanation) -> float:
-        return _target_mass([evaluator.log_likelihood(c, x) for c in candidates], target_index)
-
-    max_value = evaluator_mass(x_max)
-    cache: dict = {}
+    # the argmax, then each distinct sample in order of first visit
+    distinct = list(samples.tally)
+    xs = [x_max] + [samples.explanation_of(r) for r in distinct]
+    log_liks = np.array([[evaluator.log_likelihood(c, x) for c in candidates] for x in xs], dtype=float)
+    masses = _target_masses(log_liks, np.full(len(xs), target_index)).tolist()
+    max_value = masses[0]
+    mass_of = dict(zip(distinct, masses[1:]))
     total = 0.0
     for state in samples.states:
-        if state not in cache:
-            cache[state] = evaluator_mass(samples.explanation_of(state))
-        total += cache[state]
+        total += mass_of[state]
     sampled_value = total / len(samples)
     return {
         "max_explanation_value": max_value,
         "sampled_mean_value": sampled_value,
         "sampling_beats_max": bool(sampled_value > max_value),
         "sample_count": len(samples),
-        "distinct_samples": len(cache),
+        "distinct_samples": len(distinct),
     }
 
 

@@ -19,6 +19,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -258,3 +259,49 @@ def test_drawn_greedy_runs_whose_first_steps_score_minus_infinity(fuzz_ws, k, ta
         trace = doc["result"]["result"]["metadata"]["score_trace"]
         assert len(trace) == 2 * k
         assert (trace[:k] == [None] * k) == (target == 1)
+
+
+@pytest.mark.parametrize("count", [0, -1, -(10**30)])
+def test_a_random_subset_count_below_one_exits_3(fuzz_ws, count):
+    path = fuzz_ws["root"] / "few-subsets.json"
+    path.write_text(json.dumps({
+        "study": "example-selection", "model": fuzz_ws["plda"], "data": fuzz_ws["data"],
+        "params": {"trials": 5, "random_subset_count": count},
+    }), encoding="utf-8")
+    code, _ = check(["study", "run", "--config", str(path), "--seed", "0"])
+    assert code == 3
+
+
+# (flags, expected exit): a tree past the size limit, or epochs out of
+# [0, 2^24], is refused; zero epochs return the initial tree
+TREE_SIZES = [
+    (["--depth", "64"], 3),
+    (["--depth", "30"], 3),
+    (["--depth", "20"], 3),  # 2^21 - 1 nodes times 12 rows
+    (["--depth", str(10**30)], 3),
+    (["--epochs", "-5"], 3),
+    (["--epochs", str((1 << 24) + 1)], 3),
+    (["--epochs", "0"], 0),
+    (["--depth", "4", "--epochs", "2"], 0),
+]
+
+
+@pytest.mark.parametrize("flags,want", TREE_SIZES)
+def test_tree_sizes_past_the_limit_exit_3_before_allocating(fuzz_ws, flags, want):
+    argvs = [
+        ["explain", "tree-distill", "--model", fuzz_ws["logistic"], "--data", fuzz_ws["data"],
+         "--seed", "0", *flags],
+        ["explain", "recombine", "--theta", "predictive-distribution", "--x-kind", "soft-tree",
+         "--learner", "surrogate-fit", "--strategy", "gradient-fit", "--model", fuzz_ws["logistic"],
+         "--data", fuzz_ws["data"], "--seed", "0",
+         *(f"--param={flag[2:]}={value}" for flag, value in zip(flags[::2], flags[1::2]))],
+    ]
+    for argv in argvs:
+        tracemalloc.start()
+        try:
+            code, _ = check(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == want, argv
+        assert peak < 8 << 20, (argv, peak)

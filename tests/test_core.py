@@ -541,6 +541,18 @@ def test_logsumexp_equals_scipy_to_the_bit(rng):
         assert got == want or (math.isnan(got) and math.isnan(want)), a
         assert logsumexp(a.tolist()) == got or math.isnan(got)
     assert logsumexp([]) == -math.inf
+    # an (r, c) array reduces its last axis: each row as a 1-D call gives it
+    rows = np.stack([rng.uniform(-50, 50, 5) for _ in range(40)] + [
+        np.full(5, -np.inf), np.array([1.0, np.inf, 2.0, 2.0, -np.inf]), np.full(5, 2.0),
+        np.array([-np.inf, 3.0, -np.inf, 3.0, 0.0]), np.array([np.inf, -np.inf, 0.0, 1.0, 1.0]),
+    ])
+    rows[rng.random(rows.shape) < 0.2] = -np.inf
+    got = logsumexp(rows)
+    assert got.shape == (rows.shape[0],)
+    want = np.array([logsumexp(r) for r in rows])
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == scipy_logsumexp(rows, axis=-1).tobytes()
+    assert logsumexp(np.empty((3, 0))).tolist() == [-math.inf] * 3
 
 
 def plain(learner):

@@ -405,6 +405,154 @@ def test_tree_gradients_match_finite_differences(rng):
                 assert grads[key].reshape(-1)[slot] == pytest.approx(fd, abs=2e-5)
 
 
+def reference_route(Z, W, b, T):
+    """Reach probabilities filled node by node."""
+    n_inner = b.shape[0]
+    pre = Z @ W.T + b
+    with np.errstate(over="ignore"):
+        gates = 1.0 / (1.0 + np.exp(-T * pre))
+    reach = np.ones((Z.shape[0], 2 * n_inner + 1))
+    for i in range(n_inner):
+        reach[:, 2 * i + 1] = reach[:, i] * gates[:, i]
+        reach[:, 2 * i + 2] = reach[:, i] * (1.0 - gates[:, i])
+    return pre, gates, reach
+
+
+def reference_loss_and_grads(params, Z, targets, sample_weights, beta, depth):
+    """The soft-tree loss and gradients with a loop over the nodes for
+    the entropy term and another, from the last node up, for the
+    backward pass through the routing."""
+    W, b, T, L = params["W"], params["b"], params["T"], params["L"]
+    n_inner = 2**depth - 1
+    w_total = float(sample_weights.sum())
+    pre, gates, reach = reference_route(Z, W, b, T)
+    P = reach[:, n_inner:]
+    shifted = L - L.max(axis=1, keepdims=True)
+    expL = np.exp(shifted)
+    Q = expL / expL.sum(axis=1, keepdims=True)
+    pi = np.clip(P @ Q, 1e-300, None)
+    safe_t = np.clip(targets, 1e-300, None)
+    kl_per = np.sum(targets * (np.log(safe_t) - np.log(pi)), axis=1)
+    kl = float(sample_weights @ kl_per / w_total)
+
+    reach_mass = sample_weights @ reach[:, :n_inner]
+    gate_mass = sample_weights @ (reach[:, :n_inner] * gates)
+    ok = reach_mass > 0
+    alpha = np.where(ok, gate_mass / np.where(ok, reach_mass, 1.0), 0.5)
+    a = np.clip(alpha, 1e-12, 1.0 - 1e-12)
+    entropies = -a * np.log(a) - (1 - a) * np.log1p(-a)
+    slopes = np.log1p(-a) - np.log(a)
+    gate_entropy = float(np.where(ok, entropies, 0.0).mean())
+    loss = kl - beta * gate_entropy
+
+    dpi = (sample_weights / w_total)[:, None] * (-targets / pi)
+    dQ = P.T @ dpi
+    dL = Q * (dQ - (dQ * Q).sum(axis=1, keepdims=True))
+    grad_reach = np.zeros_like(reach)
+    grad_reach[:, n_inner:] = dpi @ Q.T
+    grad_gates = np.zeros_like(gates)
+    ent_scale = -beta / n_inner
+    for i in range(n_inner):
+        if ok[i]:
+            coeff = ent_scale * slopes[i] / reach_mass[i]
+            grad_gates[:, i] += coeff * sample_weights * reach[:, i]
+            grad_reach[:, i] += coeff * sample_weights * (gates[:, i] - alpha[i])
+    for i in reversed(range(n_inner)):
+        gl = grad_reach[:, 2 * i + 1]
+        gr = grad_reach[:, 2 * i + 2]
+        grad_reach[:, i] += gl * gates[:, i] + gr * (1.0 - gates[:, i])
+        grad_gates[:, i] += reach[:, i] * (gl - gr)
+    sig_slope = grad_gates * gates * (1.0 - gates)
+    dpre = sig_slope * T
+    grads = {"W": dpre.T @ Z, "b": dpre.sum(axis=0), "T": (sig_slope * pre).sum(axis=0), "L": dL}
+    return loss, kl, gate_entropy, grads, reach_mass
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def tree_case(rng, depth, saturated):
+    n, d, classes = 17, 3, 3
+    Z = rng.normal(size=(n, d))
+    t = rng.uniform(0.0, 1.0, (n, classes))
+    t[0, 0] = 0.0  # a zero target probability
+    weights = rng.uniform(0.5, 1.5, n)
+    weights[:2] = 0.0
+    n_inner = 2**depth - 1
+    params = {
+        "W": rng.normal(size=(n_inner, d)),
+        "b": rng.normal(size=n_inner),
+        "T": np.abs(rng.normal(size=n_inner)) + 0.5,
+        "L": rng.normal(size=(2**depth, classes)),
+    }
+    if saturated:
+        # the root's gate is exactly 1 and its left child's exactly 0, so
+        # from depth 2 on whole subtrees have zero reach mass
+        params["b"][0] = 1e4
+        if n_inner > 1:
+            params["b"][1] = -1e4
+    return params, Z, t / t.sum(axis=1, keepdims=True), weights
+
+
+def test_tree_loss_and_grads_equal_the_per_node_loops_to_the_bit(rng):
+    zero_mass_seen = False
+    for depth in range(1, 6):
+        for saturated in (False, True):
+            params, Z, targets, weights = tree_case(rng, depth, saturated)
+            for beta in (0.0, 0.7):
+                *want, grads_want, reach_mass = reference_loss_and_grads(
+                    params, Z, targets, weights, beta, depth)
+                *got, grads = tree_loss_and_grads(params, Z, targets, weights, beta, depth)
+                assert all(same_bits(g, w) for g, w in zip(got, want)), (depth, saturated, beta)
+                for key in params:
+                    assert same_bits(grads[key], grads_want[key]), (depth, saturated, beta, key)
+                zero_mass_seen |= bool(np.any(reach_mass == 0))
+    assert zero_mass_seen
+
+
+def reference_distill(model, points, depth, beta, seed, epochs, learning_rate):
+    """``distill_tree`` with Adam stepping each parameter array apart."""
+    targets = predict_proba(model, points)
+    Z = (points - points.mean(axis=0)) / points.std(axis=0)
+    rng = np.random.default_rng(seed)
+    n_inner, d, classes = 2**depth - 1, points.shape[1], targets.shape[1]
+    params = {
+        "W": 0.5 * rng.standard_normal((n_inner, d)),
+        "b": 0.1 * rng.standard_normal(n_inner),
+        "T": np.ones(n_inner),
+        "L": 0.1 * rng.standard_normal((2**depth, classes)),
+    }
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(v) for k, v in params.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    weights = np.ones(points.shape[0])
+    trace = []
+    for step in range(1, epochs + 1):
+        loss, _, _, grads, _ = reference_loss_and_grads(params, Z, targets, weights, beta, depth)
+        trace.append(loss)
+        for k in params:
+            m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
+            v[k] = beta2 * v[k] + (1 - beta2) * grads[k] ** 2
+            m_hat = m[k] / (1 - beta1**step)
+            v_hat = v[k] / (1 - beta2**step)
+            params[k] = params[k] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    trace.append(reference_loss_and_grads(params, Z, targets, weights, beta, depth)[0])
+    return params, trace
+
+
+def test_flat_vector_adam_equals_per_array_adam_to_the_bit(moons):
+    model = fit_model("logistic", moons, seed=0)
+    for depth, beta in [(2, 0.0), (3, 0.7)]:
+        params, trace = reference_distill(model, moons.features, depth, beta, 4, 50, 0.05)
+        report = distill_tree(model, moons.features, depth=depth, beta=beta, seed=4, epochs=50)
+        tree = report.tree
+        got = {"W": tree.node_weights, "b": tree.node_bias, "T": tree.node_temp, "L": tree.leaf_logits}
+        assert all(same_bits(got[k], params[k]) for k in params), (depth, beta)
+        assert same_bits(report.loss_trace, trace)
+
+
 def test_distilled_tree_tracks_the_teacher_model(moons):
     model = fit_model("logistic", moons, seed=0)
     report = distill_tree(model, moons.features, depth=3, beta=0.0, seed=0)

@@ -21,7 +21,7 @@ from bayesteach.learners import (
     surrogate_fit_loss,
     witness,
 )
-from bayesteach.models import fit_model, plda_posterior_over_means, predict_proba
+from bayesteach.models import Dataset, fit_model, plda_posterior_over_means, predict_proba
 from bayesteach.types import (
     Explanation,
     ExplanationKind,
@@ -140,6 +140,32 @@ def test_plda_learner_propagates_missing_class(blobs3, plda3):
     )
     with pytest.raises(MissingClass):
         learner.log_likelihood(theta, example_set(tuple(blobs3.class_rows(0))))
+    for missing in range(blobs3.class_count):  # first, middle and last class
+        rows = [int(blobs3.class_rows(c)[0]) for c in range(blobs3.class_count) if c != missing]
+        with pytest.raises(MissingClass, match=f"class {missing}"):
+            learner.log_likelihood(theta, example_set(rows))
+
+
+def test_plda_learner_ignores_rows_of_a_class_the_model_lacks(blobs3):
+    # a model of classes 0 and 1 reads a dataset that also holds class 2
+    two = blobs3.labels < 2
+    model = fit_model("plda", Dataset(blobs3.features[two], blobs3.labels[two], 2), seed=0)
+    learner = make_plda_learner(model, blobs3)
+    theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, model.parameters["latent_means"])
+    known = [int(i) for c in (0, 1) for i in blobs3.class_rows(c)[:3]]
+    extra = [int(i) for i in blobs3.class_rows(2)[:4]]
+    want = learner.log_likelihood(theta, example_set(known))
+    assert learner.log_likelihood(theta, example_set(extra[:2] + known + extra[2:])) == want
+
+
+def test_plda_learner_scores_a_permuted_payload_to_the_same_float(blobs3, plda3, rng):
+    theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+    rows = [int(i) for c in range(3) for i in rng.choice(blobs3.class_rows(c), 3, replace=False)]
+    want = make_plda_learner(plda3, blobs3).log_likelihood(theta, example_set(sorted(rows)))
+    for _ in range(10):
+        # a fresh learner each time, so no memoized class term is reused
+        got = make_plda_learner(plda3, blobs3).log_likelihood(theta, example_set(rng.permutation(rows)))
+        assert got == want
 
 
 def test_plda_learner_rejects_wrong_kinds(blobs3, plda3):

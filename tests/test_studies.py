@@ -1,21 +1,28 @@
 """Simulated explainee studies: 2AFC runs, target mass, named studies."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
+from bayesteach import teacher
 from bayesteach.errors import BadSpec
-from bayesteach.learners import BiasConfig
+from bayesteach.learners import BiasConfig, biased_learner, make_plda_learner
 from bayesteach.models import fit_model, make_synthetic
-from bayesteach.spaces import EnumeratedSpace
+from bayesteach.spaces import EnumeratedSpace, SubsetSpace
 from bayesteach.studies import (
+    CALIBRATION_BINS,
     PopulationMember,
     SimulatedStudy,
+    StudyReport,
     TwoAfcTask,
-    _target_mass,
+    _plda_candidates,
+    _target_masses,
     bias_sensitivity_study,
     example_selection_study,
+    plda_strategy_mismatch_study,
     simulate_2afc,
     strategy_mismatch_study,
 )
@@ -123,10 +130,138 @@ def test_study_validation():
 
 
 def test_target_mass_is_normalized_mass():
-    log_liks = [math.log(0.3), math.log(0.7)]
-    assert _target_mass(log_liks, 0) == pytest.approx(0.3)
-    assert _target_mass(log_liks, 1) == pytest.approx(0.7)
-    assert _target_mass([-math.inf, -math.inf], 0) == 0.5
+    log_liks = np.array([[math.log(0.3), math.log(0.7)]] * 2 + [[-math.inf, -math.inf]])
+    masses = _target_masses(log_liks, np.array([0, 1, 0]))
+    assert masses[0] == pytest.approx(0.3)
+    assert masses[1] == pytest.approx(0.7)
+    assert masses[2] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the array path against the loop-first reference
+
+
+def reference_target_mass(log_liks, target):
+    if all(v == -math.inf for v in log_liks):
+        return 1.0 / len(log_liks)
+    return float(math.exp(log_liks[target] - float(scipy_logsumexp(log_liks))))
+
+
+def reference_simulate_2afc(study, seed):
+    """One (task, member) pair at a time: the learner built, the two
+    candidates scored and a generator made for every pair."""
+    member_w = np.array([m.weight for m in study.population], dtype=float)
+    member_w = member_w / member_w.sum()
+    per_task, records, total_trials = [], [], 0
+    for t_idx, task in enumerate(study.tasks):
+        total_trials += task.trials
+        task_acc = task_pred = task_shift = 0.0
+        for m_idx, member in enumerate(study.population):
+            learner = member.learner()
+            log_liks = [learner.log_likelihood(c, task.x) for c in task.candidates]
+            predicted = reference_target_mass(log_liks, task.target_index)
+            rng = np.random.default_rng((seed, m_idx, t_idx))
+            gap = log_liks[task.target_index] - log_liks[1 - task.target_index]
+            if gap > 0:
+                realized = 1.0
+            elif gap < 0:
+                realized = 0.0
+            else:
+                realized = float(np.mean(rng.random(task.trials) < 0.5))
+            prior = member.prior_on(task)[task.target_index]
+            task_acc += member_w[m_idx] * realized
+            task_pred += member_w[m_idx] * predicted
+            task_shift += member_w[m_idx] * (predicted - prior)
+            records.append((member_w[m_idx] * task.trials, predicted, realized))
+        per_task.append({"accuracy": task_acc, "predicted": task_pred,
+                         "belief_shift": task_shift, "trials": task.trials})
+
+    trials_per_task = np.array([t.trials for t in study.tasks], dtype=float)
+    acc = np.array([t["accuracy"] for t in per_task])
+    shift = np.array([t["belief_shift"] for t in per_task])
+    overall_acc = float(acc @ trials_per_task / trials_per_task.sum())
+    overall_shift = float(shift @ trials_per_task / trials_per_task.sum())
+
+    pred = np.array([r[1] for r in records])
+    real = np.array([r[2] for r in records])
+    wts = np.array([r[0] for r in records])
+    bins = np.clip((pred * CALIBRATION_BINS).astype(int), 0, CALIBRATION_BINS - 1)
+    calibration = {"bin_edges": np.linspace(0.0, 1.0, CALIBRATION_BINS + 1).tolist(), "bins": []}
+    for b in range(CALIBRATION_BINS):
+        inside = bins == b
+        w = float(wts[inside].sum())
+        entry = {"count": int(inside.sum()), "weight": w, "predicted_mean": None, "realized_mean": None}
+        if w > 0:
+            entry["predicted_mean"] = float(pred[inside] @ wts[inside] / w)
+            entry["realized_mean"] = float(real[inside] @ wts[inside] / w)
+        calibration["bins"].append(entry)
+    return StudyReport(overall_acc, overall_shift, tuple(per_task), calibration, total_trials)
+
+
+def same_document(a, b) -> bool:
+    """Equal as written: JSON text tells -0.0 from 0.0, which == does not."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def random_study(rng):
+    """Seeded members and tasks: log likelihoods drawn per (candidate,
+    explanation) with exact ties, all -inf pairs and NaN-free infinities,
+    weighted members, a biased member, trials above 1 and both targets."""
+    xs = [example_set((i,)) for i in range(int(rng.integers(1, 6)))]
+    members = []
+    for m in range(int(rng.integers(1, 4))):
+        table = {}
+        for x in xs:
+            kind = rng.integers(0, 4)
+            if kind == 0:  # an exact tie
+                ll0 = ll1 = float(rng.normal())
+            elif kind == 1:  # zero likelihood for both
+                ll0 = ll1 = -math.inf
+            else:
+                ll0, ll1 = rng.normal(0.0, 3.0, 2).tolist()
+                if kind == 3:
+                    ll1 = -math.inf
+            table[(C0.key(), x.key())] = ll0
+            table[(C1.key(), x.key())] = ll1
+        learner = LearnerModel("drawn", lambda theta, x, t=table: t[(theta.key(), x.key())])
+        bias = None
+        if rng.random() < 0.4:
+            p = float(rng.uniform(0.05, 0.95))
+            bias = BiasConfig(float(rng.uniform(0.5, 3.0)), (C0, C1), np.array([p, 1.0 - p]))
+        members.append(PopulationMember(learner, float(rng.uniform(0.2, 3.0)), bias))
+    tasks = tuple(
+        TwoAfcTask((C0, C1), int(rng.integers(0, 2)), xs[int(rng.integers(0, len(xs)))],
+                   trials=int(rng.integers(1, 9)))
+        for _ in range(int(rng.integers(1, 12)))
+    )
+    return SimulatedStudy(tuple(members), tasks)
+
+
+def test_simulate_2afc_equals_the_loop_first_reference_on_named_cases():
+    tie = PopulationMember(pair_learner(-1.0, -1.0), weight=2.0)
+    right = PopulationMember(pair_learner(0.0, -5.0), weight=3.0)
+    dead = PopulationMember(pair_learner(-math.inf, -math.inf), weight=0.5)
+    biased = PopulationMember(
+        pair_learner(-0.3, -0.2), bias=BiasConfig(2.0, (C0, C1), np.array([0.7, 0.3]))
+    )
+    tasks = (
+        TwoAfcTask((C0, C1), 0, X, trials=9),
+        TwoAfcTask((C0, C1), 1, X, trials=4),
+        TwoAfcTask((C0, C1), 1, X, trials=1),
+    )
+    for population in [(tie, right), (biased,), (dead, tie, biased, right)]:
+        study = SimulatedStudy(population, tasks)
+        for seed in (0, 3, 17):
+            got = simulate_2afc(study, seed).to_dict()
+            assert same_document(got, reference_simulate_2afc(study, seed).to_dict())
+
+
+def test_simulate_2afc_equals_the_loop_first_reference_on_drawn_studies():
+    rng = np.random.default_rng(2024)
+    for case in range(150):
+        study = random_study(rng)
+        got = simulate_2afc(study, case).to_dict()
+        assert same_document(got, reference_simulate_2afc(study, case).to_dict()), case
 
 
 # ---------------------------------------------------------------------------
@@ -216,3 +351,48 @@ def test_strategy_mismatch_study_on_a_constructed_disagreement():
     out = strategy_mismatch_study(selector, LearnerModel("agree", agree_ll),
                                   (C0, C1), 0, space, n=4000, burn_in=200, seed=0)
     assert out["sampling_beats_max"] is False
+
+
+def reference_strategy_mismatch(selector, evaluator, candidates, target_index, space, n, burn_in, seed):
+    """The evaluator's target mass of the argmax and of each sample, one
+    explanation at a time, memoized per distinct state."""
+    theta = candidates[target_index]
+    x_max = teacher.run_strategy(selector, theta, space, "exhaustive-max").explanation
+    samples = teacher.run_strategy(
+        selector, theta, space, "mh-sample", seed=seed, n=n, burn_in=burn_in
+    ).samples
+
+    def evaluator_mass(x):
+        return reference_target_mass([evaluator.log_likelihood(c, x) for c in candidates], target_index)
+
+    max_value = evaluator_mass(x_max)
+    cache, total = {}, 0.0
+    for state in samples.states:
+        if state not in cache:
+            cache[state] = evaluator_mass(samples.explanation_of(state))
+        total += cache[state]
+    sampled_value = total / len(samples)
+    return {
+        "max_explanation_value": max_value,
+        "sampled_mean_value": sampled_value,
+        "sampling_beats_max": bool(sampled_value > max_value),
+        "sample_count": len(samples),
+        "distinct_samples": len(cache),
+    }
+
+
+def test_strategy_mismatch_equals_the_loop_first_reference():
+    data = study_data()
+    model = fit_model("plda", data, seed=0)
+    for seed, k, strength, target in [(0, 2, 1.0, 0), (1, 1, 3.0, 1), (5, 2, 0.5, 1)]:
+        candidates = _plda_candidates(model, 0.4, seed, 0xD15, "strategy mismatch study")
+        selector = make_plda_learner(model, data)
+        evaluator = biased_learner(selector, BiasConfig(strength, candidates, np.array([0.1, 0.9])))
+        space = SubsetSpace.per_class(data.labels, k)
+        args = (selector, evaluator, candidates, target, space)
+        got = strategy_mismatch_study(*args, n=300, burn_in=50, seed=seed)
+        assert same_document(got, reference_strategy_mismatch(*args, 300, 50, seed))
+        if target == 0:
+            named = plda_strategy_mismatch_study(model, data, per_class_k=k, n=300, burn_in=50,
+                                                 bias_strength=strength, seed=seed)
+            assert same_document(named, got)
