@@ -8,6 +8,7 @@ with the package. One subprocess test covers the ``python -m`` entry.
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -993,3 +994,105 @@ def test_example_selection_leaves_numpy_ma_unloaded(ws, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
+
+
+def test_example_selection_study_leaves_numpy_ma_unloaded(ws, tmp_path):
+    # the study's 0.99 quantile is taken without np.quantile, whose
+    # np.unique imports numpy.ma
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({
+        "study": "example-selection", "model": ws["plda"], "data": ws["data"],
+        "params": {"trials": 5, "random_subset_count": 50},
+    }), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_PROBE, "study", "run", "--config", str(config),
+         "--seed", "0", "--out", str(tmp_path / "doc.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
+# BLAS thread-count variables, in the order OpenBLAS prefers them; MKL
+# reads its own before OMP_NUM_THREADS
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                      reason="counts threads through /proc/self/task")
+
+
+def blas_env(omp_threads=None) -> dict:
+    """This process's environment without BLAS thread variables, plus
+    ``OMP_NUM_THREADS`` when given; the package imports from any directory."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    package_root = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    if omp_threads is not None:
+        env["OMP_NUM_THREADS"] = omp_threads
+    return env
+
+
+def two_blas_threads() -> int:
+    """Threads OpenBLAS starts for ``OMP_NUM_THREADS=2``: it never starts
+    more than the CPUs this process may run on."""
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+_THREAD_PROBE = """
+import os
+import bayesteach
+print(len(os.listdir("/proc/self/task")), os.environ.get("OMP_NUM_THREADS"))
+"""
+
+
+@needs_proc_tasks
+def test_importing_the_package_loads_blas_on_one_thread_and_restores_the_environment():
+    def probe(env):
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert probe(blas_env()) == ["1", "None"]
+    assert probe(blas_env("2")) == [str(two_blas_threads()), "2"]
+
+
+_CLI_THREAD_PROBE = """
+import os, sys
+from bayesteach import cli
+code = cli.main(sys.argv[1:])
+print(code, len(os.listdir("/proc/self/task")))
+"""
+
+
+@needs_proc_tasks
+def test_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """`model fit --family mlp` on 600 grid images and `explain rise` with
+    8,192 masks (their matrix products are large enough for OpenBLAS to
+    split across threads) write the same bytes on one BLAS thread and on
+    two. Each child runs in its own directory with the same relative
+    paths, so the documents can be compared whole."""
+    data = str(tmp_path / "grid.csv")
+    assert cli.main(["dataset", "make", "--generator", "grid-image", "--classes", "2",
+                     "--side", "6", "--per-class", "300", "--seed", "2", "--csv", data,
+                     "--out", str(tmp_path / "make.json")]) == 0
+    header, *rows = Path(data).read_text(encoding="utf-8").splitlines()
+    keep = [i for i, name in enumerate(header.split(",")) if name != "label"]
+    point = "".join(",".join(line.split(",")[i] for i in keep) + "\n" for line in (header, rows[-1]))
+    (tmp_path / "point.csv").write_text(point, encoding="utf-8")
+
+    runs = {}
+    for name, env, threads in (("one", blas_env(), 1), ("two", blas_env("2"), two_blas_threads())):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        for argv in (
+            ["model", "fit", "--data", data, "--family", "mlp", "--seed", "0",
+             "--save", "mlp.json", "--out", "fit.json"],
+            ["explain", "rise", "--model", "mlp.json", "--point", str(tmp_path / "point.csv"),
+             "--masks", "8192", "--seed", "0", "--out", "rise.json"],
+        ):
+            proc = subprocess.run([sys.executable, "-c", _CLI_THREAD_PROBE, *argv], env=env,
+                                  cwd=cwd, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == ["0", str(threads)], argv
+        runs[name] = {f: (cwd / f).read_bytes() for f in ("mlp.json", "fit.json", "rise.json")}
+    assert runs["one"] == runs["two"]

@@ -283,6 +283,9 @@ TREE_SIZES = [
     (["--epochs", str((1 << 24) + 1)], 3),
     (["--epochs", "0"], 0),
     (["--depth", "4", "--epochs", "2"], 0),
+    # under a bound on each array, but an epoch holds several of its
+    # 12.6M-entry route arrays at once
+    (["--depth", "19"], 3),
 ]
 
 

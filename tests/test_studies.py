@@ -18,6 +18,7 @@ from bayesteach.studies import (
     SimulatedStudy,
     StudyReport,
     TwoAfcTask,
+    _linear_quantile,
     _plda_candidates,
     _target_masses,
     bias_sensitivity_study,
@@ -300,6 +301,33 @@ def test_example_selection_study_reports_and_ordering():
         random_subset_count=200,
     )
     assert again == out
+
+
+def quantile_cases():
+    """Random, tied, single-element, infinite and NaN arrays."""
+    rng = np.random.default_rng(0)
+    cases = [np.array(case) for case in (
+        [0.5], [-3.0], [math.inf], [-math.inf], [math.nan], [-math.inf, math.inf],
+        [2.0, 2.0], [1.0, math.nan, -1.0], [-math.inf] * 3 + [1.0], [1.0] + [math.inf] * 3,
+    )]
+    for n in (*range(2, 40), 99, 100, 101, 199, 200, 201, 1000):
+        cases.append(rng.standard_normal(n) * 10.0)
+        cases.append(rng.integers(-2, 3, n).astype(float))  # mostly ties
+        with_inf = rng.standard_normal(n)
+        draw = rng.random(n)
+        with_inf[draw < 0.2] = -math.inf
+        with_inf[draw > 0.9] = math.inf
+        cases.append(with_inf)
+    return cases
+
+
+def test_linear_quantile_equals_np_quantile_to_the_bit():
+    for values in quantile_cases():
+        for q in (0.99, 0.0, 0.25, 0.5, 0.7, 1.0):
+            with np.errstate(invalid="ignore"):  # inf - inf inside np.quantile
+                want = np.quantile(values, q)
+            got = _linear_quantile(values, q)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (values, q, got, want)
 
 
 def test_bias_sweep_raises_favored_mass_and_reports_monotonicity():
