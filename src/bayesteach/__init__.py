@@ -11,11 +11,16 @@ it starts no worker thread, and the variable is removed again so child
 processes see the environment as the caller left it. A caller's
 ``OMP_NUM_THREADS`` (or ``OPENBLAS_NUM_THREADS``/``MKL_NUM_THREADS``,
 which the BLAS prefers to it) still decides.
+
+The package re-exports nothing, so a command imports only the modules it
+runs: import names from the submodules.
 """
 
 import os
 
-if "OMP_NUM_THREADS" not in os.environ:
+if "OMP_NUM_THREADS" in os.environ:
+    __import__("numpy")
+else:
     os.environ["OMP_NUM_THREADS"] = "1"
     try:
         __import__("numpy")
@@ -23,88 +28,4 @@ if "OMP_NUM_THREADS" not in os.environ:
         del os.environ["OMP_NUM_THREADS"]
 del os
 
-from .core import mh_sample, sample_posterior, select_max, teacher_posterior
-from .errors import (
-    AllZeroMass,
-    BadSpec,
-    DimensionMismatch,
-    EngineError,
-    IncompatibleCombination,
-    MissingClass,
-    NonFiniteResult,
-    NonNumericFeature,
-    NotEnumerable,
-    NumericalError,
-    ParseError,
-    SingularCovariance,
-    SingularSystem,
-    StrategySpaceMismatch,
-    ZeroStartMass,
-    ZeroTotalWeight,
-)
-from .explainers import (
-    DistillReport,
-    ExampleSelectionReport,
-    LimeReport,
-    PrototypeReport,
-    SaliencyReport,
-    ShapReport,
-    SoftTree,
-    distill_tree,
-    explain_by_examples,
-    kernel_shap,
-    lime_local,
-    mmd_criticisms,
-    mmd_prototypes,
-    rise_saliency,
-)
-from .learners import (
-    BiasConfig,
-    KernelConfig,
-    biased_learner,
-    make_masked_prediction_learner,
-    make_mmd_learner,
-    make_nearest_class_learner,
-    make_plda_learner,
-    mmd2,
-    witness,
-)
-from .models import (
-    Dataset,
-    TargetModel,
-    fit_model,
-    load_csv,
-    load_model,
-    make_synthetic,
-    predict_proba,
-    save_csv,
-    save_model,
-)
-from .recombine import RecombinedExplainer, check_compatibility, recombine
-from .spaces import EnumeratedSpace, MaskSpace, SubsetSpace
-from .studies import (
-    PopulationMember,
-    SimulatedStudy,
-    StudyReport,
-    TwoAfcTask,
-    bias_sensitivity_study,
-    example_selection_study,
-    plda_strategy_mismatch_study,
-    simulate_2afc,
-    strategy_mismatch_study,
-)
-from .teacher import StrategyResult, run_strategy
-from .types import (
-    Explanation,
-    ExplanationKind,
-    LearnerModel,
-    TargetInference,
-    TeacherPosterior,
-    ThetaKind,
-    example_set,
-    feature_mask,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

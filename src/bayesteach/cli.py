@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import inspect
 import json
 import math
 import sys
@@ -21,19 +19,10 @@ import time
 
 import numpy as np
 
-from . import render
-from .checks import run_oracle_suite
+# models serves every command (each document is written through its
+# jsonable); beyond it, each handler imports the modules of its own
+# subcommand, so a command loads no explainer, study or check it does not run.
 from .errors import BadSpec, EngineError, ParseError
-from .explainers import (
-    distill_tree,
-    explain_by_examples,
-    kernel_shap,
-    lime_local,
-    mmd_criticisms,
-    mmd_prototypes,
-    rise_saliency,
-)
-from .learners import KernelConfig
 from .models import (
     FAMILIES,
     fit_model,
@@ -46,12 +35,6 @@ from .models import (
     predict_proba,
     save_csv,
     save_model,
-)
-from .recombine import recombine
-from .studies import (
-    bias_sensitivity_study,
-    example_selection_study,
-    plda_strategy_mismatch_study,
 )
 from .types import ExplanationKind, ThetaKind
 
@@ -263,6 +246,8 @@ def _explain_envelope(method: str, theta_kind: str, config: dict, seed,
 def _render_vector(doc: dict, values, args, stem: str) -> None:
     if not getattr(args, "render", None):
         return
+    from . import render
+
     out = args.render_out or f"{stem}.{args.render}"
     if args.render == "pgm":
         with open(out, "wb") as fh:
@@ -274,6 +259,8 @@ def _render_vector(doc: dict, values, args, stem: str) -> None:
 
 
 def _cmd_explain_plda_examples(args) -> tuple[dict, int]:
+    from .explainers import explain_by_examples
+
     _require_seed_when(args.strategy == "mh-sample", args.seed, "for mh-sample")
     model = load_model(args.model)
     data = load_csv(args.data, args.label_column)
@@ -307,6 +294,9 @@ def _cmd_explain_plda_examples(args) -> tuple[dict, int]:
 
 
 def _cmd_explain_mmd_critic(args) -> tuple[dict, int]:
+    from .explainers import mmd_criticisms, mmd_prototypes
+    from .learners import KernelConfig
+
     data = load_csv(args.data, args.label_column)
     kernel = KernelConfig(bandwidth=args.bandwidth)
     proto = mmd_prototypes(data, args.prototypes, kernel)
@@ -327,6 +317,8 @@ def _cmd_explain_mmd_critic(args) -> tuple[dict, int]:
 
 
 def _cmd_explain_rise(args) -> tuple[dict, int]:
+    from .explainers import rise_saliency
+
     model = load_model(args.model)
     point = _load_point(args.point)
     report = rise_saliency(
@@ -359,6 +351,8 @@ def _cmd_explain_rise(args) -> tuple[dict, int]:
 
 
 def _cmd_explain_shap(args) -> tuple[dict, int]:
+    from .explainers import kernel_shap
+
     _require_seed_when(not args.exact, args.seed, "for sampled coalitions")
     model = load_model(args.model)
     point = _load_point(args.point)
@@ -392,6 +386,8 @@ def _cmd_explain_shap(args) -> tuple[dict, int]:
 
 
 def _cmd_explain_lime(args) -> tuple[dict, int]:
+    from .explainers import lime_local
+
     model = load_model(args.model)
     point = _load_point(args.point)
     report = lime_local(
@@ -421,6 +417,8 @@ def _cmd_explain_lime(args) -> tuple[dict, int]:
 
 
 def _cmd_explain_tree_distill(args) -> tuple[dict, int]:
+    from .explainers import distill_tree
+
     model = load_model(args.model)
     data = load_csv(args.data, args.label_column)
     report = distill_tree(
@@ -448,6 +446,8 @@ def _cmd_explain_tree_distill(args) -> tuple[dict, int]:
     if args.render:
         if args.render != "svg":
             raise _UsageError("tree renders are svg only")
+        from . import render
+
         out = args.render_out or "tree-distill.svg"
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(render.tree_to_svg(report.tree))
@@ -456,6 +456,8 @@ def _cmd_explain_tree_distill(args) -> tuple[dict, int]:
 
 
 def _cmd_explain_recombine(args) -> tuple[dict, int]:
+    from .recombine import recombine
+
     model = load_model(args.model)
     data = load_csv(args.data, args.label_column)
     point = _load_point(args.point) if args.point else None
@@ -510,20 +512,12 @@ _THRESHOLD_OPS = {
 }
 
 
-def _studies() -> dict:
-    """Study name -> function, built on each call from the module-level
-    names, so a wrapper installed on one of those names takes effect."""
-    return {
-        "example-selection": example_selection_study,
-        "bias-sweep": bias_sensitivity_study,
-        "strategy-mismatch": plda_strategy_mismatch_study,
-    }
-
-
 def _study_params(study, params) -> dict:
     """A study config's ``params``, checked against the keyword parameters
     of the study function: each key must be one of them, and each value
     must have the type of that parameter's default."""
+    import inspect
+
     if not isinstance(params, dict):
         raise BadSpec("study params must be a JSON object")
     signature = inspect.signature(study).parameters
@@ -558,12 +552,20 @@ def _is_number(value) -> bool:
 
 
 def _cmd_study_run(args) -> tuple[dict, int]:
+    import hashlib
+
+    from .studies import bias_sensitivity_study, example_selection_study, plda_strategy_mismatch_study
+
     with open(args.config, encoding="utf-8") as fh:
         config = _echoed_json(fh.read(), "the study config")
     if not isinstance(config, dict):
         raise BadSpec("a study config must be a JSON object")
     name = config.get("study")
-    studies = _studies()
+    studies = {
+        "example-selection": example_selection_study,
+        "bias-sweep": bias_sensitivity_study,
+        "strategy-mismatch": plda_strategy_mismatch_study,
+    }
     if not isinstance(name, str) or name not in studies:
         raise BadSpec(f"unknown study {name!r}; choose from {sorted(studies)}")
     paths = {key: config.get(key) for key in ("model", "data")}
@@ -619,6 +621,8 @@ def _cmd_study_run(args) -> tuple[dict, int]:
 
 
 def _cmd_oracle_check(args) -> tuple[dict, int]:
+    from .checks import run_oracle_suite
+
     report = run_oracle_suite(args.suite, seed=args.seed)
     doc = {
         "command": "oracle",
@@ -633,16 +637,6 @@ def _cmd_oracle_check(args) -> tuple[dict, int]:
 # parser wiring
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--out", help="write the JSON document here instead of stdout")
-    parser.add_argument("--timing", action="store_true", help="fill runtime_ms (otherwise null)")
-
-
-def _add_render(parser) -> None:
-    parser.add_argument("--render", choices=("pgm", "svg"))
-    parser.add_argument("--render-out", help="render target path")
-
-
 def _finite_float(text: str) -> float:
     """``type=`` of every float flag: a NaN or infinite value is a usage
     error, as a non-numeric one is."""
@@ -655,176 +649,165 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def build_parser() -> _Parser:
+# every leaf takes these after its own arguments
+_COMMON = [
+    ("--out", {"help": "write the JSON document here instead of stdout"}),
+    ("--timing", {"action": "store_true", "help": "fill runtime_ms (otherwise null)"}),
+]
+
+
+def _commands() -> dict:
+    """The command tree: group -> (help, dest of the leaf name, {leaf:
+    (help, handler, arguments)}), each argument a flag and its
+    ``add_argument`` keywords. It is built on each call from the
+    module-level handler names, so a handler replaced on the module takes
+    effect."""
+    model, data = ("--model", {"required": True}), ("--data", {"required": True})
+    label = ("--label-column", {"default": "label"})
+    seed = ("--seed", {"type": int, "required": True})
+    threads = ("--threads", {"type": int, "default": 1})
+    render = [("--render", {"choices": ("pgm", "svg")}), ("--render-out", {"help": "render target path"})]
+    return {
+        "dataset": ("make or import datasets", "action", {
+            "make": ("generate a synthetic dataset", _cmd_dataset_make, [
+                ("--generator", {"required": True, "choices": ("gaussian-blobs", "two-moons", "grid-image")}),
+                ("--classes", {"type": int}),
+                ("--dim", {"type": int}),
+                ("--per-class", {"type": int}),
+                ("--separation", {"type": _finite_float}),
+                ("--n", {"type": int}),
+                ("--noise", {"type": _finite_float}),
+                ("--side", {"type": int}),
+                ("--motif-size", {"type": int}),
+                seed,
+                ("--csv", {"required": True, "help": "CSV path for the dataset"}),
+            ]),
+            "import": ("validate and summarize a CSV dataset", _cmd_dataset_import, [
+                ("--in", {"dest": "infile", "required": True}),
+                label,
+                ("--csv", {"help": "optionally rewrite the normalized CSV here"}),
+            ]),
+        }),
+        "model": ("fit or inspect target models", "action", {
+            "fit": ("fit a target model to a CSV dataset", _cmd_model_fit, [
+                data, label,
+                ("--family", {"required": True, "choices": FAMILIES}),
+                seed,
+                ("--save", {"required": True, "help": "model checkpoint path"}),
+                ("--hidden", {"type": int}),
+                ("--epochs", {"type": int}),
+                ("--learning-rate", {"type": _finite_float}),
+                ("--latent-dim", {"type": int}),
+            ]),
+            "inspect": ("summarize a model checkpoint", _cmd_model_inspect, [model]),
+        }),
+        "explain": ("run an explanation method", "method", {
+            "plda-examples": ("teach latent class means by examples", _cmd_explain_plda_examples, [
+                model, data, label,
+                ("--per-class-k", {"type": int, "default": 2}),
+                ("--strategy", {"choices": ("exhaustive-max", "mh-sample"), "default": "exhaustive-max"}),
+                ("--independent", {"action": "store_true", "help": "assemble the argmax class by class"}),
+                ("--mh-steps", {"type": int, "default": 20000}),
+                ("--mh-burn-in", {"type": int, "default": 2000}),
+                ("--seed", {"type": int}),
+                threads,
+            ]),
+            "mmd-critic": ("prototypes and criticisms", _cmd_explain_mmd_critic, [
+                data, label,
+                ("--prototypes", {"type": int, "required": True}),
+                ("--criticisms", {"type": int, "required": True}),
+                ("--bandwidth", {"type": _finite_float}),
+            ]),
+            "rise": ("random-mask saliency", _cmd_explain_rise, [
+                model,
+                ("--point", {"required": True}),
+                ("--class", {"dest": "target_class", "type": int}),
+                ("--masks", {"type": int, "default": 4000}),
+                ("--keep", {"type": _finite_float, "default": 0.5}),
+                ("--baseline", {"type": _finite_float, "default": 0.0}),
+                seed,
+                *render,
+            ]),
+            "shap": ("Shapley value attributions", _cmd_explain_shap, [
+                model,
+                ("--point", {"required": True}),
+                ("--background", {"required": True, "help": "CSV of background rows"}),
+                label,
+                ("--class", {"dest": "target_class", "type": int, "required": True}),
+                ("--exact", {"action": "store_true"}),
+                ("--samples", {"type": int, "default": 2048}),
+                ("--seed", {"type": int}),
+                *render,
+            ]),
+            "lime": ("local linear surrogate", _cmd_explain_lime, [
+                model,
+                ("--point", {"required": True}),
+                ("--class", {"dest": "target_class", "type": int, "required": True}),
+                ("--probes", {"type": int, "default": 2000}),
+                ("--kernel-width", {"type": _finite_float, "default": 1.0}),
+                ("--ridge", {"type": _finite_float, "default": 1e-3}),
+                seed,
+                *render,
+            ]),
+            "tree-distill": ("soft decision tree surrogate", _cmd_explain_tree_distill, [
+                model, data, label,
+                ("--depth", {"type": int, "default": 3}),
+                ("--beta", {"type": _finite_float, "default": 0.0}),
+                ("--epochs", {"type": int, "default": 800}),
+                ("--learning-rate", {"type": _finite_float, "default": 0.05}),
+                seed,
+                *render,
+            ]),
+            "recombine": ("assemble a method from parts", _cmd_explain_recombine, [
+                ("--theta", {"required": True, "choices": [k.value for k in ThetaKind]}),
+                ("--x-kind", {"required": True, "choices": [k.value for k in ExplanationKind]}),
+                ("--learner", {"required": True}),
+                ("--strategy", {"required": True}),
+                model, data, label,
+                ("--point", {}),
+                ("--param", {"action": "append", "metavar": "KEY=VALUE"}),
+                seed,
+                threads,
+            ]),
+        }),
+        "study": ("simulated explainee studies", "action", {
+            "run": ("run a study described by a JSON config", _cmd_study_run, [
+                ("--config", {"required": True}), seed, threads,
+            ]),
+        }),
+        "oracle": ("cross-check against brute force", "action", {
+            "check": ("run an oracle agreement suite", _cmd_oracle_check, [
+                ("--suite", {"default": "all", "choices": ("all", "posterior", "shap", "rise", "mmd")}),
+                ("--seed", {"type": int, "default": 0}),
+            ]),
+        }),
+    }
+
+
+def build_parser(argv=()) -> _Parser:
+    """The parser of the command tree. When ``argv`` starts with a known
+    group and leaf, only that leaf is built; any other ``argv`` gets the
+    whole tree, from which help and usage errors are printed."""
+    tree = _commands()
+    group, leaf = (*argv[:2], None, None)[:2]
+    if group in tree and leaf in tree[group][2]:
+        group_help, dest, leaves = tree[group]
+        tree = {group: (group_help, dest, {leaf: leaves[leaf]})}
     parser = _Parser(prog="bayesteach", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_dataset = sub.add_parser("dataset", help="make or import datasets")
-    dsub = p_dataset.add_subparsers(dest="action", required=True)
-
-    p_make = dsub.add_parser("make", help="generate a synthetic dataset")
-    p_make.add_argument("--generator", required=True,
-                        choices=("gaussian-blobs", "two-moons", "grid-image"))
-    p_make.add_argument("--classes", type=int)
-    p_make.add_argument("--dim", type=int)
-    p_make.add_argument("--per-class", dest="per_class", type=int)
-    p_make.add_argument("--separation", type=_finite_float)
-    p_make.add_argument("--n", type=int)
-    p_make.add_argument("--noise", type=_finite_float)
-    p_make.add_argument("--side", type=int)
-    p_make.add_argument("--motif-size", dest="motif_size", type=int)
-    p_make.add_argument("--seed", type=int, required=True)
-    p_make.add_argument("--csv", required=True, help="CSV path for the dataset")
-    _add_common(p_make)
-    p_make.set_defaults(handler=_cmd_dataset_make)
-
-    p_import = dsub.add_parser("import", help="validate and summarize a CSV dataset")
-    p_import.add_argument("--in", dest="infile", required=True)
-    p_import.add_argument("--label-column", default="label")
-    p_import.add_argument("--csv", help="optionally rewrite the normalized CSV here")
-    _add_common(p_import)
-    p_import.set_defaults(handler=_cmd_dataset_import)
-
-    p_model = sub.add_parser("model", help="fit or inspect target models")
-    msub = p_model.add_subparsers(dest="action", required=True)
-
-    p_fit = msub.add_parser("fit", help="fit a target model to a CSV dataset")
-    p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--label-column", default="label")
-    p_fit.add_argument("--family", required=True,
-                       choices=FAMILIES)
-    p_fit.add_argument("--seed", type=int, required=True)
-    p_fit.add_argument("--save", required=True, help="model checkpoint path")
-    p_fit.add_argument("--hidden", type=int)
-    p_fit.add_argument("--epochs", type=int)
-    p_fit.add_argument("--learning-rate", dest="learning_rate", type=_finite_float)
-    p_fit.add_argument("--latent-dim", dest="latent_dim", type=int)
-    _add_common(p_fit)
-    p_fit.set_defaults(handler=_cmd_model_fit)
-
-    p_inspect = msub.add_parser("inspect", help="summarize a model checkpoint")
-    p_inspect.add_argument("--model", required=True)
-    _add_common(p_inspect)
-    p_inspect.set_defaults(handler=_cmd_model_inspect)
-
-    p_explain = sub.add_parser("explain", help="run an explanation method")
-    esub = p_explain.add_subparsers(dest="method", required=True)
-
-    p_plda = esub.add_parser("plda-examples", help="teach latent class means by examples")
-    p_plda.add_argument("--model", required=True)
-    p_plda.add_argument("--data", required=True)
-    p_plda.add_argument("--label-column", default="label")
-    p_plda.add_argument("--per-class-k", dest="per_class_k", type=int, default=2)
-    p_plda.add_argument("--strategy", choices=("exhaustive-max", "mh-sample"),
-                        default="exhaustive-max")
-    p_plda.add_argument("--independent", action="store_true",
-                        help="assemble the argmax class by class")
-    p_plda.add_argument("--mh-steps", dest="mh_steps", type=int, default=20000)
-    p_plda.add_argument("--mh-burn-in", dest="mh_burn_in", type=int, default=2000)
-    p_plda.add_argument("--seed", type=int)
-    p_plda.add_argument("--threads", type=int, default=1)
-    _add_common(p_plda)
-    p_plda.set_defaults(handler=_cmd_explain_plda_examples)
-
-    p_mmd = esub.add_parser("mmd-critic", help="prototypes and criticisms")
-    p_mmd.add_argument("--data", required=True)
-    p_mmd.add_argument("--label-column", default="label")
-    p_mmd.add_argument("--prototypes", type=int, required=True)
-    p_mmd.add_argument("--criticisms", type=int, required=True)
-    p_mmd.add_argument("--bandwidth", type=_finite_float)
-    _add_common(p_mmd)
-    p_mmd.set_defaults(handler=_cmd_explain_mmd_critic)
-
-    p_rise = esub.add_parser("rise", help="random-mask saliency")
-    p_rise.add_argument("--model", required=True)
-    p_rise.add_argument("--point", required=True)
-    p_rise.add_argument("--class", dest="target_class", type=int)
-    p_rise.add_argument("--masks", type=int, default=4000)
-    p_rise.add_argument("--keep", type=_finite_float, default=0.5)
-    p_rise.add_argument("--baseline", type=_finite_float, default=0.0)
-    p_rise.add_argument("--seed", type=int, required=True)
-    _add_render(p_rise)
-    _add_common(p_rise)
-    p_rise.set_defaults(handler=_cmd_explain_rise)
-
-    p_shap = esub.add_parser("shap", help="Shapley value attributions")
-    p_shap.add_argument("--model", required=True)
-    p_shap.add_argument("--point", required=True)
-    p_shap.add_argument("--background", required=True, help="CSV of background rows")
-    p_shap.add_argument("--label-column", default="label")
-    p_shap.add_argument("--class", dest="target_class", type=int, required=True)
-    p_shap.add_argument("--exact", action="store_true")
-    p_shap.add_argument("--samples", type=int, default=2048)
-    p_shap.add_argument("--seed", type=int)
-    _add_render(p_shap)
-    _add_common(p_shap)
-    p_shap.set_defaults(handler=_cmd_explain_shap)
-
-    p_lime = esub.add_parser("lime", help="local linear surrogate")
-    p_lime.add_argument("--model", required=True)
-    p_lime.add_argument("--point", required=True)
-    p_lime.add_argument("--class", dest="target_class", type=int, required=True)
-    p_lime.add_argument("--probes", type=int, default=2000)
-    p_lime.add_argument("--kernel-width", dest="kernel_width", type=_finite_float, default=1.0)
-    p_lime.add_argument("--ridge", type=_finite_float, default=1e-3)
-    p_lime.add_argument("--seed", type=int, required=True)
-    _add_render(p_lime)
-    _add_common(p_lime)
-    p_lime.set_defaults(handler=_cmd_explain_lime)
-
-    p_tree = esub.add_parser("tree-distill", help="soft decision tree surrogate")
-    p_tree.add_argument("--model", required=True)
-    p_tree.add_argument("--data", required=True)
-    p_tree.add_argument("--label-column", default="label")
-    p_tree.add_argument("--depth", type=int, default=3)
-    p_tree.add_argument("--beta", type=_finite_float, default=0.0)
-    p_tree.add_argument("--epochs", type=int, default=800)
-    p_tree.add_argument("--learning-rate", dest="learning_rate", type=_finite_float, default=0.05)
-    p_tree.add_argument("--seed", type=int, required=True)
-    _add_render(p_tree)
-    _add_common(p_tree)
-    p_tree.set_defaults(handler=_cmd_explain_tree_distill)
-
-    p_comb = esub.add_parser("recombine", help="assemble a method from parts")
-    p_comb.add_argument("--theta", required=True,
-                        choices=[k.value for k in ThetaKind])
-    p_comb.add_argument("--x-kind", dest="x_kind", required=True,
-                        choices=[k.value for k in ExplanationKind])
-    p_comb.add_argument("--learner", required=True)
-    p_comb.add_argument("--strategy", required=True)
-    p_comb.add_argument("--model", required=True)
-    p_comb.add_argument("--data", required=True)
-    p_comb.add_argument("--label-column", default="label")
-    p_comb.add_argument("--point")
-    p_comb.add_argument("--param", action="append", metavar="KEY=VALUE")
-    p_comb.add_argument("--seed", type=int, required=True)
-    p_comb.add_argument("--threads", type=int, default=1)
-    _add_common(p_comb)
-    p_comb.set_defaults(handler=_cmd_explain_recombine)
-
-    p_study = sub.add_parser("study", help="simulated explainee studies")
-    ssub = p_study.add_subparsers(dest="action", required=True)
-    p_run = ssub.add_parser("run", help="run a study described by a JSON config")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seed", type=int, required=True)
-    p_run.add_argument("--threads", type=int, default=1)
-    _add_common(p_run)
-    p_run.set_defaults(handler=_cmd_study_run)
-
-    p_oracle = sub.add_parser("oracle", help="cross-check against brute force")
-    osub = p_oracle.add_subparsers(dest="action", required=True)
-    p_check = osub.add_parser("check", help="run an oracle agreement suite")
-    p_check.add_argument("--suite", default="all",
-                         choices=("all", "posterior", "shap", "rise", "mmd"))
-    p_check.add_argument("--seed", type=int, default=0)
-    _add_common(p_check)
-    p_check.set_defaults(handler=_cmd_oracle_check)
-
+    for group, (group_help, dest, leaves) in tree.items():
+        leaf_parsers = sub.add_parser(group, help=group_help).add_subparsers(dest=dest, required=True)
+        for leaf, (leaf_help, handler, arguments) in leaves.items():
+            leaf_parser = leaf_parsers.add_parser(leaf, help=leaf_help)
+            for flag, options in arguments + _COMMON:
+                leaf_parser.add_argument(flag, **options)
+            leaf_parser.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -33,13 +33,13 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllZeroMass, BadSpec, ZeroStartMass, ZeroTotalWeight
 from .spaces import ExplanationSpace, MaskSpace, SubsetSpace
-from .types import Explanation, LearnerModel, TargetInference, TeacherPosterior, example_set, feature_mask
+from .types import (Explanation, LearnerModel, TargetInference, TeacherPosterior, example_set,
+                    feature_mask, record)
 
 # A Metropolis walk draws its moves and uniforms this many steps at a
 # time, and a mask expectation draws, weighs and sums this many masks.
@@ -177,7 +177,7 @@ def teacher_posterior(
     return TeacherPosterior(tuple(support), log_weights, logsumexp(log_weights))
 
 
-@dataclass(frozen=True)
+@record
 class PosteriorMax:
     """The maximum-posterior explanation with its unnormalized log weight,
     its posterior probability, the log normalizer and the support size."""

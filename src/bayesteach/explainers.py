@@ -18,7 +18,7 @@ dataclasses with ``to_dict`` for reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -34,14 +34,14 @@ from .learners import (
 )
 from .models import Dataset, TargetModel, batch_predictor, jsonable
 from .spaces import MaskSpace, SubsetSpace
-from .types import TargetInference, ThetaKind, example_set
+from .types import TargetInference, ThetaKind, example_set, record
 
 
 # ---------------------------------------------------------------------------
 # example selection
 
 
-@dataclass(frozen=True)
+@record
 class ExampleSelectionReport:
     indices: tuple[int, ...]
     per_class: dict[int, tuple[int, ...]]
@@ -129,7 +129,7 @@ def explain_by_examples(
 # prototypes and criticisms
 
 
-@dataclass(frozen=True)
+@record
 class PrototypeReport:
     indices: tuple[int, ...]
     mmd2_trace: tuple[float, ...]
@@ -143,7 +143,7 @@ class PrototypeReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CriticismReport:
     indices: tuple[int, ...]
     witness_values: tuple[float, ...]
@@ -200,7 +200,7 @@ def mmd_criticisms(
 # saliency
 
 
-@dataclass(frozen=True)
+@record
 class SaliencyReport:
     values: np.ndarray = field(repr=False)
     stderr: np.ndarray = field(repr=False)
@@ -250,7 +250,7 @@ def rise_saliency(
 # kernel SHAP
 
 
-@dataclass(frozen=True)
+@record
 class ShapReport:
     phi: np.ndarray = field(repr=False)
     base_value: float
@@ -362,7 +362,7 @@ def kernel_shap(
 # LIME
 
 
-@dataclass(frozen=True)
+@record
 class LimeReport:
     weights: np.ndarray = field(repr=False)
     intercept: float
@@ -444,7 +444,7 @@ def lime_local(
 # soft decision tree distillation
 
 
-@dataclass(frozen=True)
+@record
 class SoftTree:
     """A complete binary soft decision tree.
 
@@ -612,7 +612,7 @@ def tree_loss_and_grads(
 EPOCH_ARRAYS = 10
 
 
-@dataclass(frozen=True)
+@record
 class DistillReport:
     tree: SoftTree
     final_kl: float

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -31,13 +31,14 @@ from .types import (
     LearnerModel,
     TargetInference,
     ThetaKind,
+    record,
 )
 
 # ---------------------------------------------------------------------------
 # kernels
 
 
-@dataclass(frozen=True)
+@record
 class KernelConfig:
     """Bandwidth of the rbf kernel; None means median heuristic."""
 
@@ -403,7 +404,7 @@ def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: fl
 # confirmation bias
 
 
-@dataclass(frozen=True)
+@record
 class BiasConfig:
     """Confirmation bias: prior beliefs over candidate inference targets
     and a strength exponent. Strength zero disables the bias."""

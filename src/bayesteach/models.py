@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -32,11 +32,12 @@ from .errors import (
     ParseError,
     SingularCovariance,
 )
+from .types import record
 
 FAMILIES = ("gaussian", "logistic", "mlp", "plda", "linear")
 
 
-@dataclass(frozen=True)
+@record
 class Dataset:
     """Feature matrix, integer labels, and bookkeeping.
 
@@ -271,7 +272,7 @@ def load_csv(path: str, label_column: str) -> Dataset:
 # target models
 
 
-@dataclass(frozen=True)
+@record
 class TargetModel:
     family: str
     class_count: int

@@ -12,7 +12,7 @@ chosen explanation kind at all.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -34,10 +34,11 @@ from .types import (
     ExplanationKind,
     TargetInference,
     ThetaKind,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class LearnerSpec:
     """A learner of the recombination table: the kinds it scores, its recipe
     ``(method, model, data, point, seed) -> result document`` and the
@@ -240,7 +241,7 @@ def check_compatibility(theta_kind: ThetaKind, explanation_kind: ExplanationKind
         )
 
 
-@dataclass(frozen=True)
+@record
 class RecombinedExplainer:
     """A runnable method assembled from (target kind, explanation kind,
     learner, strategy). ``recombine`` validates; run executes the

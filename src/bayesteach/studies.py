@@ -9,7 +9,6 @@ calibration table of predicted versus realized accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +18,12 @@ from .errors import BadSpec
 from .learners import BiasConfig, biased_learner, make_plda_learner
 from .models import Dataset, TargetModel, jsonable
 from .spaces import SubsetSpace
-from .types import Explanation, LearnerModel, TargetInference, ThetaKind
+from .types import Explanation, LearnerModel, TargetInference, ThetaKind, record
 
 CALIBRATION_BINS = 10
 
 
-@dataclass(frozen=True)
+@record
 class TwoAfcTask:
     """One forced choice: which candidate does explanation x teach?"""
 
@@ -42,7 +41,7 @@ class TwoAfcTask:
             raise BadSpec("trials must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class PopulationMember:
     base_learner: LearnerModel
     weight: float = 1.0
@@ -62,7 +61,7 @@ class PopulationMember:
         return masses / masses.sum()
 
 
-@dataclass(frozen=True)
+@record
 class SimulatedStudy:
     population: tuple[PopulationMember, ...]
     tasks: tuple[TwoAfcTask, ...]
@@ -74,7 +73,7 @@ class SimulatedStudy:
             raise BadSpec("population weights must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class StudyReport:
     overall_accuracy: float
     overall_belief_shift: float
@@ -258,7 +257,7 @@ def example_selection_study(
 
     draw_rng = np.random.default_rng((seed, 0xA11))
     random_tasks = tuple(
-        TwoAfcTask(candidates, 0, space.initial_state(draw_rng), trials=1)
+        TwoAfcTask(candidates, 0, space.initial_state(draw_rng), 1)
         for _ in range(trials)
     )
     random_report = simulate_2afc(SimulatedStudy((member,), random_tasks), seed)
@@ -307,7 +306,7 @@ def bias_sensitivity_study(
     space = SubsetSpace.per_class(data.labels, per_class_k)
     draw_rng = np.random.default_rng((seed, 0xA11))
     tasks = tuple(
-        TwoAfcTask(candidates, 0, space.initial_state(draw_rng), trials=1)
+        TwoAfcTask(candidates, 0, space.initial_state(draw_rng), 1)
         for _ in range(task_count)
     )
 

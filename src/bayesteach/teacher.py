@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -29,12 +29,13 @@ from .types import (
     LearnerModel,
     TargetInference,
     example_set,
+    record,
 )
 
 STRATEGIES = ("exhaustive-max", "greedy", "mh-sample", "mc-expectation")
 
 
-@dataclass(frozen=True)
+@record
 class StrategyResult:
     explanation: Explanation
     strategy: str

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -43,6 +43,91 @@ class ExplanationKind(enum.Enum):
     SOFT_TREE = "soft-tree"
 
 
+def record(cls):
+    """Make ``cls`` a frozen dataclass without compiling code for it:
+    ``dataclass`` records only the field metadata, so ``fields``,
+    ``replace`` and ``is_dataclass`` work, and the shared methods below
+    read it with the semantics of a frozen dataclass. A field with
+    ``init=False`` reads its default from the class. A method that the
+    class or a base below ``object`` defines is kept."""
+    # dataclass builds a missing docstring through inspect.signature, which takes milliseconds
+    cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__annotations__)})"
+    dataclass(cls, init=False, repr=False, eq=False)
+    init = [f for f in fields(cls) if f.init]
+    cls._record_layout = (
+        tuple(f.name for f in init),
+        {f.name: f for f in init if f.default is not MISSING or f.default_factory is not MISSING},
+        hasattr(cls, "__post_init__"),
+        tuple(f.name for f in fields(cls) if f.compare),
+        tuple(f.name for f in fields(cls) if f.repr),
+    )
+    for name, method in _RECORD_METHODS.items():
+        if not any(name in vars(base) for base in cls.__mro__[:-1]):
+            setattr(cls, name, method)
+    return cls
+
+
+def _record_init(self, *args, **kwargs):
+    names, optional, post_init, _, _ = self._record_layout
+    if kwargs or len(args) != len(names):
+        args = _bound(type(self).__name__, names, optional, args, kwargs)
+    self.__dict__.update(zip(names, args))
+    if post_init:
+        self.__post_init__()
+
+
+def _bound(name: str, names: tuple, optional: dict, args: tuple, kwargs: dict) -> list:
+    """The values of the ``init`` fields ``names``, in order, from a call's
+    arguments and the fields' defaults."""
+    values = list(args[: len(names)])
+    for key in names[len(args):]:
+        if key in kwargs:
+            values.append(kwargs.pop(key))
+        elif key in optional:
+            f = optional[key]
+            values.append(f.default_factory() if f.default is MISSING else f.default)
+        else:
+            raise TypeError(f"{name}() missing required argument {key!r}")
+    if kwargs or len(args) > len(names):
+        raise TypeError(f"{name}() got unexpected arguments {args[len(names):]} {sorted(kwargs)}")
+    return values
+
+
+def _compared(self) -> tuple:
+    return tuple([getattr(self, name) for name in self._record_layout[3]])
+
+
+def _record_eq(self, other):
+    return _compared(self) == _compared(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _record_hash(self):
+    return hash(_compared(self))
+
+
+def _record_repr(self):
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record_layout[4])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _record_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_RECORD_METHODS = {
+    "__init__": _record_init,
+    "__eq__": _record_eq,
+    "__hash__": _record_hash,
+    "__repr__": _record_repr,
+    "__setattr__": _record_setattr,
+    "__delattr__": _record_delattr,
+}
+
+
 _dtype_name = functools.lru_cache(maxsize=None)(str)  # str(dtype) is slow
 _INT = frozenset({int})
 
@@ -70,7 +155,7 @@ def _frozen(value: Any) -> Any:
     return value
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class _Value:
     """A kind plus a frozen payload, compared and hashed by its stored key."""
 
@@ -96,7 +181,6 @@ class _Value:
         return self._hash
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class TargetInference(_Value):
     """A candidate inference about the target model: kind plus payload.
 
@@ -109,7 +193,6 @@ class TargetInference(_Value):
     """
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Explanation(_Value):
     """One candidate explanation: kind plus payload.
 
@@ -130,7 +213,7 @@ def feature_mask(bits) -> Explanation:
     return Explanation(ExplanationKind.FEATURE_MASK, np.asarray(bits, dtype=np.int8))
 
 
-@dataclass(frozen=True)
+@record
 class LearnerModel:
     """A learner: a likelihood over inference targets given an explanation.
 
@@ -176,7 +259,7 @@ class LearnerModel:
         return math.exp(self.log_likelihood(theta, x))
 
 
-@dataclass(frozen=True)
+@record
 class TeacherPosterior:
     """Normalized teacher posterior over an enumerated explanation support.
 

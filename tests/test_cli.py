@@ -838,6 +838,65 @@ def test_help_exits_zero(capsys):
     assert "usage: bayesteach" in captured.out
 
 
+# texts printed from the whole parser tree, stored under tests/usage:
+# file, argv, exit code and the stream that carries the text
+USAGE_TEXTS = Path(__file__).with_name("usage")
+USAGE_CASES = {
+    "cli-help.txt": (["--help"], 0, "out"),
+    "cli-explain-help.txt": (["explain", "--help"], 0, "out"),
+    "cli-unknown-command.err.json": (["frobnicate"], cli.USAGE_EXIT, "err"),
+    "cli-missing-flag.err.json": (["explain", "rise", "--model", "m.json"], cli.USAGE_EXIT, "err"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_help_and_usage_errors_match_the_stored_text(capsys, monkeypatch, name):
+    argv, code, stream = USAGE_CASES[name]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert cli.main(argv) == code
+    assert getattr(capsys.readouterr(), stream) == (USAGE_TEXTS / name).read_text(encoding="utf-8")
+
+
+LEAVES = [(group, leaf) for group, (_, _, leaves) in cli._commands().items() for leaf in leaves]
+# the required arguments of each leaf, with made-up values
+LEAF_ARGS = {
+    ("dataset", "make"): "--generator two-moons --seed 1 --csv a.csv",
+    ("dataset", "import"): "--in a.csv",
+    ("model", "fit"): "--data a.csv --family plda --seed 0 --save m.json",
+    ("model", "inspect"): "--model m.json",
+    ("explain", "plda-examples"): "--model m.json --data a.csv",
+    ("explain", "mmd-critic"): "--data a.csv --prototypes 2 --criticisms 1",
+    ("explain", "rise"): "--model m.json --point p.csv --seed 1",
+    ("explain", "shap"): "--model m.json --point p.csv --background a.csv --class 0",
+    ("explain", "lime"): "--model m.json --point p.csv --class 0 --seed 1",
+    ("explain", "tree-distill"): "--model m.json --data a.csv --seed 1",
+    ("explain", "recombine"): "--theta predicted-label --x-kind example-set --learner plda "
+                              "--strategy greedy --model m.json --data a.csv --seed 1",
+    ("study", "run"): "--config c.json --seed 1",
+    ("oracle", "check"): "",
+}
+
+
+@pytest.mark.parametrize("group, leaf", LEAVES)
+def test_the_one_leaf_parser_reads_argv_as_the_whole_tree_does(capsys, monkeypatch, group, leaf):
+    argv = [group, leaf, *LEAF_ARGS[group, leaf].split()]
+    assert vars(cli.build_parser(argv).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    other = next(pair for pair in LEAVES if pair[0] != group)
+    with pytest.raises(cli._UsageError):
+        cli.build_parser(argv).parse_args([*other, *LEAF_ARGS[other].split()])
+
+    # the leaf's help and its usage errors are the whole tree's
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for parser in (cli.build_parser(argv), cli.build_parser()):
+        with pytest.raises(SystemExit):
+            parser.parse_args([group, leaf, "--help"])
+        with pytest.raises(cli._UsageError) as usage:
+            parser.parse_args([group, leaf, "--bogus"])
+        texts.append((capsys.readouterr().out, str(usage.value)))
+    assert texts[0] == texts[1]
+
+
 # ---------------------------------------------------------------------------
 # oracle and study commands
 
@@ -1054,6 +1113,32 @@ def test_importing_the_package_loads_blas_on_one_thread_and_restores_the_environ
 
     assert probe(blas_env()) == ["1", "None"]
     assert probe(blas_env("2")) == [str(two_blas_threads()), "2"]
+
+
+_MODULES_PROBE = """
+import sys
+from bayesteach import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.startswith("bayesteach.")))
+"""
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ("dataset make --generator two-moons --n 20 --seed 0 --csv moons.csv",
+     ("explainers", "studies", "recombine", "checks")),
+    ("model inspect --model {plda}", ("explainers", "studies", "recombine", "checks")),
+    ("explain plda-examples --model {plda} --data {data}", ("studies", "recombine", "checks")),
+])
+def test_a_command_loads_only_the_modules_it_runs(ws, tmp_path, argv, absent):
+    """Each handler imports the modules of its own subcommand. The test
+    runs in a child, since this process has imported them all."""
+    argv = [*argv.format(**ws).split(), "--out", str(tmp_path / "doc.json")]
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], env=blas_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0" and "bayesteach.models" in loaded
+    assert sorted({f"bayesteach.{name}" for name in absent} & set(loaded)) == []
 
 
 _CLI_THREAD_PROBE = """

@@ -40,6 +40,12 @@ def test_every_module_has_a_place_in_the_order():
     assert sorted(ORDER) == MODULES
 
 
+def test_the_package_init_imports_no_package_module():
+    """``import bayesteach`` runs before every command, so it loads no
+    module of the package: each command imports only what it runs."""
+    assert package_imports(PACKAGE / "__init__.py") == set()
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_only_earlier_modules(module):
     rank = ORDER.index(module)
@@ -135,6 +141,5 @@ def core_names(path: Path) -> set:
 def test_only_the_strategy_layer_runs_a_search_of_core(module):
     """One search path: every method searches through
     ``teacher.run_strategy``, the only caller of core's argmax, Metropolis
-    walk and mask average. (The package ``__init__`` re-exports
-    ``mh_sample`` and runs nothing.)"""
+    walk and mask average."""
     assert sorted(core_names(PACKAGE / f"{module}.py") & SEARCHES) == []
