@@ -10,10 +10,10 @@ or walking it with a Markov chain when the space is too large to sweep.
 All weight arithmetic is carried in log space and normalized with
 log-sum-exp. Zero total mass raises instead of silently renormalizing.
 
-When the likelihood splits over the pools of a uniform-prior subset
-space (the learner's ``block_terms``), each pool's combinations are
-scored once, by ``posterior_max`` and by a Metropolis walk alike. An
-additive split makes the posterior a product of per-pool posteriors,
+When the likelihood splits over the pools of a subset space (the
+learner's ``block_terms``; a subset space's prior is uniform), each
+pool's combinations are scored once, by ``posterior_max`` and by a
+Metropolis walk alike. An additive split makes the posterior a product of per-pool posteriors,
 whose argmax and normalizer are taken pool by pool.
 
 A Metropolis walk reports its mode: the most visited state, ties going
@@ -124,9 +124,9 @@ def mask_expectation(space: MaskSpace, n: int, seed: int, weigh):
 
 def pool_terms(learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
     """The learner's ``block_terms`` on the space's pools, ``(scorers,
-    combine)``, when the space is a uniform-prior ``SubsetSpace`` whose
-    pools they split; None for any other learner or space."""
-    if not isinstance(space, SubsetSpace) or space._prior_fn is not None or learner.block_terms is None:
+    combine)``, when the space is a ``SubsetSpace`` whose pools they
+    split; None for any other learner or space."""
+    if not isinstance(space, SubsetSpace) or learner.block_terms is None:
         return None
     return learner.block_terms(theta, space._pools)
 
@@ -196,7 +196,7 @@ def posterior_max(
 ) -> PosteriorMax:
     """The argmax of the teacher posterior; ties go to the lowest index.
 
-    On a subset space with a uniform prior, a learner whose
+    On a subset space, whose prior is uniform, a learner whose
     ``block_terms`` split its likelihood over the space's pools has each
     pool's combinations scored once. When the likelihood is their sum,
     the posterior is a product: log Z is the sum of the per-pool

@@ -467,15 +467,6 @@ class SoftTree:
     def n_inner(self) -> int:
         return 2**self.depth - 1
 
-    def key(self) -> tuple:
-        return (
-            self.depth,
-            self.node_weights.tobytes(),
-            self.node_bias.tobytes(),
-            self.node_temp.tobytes(),
-            self.leaf_logits.tobytes(),
-        )
-
     def leaf_distributions(self) -> np.ndarray:
         shifted = self.leaf_logits - self.leaf_logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)

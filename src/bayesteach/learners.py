@@ -2,8 +2,8 @@
 
 Each factory closes over its context (model, dataset, point) and returns
 a LearnerModel whose log-likelihood scores an inference target given an
-explanation. Loss-based learners use the exp(-loss) bridge so that lower
-loss means higher likelihood.
+explanation. The distribution-matching learner uses the exp(-loss)
+bridge on the squared MMD, so that lower loss means higher likelihood.
 
 Confirmation bias is a meta-model: it multiplies any base likelihood by
 prior_belief(theta) raised to the bias strength, so strength zero is
@@ -18,7 +18,7 @@ from dataclasses import field
 
 import numpy as np
 
-from .errors import BadSpec, DimensionMismatch, MissingClass, NonFiniteResult, ZeroTotalWeight
+from .errors import BadSpec, DimensionMismatch, MissingClass, NonFiniteResult
 from .models import (
     Dataset,
     TargetModel,
@@ -256,60 +256,6 @@ def make_masked_prediction_learner(
             return np.where(values > 0, np.log(values), -np.inf)
 
     return LearnerModel("masked-prediction learner", log_likelihood).batched(batch_log_likelihood)
-
-
-# ---------------------------------------------------------------------------
-# surrogate fit loss
-
-
-def _surrogate_outputs(surrogate: Explanation, points: np.ndarray, want_dist: bool):
-    if surrogate.kind is ExplanationKind.LINEAR_WEIGHTS:
-        weights, intercept = surrogate.payload
-        out = points @ np.asarray(weights, dtype=float) + float(intercept)
-        if want_dist:
-            raise BadSpec("linear-weights surrogates model one class probability, not a distribution")
-        return out
-    if surrogate.kind is ExplanationKind.SOFT_TREE:
-        probs = surrogate.payload.predict_proba(points)
-        return probs if want_dist else probs[:, 1]
-    raise BadSpec(f"{surrogate.kind.value} is not a surrogate explanation")
-
-
-def surrogate_fit_loss(
-    surrogate: Explanation,
-    target_values: np.ndarray,
-    probe_points: np.ndarray,
-    probe_weights: np.ndarray,
-    theta_kind: ThetaKind,
-) -> float:
-    """How badly the surrogate reproduces the target on weighted probes.
-
-    Local decision boundary: weighted mean squared error against the
-    target class probability. Predictive distribution: weighted mean
-    KL(target || surrogate). Both are weight-normalized, so rescaling
-    all probe weights leaves the loss unchanged.
-    """
-    points = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    weights = np.asarray(probe_weights, dtype=float)
-    if weights.shape != (points.shape[0],):
-        raise DimensionMismatch("one probe weight per probe point required")
-    if np.any(weights < 0):
-        raise BadSpec("probe weights must be nonnegative")
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ZeroTotalWeight("all probe weights are zero")
-
-    if theta_kind is ThetaKind.LOCAL_DECISION_BOUNDARY:
-        target = np.asarray(target_values, dtype=float)
-        out = _surrogate_outputs(surrogate, points, want_dist=False)
-        return float(np.sum(weights * (out - target) ** 2) / total)
-    if theta_kind is ThetaKind.PREDICTIVE_DISTRIBUTION:
-        target = np.atleast_2d(np.asarray(target_values, dtype=float))
-        out = np.clip(_surrogate_outputs(surrogate, points, want_dist=True), 1e-12, None)
-        safe_target = np.clip(target, 1e-12, None)
-        kl = np.sum(target * (np.log(safe_target) - np.log(out)), axis=1)
-        return float(np.sum(weights * kl) / total)
-    raise BadSpec(f"surrogate fit loss is undefined for {theta_kind.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,17 +25,10 @@ from .learners import (
     make_masked_prediction_learner,
     make_mmd_learner,
     make_nearest_class_learner,
-    surrogate_fit_loss,
 )
 from .models import Dataset, TargetModel, batch_predictor, jsonable
 from .spaces import MaskSpace, SubsetSpace
-from .types import (
-    Explanation,
-    ExplanationKind,
-    TargetInference,
-    ThetaKind,
-    record,
-)
+from .types import ExplanationKind, TargetInference, ThetaKind, record
 
 
 @record
@@ -126,10 +119,11 @@ def _surrogate_recipe(method, model, data, point, seed) -> dict:
     probs = predict(probes)
     tree_report = distill_tree(lambda X: _pair_predict(predict, X, target_class), probes, seed=seed,
                                sample_weights=weights, **_tree_options(p, epochs=600))
-    surrogate = Explanation(ExplanationKind.SOFT_TREE, tree_report.tree)
-    loss = surrogate_fit_loss(
-        surrogate, class_column(probs, target_class), probes, weights, ThetaKind.LOCAL_DECISION_BOUNDARY
-    )
+    # LIME's fidelity: the kernel-weighted mean squared error of the
+    # tree's target-class probability
+    target = class_column(probs, target_class)
+    fitted = tree_report.tree.predict_proba(probes)[:, 1]
+    loss = float(np.sum(weights * (fitted - target) ** 2) / float(weights.sum()))
     return {**tree_report.to_dict(), "boundary_fit_loss": loss, "target_class": target_class}
 
 

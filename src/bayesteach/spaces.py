@@ -14,7 +14,7 @@ import bisect
 import itertools
 import math
 from collections.abc import Sequence
-from typing import Callable, Hashable, Iterator
+from typing import Hashable, Iterator
 
 import numpy as np
 
@@ -101,18 +101,12 @@ class SubsetSpace(ExplanationSpace):
     With a single unlabeled pool this is the plain k-subsets of n space.
     With labels, one subset is chosen per class and the explanation is the
     concatenation in class order; enumeration is the lexicographic product
-    of per-class lexicographic combinations. Prior is uniform unless a
-    weight function is given.
+    of per-class lexicographic combinations. The prior is uniform.
     """
 
     kind = ExplanationKind.EXAMPLE_SET
 
-    def __init__(
-        self,
-        class_indices: Sequence[Sequence[int]],
-        per_class_k: Sequence[int],
-        prior_fn: Callable[[Explanation], float] | None = None,
-    ):
+    def __init__(self, class_indices: Sequence[Sequence[int]], per_class_k: Sequence[int]):
         if len(class_indices) != len(per_class_k):
             raise BadSpec("one subset size required per class pool")
         self._pools = [tuple(sorted(int(i) for i in pool)) for pool in class_indices]
@@ -128,18 +122,17 @@ class SubsetSpace(ExplanationSpace):
         self._free_of = np.maximum([len(p) - k for p, k in zip(self._pools, self._ks)], 1)
         self.radices = [math.comb(len(p), k) for p, k in zip(self._pools, self._ks)]
         self.spans = [k * int(free) for k, free in zip(self._ks, self._free_of)]
-        self._prior_fn = prior_fn
         sizes = "x".join(f"C({len(p)},{k})" for p, k in zip(self._pools, self._ks))
         self.descriptor = f"example subsets [{sizes}]"
 
     @classmethod
-    def per_class(cls, labels: np.ndarray, per_class_k: Sequence[int] | int, prior_fn=None) -> "SubsetSpace":
+    def per_class(cls, labels: np.ndarray, per_class_k: Sequence[int] | int) -> "SubsetSpace":
         labels = np.asarray(labels)
         classes = sorted(set(labels.tolist()))
         pools = [np.flatnonzero(labels == c).tolist() for c in classes]
         if isinstance(per_class_k, int):
             per_class_k = [per_class_k] * len(pools)
-        return cls(pools, list(per_class_k), prior_fn)
+        return cls(pools, list(per_class_k))
 
     def size(self) -> int:
         return math.prod(self.radices)
@@ -151,16 +144,10 @@ class SubsetSpace(ExplanationSpace):
             yield example_set(itertools.chain.from_iterable(combo))
 
     def prior_weight(self, x: Explanation) -> float:
-        if self._prior_fn is None:
-            return 1.0
-        weight = self._prior_fn(x)
-        if weight < 0:
-            raise ValueError("prior weights must be nonnegative")
-        return float(weight)
+        return 1.0
 
     def log_prior(self, x: Explanation) -> float:
-        weight = self.prior_weight(x)
-        return math.log(weight) if weight > 0 else -math.inf
+        return 0.0
 
     # The chain's parts are the pools, each segment a sorted row tuple;
     # the Explanation is their concatenation. A move swaps one chosen row

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import FrozenInstanceError, MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, MISSING, dataclass, field, fields
 from typing import Any, Callable
 
 import numpy as np
@@ -140,18 +140,14 @@ def _canonical(value: Any) -> Any:
         return tuple(_canonical(v) for v in value)
     if isinstance(value, (np.integer, np.floating)):
         return value.item()
-    return value.key() if hasattr(value, "key") else value
+    return value
 
 
 def _frozen(value: Any) -> Any:
-    """A read-only copy of an array; a copy of a dataclass payload (a soft
-    tree) with its array fields copied read-only; any other value as it
-    is."""
+    """A read-only copy of an array; any other value as it is."""
     if isinstance(value, np.ndarray):
         value = value.copy()
         value.flags.writeable = False
-    elif is_dataclass(value) and not isinstance(value, type):
-        value = replace(value, **{f.name: _frozen(getattr(value, f.name)) for f in fields(value)})
     return value
 
 
@@ -200,8 +196,10 @@ class Explanation(_Value):
       EXAMPLE_SET      tuple of dataset row indices (distinct)
       FEATURE_MASK     (d,) array of {0, 1}
       SALIENCY_VECTOR  (d,) array of nonnegative reals
-      LINEAR_WEIGHTS   (weights (d,), intercept)
-      SOFT_TREE        SoftTree instance
+
+    LINEAR_WEIGHTS and SOFT_TREE name the surrogates that recombination
+    fits by gradient; no search scores them, so they are reported as
+    fitted and never held in an Explanation.
     """
 
 

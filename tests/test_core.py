@@ -398,17 +398,17 @@ def test_product_route_all_zero_block_raises():
         teacher_posterior(learner, THETA, space)
 
 
-def test_prior_weighted_subset_space_takes_the_joint_route(rng):
+def test_a_learner_without_block_terms_takes_the_joint_route(rng):
     for _ in range(20):
         space, ks, terms = block_case(rng)
-        weighted = SubsetSpace(space._pools, ks, prior_fn=lambda x: 1.0 + x.payload[0] % 3)
-        learner, calls = block_learner(ks, terms)
-        best = posterior_max(learner, THETA, weighted)
-        assert calls["blocks"] == 0 and calls["joint"] == weighted.size()
-        post = teacher_posterior(learner, THETA, weighted)
+        blocks, calls = block_learner(ks, terms)
+        learner = plain(blocks)
+        best = posterior_max(learner, THETA, space)
+        assert calls["blocks"] == 0 and calls["joint"] == space.size()
+        post = teacher_posterior(learner, THETA, space)
         i = int(np.argmax(post.log_weights))
         assert best.explanation == post.support[i]
-        assert best.explanation == oracle.best_subset_bruteforce(learner, THETA, weighted)
+        assert best.explanation == oracle.best_subset_bruteforce(learner, THETA, space)
         assert best.log_weight == post.log_weights[i]
         assert best.probability == post.probabilities()[i]
         assert best.log_normalizer == post.log_normalizer
@@ -815,14 +815,11 @@ def test_mh_walk_replays_the_reference_on_factored_subset_spaces(rng):
 
 
 def test_mh_walk_replays_the_reference_with_a_prior_and_without_block_terms(rng):
+    # the subset space's uniform prior; the learner scores joint states only
     for i in range(40):
         space, ks, terms = block_case(rng)
         learner, _ = block_learner(ks, terms)
-        if i % 2:
-            space = SubsetSpace(space._pools, ks, prior_fn=lambda x: float(x.payload[0] % 3))
-        else:
-            learner = plain(learner)
-        assert_same_chain(learner, THETA, space, 200, int(rng.integers(0, 10)), i)
+        assert_same_chain(plain(learner), THETA, space, 200, int(rng.integers(0, 10)), i)
 
 
 def test_mh_walk_replays_the_reference_for_nearest_class(rng):
@@ -958,25 +955,21 @@ def counted(learner):
 
 
 def test_mh_joint_route_scores_the_start_then_each_proposed_state_once(rng, logistic_grid, grid_image):
-    # mask, enumerated, prior-weighted subset and plain-learner subset
-    # chains weigh the start and the proposals by the joint likelihood,
-    # each distinct state once; a state of zero prior weight is not scored
+    # mask, enumerated and plain-learner subset chains weigh the start
+    # and the proposals by the joint likelihood, each distinct state once;
+    # a state of zero prior weight is not scored
     masked = make_masked_prediction_learner(logistic_grid, grid_image.features[0])
     checked = Counter()
     for seed in range(48):
-        kind = ("mask", "enumerated", "prior", "plain")[seed % 4]
+        kind = ("mask", "enumerated", "plain")[seed % 3]
         if kind == "mask":
-            theta = TargetInference(ThetaKind.PREDICTED_LABEL, seed // 4 % 2)
+            theta = TargetInference(ThetaKind.PREDICTED_LABEL, seed // 3 % 2)
             learner, space = masked, MaskSpace(grid_image.features.shape[1], float(rng.uniform(0.2, 0.8)))
         elif kind == "enumerated":
             theta, (learner, space) = THETA, random_case(rng, max_size=40)
         else:
             space, ks, terms = block_case(rng)
-            theta, learner = THETA, block_learner(ks, terms)[0]
-            if kind == "prior":
-                space = SubsetSpace(space._pools, ks, prior_fn=lambda x: float(x.payload[0] % 3))
-            else:
-                learner = plain(learner)
+            theta, learner = THETA, plain(block_learner(ks, terms)[0])
         assert pool_terms(learner, theta, space) is None
         learner, seen = counted(learner)
         n = int(rng.integers(1, 500))
@@ -990,7 +983,7 @@ def test_mh_joint_route_scores_the_start_then_each_proposed_state_once(rng, logi
         mh_sample(learner, theta, space, n, 0, seed)
         assert Counter(seen) == Counter(scored | {start})
         checked[kind] += 1
-    assert len(checked) == 4 and min(checked.values()) >= 5
+    assert len(checked) == 3 and min(checked.values()) >= 5
 
 
 def test_mh_walk_raises_the_errors_of_the_reference(plda3, blobs3):

@@ -1,11 +1,11 @@
-"""Learner models: kernels, subset likelihoods, masking, surrogates, bias."""
+"""Learner models: kernels, subset likelihoods, masking, bias."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bayesteach.errors import BadSpec, DimensionMismatch, MissingClass, ZeroTotalWeight
+from bayesteach.errors import BadSpec, DimensionMismatch, MissingClass
 from bayesteach.learners import (
     BiasConfig,
     KernelConfig,
@@ -18,7 +18,6 @@ from bayesteach.learners import (
     masked_prediction_likelihood,
     median_bandwidth,
     mmd2,
-    surrogate_fit_loss,
     witness,
 )
 from bayesteach.models import Dataset, fit_model, plda_posterior_over_means, predict_proba
@@ -226,60 +225,6 @@ def test_masked_batch_dimension_check(logistic_grid, grid_image):
     point = grid_image.features[0]
     with pytest.raises(DimensionMismatch):
         masked_prediction_likelihood(logistic_grid, point, np.ones(3), 0)
-
-
-# ---------------------------------------------------------------------------
-# surrogate fit loss
-
-
-def test_surrogate_linear_perfect_fit_has_zero_loss(rng):
-    w, b = np.array([1.5, -2.0]), 0.3
-    points = rng.normal(size=(50, 2))
-    target = points @ w + b
-    surrogate = Explanation(ExplanationKind.LINEAR_WEIGHTS, (w, b))
-    loss = surrogate_fit_loss(
-        surrogate, target, points, np.ones(50), ThetaKind.LOCAL_DECISION_BOUNDARY
-    )
-    assert loss == pytest.approx(0.0, abs=1e-18)
-
-
-def test_surrogate_loss_is_weight_scale_invariant(rng):
-    w, b = np.array([1.0, 1.0]), 0.0
-    points = rng.normal(size=(30, 2))
-    target = rng.normal(size=30)
-    surrogate = Explanation(ExplanationKind.LINEAR_WEIGHTS, (w, b))
-    weights = rng.uniform(0.1, 1.0, 30)
-    a = surrogate_fit_loss(
-        surrogate, target, points, weights, ThetaKind.LOCAL_DECISION_BOUNDARY
-    )
-    b2 = surrogate_fit_loss(
-        surrogate, target, points, 37.0 * weights, ThetaKind.LOCAL_DECISION_BOUNDARY
-    )
-    assert a == pytest.approx(b2, rel=1e-12)
-
-
-def test_surrogate_loss_error_paths(rng):
-    surrogate = Explanation(ExplanationKind.LINEAR_WEIGHTS, (np.ones(2), 0.0))
-    points = rng.normal(size=(5, 2))
-    with pytest.raises(ZeroTotalWeight):
-        surrogate_fit_loss(
-            surrogate, np.zeros(5), points, np.zeros(5),
-            ThetaKind.LOCAL_DECISION_BOUNDARY,
-        )
-    with pytest.raises(BadSpec):
-        surrogate_fit_loss(
-            surrogate, np.zeros(5), points, -np.ones(5),
-            ThetaKind.LOCAL_DECISION_BOUNDARY,
-        )
-    with pytest.raises(DimensionMismatch):
-        surrogate_fit_loss(
-            surrogate, np.zeros(5), points, np.ones(4),
-            ThetaKind.LOCAL_DECISION_BOUNDARY,
-        )
-    with pytest.raises(BadSpec):
-        surrogate_fit_loss(
-            surrogate, np.zeros(5), points, np.ones(5), ThetaKind.PREDICTED_LABEL
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Explanations and inference targets are immutable values.
 
-Each array in a payload, at the top level, inside a tuple or in a soft
-tree's fields, is copied at construction and marked read-only, so the key
-computed then stays the identity of the value: mutating the caller's
-array afterwards changes neither the key, the hash nor the payload.
+Each array in a payload, at the top level or inside a tuple, is copied
+at construction and marked read-only, so the key computed then stays the
+identity of the value: mutating the caller's array afterwards changes
+neither the key, the hash nor the payload.
 
 Every frozen record class of the package is declared with
 ``types.record``, which keeps the semantics of a frozen dataclass
@@ -20,7 +20,7 @@ import pytest
 
 import bayesteach
 from bayesteach.errors import BadSpec
-from bayesteach.explainers import ExampleSelectionReport, SaliencyReport, SoftTree
+from bayesteach.explainers import ExampleSelectionReport, SaliencyReport
 from bayesteach.learners import BiasConfig, KernelConfig
 from bayesteach.models import Dataset, TargetModel
 from bayesteach.recombine import LEARNER_REGISTRY, LearnerSpec
@@ -93,31 +93,6 @@ def test_key_is_the_kind_and_canonical_payload():
     assert as_tuple != feature_mask([1, 0])
     # a target and an explanation never compare equal
     assert TargetInference(ThetaKind.PREDICTED_LABEL, 0) != Explanation(ExplanationKind.EXAMPLE_SET, 0)
-
-
-def test_a_soft_tree_payload_is_copied_with_frozen_arrays():
-    tree = SoftTree(
-        depth=1,
-        node_weights=np.array([[1.0, -1.0]]),
-        node_bias=np.zeros(1),
-        node_temp=np.ones(1),
-        leaf_logits=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        scaler_mean=np.zeros(2),
-        scaler_scale=np.ones(2),
-    )
-    x = Explanation(ExplanationKind.SOFT_TREE, tree)
-    probs = x.payload.predict_proba(np.array([[0.5, 0.25]]))
-
-    def mutate():
-        tree.node_weights[:] = -3.0
-        tree.leaf_logits[:] = 5.0
-        tree.scaler_scale[:] = 9.0
-
-    assert_unchanged_by(x, mutate, lambda t: t.payload.node_weights)
-    for name in ("node_bias", "node_temp", "leaf_logits", "scaler_mean", "scaler_scale"):
-        assert not getattr(x.payload, name).flags.writeable
-    np.testing.assert_array_equal(x.payload.predict_proba(np.array([[0.5, 0.25]])), probs)
-    assert x == Explanation(ExplanationKind.SOFT_TREE, x.payload) != Explanation(ExplanationKind.SOFT_TREE, tree)
 
 
 def test_no_package_class_holds_code_compiled_at_import():
