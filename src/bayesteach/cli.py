@@ -42,7 +42,8 @@ USAGE_EXIT = 2
 # An EngineError carries its own exit code: 3 for bad data or requests, 4
 # for numerical failures (errors.NumericalError). A missing, malformed or
 # undecodable input file is a data error, and so is any file that cannot
-# be opened, read or written (OSError).
+# be opened, read or written (OSError), and so is a request too large for
+# the memory at hand (MemoryError).
 DATA_EXIT = EngineError.exit_code
 NUMERICAL_EXIT = 4
 
@@ -185,16 +186,8 @@ def _cmd_dataset_import(args) -> tuple[dict, int]:
 
 
 def _model_config_from_args(args) -> dict:
-    config = {}
-    if args.hidden is not None:
-        config["hidden"] = args.hidden
-    if args.epochs is not None:
-        config["epochs"] = args.epochs
-    if args.learning_rate is not None:
-        config["learning_rate"] = args.learning_rate
-    if args.latent_dim is not None:
-        config["latent_dim"] = args.latent_dim
-    return config
+    flags = ("hidden", "epochs", "learning_rate", "latent_dim")
+    return {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
 
 
 def _cmd_model_fit(args) -> tuple[dict, int]:
@@ -836,6 +829,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(type(exc).__name__, str(exc), DATA_EXIT)
+        return DATA_EXIT
+    except MemoryError as exc:  # numpy raises a subclass under a private name
+        _emit_error("MemoryError", str(exc), DATA_EXIT)
         return DATA_EXIT
 
 

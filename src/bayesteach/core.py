@@ -13,8 +13,9 @@ log-sum-exp. Zero total mass raises instead of silently renormalizing.
 When the likelihood splits over the pools of a subset space (the
 learner's ``block_terms``; a subset space's prior is uniform), each
 pool's combinations are scored once, by ``posterior_max`` and by a
-Metropolis walk alike. An additive split makes the posterior a product of per-pool posteriors,
-whose argmax and normalizer are taken pool by pool.
+Metropolis walk alike. An additive split makes the posterior a product
+of per-pool posteriors, whose argmax and normalizer are taken pool by
+pool.
 
 A Metropolis walk reports its mode: the most visited state, ties going
 to the smallest payload (``ChainSamples.mode``).

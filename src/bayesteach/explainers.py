@@ -302,8 +302,13 @@ def kernel_shap(
     coalitions enter as hard constraints (intercept fixed at the empty
     value, attributions summing to full minus empty), enforced by
     eliminating the last attribution from the regression. Sampled mode
-    draws ``n_samples`` coalitions; fewer than one raises BadSpec.
+    draws ``n_samples`` coalitions; fewer than one raises BadSpec. So
+    does a request whose coalition rows, times the background rows and
+    the features, exceed ``core.MAX_DRAWS`` entries, before anything is
+    evaluated.
     """
+    if mode not in ("exact", "sampled"):
+        raise BadSpec(f"unknown mode {mode!r}; use exact or sampled")
     if mode == "sampled" and n_samples < 1:
         raise BadSpec(f"sampled mode needs n_samples >= 1, got {n_samples}")
     point = np.asarray(point, dtype=float)
@@ -313,10 +318,14 @@ def kernel_shap(
             f"background rows have {background.shape[1]} features for a "
             f"{point.shape[0]}-feature point"
         )
+    d = point.shape[0]
+    coalitions = 0 if d == 1 else 2**d - 2 if mode == "exact" else n_samples
+    if coalitions * background.shape[0] * d > core.MAX_DRAWS:
+        raise BadSpec(f"{coalitions} coalitions over {background.shape[0]} background rows of {d} "
+                      f"features exceed the limit of {core.MAX_DRAWS} entries")
     predict = batch_predictor(model_or_fn)
     if target_class is None:
         target_class = int(np.argmax(predict(point[None, :])[0]))
-    d = point.shape[0]
 
     boundary = np.stack([np.zeros(d), np.ones(d)])
     base_value, full_value = _coalition_values(predict, point, background, boundary, target_class)
@@ -329,7 +338,7 @@ def kernel_shap(
         rows = (bits[:, None] >> np.arange(d)[None, :]) & 1
         rows = rows.astype(np.float64)
         weights = _shapley_kernel_weights(rows.sum(axis=1), d)
-    elif mode == "sampled":
+    else:
         rng = np.random.default_rng(seed)
         sizes = np.arange(1, d)
         size_probs = (d - 1) / (sizes * (d - sizes))
@@ -339,8 +348,6 @@ def kernel_shap(
         for i, s in enumerate(drawn):
             rows[i, rng.choice(d, size=int(s), replace=False)] = 1.0
         weights = np.ones(n_samples)
-    else:
-        raise BadSpec(f"unknown mode {mode!r}; use exact or sampled")
 
     values = _coalition_values(predict, point, background, rows, target_class)
     # Eliminate phi_{d-1} via the efficiency constraint.
@@ -384,13 +391,17 @@ class LimeReport:
 
 def local_probes(point: np.ndarray, count: int, width: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` Gaussian probes of scale ``width`` around the point, drawn
-    from ``default_rng(seed)``, and their rbf weights. A width so large
-    that the squared distances overflow, or so small that the weights
-    vanish, raises NonFiniteResult."""
+    from ``default_rng(seed)``, and their rbf weights. More than
+    ``core.MAX_DRAWS`` probe entries (probes times features) raise
+    BadSpec before any is drawn. A width so large that the squared
+    distances overflow, or so small that the weights vanish, raises
+    NonFiniteResult."""
     if count < 2:
         raise BadSpec(f"probe count must be >= 2, got {count}")
     if width <= 0:
         raise BadSpec("kernel width must be positive")
+    if count * point.shape[0] > core.MAX_DRAWS:
+        raise BadSpec(f"{count} probes of {point.shape[0]} features exceed the limit of {core.MAX_DRAWS} entries")
     rng = np.random.default_rng(seed)
     probes = point + width * rng.standard_normal((count, point.shape[0]))
     with np.errstate(all="ignore"):

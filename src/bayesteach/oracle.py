@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

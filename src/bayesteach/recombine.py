@@ -116,12 +116,11 @@ def _surrogate_recipe(method, model, data, point, seed) -> dict:
 
     predict = batch_predictor(model)
     probes, weights = local_probes(point, count, width, seed)
-    probs = predict(probes)
+    target = class_column(predict(probes), target_class)
     tree_report = distill_tree(lambda X: _pair_predict(predict, X, target_class), probes, seed=seed,
                                sample_weights=weights, **_tree_options(p, epochs=600))
     # LIME's fidelity: the kernel-weighted mean squared error of the
     # tree's target-class probability
-    target = class_column(probs, target_class)
     fitted = tree_report.tree.predict_proba(probes)[:, 1]
     loss = float(np.sum(weights * (fitted - target) ** 2) / float(weights.sum()))
     return {**tree_report.to_dict(), "boundary_fit_loss": loss, "target_class": target_class}

@@ -31,10 +31,6 @@ class ExplanationSpace:
     descriptor: str = "abstract"
     kind: ExplanationKind
 
-    @property
-    def enumerable(self) -> bool:
-        return self.size() <= MAX_ENUMERATION
-
     def size(self) -> int:
         raise NotImplementedError
 
@@ -88,7 +84,7 @@ class ExplanationSpace:
         return (x,)
 
     def _check_enumerable(self) -> None:
-        if not self.enumerable:
+        if self.size() > MAX_ENUMERATION:
             raise NotEnumerable(
                 f"{self.descriptor}: {self.size()} candidates exceed the "
                 f"enumeration limit of {MAX_ENUMERATION}"

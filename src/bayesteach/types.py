@@ -198,8 +198,8 @@ class Explanation(_Value):
       SALIENCY_VECTOR  (d,) array of nonnegative reals
 
     LINEAR_WEIGHTS and SOFT_TREE name the surrogates that recombination
-    fits by gradient; no search scores them, so they are reported as
-    fitted and never held in an Explanation.
+    fits with its gradient-fit strategy; no search scores them, so they
+    are reported as fitted and never held in an Explanation.
     """
 
 

@@ -422,6 +422,7 @@ def test_recombine_mh_rejects_bad_chain_lengths(capsys, ws, param):
      "--learner", "masked-prediction", "--strategy", "mc-expectation", "--param", f"n={10**24}",
      "--data", "{data}"],
     ["explain", "rise", "--masks", str(10**24)],
+    ["explain", "lime", "--class", "1", "--probes", "100000000"],  # probes, not masks
 ])
 def test_mask_draws_past_the_limit_exit_3(capsys, ws, argv):
     argv = [a.format(data=ws["data"]) for a in argv]
@@ -429,6 +430,38 @@ def test_mask_draws_past_the_limit_exit_3(capsys, ws, argv):
         "--model", ws["logistic"], "--point", ws["point"], "--seed", "0",
     ], cli.DATA_EXIT)
     assert err["type"] == "BadSpec" and "limit" in err["message"]
+
+
+def test_exact_shap_past_the_limit_exits_3(capsys, tmp_path):
+    """2^40 - 2 coalitions of a 40-feature point are refused before any
+    is built: an attempted allocation would end as a MemoryError."""
+    data, model, point = (str(tmp_path / name) for name in ("wide.csv", "wide.json", "point.csv"))
+    assert cli.main(["dataset", "make", "--generator", "gaussian-blobs", "--classes", "2", "--dim", "40",
+                     "--per-class", "3", "--seed", "0", "--csv", data, "--out", str(tmp_path / "make.json")]) == 0
+    assert cli.main(["model", "fit", "--data", data, "--family", "logistic", "--seed", "0",
+                     "--save", model, "--out", str(tmp_path / "fit.json")]) == 0
+    Path(point).write_text(",".join(["0.5"] * 40) + "\n", encoding="utf-8")
+    err = run_err(capsys, ["explain", "shap", "--model", model, "--point", point,
+                           "--background", data, "--class", "1", "--exact"], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec" and "limit" in err["message"]
+
+
+class _ArrayMemoryError(MemoryError):
+    """Named as numpy names the error of an array it cannot allocate."""
+
+
+@pytest.mark.parametrize("error", [MemoryError, _ArrayMemoryError])
+def test_a_memory_error_exits_3(capsys, monkeypatch, tmp_path, error):
+    """The handler's callee raises instead of allocating."""
+    message = "Unable to allocate 14.9 GiB for an array with shape (1000000000, 2) and data type float64"
+
+    def make_synthetic(spec, seed):
+        raise error(message)
+
+    monkeypatch.setattr(cli, "make_synthetic", make_synthetic)
+    err = run_err(capsys, ["dataset", "make", "--generator", "gaussian-blobs", "--per-class", "1000000000",
+                           "--seed", "0", "--csv", str(tmp_path / "big.csv")], cli.DATA_EXIT)
+    assert err == {"type": "MemoryError", "message": message, "exit_code": cli.DATA_EXIT}
 
 
 @pytest.mark.parametrize("param, key", [

@@ -53,6 +53,25 @@ def test_module_imports_only_earlier_modules(module):
     assert later == [], f"{module} imports {later}, which come at or after it in {ORDER}"
 
 
+def unused_imports(path: Path) -> list:
+    """The names a source file imports, at any depth, and never reads: a
+    name counts as read wherever it appears, as a name or as the root of
+    an attribute, annotations included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+@pytest.mark.parametrize("module", ["__init__", *MODULES])
+def test_module_imports_no_name_it_does_not_use(module):
+    assert unused_imports(PACKAGE / f"{module}.py") == []
+
+
 # Definitions kept although nothing in src/ or benchmarks/ names them.
 UNREACHED_ALLOWED = {
     "oracle.mh_reference": "the loop-first chain that tests replay mh_sample against",
