@@ -281,7 +281,7 @@ def _cmd_explain_plda_examples(args) -> tuple[dict, int]:
     }
     doc = _explain_envelope(
         "plda-examples", ThetaKind.LATENT_CLASS_MEANS.value, config, args.seed,
-        report.to_dict(), diagnostics, "latent class means of the fitted model",
+        jsonable(report), diagnostics, "latent class means of the fitted model",
     )
     return doc, 0
 
@@ -300,7 +300,7 @@ def _cmd_explain_mmd_critic(args) -> tuple[dict, int]:
         "criticisms": args.criticisms,
         "bandwidth": args.bandwidth,
     }
-    result = {"prototypes": proto.to_dict(), "criticisms": crit.to_dict()}
+    result = {"prototypes": jsonable(proto), "criticisms": jsonable(crit)}
     diagnostics = {"final_mmd2": proto.mmd2_trace[-1], "bandwidth": proto.bandwidth}
     doc = _explain_envelope(
         "mmd-critic", ThetaKind.CLASS_DATA_DISTRIBUTION.value, config, None,
@@ -337,7 +337,7 @@ def _cmd_explain_rise(args) -> tuple[dict, int]:
     }
     doc = _explain_envelope(
         "rise", ThetaKind.PREDICTED_LABEL.value, config, args.seed,
-        report.to_dict(), diagnostics, f"predicted label {report.target_class}",
+        jsonable(report), diagnostics, f"predicted label {report.target_class}",
     )
     _render_vector(doc, report.values, args, "rise")
     return doc, 0
@@ -371,7 +371,7 @@ def _cmd_explain_shap(args) -> tuple[dict, int]:
     doc = _explain_envelope(
         "shap", ThetaKind.PREDICTED_LABEL.value, config,
         None if args.exact else args.seed,
-        report.to_dict(), {"efficiency_gap": efficiency_gap},
+        jsonable(report), {"efficiency_gap": efficiency_gap},
         f"predicted label {args.target_class}",
     )
     _render_vector(doc, report.phi, args, "shap")
@@ -402,7 +402,7 @@ def _cmd_explain_lime(args) -> tuple[dict, int]:
     }
     doc = _explain_envelope(
         "lime", ThetaKind.LOCAL_DECISION_BOUNDARY.value, config, args.seed,
-        report.to_dict(), {"r_squared": report.r_squared},
+        jsonable(report), {"r_squared": report.r_squared},
         "local decision boundary around the point",
     )
     _render_vector(doc, report.weights, args, "lime")
@@ -434,7 +434,7 @@ def _cmd_explain_tree_distill(args) -> tuple[dict, int]:
     diagnostics = {"final_kl": report.final_kl, "gate_entropy": report.gate_entropy}
     doc = _explain_envelope(
         "tree-distill", ThetaKind.PREDICTIVE_DISTRIBUTION.value, config, args.seed,
-        report.to_dict(), diagnostics, "predictive distribution over the dataset",
+        jsonable(report), diagnostics, "predictive distribution over the dataset",
     )
     if args.render:
         if args.render != "svg":

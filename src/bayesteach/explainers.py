@@ -11,8 +11,8 @@ target, explanation space, and search strategy.
 
 The example, prototype and saliency methods build their learner, target
 and space and search them through ``teacher.run_strategy``, looked up at
-call time; they keep no search of their own. Result objects are plain
-dataclasses with ``to_dict`` for reporting.
+call time; they keep no search of their own. Results are records, which
+``models.jsonable`` turns into their documents field by field.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .learners import (
     make_plda_learner,
     witness,
 )
-from .models import Dataset, TargetModel, batch_predictor, jsonable
+from .models import Dataset, TargetModel, batch_predictor
 from .spaces import MaskSpace, SubsetSpace
 from .types import TargetInference, ThetaKind, example_set, record
 
@@ -44,30 +44,20 @@ from .types import TargetInference, ThetaKind, example_set, record
 @record
 class ExampleSelectionReport:
     indices: tuple[int, ...]
-    per_class: dict[int, tuple[int, ...]]
+    per_class: dict[str, tuple[int, ...]]
     log_likelihood: float
     posterior_probability: float | None
     strategy: str
     space_size: int
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "per_class": {str(c): list(v) for c, v in self.per_class.items()},
-            "log_likelihood": self.log_likelihood,
-            "posterior_probability": self.posterior_probability,
-            "strategy": self.strategy,
-            "space_size": self.space_size,
-            "metadata": jsonable(self.metadata),
-        }
 
-
-def _split_by_class(data: Dataset, indices) -> dict[int, tuple[int, ...]]:
+def _split_by_class(data: Dataset, indices) -> dict[str, tuple[int, ...]]:
+    """The rows of ``indices`` of each class, keyed by the class as a str."""
     arr = np.asarray(indices, dtype=int)
     labels = data.labels[arr]
     return {
-        int(c): tuple(sorted(arr[labels == c].tolist()))
+        str(c): tuple(sorted(arr[labels == c].tolist()))
         for c in sorted(set(labels.tolist()))
     }
 
@@ -135,26 +125,12 @@ class PrototypeReport:
     mmd2_trace: tuple[float, ...]
     bandwidth: float
 
-    def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "mmd2_trace": list(self.mmd2_trace),
-            "bandwidth": self.bandwidth,
-        }
-
 
 @record
 class CriticismReport:
     indices: tuple[int, ...]
     witness_values: tuple[float, ...]
     bandwidth: float
-
-    def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "witness_values": list(self.witness_values),
-            "bandwidth": self.bandwidth,
-        }
 
 
 def mmd_prototypes(data: Dataset, m: int, kernel: KernelConfig = KernelConfig()) -> PrototypeReport:
@@ -208,15 +184,6 @@ class SaliencyReport:
     mask_count: int
     keep_prob: float
 
-    def to_dict(self) -> dict:
-        return {
-            "values": self.values.tolist(),
-            "stderr": self.stderr.tolist(),
-            "target_class": self.target_class,
-            "mask_count": self.mask_count,
-            "keep_prob": self.keep_prob,
-        }
-
 
 def rise_saliency(
     model_or_fn,
@@ -258,16 +225,6 @@ class ShapReport:
     target_class: int
     mode: str
     coalition_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "phi": self.phi.tolist(),
-            "base_value": self.base_value,
-            "full_value": self.full_value,
-            "target_class": self.target_class,
-            "mode": self.mode,
-            "coalition_count": self.coalition_count,
-        }
 
 
 def _coalition_values(predict, point, background, rows: np.ndarray, target_class: int) -> np.ndarray:
@@ -378,16 +335,6 @@ class LimeReport:
     kernel_width: float
     probe_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "target_class": self.target_class,
-            "kernel_width": self.kernel_width,
-            "probe_count": self.probe_count,
-        }
-
 
 def local_probes(point: np.ndarray, count: int, width: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` Gaussian probes of scale ``width`` around the point, drawn
@@ -487,17 +434,6 @@ class SoftTree:
         Z = (np.atleast_2d(X) - self.scaler_mean) / self.scaler_scale
         *_, reach = _route(Z, self.node_weights, self.node_bias, self.node_temp)
         return reach[:, self.n_inner :] @ self.leaf_distributions()
-
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "node_weights": self.node_weights.tolist(),
-            "node_bias": self.node_bias.tolist(),
-            "node_temp": self.node_temp.tolist(),
-            "leaf_logits": self.leaf_logits.tolist(),
-            "scaler_mean": self.scaler_mean.tolist(),
-            "scaler_scale": self.scaler_scale.tolist(),
-        }
 
 
 def _levels(n_inner: int):
@@ -621,15 +557,6 @@ class DistillReport:
     gate_entropy: float
     beta: float
     loss_trace: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "tree": self.tree.to_dict(),
-            "final_kl": self.final_kl,
-            "gate_entropy": self.gate_entropy,
-            "beta": self.beta,
-            "loss_trace": list(self.loss_trace),
-        }
 
 
 def distill_tree(

@@ -19,7 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import field
+from dataclasses import field, fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -607,8 +608,10 @@ def plda_posterior_over_means(
 
 
 def jsonable(value):
-    """``value`` with numpy arrays and scalars, nested in dicts, lists and
-    tuples, turned into the lists and Python numbers ``json`` writes."""
+    """``value`` as the document ``json`` writes: a ``types.record``
+    instance becomes the dict of its fields, an ``Enum`` its ``.value``, and
+    numpy arrays and scalars lists and Python numbers, nested in records,
+    dicts, lists and tuples. Every report and checkpoint is written so."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
@@ -617,6 +620,10 @@ def jsonable(value):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value):
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
     return value
 
 
@@ -631,16 +638,6 @@ _PARAM_SHAPES = {
              "within": "dd", "between": "dd", "log_priors": "C"},
     "linear": {"weights": "d"},
 }
-
-
-def model_to_dict(model: TargetModel) -> dict:
-    return {
-        "family": model.family,
-        "class_count": model.class_count,
-        "parameters": jsonable(model.parameters),
-        "config": jsonable(model.config),
-        "seed": model.seed,
-    }
 
 
 def model_from_dict(payload: dict) -> TargetModel:
@@ -706,7 +703,7 @@ def model_from_dict(payload: dict) -> TargetModel:
 
 def save_model(model: TargetModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
+        json.dump(jsonable(model), fh, sort_keys=True)
         fh.write("\n")
 
 

@@ -56,7 +56,7 @@ def _plda_recipe(method, model, data, point, seed) -> dict:
         strategy=method.strategy,
         seed=seed, mh_steps=_param(p, "n", 20000, int), mh_burn_in=_param(p, "burn_in", 2000, int),
     )
-    return report.to_dict()
+    return jsonable(report)
 
 
 def _masked_prediction_recipe(method, model, data, point, seed) -> dict:
@@ -100,7 +100,7 @@ def _surrogate_recipe(method, model, data, point, seed) -> dict:
             raise IncompatibleCombination(
                 "matching a full predictive distribution needs a distribution-valued surrogate"
             )
-        return distill_tree(model, data.features, seed=seed, **_tree_options(p, epochs=800)).to_dict()
+        return jsonable(distill_tree(model, data.features, seed=seed, **_tree_options(p, epochs=800)))
 
     # Local decision boundary: probes around the point, rbf weighted.
     point = _point(point, "local boundary surrogates")
@@ -112,7 +112,7 @@ def _surrogate_recipe(method, model, data, point, seed) -> dict:
             model, point, probe_count=count, kernel_width=width,
             ridge=_param(p, "ridge", 1e-3, float), seed=seed, target_class=target_class,
         )
-        return report.to_dict()
+        return jsonable(report)
 
     predict = batch_predictor(model)
     probes, weights = local_probes(point, count, width, seed)
@@ -123,7 +123,7 @@ def _surrogate_recipe(method, model, data, point, seed) -> dict:
     # tree's target-class probability
     fitted = tree_report.tree.predict_proba(probes)[:, 1]
     loss = float(np.sum(weights * (fitted - target) ** 2) / float(weights.sum()))
-    return {**tree_report.to_dict(), "boundary_fit_loss": loss, "target_class": target_class}
+    return {**jsonable(tree_report), "boundary_fit_loss": loss, "target_class": target_class}
 
 
 def _search(method, learner, theta, space, seed, n: int, burn_in: int) -> dict:
@@ -246,18 +246,9 @@ class RecombinedExplainer:
     strategy: str
     params: dict = field(default_factory=dict)
 
-    def describe(self) -> dict:
-        return {
-            "theta_kind": self.theta_kind.value,
-            "explanation_kind": self.explanation_kind.value,
-            "learner_id": self.learner_id,
-            "strategy": self.strategy,
-            "params": jsonable(self.params),
-        }
-
     def run(self, model: TargetModel, data: Dataset, point: np.ndarray | None = None, seed: int = 0) -> dict:
         result = LEARNER_REGISTRY[self.learner_id].recipe(self, model, data, point, seed)
-        return {"combination": self.describe(), "seed": seed, "result": result}
+        return {"combination": jsonable(self), "seed": seed, "result": result}
 
 
 def _param(params: dict, key: str, default, kind):

@@ -16,7 +16,7 @@ from . import teacher
 from .core import logsumexp
 from .errors import BadSpec
 from .learners import BiasConfig, biased_learner, make_plda_learner
-from .models import Dataset, TargetModel, jsonable
+from .models import Dataset, TargetModel
 from .spaces import SubsetSpace
 from .types import Explanation, LearnerModel, TargetInference, ThetaKind, record
 
@@ -80,15 +80,6 @@ class StudyReport:
     per_task: tuple[dict, ...]
     calibration: dict
     trial_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "overall_belief_shift": self.overall_belief_shift,
-            "per_task": [jsonable(t) for t in self.per_task],
-            "calibration": jsonable(self.calibration),
-            "trial_count": self.trial_count,
-        }
 
 
 def _target_masses(log_liks: np.ndarray, targets: np.ndarray) -> np.ndarray:

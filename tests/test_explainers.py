@@ -55,7 +55,7 @@ def test_per_class_argmax_assembles_the_joint_argmax():
     assert exact.space_size == math.comb(5, 2) ** 2
     assert exact.posterior_probability is not None
     assert 0 < exact.posterior_probability <= 1
-    assert set(exact.per_class) == {0, 1}
+    assert set(exact.per_class) == {"0", "1"}
     assert all(len(v) == 2 for v in exact.per_class.values())
 
 

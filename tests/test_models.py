@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import field
 
 import numpy as np
 import pytest
@@ -12,17 +13,18 @@ from bayesteach.models import (
     Dataset,
     fit_model,
     inspect_model,
+    jsonable,
     load_csv,
     load_model,
     make_synthetic,
     mean_posterior_logpdf,
     model_from_dict,
-    model_to_dict,
     plda_posterior_over_means,
     predict_proba,
     save_csv,
     save_model,
 )
+from bayesteach.types import ThetaKind, record
 
 # ---------------------------------------------------------------------------
 # generators
@@ -109,8 +111,8 @@ def test_fits_are_reproducible_bit_for_bit(blobs3, moons):
     ]:
         a = fit_model(family, data, config, seed=4)
         b = fit_model(family, data, config, seed=4)
-        assert json.dumps(model_to_dict(a), sort_keys=True) == json.dumps(
-            model_to_dict(b), sort_keys=True
+        assert json.dumps(jsonable(a), sort_keys=True) == json.dumps(
+            jsonable(b), sort_keys=True
         )
 
 
@@ -336,8 +338,28 @@ def test_checkpoint_round_trip(tmp_path, blobs3):
         assert set(payload) == {"family", "class_count", "parameters", "config", "seed"}
 
 
+def test_jsonable_turns_a_record_into_the_dict_of_its_fields():
+    @record
+    class Inner:
+        kind: ThetaKind
+        count: np.int64
+
+    @record
+    class Outer:
+        inner: Inner
+        pair: tuple
+        values: np.ndarray = field(repr=False)
+        scale: np.float64 = np.float64(0.5)
+
+    doc = jsonable(Outer(Inner(ThetaKind.PREDICTED_LABEL, np.int64(3)), (np.float32(0.25), (1, 2)),
+                         np.arange(4).reshape(2, 2)))
+    assert doc == {"inner": {"kind": "predicted-label", "count": 3}, "pair": [0.25, [1, 2]],
+                   "values": [[0, 1], [2, 3]], "scale": 0.5}
+    assert json.loads(json.dumps(doc)) == doc
+
+
 def test_model_dict_round_trip_preserves_arrays(plda3):
-    back = model_from_dict(model_to_dict(plda3))
+    back = model_from_dict(jsonable(plda3))
     np.testing.assert_array_equal(
         back.parameters["projection"], plda3.parameters["projection"]
     )

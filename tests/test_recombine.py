@@ -7,7 +7,7 @@ import pytest
 
 from bayesteach.errors import BadSpec, IncompatibleCombination, StrategySpaceMismatch
 from bayesteach.learners import make_nearest_class_learner
-from bayesteach.models import fit_model, make_synthetic, predict_proba
+from bayesteach.models import fit_model, jsonable, make_synthetic, predict_proba
 from bayesteach.recombine import (
     LEARNER_REGISTRY,
     RecombinedExplainer,
@@ -27,7 +27,7 @@ TK, XK = ThetaKind, ExplanationKind
 def test_named_soft_tree_recombination_is_valid():
     method = recombine(TK.LOCAL_DECISION_BOUNDARY, XK.SOFT_TREE, "surrogate-fit", "gradient-fit")
     assert isinstance(method, RecombinedExplainer)
-    desc = method.describe()
+    desc = jsonable(method)
     assert desc["theta_kind"] == "local-decision-boundary"
     assert desc["explanation_kind"] == "soft-tree"
 

@@ -10,7 +10,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 from bayesteach import teacher
 from bayesteach.errors import BadSpec
 from bayesteach.learners import BiasConfig, biased_learner, make_plda_learner
-from bayesteach.models import fit_model, make_synthetic
+from bayesteach.models import fit_model, jsonable, make_synthetic
 from bayesteach.spaces import EnumeratedSpace, SubsetSpace
 from bayesteach.studies import (
     CALIBRATION_BINS,
@@ -94,7 +94,7 @@ def test_simulation_is_seed_deterministic_and_order_free():
     tasks = tuple(TwoAfcTask((C0, C1), 0, X, trials=11) for _ in range(4))
     a = simulate_2afc(SimulatedStudy((member,), tasks), seed=5)
     b = simulate_2afc(SimulatedStudy((member,), tasks), seed=5)
-    assert a.to_dict() == b.to_dict()
+    assert jsonable(a) == jsonable(b)
 
 
 def test_calibration_bins_cover_predictions():
@@ -253,16 +253,16 @@ def test_simulate_2afc_equals_the_loop_first_reference_on_named_cases():
     for population in [(tie, right), (biased,), (dead, tie, biased, right)]:
         study = SimulatedStudy(population, tasks)
         for seed in (0, 3, 17):
-            got = simulate_2afc(study, seed).to_dict()
-            assert same_document(got, reference_simulate_2afc(study, seed).to_dict())
+            got = jsonable(simulate_2afc(study, seed))
+            assert same_document(got, jsonable(reference_simulate_2afc(study, seed)))
 
 
 def test_simulate_2afc_equals_the_loop_first_reference_on_drawn_studies():
     rng = np.random.default_rng(2024)
     for case in range(150):
         study = random_study(rng)
-        got = simulate_2afc(study, case).to_dict()
-        assert same_document(got, reference_simulate_2afc(study, case).to_dict()), case
+        got = jsonable(simulate_2afc(study, case))
+        assert same_document(got, jsonable(reference_simulate_2afc(study, case))), case
 
 
 # ---------------------------------------------------------------------------
