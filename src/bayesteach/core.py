@@ -39,16 +39,12 @@ import numpy as np
 
 from .errors import AllZeroMass, BadSpec, ZeroStartMass, ZeroTotalWeight
 from .spaces import ExplanationSpace, MaskSpace, SubsetSpace
-from .types import (Explanation, LearnerModel, TargetInference, TeacherPosterior, example_set,
-                    feature_mask, record)
+from .types import (MAX_DRAWS, Explanation, LearnerModel, TargetInference, TeacherPosterior,
+                    example_set, feature_mask, record)
 
 # A Metropolis walk draws its moves and uniforms this many steps at a
 # time, and a mask expectation draws, weighs and sums this many masks.
 CHAIN_BLOCK = 4096
-
-# Chains of more steps (burn-in included) and mask draws of more entries
-# (masks times dimension) are refused before anything is drawn.
-MAX_DRAWS = 1 << 24
 
 
 def logsumexp(a):

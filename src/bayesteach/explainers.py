@@ -159,7 +159,9 @@ def mmd_criticisms(
     """The c non-prototype rows with the largest absolute witness value."""
     X = data.features
     protos = np.asarray(list(prototype_indices), dtype=int)
-    rest = np.setdiff1d(np.arange(X.shape[0]), protos)
+    kept = np.ones(X.shape[0], dtype=bool)
+    kept[protos] = False
+    rest = np.flatnonzero(kept)
     if rest.size == 0:
         raise BadSpec(f"no non-prototype row is left to criticise: all {X.shape[0]} rows are prototypes")
     if not 1 <= c <= rest.size:

@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     SingularCovariance,
 )
-from .types import record
+from .types import MAX_DRAWS, record
 
 FAMILIES = ("gaussian", "logistic", "mlp", "plda", "linear")
 
@@ -110,6 +110,12 @@ def _simplex_means(classes: int, dim: int, separation: float) -> np.ndarray:
     return means
 
 
+def _bounded(rows: int, features: int) -> None:
+    """Refuse a dataset of more than ``MAX_DRAWS`` entries before drawing it."""
+    if rows * features > MAX_DRAWS:
+        raise BadSpec(f"{rows} rows of {features} features exceed the limit of {MAX_DRAWS} entries")
+
+
 def _gaussian_blobs(spec: dict, rng: np.random.Generator) -> Dataset:
     classes = int(spec.get("classes", 3))
     dim = int(spec.get("dim", 2))
@@ -119,6 +125,7 @@ def _gaussian_blobs(spec: dict, rng: np.random.Generator) -> Dataset:
         raise BadSpec("gaussian-blobs needs classes >= 2, dim >= 1, per_class >= 1")
     if separation <= 0:
         raise BadSpec("separation must be positive")
+    _bounded(classes * per_class, dim)
     means = _simplex_means(classes, dim, separation)
     features = np.vstack(
         [means[c] + rng.standard_normal((per_class, dim)) for c in range(classes)]
@@ -135,6 +142,7 @@ def _two_moons(spec: dict, rng: np.random.Generator) -> Dataset:
         raise BadSpec("two-moons needs n >= 2")
     if noise < 0:
         raise BadSpec("noise must be nonnegative")
+    _bounded(n, 2)
     n_outer = n // 2
     n_inner = n - n_outer
     t_outer = np.linspace(0.0, math.pi, n_outer)
@@ -155,6 +163,7 @@ def _grid_image(spec: dict, rng: np.random.Generator) -> Dataset:
         raise BadSpec("grid-image needs classes >= 2 and per_class >= 1")
     if motif_size < 1 or motif_size > side:
         raise BadSpec("motif must fit inside the grid")
+    _bounded(classes * per_class, side * side)
 
     # One bright block per class, spread along the diagonal. Blocks must
     # not share pixels or the ground-truth saliency sets are ambiguous.

@@ -15,7 +15,7 @@ import numpy as np
 from . import teacher
 from .core import logsumexp
 from .errors import BadSpec
-from .learners import BiasConfig, biased_learner, make_plda_learner
+from .learners import BiasConfig, biased_learner, linear_quantile, make_plda_learner
 from .models import Dataset, TargetModel
 from .spaces import SubsetSpace
 from .types import Explanation, LearnerModel, TargetInference, ThetaKind, record
@@ -189,29 +189,6 @@ def _plda_candidates(model: TargetModel, distractor_scale: float, seed: int, key
     )
 
 
-def _linear_quantile(values: np.ndarray, q: float) -> float:
-    """``np.quantile(values, q)`` bit for bit, by numpy's default linear
-    method, from one sort: np.quantile's ``np.unique`` imports numpy.ma.
-    The result lies at virtual index (n - 1) q between two order
-    statistics, and is interpolated from the lower one below half way
-    and from the upper one from half way on, as numpy does; a NaN, which
-    sorts last, makes the result NaN."""
-    ordered = np.sort(values)
-    top = len(ordered) - 1
-    if math.isnan(ordered[-1]):
-        return float(ordered[-1])
-    position = top * q
-    if position < top:
-        lower = math.floor(position)
-        upper = lower + 1
-    else:  # numpy takes index -1 for both order statistics
-        lower = upper = -1
-    below, above = float(ordered[lower]), float(ordered[upper])
-    gamma = position - lower
-    step = above - below
-    return above - step * (1 - gamma) if gamma >= 0.5 else below + step * gamma
-
-
 def example_selection_study(
     model: TargetModel,
     data: Dataset,
@@ -259,7 +236,7 @@ def example_selection_study(
         for _ in range(random_subset_count)
     ])
     selected_ll = base.log_likelihood(candidates[0], selected_x)
-    percentile_99 = _linear_quantile(random_lls, 0.99)
+    percentile_99 = linear_quantile(random_lls, 0.99)
 
     return {
         "selected_indices": list(selected_x.payload),

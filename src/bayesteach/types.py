@@ -17,6 +17,12 @@ from typing import Any, Callable
 
 import numpy as np
 
+# Chains of more steps (burn-in included), mask draws of more entries
+# (masks times dimension), pairwise distance matrices of more entries
+# and synthetic datasets of more entries (rows times features) are
+# refused before anything is drawn or allocated.
+MAX_DRAWS = 1 << 24
+
 
 class ThetaKind(enum.Enum):
     """What aspect of the target model an explanation is meant to convey."""

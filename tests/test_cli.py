@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -444,6 +445,45 @@ def test_exact_shap_past_the_limit_exits_3(capsys, tmp_path):
     err = run_err(capsys, ["explain", "shap", "--model", model, "--point", point,
                            "--background", data, "--class", "1", "--exact"], cli.DATA_EXIT)
     assert err["type"] == "BadSpec" and "limit" in err["message"]
+
+
+def _traced(run):
+    """``run()`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--generator", "gaussian-blobs", "--per-class", "1000000000"],
+    ["--generator", "two-moons", "--n", str(10**30)],
+    ["--generator", "grid-image", "--side", "100000"],
+])
+def test_dataset_make_past_the_limit_exits_3_before_drawing(capsys, tmp_path, argv):
+    argv = ["dataset", "make", *argv, "--seed", "0", "--csv", str(tmp_path / "big.csv")]
+    err, peak = _traced(lambda: run_err(capsys, argv, cli.DATA_EXIT))
+    assert err["type"] == "BadSpec" and "limit" in err["message"]
+    assert peak < 8 << 20, peak
+    assert not (tmp_path / "big.csv").exists()
+
+
+def test_pairwise_distances_past_the_limit_exit_3_before_allocating(capsys, ws, tmp_path):
+    """4,097 rows of one class: their 4,097^2 distances (134 MB) exceed
+    the limit of 2^24 for mmd-critic's bandwidth and kernel matrices and
+    for the mmd learner's reference rows."""
+    data = tmp_path / "rows.csv"
+    data.write_text("x0,x1,label\n" + "".join(f"{i / 4097!r},{i % 7!r},0\n" for i in range(4097)),
+                    encoding="utf-8")
+    mmd = ["explain", "mmd-critic", "--data", str(data), "--prototypes", "2", "--criticisms", "2"]
+    recombine = ["explain", "recombine", "--theta", "class-data-distribution", "--x-kind", "example-set",
+                 "--learner", "mmd", "--strategy", "mh-sample", "--model", ws["logistic"],
+                 "--data", str(data), "--param", "n=10", "--param", "burn_in=0", "--seed", "0"]
+    for argv in (mmd, mmd + ["--bandwidth", "1.0"], recombine):
+        err, peak = _traced(lambda: run_err(capsys, argv, cli.DATA_EXIT))
+        assert err["type"] == "BadSpec" and "4097 x 4097" in err["message"], argv
+        assert peak < 8 << 20, (argv, peak)
 
 
 class _ArrayMemoryError(MemoryError):
@@ -1075,17 +1115,18 @@ print(code, "numpy.ma" in sys.modules)
 
 
 def test_example_selection_leaves_numpy_ma_unloaded(ws, tmp_path):
-    # np.unique imports numpy.ma, about 14 ms, on its first call
-    for strategy in ("exhaustive-max", "mh-sample"):
+    # np.unique, np.median and np.setdiff1d import numpy.ma, about 14 ms,
+    # on their first call
+    plda = ["explain", "plda-examples", "--model", ws["plda"], "--data", ws["data"],
+            "--per-class-k", "1", "--mh-steps", "50", "--seed", "0", "--strategy"]
+    for argv in (plda + ["exhaustive-max"], plda + ["mh-sample"],
+                 ["explain", "mmd-critic", "--data", ws["data"], "--prototypes", "2", "--criticisms", "2"]):
         proc = subprocess.run(
-            [sys.executable, "-c", _NUMPY_MA_PROBE, "explain", "plda-examples",
-             "--model", ws["plda"], "--data", ws["data"], "--per-class-k", "1",
-             "--strategy", strategy, "--mh-steps", "50", "--seed", "0",
-             "--out", str(tmp_path / "doc.json")],
+            [sys.executable, "-c", _NUMPY_MA_PROBE, *argv, "--out", str(tmp_path / "doc.json")],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False"]
+        assert proc.stdout.split() == ["0", "False"], argv
 
 
 def test_example_selection_study_leaves_numpy_ma_unloaded(ws, tmp_path):

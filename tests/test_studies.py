@@ -9,7 +9,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from bayesteach import teacher
 from bayesteach.errors import BadSpec
-from bayesteach.learners import BiasConfig, biased_learner, make_plda_learner
+from bayesteach.learners import BiasConfig, biased_learner, linear_quantile, make_plda_learner, median
 from bayesteach.models import fit_model, jsonable, make_synthetic
 from bayesteach.spaces import EnumeratedSpace, SubsetSpace
 from bayesteach.studies import (
@@ -18,7 +18,6 @@ from bayesteach.studies import (
     SimulatedStudy,
     StudyReport,
     TwoAfcTask,
-    _linear_quantile,
     _plda_candidates,
     _target_masses,
     bias_sensitivity_study,
@@ -326,8 +325,16 @@ def test_linear_quantile_equals_np_quantile_to_the_bit():
         for q in (0.99, 0.0, 0.25, 0.5, 0.7, 1.0):
             with np.errstate(invalid="ignore"):  # inf - inf inside np.quantile
                 want = np.quantile(values, q)
-            got = _linear_quantile(values, q)
+            got = linear_quantile(values, q)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (values, q, got, want)
+
+
+def test_median_equals_np_median_to_the_bit():
+    for values in quantile_cases():
+        if not np.isnan(values).any():
+            with np.errstate(invalid="ignore"):  # inf - inf
+                want, got = np.median(values), median(values)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (values, got, want)
 
 
 def test_bias_sweep_raises_favored_mass_and_reports_monotonicity():
