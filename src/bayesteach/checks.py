@@ -15,6 +15,7 @@ from . import oracle
 from .core import CHAIN_BLOCK, mask_expectation, posterior_max, teacher_posterior
 from .explainers import kernel_shap, mmd_prototypes, rise_saliency
 from .learners import KernelConfig, kernel_matrix, make_masked_prediction_learner
+from .models import softmax
 from .spaces import EnumeratedSpace, MaskSpace
 from .types import (
     Explanation,
@@ -100,11 +101,7 @@ def shap_agreement(cases: int = 10, tol: float = 1e-9, seed: int = 0):
         w2 = rng.standard_normal((4, 3))
 
         def predict(points, w1=w1, w2=w2):
-            hidden = np.tanh(np.asarray(points) @ w1)
-            logits = hidden @ w2
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            return e / e.sum(axis=1, keepdims=True)
+            return softmax(np.tanh(np.asarray(points) @ w1) @ w2)
 
         point = rng.standard_normal(d)
         background = rng.standard_normal((16, d))
@@ -118,14 +115,7 @@ def shap_agreement(cases: int = 10, tol: float = 1e-9, seed: int = 0):
 
 def _softmax_model(w: np.ndarray):
     """Class probabilities of a linear softmax model with weights w."""
-
-    def predict(points):
-        logits = np.asarray(points) @ w
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-
-    return predict
+    return lambda points: softmax(np.asarray(points) @ w)
 
 
 def rise_identity(n_masks: int = 500, tol: float = 1e-12, seed: int = 0):

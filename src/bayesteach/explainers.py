@@ -32,7 +32,7 @@ from .learners import (
     make_plda_learner,
     witness,
 )
-from .models import Dataset, TargetModel, batch_predictor
+from .models import Dataset, TargetModel, batch_predictor, softmax
 from .spaces import MaskSpace, SubsetSpace
 from .types import TargetInference, ThetaKind, example_set, record
 
@@ -428,9 +428,7 @@ class SoftTree:
         return 2**self.depth - 1
 
     def leaf_distributions(self) -> np.ndarray:
-        shifted = self.leaf_logits - self.leaf_logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
+        return softmax(self.leaf_logits)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         Z = (np.atleast_2d(X) - self.scaler_mean) / self.scaler_scale
@@ -499,9 +497,7 @@ def tree_loss_and_grads(
 
     pre, gates, ungates, reach = _route(Z, W, b, T)
     P = reach[:, n_inner:]
-    shifted = L - L.max(axis=1, keepdims=True)
-    expL = np.exp(shifted)
-    Q = expL / expL.sum(axis=1, keepdims=True)
+    Q = softmax(L)
     pi = np.maximum(P @ Q, 1e-300)
 
     safe_t = np.maximum(targets, 1e-300)

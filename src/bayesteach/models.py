@@ -5,7 +5,7 @@ of (model, point). Checkpoints round-trip through JSON so a fit can be
 inspected and explained in later processes.
 
 Model families:
-  gaussian   class-conditional Gaussians, shared or per-class covariance
+  gaussian   class-conditional Gaussians with one shared covariance
   logistic   multinomial logistic regression, full-batch gradient descent
   mlp        one hidden tanh layer, full-batch gradient descent
   plda       two-covariance discriminant model with a latent projection
@@ -36,6 +36,11 @@ from .errors import (
 from .types import MAX_DRAWS, record
 
 FAMILIES = ("gaussian", "logistic", "mlp", "plda", "linear")
+
+# Fit constants; no command sets them, so they are not config keys.
+RIDGE = 1e-6  # added to the gaussian and plda covariance diagonals
+LOGISTIC_REG = 1e-2  # L2 weight decay of the logistic fit
+CLIP_EPS = 1e-6  # linear class-1 probabilities are clipped to [eps, 1 - eps]
 
 
 @record
@@ -295,7 +300,8 @@ class TargetModel:
             raise BadSpec(f"unknown family {self.family!r}; choose from {FAMILIES}")
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by each row's maximum."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
@@ -332,43 +338,27 @@ def _class_means(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fit_gaussian(data: Dataset, config: dict, seed: int) -> TargetModel:
-    shared = bool(config.get("shared_covariance", True))
-    ridge = float(config.get("ridge", 1e-6))
     C, d, n = data.class_count, data.n_features, data.n_rows
     means, counts = _class_means(data)
     centered = data.features - means[data.labels]
-    if shared:
-        cov = centered.T @ centered / n + ridge * np.eye(d)
-        _chol_or_raise(cov, "shared covariance")
-    else:
-        cov = np.zeros((C, d, d))
-        for c in range(C):
-            rows = data.class_rows(c)
-            cc = centered[rows]
-            cov[c] = cc.T @ cc / rows.size + ridge * np.eye(d)
-            _chol_or_raise(cov[c], f"class {c} covariance")
-    params = {
-        "means": means,
-        "covariance": cov,
-        "log_priors": np.log(counts / n),
-        "shared": shared,
-    }
+    cov = centered.T @ centered / n + RIDGE * np.eye(d)
+    _chol_or_raise(cov, "shared covariance")
+    params = {"means": means, "covariance": cov, "log_priors": np.log(counts / n), "shared": True}
     return TargetModel("gaussian", C, params, dict(config), seed)
 
 
 def _fit_logistic(data: Dataset, config: dict, seed: int) -> TargetModel:
     lr = float(config.get("learning_rate", 0.5))
     epochs = int(config.get("epochs", 600))
-    reg = float(config.get("reg", 1e-2))
     C, d, n = data.class_count, data.n_features, data.n_rows
     W = np.zeros((C, d))
     b = np.zeros(C)
     Y = _one_hot(data.labels, C)
     X = data.features
     for _ in range(epochs):
-        P = _softmax(X @ W.T + b)
+        P = softmax(X @ W.T + b)
         G = (P - Y) / n
-        W -= lr * (G.T @ X + reg * W)
+        W -= lr * (G.T @ X + LOGISTIC_REG * W)
         b -= lr * G.sum(axis=0)
     return TargetModel("logistic", C, {"weights": W, "bias": b}, dict(config), seed)
 
@@ -391,7 +381,7 @@ def _fit_mlp(data: Dataset, config: dict, seed: int) -> TargetModel:
     trace = []
     for _ in range(epochs):
         H = np.tanh(X @ W1.T + b1)
-        P = _softmax(H @ W2.T + b2)
+        P = softmax(H @ W2.T + b2)
         trace.append(loss(P))
         dZ2 = (P - Y) / n
         dW2 = dZ2.T @ H
@@ -405,13 +395,12 @@ def _fit_mlp(data: Dataset, config: dict, seed: int) -> TargetModel:
         W1 -= lr * dW1
         b1 -= lr * db1
     H = np.tanh(X @ W1.T + b1)
-    trace.append(loss(_softmax(H @ W2.T + b2)))
+    trace.append(loss(softmax(H @ W2.T + b2)))
     params = {"W1": W1, "b1": b1, "W2": W2, "b2": b2, "loss_trace": np.array(trace)}
     return TargetModel("mlp", C, params, dict(config), seed)
 
 
 def _fit_plda(data: Dataset, config: dict, seed: int) -> TargetModel:
-    ridge = float(config.get("ridge", 1e-6))
     C, d, n = data.class_count, data.n_features, data.n_rows
     latent_dim = int(config.get("latent_dim", min(d, C - 1)))
     if latent_dim < 1 or latent_dim > d:
@@ -419,7 +408,7 @@ def _fit_plda(data: Dataset, config: dict, seed: int) -> TargetModel:
     center = data.features.mean(axis=0)
     means, counts = _class_means(data)
     centered = data.features - means[data.labels]
-    s_w = centered.T @ centered / n + ridge * np.eye(d)
+    s_w = centered.T @ centered / n + RIDGE * np.eye(d)
     inv_chol = np.linalg.inv(_chol_or_raise(s_w, "within-class covariance"))
     gap = means - center
     s_b = (gap * counts[:, None]).T @ gap / n
@@ -450,11 +439,10 @@ def _fit_plda(data: Dataset, config: dict, seed: int) -> TargetModel:
 def _fit_linear(data: Dataset, config: dict, seed: int) -> TargetModel:
     if data.class_count != 2:
         raise BadSpec("the linear fixture family is binary only")
-    eps = float(config.get("clip_eps", 1e-6))
     X = np.column_stack([data.features, np.ones(data.n_rows)])
     target = (data.labels == 1).astype(float)
     coef, *_ = np.linalg.lstsq(X, target, rcond=None)
-    params = {"weights": coef[:-1], "bias": float(coef[-1]), "clip_eps": eps}
+    params = {"weights": coef[:-1], "bias": float(coef[-1]), "clip_eps": CLIP_EPS}
     return TargetModel("linear", 2, params, dict(config), seed)
 
 
@@ -489,15 +477,13 @@ def fit_model(family: str, data: Dataset, config: dict | None = None, seed: int 
 
 def _gaussian_log_joint(model: TargetModel, X: np.ndarray) -> np.ndarray:
     p = model.parameters
-    means, cov = p["means"], p["covariance"]
+    means = p["means"]
     C, d = means.shape
+    chol = _chol_or_raise(p["covariance"], "covariance")
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     out = np.zeros((X.shape[0], C))
     for c in range(C):
-        sigma = cov if p["shared"] else cov[c]
-        chol = _chol_or_raise(sigma, "covariance")
-        diff = X - means[c]
-        z = np.linalg.solve(chol, diff.T).T
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        z = np.linalg.solve(chol, (X - means[c]).T).T
         out[:, c] = -0.5 * (np.sum(z * z, axis=1) + logdet + d * math.log(2 * math.pi))
     return out + p["log_priors"]
 
@@ -520,16 +506,16 @@ def predict_proba(model: TargetModel, X: np.ndarray) -> np.ndarray:
 def _family_proba(model: TargetModel, X: np.ndarray) -> np.ndarray:
     p = model.parameters
     if model.family == "gaussian":
-        return _softmax(_gaussian_log_joint(model, X))
+        return softmax(_gaussian_log_joint(model, X))
     if model.family == "logistic":
-        return _softmax(X @ p["weights"].T + p["bias"])
+        return softmax(X @ p["weights"].T + p["bias"])
     if model.family == "mlp":
         H = np.tanh(X @ p["W1"].T + p["b1"])
-        return _softmax(H @ p["W2"].T + p["b2"])
+        return softmax(H @ p["W2"].T + p["b2"])
     if model.family == "plda":
         U = (X - p["center"]) @ p["projection"]
         sq = ((U[:, None, :] - p["latent_means"][None]) ** 2).sum(axis=2)
-        return _softmax(-0.5 * sq + p["log_priors"])
+        return softmax(-0.5 * sq + p["log_priors"])
     if model.family == "linear":
         eps = p["clip_eps"]
         p1 = np.clip(X @ p["weights"] + p["bias"], eps, 1.0 - eps)
@@ -638,7 +624,7 @@ def jsonable(value):
 
 # The array parameters of each family, with their shapes: a letter names
 # a dimension that must agree across the family's arrays, and C is the
-# checkpoint's class_count. A per-class gaussian covariance is "Cdd".
+# checkpoint's class_count.
 _PARAM_SHAPES = {
     "gaussian": {"means": "Cd", "covariance": "dd", "log_priors": "C"},
     "logistic": {"weights": "Cd", "bias": "C"},
@@ -653,9 +639,9 @@ def model_from_dict(payload: dict) -> TargetModel:
     """A model from its checkpoint document. Anything a fit could not have
     written raises BadSpec: a missing key, an array that does not convert
     to finite floats, shapes that disagree with each other or with
-    ``class_count``, a PLDA ``psi`` that is not positive, a linear
-    ``bias`` or ``clip_eps`` out of range, or a non-finite number in the
-    config."""
+    ``class_count``, a gaussian ``shared`` other than true, a PLDA ``psi``
+    that is not positive, a linear ``bias`` or ``clip_eps`` out of range,
+    or a non-finite number in the config."""
     try:
         family = payload["family"]
         class_count = payload["class_count"]
@@ -673,14 +659,10 @@ def model_from_dict(payload: dict) -> TargetModel:
         raise BadSpec("checkpoint config holds a NaN or infinite number") from None
     if type(class_count) is not int or class_count < 2 or (family == "linear" and class_count != 2):
         raise BadSpec(f"a {family} checkpoint cannot have class_count {class_count!r}")
-    shapes = dict(_PARAM_SHAPES[family])
-    if family == "gaussian":
-        if not isinstance(parameters.get("shared"), bool):
-            raise BadSpec("a gaussian checkpoint needs 'shared' as true or false")
-        if not parameters["shared"]:
-            shapes["covariance"] = "Cdd"
+    if family == "gaussian" and parameters.get("shared") is not True:
+        raise BadSpec("a gaussian checkpoint needs 'shared' as true: every gaussian fit shares one covariance")
     dims = {"C": class_count}
-    for key, letters in shapes.items():
+    for key, letters in _PARAM_SHAPES[family].items():
         if key not in parameters:
             raise BadSpec(f"checkpoint for {family!r} is missing parameter {key!r}")
         try:
