@@ -291,9 +291,9 @@ def _cmd_explain_mmd_critic(args) -> tuple[dict, int]:
     from .learners import KernelConfig
 
     data = load_csv(args.data, args.label_column)
-    kernel = KernelConfig(bandwidth=args.bandwidth)
-    proto = mmd_prototypes(data, args.prototypes, kernel)
-    crit = mmd_criticisms(data, proto.indices, args.criticisms, kernel)
+    proto = mmd_prototypes(data, args.prototypes, KernelConfig(bandwidth=args.bandwidth))
+    # reuse the bandwidth the prototypes resolved: the median heuristic runs once
+    crit = mmd_criticisms(data, proto.indices, args.criticisms, KernelConfig(proto.bandwidth))
     config = {
         "data": args.data,
         "prototypes": args.prototypes,

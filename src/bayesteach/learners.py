@@ -174,7 +174,11 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
     sum of one term per class, and each (target, class, subset rows) term
     is scored once even when a joint space repeats it. ``block_terms``
     exposes the terms for subset spaces whose pools are single classes.
+    Data of another width than the model's raises DimensionMismatch.
     """
+    width = model.parameters["center"].shape[0]
+    if data.n_features != width:
+        raise DimensionMismatch(f"the plda model expects {width} features, the data has {data.n_features}")
     shape = model.parameters["latent_means"].shape
 
     def theta_array(theta: TargetInference) -> np.ndarray:
@@ -331,11 +335,14 @@ def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: fl
     class's score depends only on that class's rows, so ``block_terms``
     scores single-class pools apart and combines them by the same softmax.
     A score that overflows (a squared distance over a tiny temperature)
-    raises ``NonFiniteResult``, since the softmax of -inf scores is NaN.
+    raises ``NonFiniteResult``, since the softmax of -inf scores is NaN,
+    and a point of another width than the data ``DimensionMismatch``.
     """
     if temperature <= 0:
         raise BadSpec("temperature must be positive")
     point = np.asarray(point, dtype=float)
+    if point.shape != (data.n_features,):
+        raise DimensionMismatch(f"the point has shape {point.shape}, the data {data.n_features} features")
 
     def check_theta(theta: TargetInference) -> None:
         if theta.kind is not ThetaKind.PREDICTED_LABEL:

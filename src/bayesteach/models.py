@@ -41,6 +41,10 @@ FAMILIES = ("gaussian", "logistic", "mlp", "plda", "linear")
 RIDGE = 1e-6  # added to the gaussian and plda covariance diagonals
 LOGISTIC_REG = 1e-2  # L2 weight decay of the logistic fit
 CLIP_EPS = 1e-6  # linear class-1 probabilities are clipped to [eps, 1 - eps]
+# Floats an mlp epoch holds at once per hidden unit or class and per row,
+# feature or class. Measured with tracemalloc at 1-1,000 hidden units and
+# 2-50 classes: 3.0-6.9.
+MLP_EPOCH_ARRAYS = 10
 
 
 @record
@@ -347,9 +351,16 @@ def _fit_gaussian(data: Dataset, config: dict, seed: int) -> TargetModel:
     return TargetModel("gaussian", C, params, dict(config), seed)
 
 
+def _epochs(config: dict, default: int) -> int:
+    epochs = int(config.get("epochs", default))
+    if not 0 <= epochs <= MAX_DRAWS:
+        raise BadSpec(f"epochs must be in [0, {MAX_DRAWS}], got {epochs}")
+    return epochs
+
+
 def _fit_logistic(data: Dataset, config: dict, seed: int) -> TargetModel:
     lr = float(config.get("learning_rate", 0.5))
-    epochs = int(config.get("epochs", 600))
+    epochs = _epochs(config, 600)
     C, d, n = data.class_count, data.n_features, data.n_rows
     W = np.zeros((C, d))
     b = np.zeros(C)
@@ -366,8 +377,13 @@ def _fit_logistic(data: Dataset, config: dict, seed: int) -> TargetModel:
 def _fit_mlp(data: Dataset, config: dict, seed: int) -> TargetModel:
     hidden = int(config.get("hidden", 16))
     lr = float(config.get("learning_rate", 0.05))
-    epochs = int(config.get("epochs", 400))
+    epochs = _epochs(config, 400)
     C, d, n = data.class_count, data.n_features, data.n_rows
+    if hidden < 1:
+        raise BadSpec(f"an mlp needs at least one hidden unit, got {hidden}")
+    if (hidden + C) * (n + d + C) * MLP_EPOCH_ARRAYS > MAX_DRAWS:
+        raise BadSpec(f"an mlp epoch holds {MLP_EPOCH_ARRAYS} x ({hidden} hidden units + {C} classes) x "
+                      f"{n + d + C} rows, features and classes, over the limit of {MAX_DRAWS} entries")
     rng = np.random.default_rng(seed)
     W1 = 0.1 * rng.standard_normal((hidden, d))
     b1 = np.zeros(hidden)

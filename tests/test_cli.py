@@ -54,10 +54,11 @@ def run_err(capsys, argv, code):
 
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
-    """A workspace with a dataset, two fitted models, and a probe point."""
+    """A workspace with a dataset, three fitted models, and a probe point."""
     root = tmp_path_factory.mktemp("cli_ws")
     paths = {
         "data": str(root / "data.csv"),
+        "gaussian": str(root / "gaussian.json"),
         "logistic": str(root / "logistic.json"),
         "plda": str(root / "plda.json"),
         "point": str(root / "point.csv"),
@@ -71,14 +72,11 @@ def ws(tmp_path_factory):
         "--separation", "4.0", "--seed", "3",
         "--csv", paths["data"], "--out", scratch,
     ]) == 0
-    assert cli.main([
-        "model", "fit", "--data", paths["data"], "--family", "logistic",
-        "--seed", "0", "--save", paths["logistic"], "--out", scratch,
-    ]) == 0
-    assert cli.main([
-        "model", "fit", "--data", paths["data"], "--family", "plda",
-        "--seed", "0", "--save", paths["plda"], "--out", scratch,
-    ]) == 0
+    for family in ("gaussian", "logistic", "plda"):
+        assert cli.main([
+            "model", "fit", "--data", paths["data"], "--family", family,
+            "--seed", "0", "--save", paths[family], "--out", scratch,
+        ]) == 0
     with open(paths["point"], "w", encoding="utf-8") as fh:
         fh.write("f0,f1\n0.25,-0.1\n")
     return paths
@@ -207,6 +205,16 @@ def test_mmd_critic_document(capsys, ws):
     assert len(doc["result"]["prototypes"]["indices"]) == 2
     assert len(doc["result"]["criticisms"]["indices"]) == 1
     assert doc["diagnostics"]["final_mmd2"] >= 0.0
+
+
+def test_mmd_critic_runs_the_median_heuristic_once(capsys, ws, monkeypatch):
+    from bayesteach import learners
+
+    calls, median = [], learners.median_bandwidth
+    monkeypatch.setattr(learners, "median_bandwidth", lambda data: calls.append(data.shape) or median(data))
+    run_ok(capsys, ["explain", "mmd-critic", "--data", ws["data"], "--prototypes", "2", "--criticisms", "2"],
+           "explain")
+    assert calls == [(12, 2)]
 
 
 def test_mmd_critic_with_every_row_a_prototype_exits_3(capsys, ws):
@@ -632,6 +640,74 @@ def test_diverging_fit_exits_4_and_saves_nothing(capsys, ws, tmp_path):
     assert not save.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--family", "mlp", "--hidden", "-1"], "an mlp needs at least one hidden unit, got -1"),
+    (["--family", "mlp", "--hidden", "0"], "an mlp needs at least one hidden unit, got 0"),
+    (["--family", "mlp", "--epochs", "-1"], "epochs must be in [0, 16777216], got -1"),
+    (["--family", "logistic", "--epochs", "-1"], "epochs must be in [0, 16777216], got -1"),
+    (["--family", "mlp", "--hidden", "104856", "--epochs", "0"],
+     "an mlp epoch holds 10 x (104856 hidden units + 2 classes) x 16 rows, features and classes, "
+     "over the limit of 16777216 entries"),
+], ids=["negative-hidden", "zero-hidden", "negative-mlp-epochs", "negative-logistic-epochs",
+        "mlp-epoch-working-set"])
+def test_model_fit_out_of_bounds_exits_3_and_saves_nothing(capsys, ws, tmp_path, flags, message):
+    save = tmp_path / "x.json"
+    err = run_err(capsys, ["model", "fit", "--data", ws["data"], "--seed", "0", "--save", str(save), *flags],
+                  cli.DATA_EXIT)
+    assert (err["type"], err["message"]) == ("BadSpec", message)
+    assert not save.exists()
+
+
+@pytest.mark.parametrize("family", ["logistic", "mlp"])
+def test_model_fit_epochs_over_the_limit_exit_3(capsys, ws, tmp_path, monkeypatch, family):
+    from bayesteach import models
+
+    # a limit of 5 stands in for MAX_DRAWS, so an over-limit fit would end at once
+    monkeypatch.setattr(models, "MAX_DRAWS", 5)
+    save = tmp_path / "x.json"
+    err = run_err(capsys, ["model", "fit", "--data", ws["data"], "--family", family, "--epochs", "6",
+                           "--seed", "0", "--save", str(save)], cli.DATA_EXIT)
+    assert err["message"] == "epochs must be in [0, 5], got 6"
+    assert not save.exists()
+
+
+def test_one_hidden_unit_and_no_epoch_fit_and_inspect(capsys, ws, tmp_path):
+    save = str(tmp_path / "mlp.json")
+    run_ok(capsys, ["model", "fit", "--data", ws["data"], "--family", "mlp", "--hidden", "1",
+                    "--epochs", "0", "--seed", "0", "--save", save], "model")
+    doc, _ = run_ok(capsys, ["model", "inspect", "--model", save], "model")
+    assert doc["result"]["parameter_shapes"]["W1"] == [1, 2]
+    assert doc["result"]["parameter_shapes"]["loss_trace"] == [1]
+
+
+_WIDTH_MISMATCHES = {
+    "plda-examples": ["explain", "plda-examples", "--model", "{plda}", "--data", "{wide}", "--per-class-k", "1"],
+    "plda-examples-independent": ["explain", "plda-examples", "--model", "{plda}", "--data", "{wide}",
+                                  "--per-class-k", "1", "--independent"],
+    "recombine-plda": ["explain", "recombine", "--theta", "latent-class-means", "--x-kind", "example-set",
+                       "--learner", "plda", "--strategy", "exhaustive-max", "--model", "{plda}",
+                       "--data", "{wide}", "--param", "per_class_k=1", "--seed", "0"],
+    "recombine-nearest-class": ["explain", "recombine", "--theta", "predicted-label", "--x-kind", "example-set",
+                                "--learner", "nearest-class", "--strategy", "exhaustive-max", "--model", "{plda}",
+                                "--data", "{wide}", "--point", "{point}", "--seed", "0"],
+    "study-example-selection": ["study", "run", "--config", "{study}", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDTH_MISMATCHES))
+def test_data_of_another_width_than_the_model_exits_3(capsys, ws, tmp_path, name):
+    """Three-feature data against a two-feature plda model and point."""
+    wide = str(tmp_path / "wide.csv")
+    assert cli.main(["dataset", "make", "--generator", "gaussian-blobs", "--classes", "2", "--dim", "3",
+                     "--per-class", "4", "--seed", "3", "--csv", wide, "--out", str(tmp_path / "make.json")]) == 0
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({"study": "example-selection", "model": ws["plda"], "data": wide,
+                                 "params": {"per_class_k": 1, "trials": 5, "random_subset_count": 5}}))
+    argv = [a.format(plda=ws["plda"], wide=wide, point=ws["point"], study=study) for a in _WIDTH_MISMATCHES[name]]
+    err = run_err(capsys, argv, cli.DATA_EXIT)
+    assert err["type"] == "DimensionMismatch"
+
+
 @pytest.mark.parametrize("combination, params, unknown, accepted", [
     (["--theta", "latent-class-means", "--x-kind", "example-set", "--learner", "plda",
       "--strategy", "mh-sample"],
@@ -847,9 +923,10 @@ _SHAP_EXACT = ["explain", "shap", "--point", "{point}", "--background", "{data}"
     ("plda", _set_cell("psi", -1.0), _PLDA_EXAMPLES),
     ("logistic", _set_cell("bias", math.inf), _RISE),
     ("logistic", _set_cell("bias", math.inf), _SHAP_EXACT),
+    ("gaussian", lambda p: p.update(shared=False, covariance=[p["covariance"]] * 2), ["model", "inspect"]),
 ], ids=["non-numeric-array", "short-latent-means", "projection-rows-plda-examples",
         "projection-rows-inspect", "nan-latent-mean", "zero-psi", "negative-psi",
-        "infinite-bias-rise", "infinite-bias-shap"])
+        "infinite-bias-rise", "infinite-bias-shap", "per-class-covariance"])
 def test_malformed_checkpoint_exits_3(capsys, ws, tmp_path, family, edit, command):
     path = _edit_checkpoint(ws[family], edit, tmp_path / "edited.json")
     argv = [arg.format(data=ws["data"], point=ws["point"]) for arg in command]

@@ -162,3 +162,32 @@ def test_only_the_strategy_layer_runs_a_search_of_core(module):
     ``teacher.run_strategy``, the only caller of core's argmax, Metropolis
     walk and mask average."""
     assert sorted(core_names(PACKAGE / f"{module}.py") & SEARCHES) == []
+
+
+def config_keys(tree: ast.AST) -> set:
+    """The constant keys read from a name ``config``, as ``config.get(key)``
+    or ``config[key]``."""
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+            target, key = node.func.value, node.args[0] if node.args else None
+        elif isinstance(node, ast.Subscript):
+            target, key = node.value, node.slice
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == "config" and isinstance(key, ast.Constant):
+            keys.add(key.value)
+    return keys
+
+
+def test_every_fit_option_has_a_model_fit_flag():
+    """A key a fitter reads from its config that no ``model fit`` flag can
+    set is a configuration nothing runs; it belongs in a constant."""
+    read = config_keys(ast.parse((PACKAGE / "models.py").read_text(encoding="utf-8")))
+    builder = next(
+        node for node in ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_model_config_from_args"
+    )
+    settable = {node.value for node in ast.walk(builder) if isinstance(node, ast.Constant)}
+    assert "epochs" in read
+    assert sorted(read - settable) == [], "no model fit flag sets these config keys"
