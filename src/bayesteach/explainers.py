@@ -11,8 +11,11 @@ target, explanation space, and search strategy.
 
 The example, prototype and saliency methods build their learner, target
 and space and search them through ``teacher.run_strategy``, looked up at
-call time; they keep no search of their own. Results are records, which
-``models.jsonable`` turns into their documents field by field.
+call time; they keep no search of their own. Kernel SHAP scores its
+coalitions by the masked-prediction learner's values over a background,
+and fits them by ``weighted_fit``, LIME's kernel-weighted regression.
+Results are records, which ``models.jsonable`` turns into their documents
+field by field.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from dataclasses import field
 import numpy as np
 
 from . import core, teacher
-from .errors import BadSpec, DimensionMismatch, NonFiniteResult, SingularSystem
+from .errors import BadSpec, NonFiniteResult, SingularSystem
 from .learners import (
     KernelConfig,
     class_column,
     make_masked_prediction_learner,
     make_mmd_learner,
     make_plda_learner,
+    masked_batch_values,
     witness,
 )
 from .models import Dataset, TargetModel, batch_predictor, softmax
@@ -229,21 +233,24 @@ class ShapReport:
     coalition_count: int
 
 
-def _coalition_values(predict, point, background, rows: np.ndarray, target_class: int) -> np.ndarray:
-    """Mean prediction over the background for each 0/1 coalition row."""
-    n_bg = background.shape[0]
-    n_rows = rows.shape[0]
-    composites = np.where(
-        rows[:, None, :] > 0, point[None, None, :], background[None, :, :]
-    ).reshape(n_rows * n_bg, -1)
-    probs = class_column(predict(composites), target_class).reshape(n_rows, n_bg)
-    return probs.mean(axis=1)
+def coalition_rows(sizes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """0/1 coalition rows: row i holds the positions whose rank in
+    ``uniforms[i]`` falls below ``sizes[i]``. Over iid uniforms every
+    coalition of a row's size is equally likely."""
+    ranks = uniforms.argsort(axis=1).argsort(axis=1)
+    return (ranks < sizes[:, None]).astype(np.float64)
 
 
-def _shapley_kernel_weights(sizes: np.ndarray, d: int) -> np.ndarray:
-    return np.array([
-        (d - 1) / (math.comb(d, int(s)) * int(s) * (d - int(s))) for s in sizes
-    ])
+def weighted_fit(X: np.ndarray, y: np.ndarray, w: np.ndarray, p: np.ndarray, remedy: str) -> np.ndarray:
+    """The beta minimising sum_i w_i (y_i - X_i . beta)^2 + sum_j p_j beta_j^2,
+    from the normal equations. A penalised system [sqrt(w) X; diag(sqrt p)]
+    of rank below its column count, by lstsq's rcond=None rule, leaves the
+    fit unidentified and raises SingularSystem, whose message ends in
+    ``remedy``."""
+    rank = np.linalg.matrix_rank(np.vstack([np.sqrt(w)[:, None] * X, np.diag(np.sqrt(p))[p > 0]]))
+    if rank < X.shape[1]:
+        raise SingularSystem(f"the weighted design has rank {rank} < {X.shape[1]} coefficients; {remedy}")
+    return np.linalg.solve(X.T @ (w[:, None] * X) + np.diag(p), X.T @ (w * y))
 
 
 def kernel_shap(
@@ -257,14 +264,15 @@ def kernel_shap(
 ) -> ShapReport:
     """Additive attributions by kernel-weighted least squares.
 
-    Exact mode enumerates every nontrivial coalition; the two boundary
-    coalitions enter as hard constraints (intercept fixed at the empty
-    value, attributions summing to full minus empty), enforced by
-    eliminating the last attribution from the regression. Sampled mode
-    draws ``n_samples`` coalitions; fewer than one raises BadSpec. So
-    does a request whose coalition rows, times the background rows and
-    the features, exceed ``core.MAX_DRAWS`` entries, before anything is
-    evaluated.
+    A coalition's value is the masked-prediction learner's, averaged over
+    the background (``masked_batch_values``). Exact mode enumerates every
+    nontrivial coalition; the two boundary coalitions enter as hard
+    constraints (intercept fixed at the empty value, attributions summing
+    to full minus empty), enforced by eliminating the last attribution
+    before ``weighted_fit``. Sampled mode draws ``n_samples`` coalitions;
+    fewer than one raises BadSpec. So does a request whose coalition
+    rows, times the background rows and the features, exceed
+    ``core.MAX_DRAWS`` entries, before anything is evaluated.
     """
     if mode not in ("exact", "sampled"):
         raise BadSpec(f"unknown mode {mode!r}; use exact or sampled")
@@ -272,11 +280,6 @@ def kernel_shap(
         raise BadSpec(f"sampled mode needs n_samples >= 1, got {n_samples}")
     point = np.asarray(point, dtype=float)
     background = np.atleast_2d(np.asarray(background, dtype=float))
-    if background.shape[1] != point.shape[0]:
-        raise DimensionMismatch(
-            f"background rows have {background.shape[1]} features for a "
-            f"{point.shape[0]}-feature point"
-        )
     d = point.shape[0]
     coalitions = 0 if d == 1 else 2**d - 2 if mode == "exact" else n_samples
     if coalitions * background.shape[0] * d > core.MAX_DRAWS:
@@ -287,41 +290,30 @@ def kernel_shap(
         target_class = int(np.argmax(predict(point[None, :])[0]))
 
     boundary = np.stack([np.zeros(d), np.ones(d)])
-    base_value, full_value = _coalition_values(predict, point, background, boundary, target_class)
+    base_value, full_value = masked_batch_values(predict, point, boundary, target_class, background)
     delta = full_value - base_value
     if d == 1:
         return ShapReport(np.array([delta]), float(base_value), float(full_value), target_class, mode, 2)
 
     if mode == "exact":
-        bits = np.arange(1, 2**d - 1)
-        rows = (bits[:, None] >> np.arange(d)[None, :]) & 1
-        rows = rows.astype(np.float64)
-        weights = _shapley_kernel_weights(rows.sum(axis=1), d)
+        rows = ((np.arange(1, 2**d - 1)[:, None] >> np.arange(d)) & 1).astype(np.float64)
+        sizes = rows.sum(axis=1).astype(int).tolist()
+        weights = np.array([(d - 1) / (math.comb(d, s) * s * (d - s)) for s in sizes])  # the Shapley kernel
     else:
         rng = np.random.default_rng(seed)
         sizes = np.arange(1, d)
         size_probs = (d - 1) / (sizes * (d - sizes))
         size_probs = size_probs / size_probs.sum()
-        drawn = rng.choice(sizes, size=n_samples, p=size_probs)
-        rows = np.zeros((n_samples, d))
-        for i, s in enumerate(drawn):
-            rows[i, rng.choice(d, size=int(s), replace=False)] = 1.0
+        rows = coalition_rows(rng.choice(sizes, size=n_samples, p=size_probs), rng.random((n_samples, d)))
         weights = np.ones(n_samples)
 
-    values = _coalition_values(predict, point, background, rows, target_class)
+    values = masked_batch_values(predict, point, rows, target_class, background)
     # Eliminate phi_{d-1} via the efficiency constraint.
     y = values - base_value - rows[:, -1] * delta
     design = rows[:, :-1] - rows[:, -1:]
-    sqrt_w = np.sqrt(weights)
-    solution, _, rank, _ = np.linalg.lstsq(sqrt_w[:, None] * design, sqrt_w * y, rcond=None)
-    if rank < d - 1:
-        raise SingularSystem(
-            f"coalition design has rank {rank} < {d - 1}; add samples or background variety"
-        )
+    solution = weighted_fit(design, y, weights, np.zeros(d - 1), "add samples or background variety")
     phi = np.concatenate([solution, [delta - solution.sum()]])
-    return ShapReport(
-        phi, float(base_value), float(full_value), target_class, mode, rows.shape[0] + 2
-    )
+    return ShapReport(phi, float(base_value), float(full_value), target_class, mode, rows.shape[0] + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +363,9 @@ def lime_local(
     target_class: int = 1,
 ) -> LimeReport:
     """Ridge regression from Gaussian probes to the target class
-    probability, weighted by an rbf kernel around the point."""
+    probability, weighted by an rbf kernel around the point, by
+    ``weighted_fit``: a design of lower rank than its coefficients, such
+    as no ridge and no more probes than features, raises SingularSystem."""
     point = np.asarray(point, dtype=float)
     if ridge < 0:
         raise BadSpec("ridge must be nonnegative")
@@ -380,14 +374,8 @@ def lime_local(
     target = class_column(predict(probes), target_class)
 
     design = np.column_stack([probes, np.ones(probe_count)])
-    wd = weights[:, None] * design
-    gram = design.T @ wd
-    penalty = ridge * np.eye(point.shape[0] + 1)
-    penalty[-1, -1] = 0.0  # the intercept is never shrunk
-    try:
-        coef = np.linalg.solve(gram + penalty, design.T @ (weights * target))
-    except np.linalg.LinAlgError:
-        raise SingularSystem("probe design is degenerate") from None
+    penalty = np.append(np.full(point.shape[0], ridge), 0.0)  # the intercept is never shrunk
+    coef = weighted_fit(design, target, weights, penalty, "add probes or a ridge")
 
     fitted = design @ coef
     total = float(weights.sum())
@@ -395,9 +383,7 @@ def lime_local(
     ss_res = float(weights @ (target - fitted) ** 2)
     ss_tot = float(weights @ (target - mean_target) ** 2)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return LimeReport(
-        coef[:-1], float(coef[-1]), r2, target_class, kernel_width, probe_count
-    )
+    return LimeReport(coef[:-1], float(coef[-1]), r2, target_class, kernel_width, probe_count)
 
 
 # ---------------------------------------------------------------------------

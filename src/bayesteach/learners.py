@@ -257,16 +257,22 @@ def masked_batch_values(
     label: int,
     baseline: np.ndarray | float = 0.0,
 ) -> np.ndarray:
+    """Probability of ``label`` under each mask's composite. The baseline
+    is a scalar, a row, or an (m, d) background; a background's m
+    composites per mask are scored and their probabilities averaged, so a
+    one-row background gives the values of that row as baseline."""
     predict = batch_predictor(model_or_fn)
     point = np.asarray(point, dtype=float)
     masks = np.atleast_2d(np.asarray(masks, dtype=float))
-    if masks.shape[1] != point.shape[0]:
-        raise DimensionMismatch(
-            f"masks have {masks.shape[1]} entries for a {point.shape[0]}-feature point"
-        )
-    base = np.broadcast_to(np.asarray(baseline, dtype=float), point.shape)
-    composites = base + masks * (point - base)
-    return class_column(predict(composites), label)
+    base = np.asarray(baseline, dtype=float)
+    if base.ndim < 2:
+        base = np.broadcast_to(base, point.shape)[None, :]
+    for name, width in (("masks", masks.shape[1]), ("background rows", base.shape[1])):
+        if width != point.shape[0]:
+            raise DimensionMismatch(f"{name} have {width} entries for a {point.shape[0]}-feature point")
+    composites = base + masks[:, None, :] * (point - base)
+    values = class_column(predict(composites.reshape(-1, point.shape[0])), label)
+    return values.reshape(masks.shape[0], base.shape[0]).mean(axis=1)
 
 
 def class_column(probs: np.ndarray, label: int) -> np.ndarray:

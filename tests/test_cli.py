@@ -608,6 +608,26 @@ def test_a_kernel_width_whose_squares_overflow_or_vanish_exits_4(capsys, ws, arg
                    "message": f"the probe weights at kernel width {width} are not finite or all zero"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["explain", "lime", "--point", "{point}", "--class", "1", "--ridge", "{ridge}", "--probes", "{probes}"],
+    ["explain", "recombine", "--theta", "local-decision-boundary", "--x-kind", "linear-weights",
+     "--learner", "surrogate-fit", "--strategy", "gradient-fit", "--point", "{point}",
+     "--data", "{data}", "--param", "ridge={ridge}", "--param", "probe_count={probes}"],
+], ids=["lime", "recombine"])
+@pytest.mark.parametrize("ridge, probes, code", [("0", "2", 4), ("0", "3", 0), ("0.001", "2", 0)])
+def test_a_lime_design_of_lower_rank_than_its_coefficients_exits_4(capsys, ws, argv, ridge, probes, code):
+    # two features and an intercept are three coefficients: two probes
+    # without a ridge leave the fit unidentified
+    argv = [a.format(point=ws["point"], data=ws["data"], ridge=ridge, probes=probes) for a in argv]
+    argv += ["--model", ws["logistic"], "--seed", "0"]
+    if code == 0:
+        run_ok(capsys, argv, "explain")
+        return
+    err = run_err(capsys, argv, cli.NUMERICAL_EXIT)
+    assert err == {"type": "SingularSystem", "exit_code": cli.NUMERICAL_EXIT,
+                   "message": "the weighted design has rank 2 < 3 coefficients; add probes or a ridge"}
+
+
 @pytest.mark.parametrize("command", [
     ["rise", "--point", "{point}", "--masks", "20", "--seed", "0"],
     ["shap", "--point", "{point}", "--background", "{data}", "--class", "0", "--exact"],

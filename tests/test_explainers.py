@@ -12,6 +12,7 @@ from bayesteach.checks import TWO_CLUSTER_POINTS
 from bayesteach.core import mh_sample, teacher_posterior
 from bayesteach.errors import BadSpec, DimensionMismatch, ZeroTotalWeight
 from bayesteach.explainers import (
+    coalition_rows,
     distill_tree,
     explain_by_examples,
     kernel_shap,
@@ -313,6 +314,26 @@ def test_shap_symmetry_and_dummy_axioms(rng):
     report = kernel_shap(predict, point, background, target_class=1, mode="exact")
     assert report.phi[0] == pytest.approx(report.phi[1], abs=1e-9)
     assert report.phi[3] == pytest.approx(0.0, abs=1e-10)
+
+
+def test_sampled_coalitions_are_uniform_within_each_size():
+    # over all d! orderings of the uniforms each coalition of size s
+    # comes up s! (d - s)! times
+    d = 5
+    orders = np.array(list(itertools.permutations(range(d))), dtype=float)
+    for s in range(1, d):
+        counts = Counter(tuple(np.flatnonzero(row)) for row in coalition_rows(np.full(len(orders), s), orders))
+        assert len(counts) == math.comb(d, s)
+        assert set(counts.values()) == {math.factorial(s) * math.factorial(d - s)}
+
+
+def test_sampled_shap_is_seed_deterministic(rng):
+    predict = tanh_net(5, 1)
+    point, background = rng.standard_normal(5), rng.standard_normal((4, 5))
+    a, b, c = (kernel_shap(predict, point, background, mode="sampled", n_samples=300, seed=seed)
+               for seed in (3, 3, 4))
+    assert np.array_equal(a.phi, b.phi)
+    assert not np.array_equal(a.phi, c.phi)
 
 
 def test_shap_input_validation(rng):

@@ -191,3 +191,11 @@ def test_every_fit_option_has_a_model_fit_flag():
     settable = {node.value for node in ast.walk(builder) if isinstance(node, ast.Constant)}
     assert "epochs" in read
     assert sorted(read - settable) == [], "no model fit flag sets these config keys"
+
+
+def test_one_weighted_solver_and_one_masked_composite():
+    """Kernel SHAP and LIME share one weighted fit, and SHAP's coalition
+    values are the masked-prediction learner's over a background."""
+    explainers = (PACKAGE / "explainers.py").read_text(encoding="utf-8")
+    assert explainers.count("np.linalg.lstsq") + explainers.count("np.linalg.solve") == 1
+    assert all("_coalition_values" not in p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py"))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bayesteach import oracle
 from bayesteach.errors import BadSpec, DimensionMismatch, MissingClass
 from bayesteach.learners import (
     BiasConfig,
@@ -15,12 +16,13 @@ from bayesteach.learners import (
     make_mmd_learner,
     make_nearest_class_learner,
     make_plda_learner,
+    masked_batch_values,
     masked_prediction_likelihood,
     median_bandwidth,
     mmd2,
     witness,
 )
-from bayesteach.models import Dataset, fit_model, plda_posterior_over_means, predict_proba
+from bayesteach.models import Dataset, fit_model, plda_posterior_over_means, predict_proba, softmax
 from bayesteach.types import (
     Explanation,
     ExplanationKind,
@@ -225,6 +227,39 @@ def test_masked_batch_dimension_check(logistic_grid, grid_image):
     point = grid_image.features[0]
     with pytest.raises(DimensionMismatch):
         masked_prediction_likelihood(logistic_grid, point, np.ones(3), 0)
+
+
+def random_net(rng, d):
+    W1, W2 = rng.standard_normal((d, 5)), rng.standard_normal((5, 3))
+    return lambda X: softmax(np.tanh(np.asarray(X) @ W1) @ W2)
+
+
+def test_a_background_averages_the_masked_predictions_over_its_rows(rng):
+    # the coalition value the oracle computes row by row, feature by feature
+    for _ in range(10):
+        d = int(rng.integers(2, 8))
+        predict = random_net(rng, d)
+        point = rng.standard_normal(d)
+        background = rng.standard_normal((int(rng.integers(1, 10)), d))
+        masks = (rng.random((16, d)) < 0.5).astype(float)
+        value = oracle.coalition_value_fn(predict, point, background, 1)
+        expected = [value(tuple(np.flatnonzero(mask).tolist())) for mask in masks]
+        values = masked_batch_values(predict, point, masks, 1, background)
+        np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0)
+
+
+def test_a_one_row_background_is_that_row_as_baseline_bit_for_bit(rng):
+    d = 6
+    predict = random_net(rng, d)
+    point, row = rng.standard_normal(d), rng.standard_normal(d)
+    masks = (rng.random((64, d)) < 0.5).astype(float)
+    single = predict(row + masks * (point - row))[:, 2]
+    assert np.array_equal(masked_batch_values(predict, point, masks, 2, row), single)
+    assert np.array_equal(masked_batch_values(predict, point, masks, 2, row[None, :]), single)
+    scalar = predict(0.5 + masks * (point - 0.5))[:, 2]
+    assert np.array_equal(masked_batch_values(predict, point, masks, 2, 0.5), scalar)
+    with pytest.raises(DimensionMismatch):
+        masked_batch_values(predict, point, masks, 2, np.zeros((3, d + 1)))
 
 
 # ---------------------------------------------------------------------------
