@@ -37,7 +37,7 @@ from .learners import (
     witness,
 )
 from .models import Dataset, TargetModel, batch_predictor, softmax
-from .spaces import MaskSpace, SubsetSpace
+from .spaces import MaskSpace, SubsetSpace, coalition_rows
 from .types import TargetInference, ThetaKind, example_set, record
 
 
@@ -231,14 +231,6 @@ class ShapReport:
     target_class: int
     mode: str
     coalition_count: int
-
-
-def coalition_rows(sizes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """0/1 coalition rows: row i holds the positions whose rank in
-    ``uniforms[i]`` falls below ``sizes[i]``. Over iid uniforms every
-    coalition of a row's size is equally likely."""
-    ranks = uniforms.argsort(axis=1).argsort(axis=1)
-    return (ranks < sizes[:, None]).astype(np.float64)
 
 
 def weighted_fit(X: np.ndarray, y: np.ndarray, w: np.ndarray, p: np.ndarray, remedy: str) -> np.ndarray:

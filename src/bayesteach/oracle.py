@@ -79,14 +79,14 @@ def best_subset_bruteforce(
 
 def _subset_walk(space: SubsetSpace):
     """Start, block draws and move of a subset space, on the concatenated
-    payload: one chosen row is swapped for one unchosen row of a
-    uniformly drawn pool."""
+    payload: each pool starts at its k rows of lowest uniform, and a move
+    swaps one chosen row for one unchosen row of a uniformly drawn pool."""
 
     def initial_state(rng: np.random.Generator) -> Explanation:
         parts = []
         for pool, k in zip(space._pools, space._ks):
-            chosen = rng.choice(len(pool), size=k, replace=False)
-            parts.extend(sorted(pool[i] for i in chosen))
+            by_uniform = sorted(range(len(pool)), key=rng.random(len(pool)).tolist().__getitem__)
+            parts.extend(sorted(pool[i] for i in by_uniform[:k]))
         return example_set(parts)
 
     def moves(rng: np.random.Generator, count: int):

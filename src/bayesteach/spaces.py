@@ -19,10 +19,18 @@ from typing import Hashable, Iterator
 import numpy as np
 
 from .errors import BadSpec, NotEnumerable
-from .types import Explanation, ExplanationKind, example_set, feature_mask
+from .types import MAX_DRAWS, Explanation, ExplanationKind, example_set, feature_mask
 
 # Spaces larger than this refuse exhaustive enumeration.
 MAX_ENUMERATION = 1 << 20
+
+
+def coalition_rows(sizes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """0/1 coalition rows: row i holds the positions whose rank in
+    ``uniforms[i]`` falls below ``sizes[i]``. Over iid uniforms every
+    coalition of a row's size is equally likely."""
+    ranks = uniforms.argsort(axis=1).argsort(axis=1)
+    return (ranks < sizes[:, None]).astype(np.float64)
 
 
 class ExplanationSpace:
@@ -59,8 +67,8 @@ class ExplanationSpace:
     # hashable segment; the Explanation is built from the parts only when
     # one is read. By default there is one part, the Explanation itself.
     # Part c has ``radices[c]`` possible segments and ``spans[c]`` moves
-    # from each. The chain starts with the draws of ``initial_state``,
-    # then draws its moves in blocks: ``chain_moves`` gives the part and
+    # from each. The chain starts from one draw (``chain_start``), then
+    # draws its moves in blocks: ``chain_moves`` gives the part and
     # the move of ``count`` steps as two int arrays from a few array
     # draws, and ``segment_step`` applies one move to one part without
     # drawing, returning the segment itself when the move keeps it.
@@ -152,13 +160,24 @@ class SubsetSpace(ExplanationSpace):
     # identical probability. It is ``drop * free + j``: the position of
     # the dropped row among the pool's k chosen rows, and of the added row
     # among its ``free`` unchosen rows. A pool with no unchosen row draws
-    # j from [0, 1) and keeps its segment.
+    # j from [0, 1) and keeps its segment. The start is one ``draw``.
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n uniform draws as the rows of an (n, sum of k) int array: pool
+        by pool, ``rng.random((n, len(pool)))`` picks the k rows of lowest
+        rank (``coalition_rows``), in ascending order. n < 1, or more than
+        ``MAX_DRAWS`` uniforms, raises BadSpec before anything is drawn."""
+        width = sum(map(len, self._pools))
+        if n < 1 or n * width > MAX_DRAWS:
+            raise BadSpec(f"{n} subsets need n >= 1 and at most {MAX_DRAWS} uniforms, {width} per subset")
+        segments = []
+        for pool, k in zip(self._pools, self._ks):
+            chosen = coalition_rows(np.full(n, k), rng.random((n, len(pool))))
+            segments.append(np.array(pool)[np.nonzero(chosen)[1].reshape(n, k)])
+        return np.hstack(segments)
 
     def chain_start(self, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(sorted(pool[i] for i in rng.choice(len(pool), size=k, replace=False).tolist()))
-            for pool, k in zip(self._pools, self._ks)
-        )
+        return self.state_of(example_set(self.draw(rng, 1)[0]))
 
     def chain_moves(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
         c = rng.integers(len(self._pools), size=count)
@@ -187,9 +206,6 @@ class SubsetSpace(ExplanationSpace):
             state.append(tuple(x.payload[start : start + k]))
             start += k
         return tuple(state)
-
-    def initial_state(self, rng: np.random.Generator) -> Explanation:
-        return self.explanation_of(self.chain_start(rng))
 
 
 class MaskSpace(ExplanationSpace):

@@ -18,7 +18,7 @@ from .errors import BadSpec
 from .learners import BiasConfig, biased_learner, linear_quantile, make_plda_learner
 from .models import Dataset, TargetModel
 from .spaces import SubsetSpace
-from .types import Explanation, LearnerModel, TargetInference, ThetaKind, record
+from .types import Explanation, LearnerModel, TargetInference, ThetaKind, example_set, record
 
 CALIBRATION_BINS = 10
 
@@ -206,10 +206,8 @@ def example_selection_study(
     jittered distractor. One arm shows the teacher's argmax subset on
     every trial; the other draws a fresh random subset per trial. The
     selected subset's likelihood is ranked against ``random_subset_count``
-    random ones, which must be at least 1.
+    random ones; ``SubsetSpace.draw`` refuses a count below 1.
     """
-    if random_subset_count < 1:
-        raise BadSpec(f"random_subset_count must be >= 1, got {random_subset_count}")
     candidates = _plda_candidates(model, distractor_scale, seed, 0xD15, "example selection study")
     base = make_plda_learner(model, data)
     space = SubsetSpace.per_class(data.labels, per_class_k)
@@ -223,18 +221,12 @@ def example_selection_study(
     teacher_task = TwoAfcTask(candidates, 0, selected_x, trials=trials)
     teacher_report = simulate_2afc(SimulatedStudy((member,), (teacher_task,)), seed)
 
-    draw_rng = np.random.default_rng((seed, 0xA11))
-    random_tasks = tuple(
-        TwoAfcTask(candidates, 0, space.initial_state(draw_rng), 1)
-        for _ in range(trials)
-    )
+    shown = space.draw(np.random.default_rng((seed, 0xA11)), trials).tolist()
+    random_tasks = tuple(TwoAfcTask(candidates, 0, example_set(row), 1) for row in shown)
     random_report = simulate_2afc(SimulatedStudy((member,), random_tasks), seed)
 
-    ll_rng = np.random.default_rng((seed, 0x5EED))
-    random_lls = np.array([
-        base.log_likelihood(candidates[0], space.initial_state(ll_rng))
-        for _ in range(random_subset_count)
-    ])
+    ranked = space.draw(np.random.default_rng((seed, 0x5EED)), random_subset_count).tolist()
+    random_lls = np.array([base.log_likelihood(candidates[0], example_set(row)) for row in ranked])
     selected_ll = base.log_likelihood(candidates[0], selected_x)
     percentile_99 = linear_quantile(random_lls, 0.99)
 
@@ -272,11 +264,8 @@ def bias_sensitivity_study(
     candidates = _plda_candidates(model, distractor_scale, seed, 0xB1A5, "bias sweep")
     base = make_plda_learner(model, data)
     space = SubsetSpace.per_class(data.labels, per_class_k)
-    draw_rng = np.random.default_rng((seed, 0xA11))
-    tasks = tuple(
-        TwoAfcTask(candidates, 0, space.initial_state(draw_rng), 1)
-        for _ in range(task_count)
-    )
+    shown = space.draw(np.random.default_rng((seed, 0xA11)), task_count).tolist()
+    tasks = tuple(TwoAfcTask(candidates, 0, example_set(row), 1) for row in shown)
 
     rows = []
     for strength in strengths:
