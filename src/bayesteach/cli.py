@@ -642,6 +642,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """``type=`` of every --seed: numpy seeds only non-negative integers,
+    so any other value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 # every leaf takes these after its own arguments
 _COMMON = [
     ("--out", {"help": "write the JSON document here instead of stdout"}),
@@ -657,7 +669,7 @@ def _commands() -> dict:
     effect."""
     model, data = ("--model", {"required": True}), ("--data", {"required": True})
     label = ("--label-column", {"default": "label"})
-    seed = ("--seed", {"type": int, "required": True})
+    seed = ("--seed", {"type": _seed, "required": True})
     threads = ("--threads", {"type": int, "default": 1})
     render = [("--render", {"choices": ("pgm", "svg")}), ("--render-out", {"help": "render target path"})]
     return {
@@ -702,7 +714,7 @@ def _commands() -> dict:
                 ("--independent", {"action": "store_true", "help": "assemble the argmax class by class"}),
                 ("--mh-steps", {"type": int, "default": 20000}),
                 ("--mh-burn-in", {"type": int, "default": 2000}),
-                ("--seed", {"type": int}),
+                ("--seed", {"type": _seed}),
                 threads,
             ]),
             "mmd-critic": ("prototypes and criticisms", _cmd_explain_mmd_critic, [
@@ -729,7 +741,7 @@ def _commands() -> dict:
                 ("--class", {"dest": "target_class", "type": int, "required": True}),
                 ("--exact", {"action": "store_true"}),
                 ("--samples", {"type": int, "default": 2048}),
-                ("--seed", {"type": int}),
+                ("--seed", {"type": _seed}),
                 *render,
             ]),
             "lime": ("local linear surrogate", _cmd_explain_lime, [
@@ -771,7 +783,7 @@ def _commands() -> dict:
         "oracle": ("cross-check against brute force", "action", {
             "check": ("run an oracle agreement suite", _cmd_oracle_check, [
                 ("--suite", {"default": "all", "choices": ("all", "posterior", "shap", "rise", "mmd")}),
-                ("--seed", {"type": int, "default": 0}),
+                ("--seed", {"type": _seed, "default": 0}),
             ]),
         }),
     }
