@@ -14,7 +14,7 @@ import numpy as np
 
 from . import teacher
 from .core import logsumexp
-from .errors import BadSpec
+from .errors import BadSpec, NonFiniteResult
 from .learners import BiasConfig, biased_learner, linear_quantile, make_plda_learner
 from .models import Dataset, TargetModel
 from .spaces import SubsetSpace
@@ -177,12 +177,16 @@ def _plda_candidates(model: TargetModel, distractor_scale: float, seed: int, key
     """The two candidates of a PLDA study: the model's latent class means
     and a distractor jittered from them by ``distractor_scale`` standard
     normals drawn from ``default_rng((seed, key))``. A model of another
-    family raises BadSpec naming the study."""
+    family raises BadSpec naming the study, and a distractor that
+    overflows raises NonFiniteResult."""
     if model.family != "plda":
         raise BadSpec(f"the {study} explains plda models")
     rng = np.random.default_rng((seed, key))
     true_means = model.parameters["latent_means"]
-    distractor = true_means + float(distractor_scale) * rng.standard_normal(true_means.shape)
+    with np.errstate(over="ignore"):
+        distractor = true_means + float(distractor_scale) * rng.standard_normal(true_means.shape)
+    if not np.all(np.isfinite(distractor)):
+        raise NonFiniteResult(f"the {study}'s distractor overflows at distractor_scale {distractor_scale}")
     return (
         TargetInference(ThetaKind.LATENT_CLASS_MEANS, true_means),
         TargetInference(ThetaKind.LATENT_CLASS_MEANS, distractor),

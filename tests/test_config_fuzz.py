@@ -109,12 +109,7 @@ def run(argv):
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = cli.main(argv)
-    # Known and left open: a study distractor_scale of 1e155 or more
-    # overflows inside numpy, though the run still ends in a finite
-    # document, so only a study may warn, and only of overflow.
-    odd = [str(w.message) for w in caught if not (
-        argv[0] == "study" and issubclass(w.category, RuntimeWarning) and "overflow" in str(w.message))]
-    assert odd == [], (argv[:3], odd)
+    assert [str(w.message) for w in caught] == [], argv[:3]
     return code, out.getvalue(), err.getvalue()
 
 
