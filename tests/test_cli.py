@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -1067,6 +1068,20 @@ def test_the_one_leaf_parser_reads_argv_as_the_whole_tree_does(capsys, monkeypat
     assert texts[0] == texts[1]
 
 
+SEEDED = [(group, leaf) for group, leaf in LEAVES
+          if "--seed" in [flag for flag, _ in cli._commands()[group][2][leaf][2]]]
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7", "1.5", "abc"])
+@pytest.mark.parametrize("group, leaf", SEEDED)
+def test_a_seed_that_is_not_a_non_negative_integer_exits_2(capsys, group, leaf, seed):
+    # numpy seeds only non-negative integers; the value is refused while
+    # parsing, before any file is read
+    argv = [group, leaf, *re.sub(r"--seed \S+", "", LEAF_ARGS[group, leaf]).split(), "--seed", seed]
+    err = run_err(capsys, argv, cli.USAGE_EXIT)
+    assert err["type"] == "UsageError" and "--seed" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # oracle and study commands
 
@@ -1127,6 +1142,52 @@ def test_an_overflowing_distractor_warns_nothing(capsys, ws, tmp_path, study):
     path.write_text(json.dumps(config), encoding="utf-8")
     _, out = run_ok(capsys, ["study", "run", "--config", str(path), "--seed", "0"], "study")
     json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in the document"))
+
+
+# at these seeds the standard normals carry the jitter past the float range
+@pytest.mark.parametrize("study, seed, scale", [
+    ("example-selection", 6, 1.7e308),
+    ("bias-sweep", 6, 1.7e308),
+    ("strategy-mismatch", 6, 1.7e308),
+    ("example-selection", 1, -1e308),
+])
+def test_a_distractor_that_overflows_exits_4(capsys, ws, tmp_path, study, seed, scale):
+    config = {"study": study, "model": ws["plda"], "data": ws["data"],
+              "params": {"per_class_k": 1, "distractor_scale": scale}}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would end in a traceback
+        err = run_err(capsys, ["study", "run", "--config", str(path), "--seed", str(seed)], 4)
+    assert err["type"] == "NonFiniteResult"
+
+
+@pytest.fixture(scope="module")
+def ws24(tmp_path_factory):
+    """24 rows in three classes of 8, and a PLDA model fitted to them."""
+    root = tmp_path_factory.mktemp("ws24")
+    scratch = str(root / "setup.json")
+    assert cli.main(["dataset", "make", "--generator", "gaussian-blobs", "--classes", "3",
+                     "--dim", "2", "--per-class", "8", "--separation", "5.0", "--seed", "11",
+                     "--csv", str(root / "data.csv"), "--out", scratch]) == 0
+    assert cli.main(["model", "fit", "--data", str(root / "data.csv"), "--family", "plda",
+                     "--seed", "0", "--save", str(root / "plda.json"), "--out", scratch]) == 0
+    return root
+
+
+@pytest.mark.parametrize("study, params", [
+    ("bias-sweep", {"task_count": -3}),
+    ("bias-sweep", {"task_count": 0}),
+    # 700,000 subsets of 24 rows draw 16.8M uniforms, over 2^24
+    ("example-selection", {"trials": 700_000, "random_subset_count": 5}),
+])
+def test_a_study_count_out_of_range_exits_3(capsys, ws24, tmp_path, study, params):
+    config = {"study": study, "model": str(ws24 / "plda.json"), "data": str(ws24 / "data.csv"),
+              "params": params}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    err = run_err(capsys, ["study", "run", "--config", str(path), "--seed", "0"], cli.DATA_EXIT)
+    assert err["type"] == "BadSpec" and "subsets need" in err["message"]
 
 
 @pytest.mark.parametrize("config", [

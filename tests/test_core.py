@@ -1,5 +1,6 @@
 """Posterior normalization, selection, and sampling against brute force."""
 
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -259,6 +260,55 @@ def test_subset_space_posterior_against_oracle(blobs3):
     post = teacher_posterior(learner, THETA, space)
     _, ref_probs = oracle.exhaustive_posterior(learner, THETA, space)
     np.testing.assert_allclose(post.probabilities(), ref_probs, atol=1e-12, rtol=0)
+
+
+class FixedUniforms:
+    """A stand-in generator whose ``random`` returns the given arrays in
+    turn; a draw past them fails the test."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def random(self, shape):
+        assert self.arrays, "nothing more may be drawn"
+        out = self.arrays.pop(0)
+        assert out.shape == shape
+        return out
+
+
+def test_subset_draw_picks_every_combination_equally_often():
+    # every ordering of a 4-row pool's uniforms, once each: each of the
+    # C(4, 2) subsets is the two lowest of 4 of the 24 orderings
+    orderings = np.array(list(itertools.permutations(range(4))), dtype=float)
+    space = SubsetSpace([[10, 11, 12, 13]], [2])
+    counts = Counter(map(tuple, space.draw(FixedUniforms(orderings), len(orderings)).tolist()))
+    assert counts == {pair: 4 for pair in itertools.combinations([10, 11, 12, 13], 2)}
+
+
+def test_subset_draw_is_seed_deterministic():
+    pools = [range(0, 7), range(7, 12), range(12, 20)]
+    space = SubsetSpace(pools, [2, 5, 3])
+    rows = space.draw(np.random.default_rng(4), 50)
+    assert rows.shape == (50, 10)
+    assert np.array_equal(rows, space.draw(np.random.default_rng(4), 50))
+    assert not np.array_equal(rows, space.draw(np.random.default_rng(5), 50))
+    for row in rows.tolist():
+        for pool, seg in zip(pools, space.state_of(example_set(row))):
+            assert list(seg) == sorted(set(seg)) and set(seg) <= set(pool)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_subset_chain_start_is_the_reference_start(seed):
+    space = SubsetSpace([range(0, 8), range(8, 13), range(13, 24)], [2, 5, 3])
+    start = space.explanation_of(space.chain_start(np.random.default_rng(seed)))
+    assert start == oracle._walk(space)[0](np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n", [0, -3, MAX_DRAWS // 24 + 1])
+def test_subset_draws_out_of_range_raise_before_drawing(n):
+    space = SubsetSpace([range(0, 8), range(8, 16), range(16, 24)], [2, 2, 2])
+    with pytest.raises(BadSpec, match="subsets need"):
+        space.draw(FixedUniforms(), n)
 
 
 def test_mask_space_enumeration_and_priors():

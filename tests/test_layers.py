@@ -199,3 +199,12 @@ def test_one_weighted_solver_and_one_masked_composite():
     explainers = (PACKAGE / "explainers.py").read_text(encoding="utf-8")
     assert explainers.count("np.linalg.lstsq") + explainers.count("np.linalg.solve") == 1
     assert all("_coalition_values" not in p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py"))
+
+
+def test_one_subset_draw():
+    """Every random subset is drawn by ``SubsetSpace.draw``, by the rank
+    rule of ``spaces.coalition_rows`` that sampled SHAP also draws by."""
+    sources = {m: (PACKAGE / f"{m}.py").read_text(encoding="utf-8") for m in MODULES}
+    assert "replace=False" not in sources["spaces"] + sources["studies"]
+    assert sum(text.count("def coalition_rows") for text in sources.values()) == 1
+    assert "initial_state" not in sources["studies"]
