@@ -431,8 +431,10 @@ def mh_sample(
     state (``chain_start``, ``segment_step``): the pools of a
     ``SubsetSpace``, the Explanation itself on a ``MaskSpace`` or
     ``EnumeratedSpace``. It interns each part's segments and records one
-    int per step. Its randomness is drawn in blocks of ``CHAIN_BLOCK``
-    steps (the last block is shorter): the block's parts and moves
+    int per step. A chain starts from one draw: ``SubsetSpace.draw`` on
+    a subset space, ``initial_state`` on the others. The rest of its
+    randomness is drawn in blocks of ``CHAIN_BLOCK`` steps (the last
+    block is shorter): the block's parts and moves
     (``chain_moves``), then one uniform per step, used or not. The walk
     weighs the start state once, by the joint likelihood, so the errors
     of a joint sweep are raised, and ``ZeroStartMass`` when its weight is
