@@ -53,7 +53,7 @@ class PopulationMember:
         return biased_learner(self.base_learner, self.bias)
 
     def prior_on(self, task: TwoAfcTask) -> np.ndarray:
-        if self.bias is None:
+        if self.bias is None or self.bias.confirmation_strength == 0:
             return np.full(2, 0.5)
         masses = np.array([math.exp(self.bias.log_prior_of(c)) for c in task.candidates])
         if masses.sum() <= 0:
@@ -215,11 +215,8 @@ def example_selection_study(
     candidates = _plda_candidates(model, distractor_scale, seed, 0xD15, "example selection study")
     base = make_plda_learner(model, data)
     space = SubsetSpace.per_class(data.labels, per_class_k)
-    bias = None
-    if bias_strength > 0:
-        favored = (0.1, 0.9) if bias_favors_distractor else (0.9, 0.1)
-        bias = BiasConfig(bias_strength, candidates, np.array(favored))
-    member = PopulationMember(base, 1.0, bias)
+    favored = (0.1, 0.9) if bias_favors_distractor else (0.9, 0.1)
+    member = PopulationMember(base, 1.0, BiasConfig(bias_strength, candidates, np.array(favored)))
 
     selected_x = teacher.run_strategy(base, candidates[0], space, "exhaustive-max").explanation
     teacher_task = TwoAfcTask(candidates, 0, selected_x, trials=trials)
@@ -271,14 +268,10 @@ def bias_sensitivity_study(
     shown = space.draw(np.random.default_rng((seed, 0xA11)), task_count).tolist()
     tasks = tuple(TwoAfcTask(candidates, 0, example_set(row), 1) for row in shown)
 
+    favored = np.array([0.1, 0.9])
+    members = [PopulationMember(base, 1.0, BiasConfig(s, candidates, favored)) for s in strengths]
     rows = []
-    for strength in strengths:
-        if strength > 0:
-            member = PopulationMember(
-                base, 1.0, BiasConfig(strength, candidates, np.array([0.1, 0.9]))
-            )
-        else:
-            member = PopulationMember(base, 1.0)
+    for strength, member in zip(strengths, members):
         report = simulate_2afc(SimulatedStudy((member,), tasks), seed)
         favored_mass = 1.0 - float(
             np.mean([t["predicted"] for t in report.per_task])

@@ -1190,6 +1190,19 @@ def test_a_study_count_out_of_range_exits_3(capsys, ws24, tmp_path, study, param
     assert err["type"] == "BadSpec" and "subsets need" in err["message"]
 
 
+@pytest.mark.parametrize("study, params", [
+    ("bias-sweep", {"strengths": [0, -5, 5], "task_count": 20}),
+    ("example-selection", {"bias_strength": -1, "trials": 5, "random_subset_count": 5}),
+])
+def test_a_negative_bias_strength_exits_3(capsys, ws, tmp_path, study, params):
+    config = {"study": study, "model": ws["plda"], "data": ws["data"], "params": params}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    err = run_err(capsys, ["study", "run", "--config", str(path), "--seed", "0"], cli.DATA_EXIT)
+    assert err == {"type": "BadSpec", "message": "confirmation strength must be nonnegative",
+                   "exit_code": cli.DATA_EXIT}
+
+
 @pytest.mark.parametrize("config", [
     {"study": "example-selection", "data": "DATA"},  # no model
     [1, 2],  # not an object

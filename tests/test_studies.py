@@ -88,6 +88,17 @@ def test_biased_member_shifts_belief_from_its_prior():
     assert report.overall_belief_shift == pytest.approx(predicted - 0.9)
 
 
+def test_a_zero_strength_bias_is_no_bias():
+    # BiasConfig's rule: strength zero disables the bias, whatever the prior
+    base = pair_learner(-1.0, -2.0)
+    member = PopulationMember(base, bias=BiasConfig(0.0, (C0, C1), np.array([0.9, 0.1])))
+    task = TwoAfcTask((C0, C1), 0, X, trials=3)
+    assert member.learner() is base
+    assert member.prior_on(task).tolist() == [0.5, 0.5]
+    unbiased = simulate_2afc(SimulatedStudy((PopulationMember(base),), (task,)), seed=0)
+    assert jsonable(simulate_2afc(SimulatedStudy((member,), (task,)), seed=0)) == jsonable(unbiased)
+
+
 def test_simulation_is_seed_deterministic_and_order_free():
     member = PopulationMember(pair_learner(-1.0, -1.0))
     tasks = tuple(TwoAfcTask((C0, C1), 0, X, trials=11) for _ in range(4))
