@@ -34,6 +34,7 @@ from .learners import (
     make_mmd_learner,
     make_plda_learner,
     masked_batch_values,
+    predicted_label,
     witness,
 )
 from .models import Dataset, TargetModel, batch_predictor, softmax
@@ -211,8 +212,7 @@ def rise_saliency(
     point = np.asarray(point, dtype=float)
     space = MaskSpace(point.shape[0], keep_prob)
     predict = batch_predictor(model_or_fn)
-    if target_class is None:
-        target_class = int(np.argmax(predict(point[None, :])[0]))
+    target_class = predicted_label(predict, point, target_class)
     learner = make_masked_prediction_learner(predict, point, baseline)
     theta = TargetInference(ThetaKind.PREDICTED_LABEL, target_class)
     result = teacher.run_strategy(learner, theta, space, "mc-expectation", seed=seed, n=n_masks)
@@ -278,8 +278,7 @@ def kernel_shap(
         raise BadSpec(f"{coalitions} coalitions over {background.shape[0]} background rows of {d} "
                       f"features exceed the limit of {core.MAX_DRAWS} entries")
     predict = batch_predictor(model_or_fn)
-    if target_class is None:
-        target_class = int(np.argmax(predict(point[None, :])[0]))
+    target_class = predicted_label(predict, point, target_class)
 
     boundary = np.stack([np.zeros(d), np.ones(d)])
     base_value, full_value = masked_batch_values(predict, point, boundary, target_class, background)

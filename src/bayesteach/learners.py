@@ -237,19 +237,6 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
 # masked prediction learner
 
 
-def masked_prediction_likelihood(
-    model_or_fn,
-    point: np.ndarray,
-    mask: np.ndarray,
-    label: int,
-    baseline: np.ndarray | float = 0.0,
-) -> float:
-    """Probability of ``label`` when unmasked features are replaced by the
-    baseline: composite = baseline + mask * (point - baseline)."""
-    values = masked_batch_values(model_or_fn, point, np.asarray(mask)[None, :], label, baseline)
-    return float(values[0])
-
-
 def masked_batch_values(
     model_or_fn,
     point: np.ndarray,
@@ -257,8 +244,9 @@ def masked_batch_values(
     label: int,
     baseline: np.ndarray | float = 0.0,
 ) -> np.ndarray:
-    """Probability of ``label`` under each mask's composite. The baseline
-    is a scalar, a row, or an (m, d) background; a background's m
+    """Probability of ``label`` under each mask's composite, where the
+    features a mask hides take the baseline's values: composite =
+    baseline + mask * (point - baseline). The baseline is a scalar, a row, or an (m, d) background; a background's m
     composites per mask are scored and their probabilities averaged, so a
     one-row background gives the values of that row as baseline."""
     predict = batch_predictor(model_or_fn)
@@ -283,6 +271,15 @@ def class_column(probs: np.ndarray, label: int) -> np.ndarray:
     return probs[:, label]
 
 
+def predicted_label(predict, point: np.ndarray, label: int | None = None) -> int:
+    """``label``, by default the class ``predict`` gives the point; a label
+    outside [0, C) raises BadSpec."""
+    probs = predict(point[None, :])
+    label = int(np.argmax(probs[0])) if label is None else label
+    class_column(probs, label)
+    return label
+
+
 def make_masked_prediction_learner(
     model_or_fn, point: np.ndarray, baseline: np.ndarray | float = 0.0
 ) -> LearnerModel:
@@ -294,7 +291,8 @@ def make_masked_prediction_learner(
         check_theta(theta)
         if x.kind is not ExplanationKind.FEATURE_MASK:
             raise BadSpec(f"masked-prediction learner consumes feature masks, not {x.kind.value}")
-        value = masked_prediction_likelihood(model_or_fn, point, np.asarray(x.payload), int(theta.payload), baseline)
+        mask = np.asarray(x.payload)[None, :]
+        value = float(masked_batch_values(model_or_fn, point, mask, int(theta.payload), baseline)[0])
         return math.log(value) if value > 0 else -math.inf
 
     def batch_log_likelihood(theta: TargetInference, masks: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Compatibility encodes exactly two rules. A parameter-level inference
 target can only be taught through the learner that shares its parametric
-form (latent class means need the PLDA-shaped learner fitting example
-sets). Generalization-level targets, which describe input-output
-behaviour, pair with any explanation kind a learner can consume.
+form, the one whose ``theta_kinds`` hold it (latent class means need the
+PLDA-shaped learner fitting example sets). Generalization-level targets,
+which describe input-output behaviour, pair with any explanation kind a
+learner can consume.
 A third, mechanical check rejects strategies that cannot operate on the
 chosen explanation kind at all.
 """
@@ -25,6 +26,7 @@ from .learners import (
     make_masked_prediction_learner,
     make_mmd_learner,
     make_nearest_class_learner,
+    predicted_label,
 )
 from .models import Dataset, TargetModel, batch_predictor, jsonable
 from .spaces import MaskSpace, SubsetSpace
@@ -43,7 +45,6 @@ class LearnerSpec:
     explanation_kinds: frozenset
     recipe: Callable[..., dict]
     params: frozenset
-    parametric_form: str | None = None
     # greedy grows subsets one row at a time, so it needs a learner that
     # can score class-incomplete example sets
     partial_subsets: bool = True
@@ -159,11 +160,8 @@ def _point(point, what: str) -> np.ndarray:
 
 
 def _label_target(model, point: np.ndarray, params: dict) -> TargetInference:
-    """The predicted-label target: ``target_class``, by default the model's
-    label for the point; a class outside [0, C) raises BadSpec."""
-    probs = batch_predictor(model)(point[None, :])
-    label = _param(params, "target_class", int(np.argmax(probs[0])), int)
-    class_column(probs, label)
+    """The predicted-label target of ``target_class`` (``predicted_label``)."""
+    label = predicted_label(batch_predictor(model), point, _param(params, "target_class", None, int))
     return TargetInference(ThetaKind.PREDICTED_LABEL, label)
 
 
@@ -173,7 +171,6 @@ LEARNER_REGISTRY: dict[str, LearnerSpec] = {
         frozenset({ExplanationKind.EXAMPLE_SET}),
         _plda_recipe,
         frozenset({"per_class_k", "n", "burn_in"}),
-        parametric_form="plda",
         partial_subsets=False,
     ),
     "masked-prediction": LearnerSpec(
@@ -218,7 +215,7 @@ def check_compatibility(theta_kind: ThetaKind, explanation_kind: ExplanationKind
         raise BadSpec(f"unknown learner {learner_id!r}; choose from {sorted(LEARNER_REGISTRY)}")
     spec = LEARNER_REGISTRY[learner_id]
     if not theta_kind.is_generalization_level:
-        if spec.parametric_form != "plda" or explanation_kind is not ExplanationKind.EXAMPLE_SET:
+        if theta_kind not in spec.theta_kinds or explanation_kind is not ExplanationKind.EXAMPLE_SET:
             raise IncompatibleCombination(
                 f"{theta_kind.value} is a parameter-level target: it requires a "
                 f"learner of the same parametric form fitting example sets, "

@@ -17,7 +17,6 @@ from bayesteach.learners import (
     make_nearest_class_learner,
     make_plda_learner,
     masked_batch_values,
-    masked_prediction_likelihood,
     median_bandwidth,
     mmd2,
     witness,
@@ -185,7 +184,7 @@ def test_masked_identity_mask_recovers_model_probability(logistic_grid, grid_ima
     point = grid_image.features[0]
     full = predict_proba(logistic_grid, point[None, :])[0]
     ones = np.ones(point.shape[0])
-    assert masked_prediction_likelihood(logistic_grid, point, ones, 0) == (
+    assert masked_batch_values(logistic_grid, point, ones, 0)[0] == (
         pytest.approx(float(full[0]), abs=1e-12)
     )
 
@@ -199,9 +198,9 @@ def test_mask_ratios_track_the_motif(logistic_grid, grid_image):
     hide_motif = 1.0 - keep_motif
     rows = grid_image.class_rows(0)[:10]
     for point in grid_image.features[rows]:
-        base = masked_prediction_likelihood(logistic_grid, point, np.ones(d), 0)
-        kept = masked_prediction_likelihood(logistic_grid, point, keep_motif, 0)
-        hidden = masked_prediction_likelihood(logistic_grid, point, hide_motif, 0)
+        base = masked_batch_values(logistic_grid, point, np.ones(d), 0)[0]
+        kept = masked_batch_values(logistic_grid, point, keep_motif, 0)[0]
+        hidden = masked_batch_values(logistic_grid, point, hide_motif, 0)[0]
         assert kept >= 0.9 * base
         assert hidden <= 0.6 * base
 
@@ -213,7 +212,7 @@ def test_masked_learner_log_space_and_kind_checks(logistic_grid, grid_image):
     mask = Explanation(ExplanationKind.FEATURE_MASK, np.ones(point.shape[0]))
     value = learner.log_likelihood(theta, mask)
     assert value == pytest.approx(
-        math.log(masked_prediction_likelihood(logistic_grid, point, mask.payload, 0))
+        math.log(masked_batch_values(logistic_grid, point, mask.payload, 0)[0])
     )
     with pytest.raises(BadSpec):
         learner.log_likelihood(theta, example_set((0,)))
@@ -226,7 +225,7 @@ def test_masked_learner_log_space_and_kind_checks(logistic_grid, grid_image):
 def test_masked_batch_dimension_check(logistic_grid, grid_image):
     point = grid_image.features[0]
     with pytest.raises(DimensionMismatch):
-        masked_prediction_likelihood(logistic_grid, point, np.ones(3), 0)
+        masked_batch_values(logistic_grid, point, np.ones(3), 0)
 
 
 def random_net(rng, d):

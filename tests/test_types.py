@@ -164,7 +164,7 @@ def test_record_classes_keep_the_semantics_of_a_frozen_dataclass():
         hash(bias)  # its prior belief is an array
     spec = LEARNER_REGISTRY["plda"]
     twin = LearnerSpec(spec.theta_kinds, spec.explanation_kinds, spec.recipe, spec.params,
-                       spec.parametric_form, spec.partial_subsets)
+                       spec.partial_subsets)
     assert twin == spec and hash(twin) == hash(spec)
     assert dataclasses.replace(spec, partial_subsets=not spec.partial_subsets) != spec
 
