@@ -830,14 +830,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _emit_error("UsageError", str(exc), USAGE_EXIT)
         return USAGE_EXIT
-    except ParseError as exc:
-        _emit_error(
-            type(exc).__name__, str(exc), exc.exit_code,
-            {"row": exc.row, "col": exc.col},
-        )
-        return exc.exit_code
     except EngineError as exc:
-        _emit_error(type(exc).__name__, str(exc), exc.exit_code)
+        _emit_error(type(exc).__name__, str(exc), exc.exit_code, exc.detail)
         return exc.exit_code
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(type(exc).__name__, str(exc), DATA_EXIT)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 
 class EngineError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. ``detail``, when
+    set, is a dict the command line reports beside the message."""
 
     exit_code = 3
+    detail: dict | None = None
 
 
 class NumericalError(EngineError):
@@ -44,12 +46,12 @@ class BadSpec(EngineError):
 
 
 class ParseError(EngineError):
-    """A CSV cell could not be parsed. Carries 1-based row and column."""
+    """A CSV cell could not be parsed. Its ``detail`` holds the 1-based row
+    and column."""
 
     def __init__(self, message: str, row: int, col: int):
         super().__init__(f"{message} (row {row}, col {col})")
-        self.row = row
-        self.col = col
+        self.detail = {"row": row, "col": col}
 
 
 class NonNumericFeature(ParseError):
