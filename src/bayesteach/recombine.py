@@ -250,11 +250,17 @@ class RecombinedExplainer:
 
 def _param(params: dict, key: str, default, kind):
     """The recipe parameter ``key`` converted by ``kind``, or ``default``
-    when it is absent; a value the conversion rejects, or a float with a
-    NaN or infinite entry, raises BadSpec naming the key."""
+    when it is absent. No key reads a bool, so a bool (alone or in a list)
+    raises BadSpec naming the key, and so do a number with a fractional
+    part for an ``int`` key, a value the conversion rejects, and a float
+    with a NaN or infinite entry."""
     if key not in params:
         return default
     value = params[key]
+    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+        raise BadSpec(f"--param {key}={value!r} is not usable: a bool is not a number")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise BadSpec(f"--param {key}={value!r} is not usable: not an integer")
     try:
         converted = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -530,6 +530,49 @@ def test_recombine_rejects_an_unusable_param_value(capsys, ws, param, key):
     assert f"--param {key}=" in err["message"]
 
 
+_PLDA_MH = ["--theta", "latent-class-means", "--x-kind", "example-set", "--strategy", "mh-sample",
+            "--model", "plda"]
+
+
+@pytest.mark.parametrize("learner, params, message", [
+    ("plda", ["per_class_k=1.9"], "--param per_class_k=1.9 is not usable: not an integer"),
+    ("plda", ["n=50.7", "burn_in=true"], "--param n=50.7 is not usable: not an integer"),
+    ("plda", ["burn_in=true"], "--param burn_in=True is not usable: a bool is not a number"),
+    ("mmd", ["class_index=true"], "--param class_index=True is not usable: a bool is not a number"),
+    ("nearest-class", ["temperature=true"],
+     "--param temperature=True is not usable: a bool is not a number"),
+    ("masked-prediction", ["baseline=true"], "--param baseline=True is not usable: a bool is not a number"),
+    ("masked-prediction", ["baseline=[0.5,false]"],
+     "--param baseline=[0.5, False] is not usable: a bool is not a number"),
+], ids=["fractional-int", "fractional-n", "bool-int", "bool-class-index", "bool-number",
+        "bool-baseline", "bool-in-baseline"])
+def test_recombine_rejects_a_param_of_the_wrong_type(capsys, ws, learner, params, message):
+    recipe = _PLDA_MH if learner == "plda" else _RECIPES[learner]
+    argv = [ws[a] if a in ("plda", "logistic") else a for a in recipe]
+    err = run_err(capsys, [
+        "explain", "recombine", "--learner", learner, *argv, "--data", ws["data"],
+        "--point", ws["point"], *[arg for p in params for arg in ("--param", p)], "--seed", "0",
+    ], cli.DATA_EXIT)
+    assert (err["type"], err["message"]) == ("BadSpec", message)
+
+
+@pytest.mark.parametrize("learner, param, value", [
+    ("plda", "per_class_k=1.0", 1.0),  # an integer key reads an integral number
+    ("nearest-class", "temperature=2", 2),  # a number key reads an integer
+    ("masked-prediction", "baseline=[0,0.5]", [0, 0.5]),
+])
+def test_recombine_accepts_a_param_of_the_right_type(capsys, ws, learner, param, value):
+    recipe = _PLDA_MH if learner == "plda" else _RECIPES[learner]
+    argv = [ws[a] if a in ("plda", "logistic") else a for a in recipe]
+    doc, _ = run_ok(capsys, [
+        "explain", "recombine", "--learner", learner, *argv, "--data", ws["data"],
+        "--point", ws["point"], "--param", param, "--param", "n=200", "--seed", "0",
+    ], "explain")
+    assert doc["config"]["params"][param.split("=")[0]] == value
+    if learner == "plda":
+        assert len(doc["result"]["result"]["indices"]) == 2  # one row per class
+
+
 _RECIPES = {
     "nearest-class": ["--theta", "predicted-label", "--x-kind", "example-set",
                       "--strategy", "exhaustive-max", "--model", "plda"],
