@@ -655,8 +655,9 @@ def model_from_dict(payload: dict) -> TargetModel:
     """A model from its checkpoint document. Anything a fit could not have
     written raises BadSpec: a missing key, an array that does not convert
     to finite floats, shapes that disagree with each other or with
-    ``class_count``, a gaussian ``shared`` other than true, a PLDA ``psi``
-    that is not positive, a linear ``bias`` or ``clip_eps`` out of range,
+    ``class_count``, a gaussian ``shared`` other than true or
+    ``covariance`` that is not positive definite, a PLDA ``psi`` that is
+    not positive, a linear ``bias`` or ``clip_eps`` out of range,
     or a non-finite number in the config."""
     try:
         family = payload["family"]
@@ -697,6 +698,11 @@ def model_from_dict(payload: dict) -> TargetModel:
         parameters[key] = value
     if family == "plda" and np.any(parameters["psi"] <= 0):
         raise BadSpec("checkpoint parameter 'psi' must be positive")
+    if family == "gaussian":
+        try:
+            np.linalg.cholesky(parameters["covariance"])
+        except np.linalg.LinAlgError:
+            raise BadSpec("checkpoint parameter 'covariance' is not positive definite") from None
     if family == "linear":
         bias, eps = parameters.get("bias"), parameters.get("clip_eps")
         numbers = all(type(v) in (int, float) and math.isfinite(v) for v in (bias, eps))

@@ -988,9 +988,12 @@ _SHAP_EXACT = ["explain", "shap", "--point", "{point}", "--background", "{data}"
     ("logistic", _set_cell("bias", math.inf), _RISE),
     ("logistic", _set_cell("bias", math.inf), _SHAP_EXACT),
     ("gaussian", lambda p: p.update(shared=False, covariance=[p["covariance"]] * 2), ["model", "inspect"]),
+    ("gaussian", lambda p: p.update(covariance=[[1.0, 2.0], [2.0, 1.0]]), ["model", "inspect"]),
+    ("gaussian", lambda p: p.update(covariance=[[1.0, 0.0], [0.0, 0.0]]), _RISE),
 ], ids=["non-numeric-array", "short-latent-means", "projection-rows-plda-examples",
         "projection-rows-inspect", "nan-latent-mean", "zero-psi", "negative-psi",
-        "infinite-bias-rise", "infinite-bias-shap", "per-class-covariance"])
+        "infinite-bias-rise", "infinite-bias-shap", "per-class-covariance",
+        "indefinite-covariance", "singular-covariance-rise"])
 def test_malformed_checkpoint_exits_3(capsys, ws, tmp_path, family, edit, command):
     path = _edit_checkpoint(ws[family], edit, tmp_path / "edited.json")
     argv = [arg.format(data=ws["data"], point=ws["point"]) for arg in command]
