@@ -59,7 +59,8 @@ class NonNumericFeature(ParseError):
 
 
 class SingularCovariance(NumericalError):
-    """A covariance estimate is singular and regularization was disabled."""
+    """A covariance estimate is not positive definite even with the ridge
+    added, as when features are collinear at a scale the ridge cannot lift."""
 
 
 class DimensionMismatch(EngineError):

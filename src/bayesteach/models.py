@@ -322,7 +322,7 @@ def _chol_or_raise(cov: np.ndarray, what: str) -> np.ndarray:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise SingularCovariance(
-            f"{what} is singular; enable regularization or add data"
+            f"{what} is singular; rescale the features or drop collinear ones"
         ) from None
 
 

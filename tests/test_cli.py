@@ -17,6 +17,7 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from bayesteach import cli, errors
@@ -701,6 +702,21 @@ def test_diverging_fit_exits_4_and_saves_nothing(capsys, ws, tmp_path):
     ], cli.NUMERICAL_EXIT)
     assert err["type"] == "NonFiniteResult"
     assert err["message"].startswith("the logistic fit overflowed")
+    assert not save.exists()
+
+
+@pytest.mark.parametrize("family, what", [("gaussian", "shared"), ("plda", "within-class")])
+def test_collinear_fit_exits_4_with_a_remedy_a_user_can_take(capsys, tmp_path, family, what):
+    # two identical columns at ~1e8: the constant ridge is lost in rounding
+    column = (np.random.default_rng(0).standard_normal(12) * 1e8).tolist()
+    rows = [f"{v!r},{v!r},{i // 6}" for i, v in enumerate(column)]
+    data = tmp_path / "collinear.csv"
+    data.write_text("f0,f1,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    save = tmp_path / "x.json"
+    err = run_err(capsys, ["model", "fit", "--data", str(data), "--family", family, "--seed", "0",
+                           "--save", str(save)], cli.NUMERICAL_EXIT)
+    assert (err["type"], err["message"]) == (
+        "SingularCovariance", f"{what} covariance is singular; rescale the features or drop collinear ones")
     assert not save.exists()
 
 
