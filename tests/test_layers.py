@@ -208,3 +208,23 @@ def test_one_subset_draw():
     assert "replace=False" not in sources["spaces"] + sources["studies"]
     assert sum(text.count("def coalition_rows") for text in sources.values()) == 1
     assert "initial_state" not in sources["studies"]
+
+
+def test_one_owner_per_rule():
+    """Each rule is written once: the masked value of one mask is
+    ``masked_batch_values``'s, the parameter-level rule reads a learner's
+    ``theta_kinds``, an error's ``detail`` reaches the error document by
+    one branch, and every study member takes its bias, zero strength
+    included, through ``BiasConfig``."""
+    sources = {m: (PACKAGE / f"{m}.py").read_text(encoding="utf-8") for m in MODULES}
+    assert all("def masked_prediction_likelihood" not in text for text in sources.values())
+    assert all("parametric_form" not in text for text in sources.values())
+    assert "except ParseError" not in sources["cli"]
+    members = [
+        node for node in ast.walk(ast.parse(sources["studies"]))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PopulationMember"
+    ]
+    assert members
+    for call in members:
+        bias = call.args[2:] + [k.value for k in call.keywords if k.arg == "bias"]
+        assert [getattr(getattr(b, "func", None), "id", None) for b in bias] == ["BiasConfig"], ast.unparse(call)
