@@ -410,7 +410,7 @@ class BiasConfig:
 
     def __post_init__(self):
         prior = np.asarray(self.prior_belief, dtype=float)
-        if self.confirmation_strength < 0:
+        if not self.confirmation_strength >= 0:  # NaN included
             raise BadSpec("confirmation strength must be nonnegative")
         if prior.shape != (len(self.candidates),):
             raise BadSpec("one prior mass per candidate required")

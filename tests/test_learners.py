@@ -305,8 +305,9 @@ def _two_candidates():
 
 def test_bias_config_validation():
     cands = _two_candidates()
-    with pytest.raises(BadSpec):
-        BiasConfig(-1.0, cands, np.array([0.5, 0.5]))
+    for strength in (-1.0, math.nan):
+        with pytest.raises(BadSpec):
+            BiasConfig(strength, cands, np.array([0.5, 0.5]))
     with pytest.raises(BadSpec):
         BiasConfig(1.0, cands, np.array([0.7, 0.7]))
     with pytest.raises(BadSpec):
