@@ -246,9 +246,10 @@ def masked_batch_values(
 ) -> np.ndarray:
     """Probability of ``label`` under each mask's composite, where the
     features a mask hides take the baseline's values: composite =
-    baseline + mask * (point - baseline). The baseline is a scalar, a row, or an (m, d) background; a background's m
-    composites per mask are scored and their probabilities averaged, so a
-    one-row background gives the values of that row as baseline."""
+    baseline + mask * (point - baseline). The baseline is a scalar, a
+    row, or an (m, d) background; a background's m composites per mask
+    are scored and their probabilities averaged, so a one-row background
+    gives the values of that row as baseline."""
     predict = batch_predictor(model_or_fn)
     point = np.asarray(point, dtype=float)
     masks = np.atleast_2d(np.asarray(masks, dtype=float))
@@ -291,8 +292,7 @@ def make_masked_prediction_learner(
         check_theta(theta)
         if x.kind is not ExplanationKind.FEATURE_MASK:
             raise BadSpec(f"masked-prediction learner consumes feature masks, not {x.kind.value}")
-        mask = np.asarray(x.payload)[None, :]
-        value = float(masked_batch_values(model_or_fn, point, mask, int(theta.payload), baseline)[0])
+        value = float(masked_batch_values(model_or_fn, point, x.payload, int(theta.payload), baseline)[0])
         return math.log(value) if value > 0 else -math.inf
 
     def batch_log_likelihood(theta: TargetInference, masks: np.ndarray) -> np.ndarray:
