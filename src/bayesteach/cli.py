@@ -32,6 +32,7 @@ from .models import (
     load_csv,
     load_model,
     make_synthetic,
+    param_value,
     predict_proba,
     save_csv,
     save_model,
@@ -476,7 +477,7 @@ def _cmd_explain_recombine(args) -> tuple[dict, int]:
         "point": args.point,
         "learner": args.learner,
         "strategy": args.strategy,
-        "params": params,
+        "params": method.params,
     }
     doc = _explain_envelope(
         "recombine", args.theta, config, args.seed, result,
@@ -506,67 +507,40 @@ _THRESHOLD_OPS = {
 
 
 def _study_params(study, params) -> dict:
-    """A study config's ``params``, checked against the keyword parameters
-    of the study function: each key must be one of them, and each value
-    must have the type of that parameter's default."""
+    """A study config's ``params`` read through ``param_value``: each key
+    must be a keyword parameter of the study function, whose default
+    declares its kind (a tuple default takes a list of numbers)."""
     import inspect
 
     if not isinstance(params, dict):
         raise BadSpec("study params must be a JSON object")
     signature = inspect.signature(study).parameters
-    defaults = {k: p.default for k, p in signature.items() if k not in ("model", "data", "seed")}
-    unknown = sorted(set(params) - set(defaults))
+    kinds = {k: list if isinstance(p.default, tuple) else type(p.default)
+             for k, p in signature.items() if k not in ("model", "data", "seed")}
+    unknown = sorted(set(params) - set(kinds))
     if unknown:
-        raise BadSpec(f"unknown study params {unknown}; accepted: {sorted(defaults)}")
-    for key, value in params.items():
-        default = defaults[key]
-        if isinstance(default, tuple):
-            ok = isinstance(value, list) and all(_is_number(v) for v in value)
-        elif isinstance(default, bool):
-            ok = isinstance(value, bool)
-        elif isinstance(default, int):
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = _is_number(value)
-        if not ok:
-            raise BadSpec(f"study param {key!r} must be like {default!r}, got {value!r}")
-    return params
-
-
-def _is_number(value) -> bool:
-    """A JSON number a float can hold: an integer beyond the float range
-    (10**400) is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+        raise BadSpec(f"unknown study params {unknown}; accepted: {sorted(kinds)}")
+    return {key: param_value(f"study param {key}", value, kinds[key]) for key, value in params.items()}
 
 
 def _cmd_study_run(args) -> tuple[dict, int]:
     import hashlib
 
-    from .studies import bias_sensitivity_study, example_selection_study, plda_strategy_mismatch_study
+    from .studies import STUDIES
 
     with open(args.config, encoding="utf-8") as fh:
         config = _echoed_json(fh.read(), "the study config")
     if not isinstance(config, dict):
         raise BadSpec("a study config must be a JSON object")
     name = config.get("study")
-    studies = {
-        "example-selection": example_selection_study,
-        "bias-sweep": bias_sensitivity_study,
-        "strategy-mismatch": plda_strategy_mismatch_study,
-    }
-    if not isinstance(name, str) or name not in studies:
-        raise BadSpec(f"unknown study {name!r}; choose from {sorted(studies)}")
+    if not isinstance(name, str) or name not in STUDIES:
+        raise BadSpec(f"unknown study {name!r}; choose from {sorted(STUDIES)}")
     paths = {key: config.get(key) for key in ("model", "data")}
     label_column = config.get("label_column", "label")
     for key, value in dict(paths, label_column=label_column).items():
         if not isinstance(value, str):
             raise BadSpec(f"study config needs {key!r} as a string, got {value!r}")
-    params = _study_params(studies[name], config.get("params", {}))
+    params = _study_params(STUDIES[name], config.get("params", {}))
     specs = config.get("thresholds", [])
     if not isinstance(specs, list) or not all(
         isinstance(spec, dict) and isinstance(spec.get("field"), str) and {"op", "value"} <= set(spec)
@@ -575,7 +549,7 @@ def _cmd_study_run(args) -> tuple[dict, int]:
         raise BadSpec("thresholds must be a list of objects with 'field', 'op' and 'value'")
     model = load_model(paths["model"])
     data = load_csv(paths["data"], label_column)
-    result = studies[name](model, data, seed=args.seed, **params)
+    result = STUDIES[name](model, data, seed=args.seed, **params)
 
     thresholds = []
     for spec in specs:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import field, fields, is_dataclass
 from enum import Enum
 
@@ -732,6 +733,41 @@ def json_int(text: str) -> int:
         return int(text)
     except ValueError:
         raise BadSpec(f"a JSON integer of {len(text)} digits is too long to read") from None
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a bool",
+               list: "a list of finite numbers", None: "null"}
+
+
+def param_value(name: str, value, kind):
+    """The JSON ``value`` of the parameter ``name`` (``--param n``, ``study
+    param n``) read as ``kind``: ``int`` takes an integral number and reads
+    an int, ``float`` a finite number and ``list`` finite numbers, read as
+    floats, ``bool`` and ``None`` themselves, and a tuple of kinds reads by
+    the first that fits. Anything else, a string or a bool for a number
+    included, raises BadSpec naming ``name``."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for one in kinds:
+        if value is None and one is None or isinstance(value, bool) and one is bool:
+            return value
+        if isinstance(value, list) and one is list:
+            return [_number(name, value, entry, float) for entry in value]
+        if one in (int, float) and isinstance(value, (str, int, float)):
+            return _number(name, value, value, one)
+    raise BadSpec(f"{name}={value!r} is not usable: not {' or '.join(_KIND_NAMES[k] for k in kinds)}")
+
+
+def _number(name: str, value, entry, kind):
+    """``entry``, which is ``value`` or one of its entries, read as ``kind``
+    (int or float) for ``param_value``."""
+    if isinstance(entry, bool):
+        raise BadSpec(f"{name}={value!r} is not usable: a bool is not a number")
+    if kind is int and (isinstance(entry, int) or isinstance(entry, float) and entry.is_integer()):
+        return int(entry)
+    if kind is float and isinstance(entry, (int, float)) and abs(entry) <= sys.float_info.max:
+        return float(entry)
+    string = "a string is " if isinstance(entry, str) else ""
+    raise BadSpec(f"{name}={value!r} is not usable: {string}not {_KIND_NAMES[kind]}")
 
 
 def inspect_model(model: TargetModel) -> dict:

@@ -28,7 +28,7 @@ from .learners import (
     make_nearest_class_learner,
     predicted_label,
 )
-from .models import Dataset, TargetModel, batch_predictor, jsonable
+from .models import Dataset, TargetModel, batch_predictor, jsonable, param_value
 from .spaces import MaskSpace, SubsetSpace
 from .types import ExplanationKind, TargetInference, ThetaKind, record
 
@@ -37,14 +37,15 @@ from .types import ExplanationKind, TargetInference, ThetaKind, record
 class LearnerSpec:
     """A learner of the recombination table: the kinds it scores, its recipe
     ``(method, model, data, point, seed) -> result document`` and the
-    ``--param`` keys the recipe reads. Recipes call the explainers and
+    kind (``models.param_value``) of each ``--param`` key the recipe reads,
+    left out of the comparison and hash. Recipes call the explainers and
     ``teacher.run_strategy`` by module-level name at call time, so a
     wrapper installed on one of those names takes effect."""
 
     theta_kinds: frozenset
     explanation_kinds: frozenset
     recipe: Callable[..., dict]
-    params: frozenset
+    params: dict = field(compare=False)
     # greedy grows subsets one row at a time, so it needs a learner that
     # can score class-incomplete example sets
     partial_subsets: bool = True
@@ -53,9 +54,8 @@ class LearnerSpec:
 def _plda_recipe(method, model, data, point, seed) -> dict:
     p = method.params
     report = explain_by_examples(
-        model, data, per_class_k=_param(p, "per_class_k", 2, int),
-        strategy=method.strategy,
-        seed=seed, mh_steps=_param(p, "n", 20000, int), mh_burn_in=_param(p, "burn_in", 2000, int),
+        model, data, per_class_k=p.get("per_class_k", 2), strategy=method.strategy,
+        seed=seed, mh_steps=p.get("n", 20000), mh_burn_in=p.get("burn_in", 2000),
     )
     return jsonable(report)
 
@@ -63,11 +63,12 @@ def _plda_recipe(method, model, data, point, seed) -> dict:
 def _masked_prediction_recipe(method, model, data, point, seed) -> dict:
     p = method.params
     point = _point(point, "masked-prediction combinations")
-    baseline = _param(p, "baseline", data.features.mean(axis=0),
-                      lambda v: np.broadcast_to(np.asarray(v, dtype=float), point.shape))
+    if "baseline" in p and np.shape(p["baseline"]) not in ((), point.shape):
+        raise BadSpec(f"--param baseline={p['baseline']!r} is not usable: expected one number "
+                      f"or {point.size} numbers, one per feature")
     theta = _label_target(model, point, p)
-    learner = make_masked_prediction_learner(model, point, baseline)
-    space = MaskSpace(point.shape[0], _param(p, "keep_prob", 0.5, float))
+    learner = make_masked_prediction_learner(model, point, p.get("baseline", data.features.mean(axis=0)))
+    space = MaskSpace(point.shape[0], p.get("keep_prob", 0.5))
     return _search(method, learner, theta, space, seed, n=4000, burn_in=1000)
 
 
@@ -75,22 +76,21 @@ def _nearest_class_recipe(method, model, data, point, seed) -> dict:
     p = method.params
     point = _point(point, "nearest-class combinations")
     theta = _label_target(model, point, p)
-    learner = make_nearest_class_learner(data, point, _param(p, "temperature", 1.0, float))
-    space = SubsetSpace.per_class(data.labels, _param(p, "per_class_k", 1, int))
+    learner = make_nearest_class_learner(data, point, p.get("temperature", 1.0))
+    space = SubsetSpace.per_class(data.labels, p.get("per_class_k", 1))
     return _search(method, learner, theta, space, seed, n=10000, burn_in=1000)
 
 
 def _mmd_recipe(method, model, data, point, seed) -> dict:
     p = method.params
-    class_index = _param(p, "class_index", 0, int)
+    class_index = p.get("class_index", 0)
     rows = data.class_rows(class_index)
     if rows.size == 0:
         raise BadSpec(f"class {class_index} has no rows")
     reference = data.features[rows]
-    kernel = KernelConfig(bandwidth=_param(p, "bandwidth", None, lambda v: None if v is None else float(v)))
-    learner = make_mmd_learner(data, kernel, _param(p, "temperature", 1.0, float))
+    learner = make_mmd_learner(data, KernelConfig(p.get("bandwidth")), p.get("temperature", 1.0))
     theta = TargetInference(ThetaKind.CLASS_DATA_DISTRIBUTION, (reference, class_index))
-    space = SubsetSpace([rows.tolist()], [_param(p, "m", 2, int)])
+    space = SubsetSpace([rows.tolist()], [p.get("m", 2)])
     return _search(method, learner, theta, space, seed, n=10000, burn_in=1000)
 
 
@@ -105,13 +105,13 @@ def _surrogate_recipe(method, model, data, point, seed) -> dict:
 
     # Local decision boundary: probes around the point, rbf weighted.
     point = _point(point, "local boundary surrogates")
-    width = _param(p, "kernel_width", 1.0, float)
-    count = _param(p, "probe_count", 2000, int)
-    target_class = _param(p, "target_class", 1, int)
+    width = p.get("kernel_width", 1.0)
+    count = p.get("probe_count", 2000)
+    target_class = p.get("target_class", 1)
     if method.explanation_kind is ExplanationKind.LINEAR_WEIGHTS:
         report = lime_local(
             model, point, probe_count=count, kernel_width=width,
-            ridge=_param(p, "ridge", 1e-3, float), seed=seed, target_class=target_class,
+            ridge=p.get("ridge", 1e-3), seed=seed, target_class=target_class,
         )
         return jsonable(report)
 
@@ -132,7 +132,7 @@ def _search(method, learner, theta, space, seed, n: int, burn_in: int) -> dict:
     ``burn_in`` default the params of the same name."""
     p = method.params
     result = teacher.run_strategy(learner, theta, space, method.strategy, seed=seed,
-                                  n=_param(p, "n", n, int), burn_in=_param(p, "burn_in", burn_in, int))
+                                  n=p.get("n", n), burn_in=p.get("burn_in", burn_in))
     out = {"strategy": result.strategy, "metadata": jsonable(result.metadata)}
     payload = result.explanation.payload
     if result.explanation.kind is ExplanationKind.EXAMPLE_SET:
@@ -148,9 +148,8 @@ def _search(method, learner, theta, space, seed, n: int, burn_in: int) -> dict:
 
 def _tree_options(p: dict, epochs: int) -> dict:
     """The soft-tree fit params; ``epochs`` is the recipe's default."""
-    return {"depth": _param(p, "depth", 3, int), "beta": _param(p, "beta", 0.0, float),
-            "epochs": _param(p, "epochs", epochs, int),
-            "learning_rate": _param(p, "learning_rate", 0.05, float)}
+    return {"depth": p.get("depth", 3), "beta": p.get("beta", 0.0), "epochs": p.get("epochs", epochs),
+            "learning_rate": p.get("learning_rate", 0.05)}
 
 
 def _point(point, what: str) -> np.ndarray:
@@ -161,7 +160,7 @@ def _point(point, what: str) -> np.ndarray:
 
 def _label_target(model, point: np.ndarray, params: dict) -> TargetInference:
     """The predicted-label target of ``target_class`` (``predicted_label``)."""
-    label = predicted_label(batch_predictor(model), point, _param(params, "target_class", None, int))
+    label = predicted_label(batch_predictor(model), point, params.get("target_class"))
     return TargetInference(ThetaKind.PREDICTED_LABEL, label)
 
 
@@ -170,33 +169,34 @@ LEARNER_REGISTRY: dict[str, LearnerSpec] = {
         frozenset({ThetaKind.LATENT_CLASS_MEANS}),
         frozenset({ExplanationKind.EXAMPLE_SET}),
         _plda_recipe,
-        frozenset({"per_class_k", "n", "burn_in"}),
+        {"per_class_k": int, "n": int, "burn_in": int},
         partial_subsets=False,
     ),
     "masked-prediction": LearnerSpec(
         frozenset({ThetaKind.PREDICTED_LABEL}),
         frozenset({ExplanationKind.FEATURE_MASK}),
         _masked_prediction_recipe,
-        frozenset({"baseline", "target_class", "keep_prob", "n", "burn_in"}),
+        {"baseline": (float, list), "target_class": int, "keep_prob": float, "n": int, "burn_in": int},
     ),
     "nearest-class": LearnerSpec(
         frozenset({ThetaKind.PREDICTED_LABEL}),
         frozenset({ExplanationKind.EXAMPLE_SET}),
         _nearest_class_recipe,
-        frozenset({"target_class", "temperature", "per_class_k", "n", "burn_in"}),
+        {"target_class": int, "temperature": float, "per_class_k": int, "n": int, "burn_in": int},
     ),
     "mmd": LearnerSpec(
         frozenset({ThetaKind.CLASS_DATA_DISTRIBUTION}),
         frozenset({ExplanationKind.EXAMPLE_SET}),
         _mmd_recipe,
-        frozenset({"class_index", "bandwidth", "temperature", "m", "n", "burn_in"}),
+        {"class_index": int, "bandwidth": (float, None), "temperature": float, "m": int, "n": int,
+         "burn_in": int},
     ),
     "surrogate-fit": LearnerSpec(
         frozenset({ThetaKind.LOCAL_DECISION_BOUNDARY, ThetaKind.PREDICTIVE_DISTRIBUTION}),
         frozenset({ExplanationKind.LINEAR_WEIGHTS, ExplanationKind.SOFT_TREE}),
         _surrogate_recipe,
-        frozenset({"depth", "beta", "epochs", "learning_rate", "kernel_width", "probe_count",
-                   "target_class", "ridge"}),
+        {"depth": int, "beta": float, "epochs": int, "learning_rate": float, "kernel_width": float,
+         "probe_count": int, "target_class": int, "ridge": float},
     ),
 }
 
@@ -248,28 +248,6 @@ class RecombinedExplainer:
         return {"combination": jsonable(self), "seed": seed, "result": result}
 
 
-def _param(params: dict, key: str, default, kind):
-    """The recipe parameter ``key`` converted by ``kind``, or ``default``
-    when it is absent. No key reads a bool, so a bool (alone or in a list)
-    raises BadSpec naming the key, and so do a number with a fractional
-    part for an ``int`` key, a value the conversion rejects, and a float
-    with a NaN or infinite entry."""
-    if key not in params:
-        return default
-    value = params[key]
-    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
-        raise BadSpec(f"--param {key}={value!r} is not usable: a bool is not a number")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise BadSpec(f"--param {key}={value!r} is not usable: not an integer")
-    try:
-        converted = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BadSpec(f"--param {key}={value!r} is not usable: {exc}") from exc
-    if isinstance(converted, (float, np.ndarray)) and not np.all(np.isfinite(converted)):
-        raise BadSpec(f"--param {key}={value!r} is not usable: not a finite number")
-    return converted
-
-
 def _pair_predict(predict, X, target_class):
     p = class_column(predict(X), target_class)
     return np.column_stack([1.0 - p, p])
@@ -282,7 +260,9 @@ def recombine(
     strategy: str,
     params: dict | None = None,
 ) -> RecombinedExplainer:
-    """Validate the combination and return a runnable explainer."""
+    """Validate the combination, read each of ``params`` by its declared
+    kind (``models.param_value``) and return a runnable explainer that
+    holds the values as read."""
     check_compatibility(theta_kind, explanation_kind, learner_id)
     if strategy not in _STRATEGY_NEEDS:
         raise BadSpec(f"unknown strategy {strategy!r}; choose from {sorted(_STRATEGY_NEEDS)}")
@@ -295,9 +275,11 @@ def recombine(
             f"greedy grows subsets row by row, but learner {learner_id!r} "
             f"only scores class-complete example sets"
         )
-    accepted = LEARNER_REGISTRY[learner_id].params
-    unknown = sorted(set(params or {}) - accepted)
+    kinds = LEARNER_REGISTRY[learner_id].params
+    params = params or {}
+    unknown = sorted(set(params) - set(kinds))
     if unknown:
         raise BadSpec(f"learner {learner_id!r} reads no --param {', '.join(unknown)}; "
-                      f"accepted: {', '.join(sorted(accepted))}")
-    return RecombinedExplainer(theta_kind, explanation_kind, learner_id, strategy, dict(params or {}))
+                      f"accepted: {', '.join(sorted(kinds))}")
+    read = {key: param_value(f"--param {key}", value, kinds[key]) for key, value in params.items()}
+    return RecombinedExplainer(theta_kind, explanation_kind, learner_id, strategy, read)

@@ -359,3 +359,11 @@ def plda_strategy_mismatch_study(
     return strategy_mismatch_study(
         selector, evaluator, candidates, 0, space, n=int(n), burn_in=int(burn_in), seed=seed
     )
+
+
+# a config's study name -> the function whose keyword parameters are its params
+STUDIES = {
+    "example-selection": example_selection_study,
+    "bias-sweep": bias_sensitivity_study,
+    "strategy-mismatch": plda_strategy_mismatch_study,
+}

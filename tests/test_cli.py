@@ -518,6 +518,7 @@ def test_a_memory_error_exits_3(capsys, monkeypatch, tmp_path, error):
     ("n=abc", "n"),
     ("keep_prob=[1]", "keep_prob"),
     ("baseline=[1,2,3]", "baseline"),
+    ("baseline=[]", "baseline"),
     ("target_class=null", "target_class"),
 ])
 def test_recombine_rejects_an_unusable_param_value(capsys, ws, param, key):
@@ -529,6 +530,8 @@ def test_recombine_rejects_an_unusable_param_value(capsys, ws, param, key):
     ], cli.DATA_EXIT)
     assert err["type"] == "BadSpec"
     assert f"--param {key}=" in err["message"]
+    if key == "baseline":  # not numpy's broadcast text, but the width the point has
+        assert err["message"].endswith("expected one number or 2 numbers, one per feature")
 
 
 _PLDA_MH = ["--theta", "latent-class-means", "--x-kind", "example-set", "--strategy", "mh-sample",
@@ -607,6 +610,45 @@ def test_recombine_rejects_a_non_finite_param(capsys, ws, learner, param):
     assert err["type"] == "BadSpec"
     assert err["message"].startswith(f"--param {key}=")
     assert err["message"].endswith("not a finite number")
+
+
+def test_recombine_spellings_of_one_value_print_one_document(tmp_path, ws):
+    """An integer key reads an integral number as its integer, and every
+    document echoes the value as read."""
+    argv = [ws[a] if a in ("plda", "logistic") else a for a in _PLDA_MH]
+    texts = []
+    for spelling in ("50", "50.0", "5e1"):
+        out = tmp_path / f"n-{spelling}.json"
+        assert cli.main([
+            "explain", "recombine", "--learner", "plda", *argv, "--data", ws["data"],
+            "--param", "per_class_k=1", "--param", "burn_in=0", "--param", f"n={spelling}",
+            "--seed", "3", "--out", str(out),
+        ]) == 0
+        texts.append(out.read_bytes())
+    assert texts[1:] == texts[:1] * 2
+    doc = json.loads(texts[0])
+    assert doc["config"]["params"] == doc["result"]["combination"]["params"] == {
+        "per_class_k": 1, "burn_in": 0, "n": 50}
+    assert doc["result"]["result"]["metadata"]["steps"] == 50
+
+
+@pytest.mark.parametrize("learner, param", [
+    ("plda", 'n="50"'),
+    ("plda", "n=1_000"),
+    ("plda", 'n=" 50 "'),
+    ("nearest-class", "temperature=.5"),
+])
+def test_recombine_refuses_a_string_for_every_key(capsys, ws, learner, param):
+    recipe = _PLDA_MH if learner == "plda" else _RECIPES[learner]
+    argv = [ws[a] if a in ("plda", "logistic") else a for a in recipe]
+    err = run_err(capsys, [
+        "explain", "recombine", "--learner", learner, *argv, "--data", ws["data"],
+        "--point", ws["point"], "--param", param, "--seed", "0",
+    ], cli.DATA_EXIT)
+    key = param.split("=")[0]
+    assert err["type"] == "BadSpec"
+    assert err["message"].startswith(f"--param {key}=")
+    assert "is not usable: a string is not" in err["message"]
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive-max", "mh-sample"])
@@ -1192,6 +1234,33 @@ def test_failed_threshold_exits_1_but_still_reports(capsys, ws, tmp_path):
         capsys, ["study", "run", "--config", path, "--seed", "4"], "study", code=1
     )
     assert doc["thresholds"][0]["passed"] is False
+
+
+def test_study_params_are_read_by_the_kinds_of_their_defaults(capsys, ws, tmp_path):
+    """``"n": 300.0`` runs as ``300``, a number key reads a float, and a
+    string is refused as on ``--param``; ``config`` stays the file."""
+    results = []
+    for n in (300, 300.0):
+        config = {"study": "strategy-mismatch", "model": ws["plda"], "data": ws["data"],
+                  "params": {"per_class_k": 1, "n": n, "burn_in": 20, "distractor_scale": 1}}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        doc, _ = run_ok(capsys, ["study", "run", "--config", str(path), "--seed", "0"], "study")
+        assert doc["config"] == config
+        results.append(doc["result"])
+    assert results[0] == results[1]
+
+    config = {"study": "example-selection", "model": ws["plda"], "data": ws["data"],
+              "params": {"per_class_k": 1, "trials": 5, "random_subset_count": 5, "distractor_scale": 1}}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    _, out = run_ok(capsys, ["study", "run", "--config", str(path), "--seed", "0"], "study")
+    assert '"distractor_scale": 1.0' in out and '"distractor_scale": 1,' in out
+
+    config["params"]["trials"] = "5"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    err = run_err(capsys, ["study", "run", "--config", str(path), "--seed", "0"], cli.DATA_EXIT)
+    assert (err["type"], err["message"]) == (
+        "BadSpec", "study param trials='5' is not usable: a string is not an integer")
 
 
 @pytest.mark.parametrize("study", ["example-selection", "bias-sweep", "strategy-mismatch"])

@@ -228,3 +228,16 @@ def test_one_owner_per_rule():
     for call in members:
         bias = call.args[2:] + [k.value for k in call.keywords if k.arg == "bias"]
         assert [getattr(getattr(b, "func", None), "id", None) for b in bias] == ["BiasConfig"], ast.unparse(call)
+
+
+def test_one_reader_of_a_parameter_value():
+    """Every ``--param`` and study param value is read by its declared kind
+    through ``models.param_value``, written once; the two checkers it
+    replaced, ``recombine._param`` and ``cli._is_number``, are gone."""
+    sources = {m: (PACKAGE / f"{m}.py").read_text(encoding="utf-8") for m in MODULES}
+    assert [m for m, text in sources.items() if "def param_value(" in text] == ["models"]
+    defined = {
+        node.name for m in ("recombine", "cli") for node in ast.walk(ast.parse(sources[m]))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert sorted(defined & {"_param", "_is_number"}) == []

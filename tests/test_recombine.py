@@ -1,6 +1,8 @@
 """Compatibility rules and end-to-end runs of recombined methods."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,13 +240,17 @@ class _LookupLog(dict):
         self.asked.add(key)
         return super().__contains__(key)
 
+    def get(self, key, default=None):
+        self.asked.add(key)
+        return super().get(key, default)
+
 
 @pytest.mark.parametrize("learner_id", sorted(LEARNER_REGISTRY))
 def test_recipe_reads_exactly_the_params_it_declares(learner_id):
     assert set(RECIPE_RUNS) == set(LEARNER_REGISTRY)
     data = recombine_data()
     model = fit_model("plda" if learner_id == "plda" else "logistic", data, seed=0)
-    declared = LEARNER_REGISTRY[learner_id].params
+    declared = set(LEARNER_REGISTRY[learner_id].params)
     asked = set()
     for tk, xk, strategy in RECIPE_RUNS[learner_id]:
         params = {key: PARAM_VALUES[key] for key in declared}
@@ -255,3 +261,10 @@ def test_recipe_reads_exactly_the_params_it_declares(learner_id):
         assert out["combination"]["params"] == params
         asked |= logged.asked
     assert asked == declared
+
+
+def test_readme_lists_the_param_keys_of_each_learner():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", readme, flags=re.M))
+    listed = {learner: set(re.findall(r"`(\w+)`", rows.get(learner, ""))) for learner in LEARNER_REGISTRY}
+    assert listed == {learner: set(spec.params) for learner, spec in LEARNER_REGISTRY.items()}
