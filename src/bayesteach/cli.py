@@ -815,8 +815,5 @@ def main(argv=None) -> int:
         return DATA_EXIT
 
 
-run = main
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -12,10 +12,10 @@ log-sum-exp. Zero total mass raises instead of silently renormalizing.
 
 When the likelihood splits over the pools of a subset space (the
 learner's ``block_terms``; a subset space's prior is uniform), each
-pool's combinations are scored once, by ``posterior_max`` and by a
-Metropolis walk alike. An additive split makes the posterior a product
-of per-pool posteriors, whose argmax and normalizer are taken pool by
-pool.
+pool's combinations are scored once: by a ``PoolTable``, which serves
+``posterior_max`` and the scoring of drawn subsets, and by a Metropolis
+walk. An additive split makes the posterior a product of per-pool
+posteriors, whose argmax and normalizer are taken pool by pool.
 
 A Metropolis walk reports its mode: the most visited state, ties going
 to the smallest payload (``ChainSamples.mode``).
@@ -38,6 +38,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import AllZeroMass, BadSpec, ZeroStartMass, ZeroTotalWeight
+from .learners import in_order_sum
 from .spaces import ExplanationSpace, MaskSpace, SubsetSpace
 from .types import (MAX_DRAWS, Explanation, LearnerModel, TargetInference, TeacherPosterior,
                     example_set, feature_mask, record)
@@ -128,21 +129,48 @@ def pool_terms(learner: LearnerModel, theta: TargetInference, space: Explanation
     return learner.block_terms(theta, space._pools)
 
 
-def in_order_sum(terms) -> float:
-    """The terms added left to right from 0.0; builtin ``sum`` compensates
-    its rounding from Python 3.12 on."""
-    total = 0.0
-    for t in terms:
-        total += t
-    return total
+class PoolTable:
+    """A learner's ``block_terms`` on a subset space's pools, each term
+    scored once: per pool, its combinations in lexicographic order and
+    their term array. A candidate's weight, ``combine`` (None: the
+    ``in_order_sum``) of its terms, equals its log likelihood to the bit."""
 
+    def __init__(self, space: SubsetSpace, terms, combine):
+        self.combos = [list(itertools.combinations(pool, k)) for pool, k in zip(space._pools, space._ks)]
+        self.terms = [np.array([term(c) for c in combos], dtype=float) for term, combos in zip(terms, self.combos)]
+        self.combine = combine
 
-def pool_scores(terms, space: SubsetSpace):
-    """Each pool of the space with its ``block_terms`` scorer: yields the
-    pool's combinations in lexicographic order and their terms."""
-    for term, pool, k in zip(terms, space._pools, space._ks):
-        combos = list(itertools.combinations(pool, k))
-        yield combos, np.array([term(combo) for combo in combos], dtype=float)
+    def best(self) -> tuple[Explanation, float]:
+        """The first argmax in lexicographic product order, and log Z. With
+        no ``combine`` the posterior is a product, taken pool by pool;
+        otherwise ``combine`` weighs the whole grid."""
+        if self.combine is None:
+            picks = [int(np.argmax(t)) for t in self.terms]
+            log_z = in_order_sum(logsumexp(t) for t in self.terms)
+        else:
+            grid = np.indices([len(t) for t in self.terms]).reshape(len(self.terms), -1)
+            weights = self.weights(grid)
+            picks = grid[:, int(np.argmax(weights))]
+            log_z = logsumexp(weights)
+        return example_set(itertools.chain.from_iterable(c[i] for c, i in zip(self.combos, picks))), log_z
+
+    def weights(self, picks) -> np.ndarray:
+        """The weight of each candidate that ``picks``, one sequence of
+        combination indices per pool, names; a sum adds whole columns."""
+        columns = [t[p] for t, p in zip(self.terms, picks)]
+        if self.combine is None:
+            return in_order_sum(columns)
+        return np.fromiter(map(self.combine, zip(*(c.tolist() for c in columns))), dtype=float, count=len(picks[0]))
+
+    def score(self, rows: np.ndarray) -> np.ndarray:
+        """The weight of each row of a ``SubsetSpace.draw`` array, each
+        pool's segment looked up as a combination index."""
+        picks, start = [], 0
+        for combos in self.combos:
+            index, k = {c: i for i, c in enumerate(combos)}, len(combos[0])
+            picks.append([index[tuple(s)] for s in rows[:, start : start + k].tolist()])
+            start += k
+        return self.weights(picks)
 
 
 def teacher_posterior(
@@ -194,15 +222,10 @@ def posterior_max(
     """The argmax of the teacher posterior; ties go to the lowest index.
 
     On a subset space, whose prior is uniform, a learner whose
-    ``block_terms`` split its likelihood over the space's pools has each
-    pool's combinations scored once. When the likelihood is their sum,
-    the posterior is a product: log Z is the sum of the per-pool
-    log-sum-exps, and the argmax is the concatenation of the per-pool
-    first argmaxes, which is the first argmax in the space's
-    lexicographic product order. Otherwise the ``combine`` step maps the
-    pool terms of every candidate, in product order, to its weight. The
-    chosen set is then scored by the joint likelihood, so its log weight,
-    and any error the joint sweep would raise, are those of
+    ``block_terms`` split its likelihood over the space's pools is
+    searched by ``PoolTable.best``, each pool's combinations scored once.
+    The chosen set is then scored by the joint likelihood, so its log
+    weight, and any error the joint sweep would raise, are those of
     ``teacher_posterior``. The joint size limit still applies. Every
     other case sweeps the joint space with ``teacher_posterior``.
     """
@@ -220,36 +243,16 @@ def posterior_max(
             len(posterior),
         )
 
-    terms, combine = split
-    pools = list(pool_scores(terms, space))
-    if combine is None:
-        picks = [int(np.argmax(scores)) for _, scores in pools]
-        log_z = in_order_sum(logsumexp(scores) for _, scores in pools)
-    else:
-        grid = np.indices([len(scores) for _, scores in pools]).reshape(len(pools), -1)
-        columns = [scores[g].tolist() for (_, scores), g in zip(pools, grid)]
-        weights = np.fromiter(map(combine, zip(*columns)), dtype=float, count=grid.shape[1])
-        picks = grid[:, int(np.argmax(weights))]
-        log_z = logsumexp(weights)
-    x = example_set(itertools.chain.from_iterable(combos[i] for (combos, _), i in zip(pools, picks)))
+    x, log_z = PoolTable(space, *split).best()
     log_weight = float(learner.log_likelihood(theta, x))
     if log_z == -np.inf:
-        raise AllZeroMass(
-            f"{space.descriptor}: every candidate has zero likelihood * prior"
-        )
+        raise AllZeroMass(f"{space.descriptor}: every candidate has zero likelihood * prior")
     return PosteriorMax(x, log_weight, math.exp(log_weight - log_z), log_z, space.size())
 
 
 def select_max(posterior: TeacherPosterior) -> Explanation:
     """The maximum-posterior explanation; ties go to the lowest index."""
     return posterior.support[int(np.argmax(posterior.log_weights))]
-
-
-def sample_posterior(posterior: TeacherPosterior, n: int, seed: int) -> list[Explanation]:
-    """Draw n independent explanations from the posterior."""
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(posterior.support), size=n, p=posterior.probabilities())
-    return [posterior.support[int(i)] for i in draws]
 
 
 class ChainSamples(Sequence):
@@ -321,8 +324,7 @@ class ChainWalk:
 
     def __init__(self, learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
         self.learner, self.theta, self.space = learner, theta, space
-        split = pool_terms(learner, theta, space)
-        self.terms, combine = split if split is not None else (None, None)
+        self.terms, combine = pool_terms(learner, theta, space) or (None, None)
         self.combine = combine or in_order_sum
         radices = space.radices
         self.segments: list[list] = [[] for _ in radices]

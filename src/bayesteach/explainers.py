@@ -39,7 +39,7 @@ from .learners import (
 )
 from .models import Dataset, TargetModel, batch_predictor, softmax
 from .spaces import MaskSpace, SubsetSpace, coalition_rows
-from .types import TargetInference, ThetaKind, example_set, record
+from .types import TargetInference, ThetaKind, record
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +91,8 @@ def explain_by_examples(
     if per_class_independent:
         # The mean posterior factorizes over classes, so the per-class
         # argmax assembles the joint argmax directly.
-        chosen: list[int] = []
         terms, _ = core.pool_terms(learner, theta, space)
-        for combos, scores in core.pool_scores(terms, space):
-            chosen.extend(combos[int(np.argmax(scores))])
-        x = example_set(chosen)
+        x, _ = core.PoolTable(space, terms, None).best()
         ll = learner.log_likelihood(theta, x)
         return ExampleSelectionReport(
             x.payload, _split_by_class(data, x.payload), ll, None,

@@ -156,6 +156,15 @@ def witness(point: np.ndarray, data: np.ndarray, prototypes: np.ndarray, kernel:
 # subset learners
 
 
+def in_order_sum(terms) -> float:
+    """The terms added left to right from 0.0; builtin ``sum`` compensates
+    its rounding from Python 3.12 on."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def _pool_classes(data: Dataset, pools) -> list[int] | None:
     """The class of each pool when every pool holds a single class and the
     classes ascend, the order in which the subset learners visit classes;
@@ -215,13 +224,17 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
     def block_terms(theta: TargetInference, pools):
         """One class term per pool, added in pool order as
         ``log_likelihood`` adds them (``_pool_classes``); rows of a class
-        the model lacks add 0."""
+        the model lacks add 0. A model class no pool holds raises the
+        ``MissingClass`` of every candidate."""
         if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
             raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
         theta_array(theta)
         classes = _pool_classes(data, pools)
         if classes is None:
             return None
+        missing = set(range(model.class_count)).difference(classes)
+        if missing:
+            raise MissingClass(f"subset has no row of class {min(missing)}")
 
         def scorer(c: int):
             if c >= model.class_count:
@@ -440,4 +453,11 @@ def biased_learner(base: LearnerModel, bias: BiasConfig) -> LearnerModel:
     def log_likelihood(theta: TargetInference, x: Explanation) -> float:
         return base.log_likelihood(theta, x) + gamma * bias.log_prior_of(theta)
 
-    return LearnerModel(f"{base.description} [bias strength {gamma}]", log_likelihood)
+    def block_terms(theta: TargetInference, pools):
+        """The base's, the bias added after their combine as in ``log_likelihood``; None as theirs."""
+        split = base.block_terms and base.block_terms(theta, pools)
+        if split:
+            scorers, combine = split
+            return scorers, lambda terms: (combine or in_order_sum)(terms) + gamma * bias.log_prior_of(theta)
+
+    return LearnerModel(f"{base.description} [bias strength {gamma}]", log_likelihood).factored(block_terms)

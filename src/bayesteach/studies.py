@@ -12,33 +12,14 @@ import math
 
 import numpy as np
 
-from . import teacher
-from .core import logsumexp
+from . import core, teacher
 from .errors import BadSpec, NonFiniteResult
 from .learners import BiasConfig, biased_learner, linear_quantile, make_plda_learner
 from .models import Dataset, TargetModel
 from .spaces import SubsetSpace
-from .types import Explanation, LearnerModel, TargetInference, ThetaKind, example_set, record
+from .types import LearnerModel, TargetInference, ThetaKind, record
 
 CALIBRATION_BINS = 10
-
-
-@record
-class TwoAfcTask:
-    """One forced choice: which candidate does explanation x teach?"""
-
-    candidates: tuple[TargetInference, ...]
-    target_index: int
-    x: Explanation
-    trials: int = 1
-
-    def __post_init__(self):
-        if len(self.candidates) != 2:
-            raise BadSpec("a forced choice needs exactly two candidates")
-        if not 0 <= self.target_index < 2:
-            raise BadSpec("target_index must be 0 or 1")
-        if self.trials < 1:
-            raise BadSpec("trials must be >= 1")
 
 
 @record
@@ -52,10 +33,10 @@ class PopulationMember:
             return self.base_learner
         return biased_learner(self.base_learner, self.bias)
 
-    def prior_on(self, task: TwoAfcTask) -> np.ndarray:
+    def prior_on(self, candidates: tuple[TargetInference, ...]) -> np.ndarray:
         if self.bias is None or self.bias.confirmation_strength == 0:
             return np.full(2, 0.5)
-        masses = np.array([math.exp(self.bias.log_prior_of(c)) for c in task.candidates])
+        masses = np.array([math.exp(self.bias.log_prior_of(c)) for c in candidates])
         if masses.sum() <= 0:
             return np.full(2, 0.5)
         return masses / masses.sum()
@@ -63,14 +44,21 @@ class PopulationMember:
 
 @record
 class SimulatedStudy:
+    """Forced choices between two candidates; a task is ``(target, trials)``."""
+
     population: tuple[PopulationMember, ...]
-    tasks: tuple[TwoAfcTask, ...]
+    candidates: tuple[TargetInference, ...]
+    tasks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not self.population or not self.tasks:
             raise BadSpec("a study needs at least one member and one task")
         if any(m.weight <= 0 for m in self.population):
             raise BadSpec("population weights must be positive")
+        if len(self.candidates) != 2 or any(target not in (0, 1) for target, _ in self.tasks):
+            raise BadSpec("a forced choice needs two candidates and a target of 0 or 1")
+        if any(trials < 1 for _, trials in self.tasks):
+            raise BadSpec("trials must be >= 1")
 
 
 @record
@@ -86,7 +74,7 @@ def _target_masses(log_liks: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Normalized posterior mass on the target candidate of each row of a
     (T, k) log-likelihood array, from one row-wise log-sum-exp; a row
     whose likelihoods are all zero gives every candidate an equal share."""
-    lse = logsumexp(log_liks)
+    lse = core.logsumexp(log_liks)
     on_target = log_liks[np.arange(len(targets)), targets]
     flat = np.all(log_liks == -np.inf, axis=1)
     # math.exp, not np.exp: the two can differ in the last bit
@@ -96,26 +84,26 @@ def _target_masses(log_liks: np.ndarray, targets: np.ndarray) -> np.ndarray:
     ])
 
 
-def simulate_2afc(study: SimulatedStudy, seed: int) -> StudyReport:
+def simulate_2afc(study: SimulatedStudy, log_liks, seed: int) -> StudyReport:
     """Run every (member, task) pair; aggregate by population weight.
 
-    The predicted accuracy for a pair is the learner's normalized
-    posterior mass on the target candidate; realized accuracy is the
-    simulated argmax choice, the fraction of trials picking the target.
-    Each member's learner is built once and scores its tasks into one
-    (T, 2) log-likelihood array, whose target masses ``_target_masses``
-    takes from one row-wise log-sum-exp. A pair whose likelihood gap is
-    not strictly positive or negative (an exact tie, or NaN) flips a fair
-    coin per trial, drawn from ``default_rng((seed, member, task))``, so
-    results do not depend on iteration order. Per-task sums add members
-    in population order, and the calibration records run task by task.
+    ``log_liks[m]`` is member m's (T, 2) array, the log likelihoods of
+    each task's explanation under the candidates. The predicted accuracy
+    for a pair is the normalized posterior mass on the target candidate,
+    from one row-wise log-sum-exp (``_target_masses``); realized accuracy
+    is the simulated argmax choice, the fraction of trials picking the
+    target. A pair whose likelihood gap is not strictly positive or
+    negative (an exact tie, or NaN) flips a fair coin per trial, drawn
+    from ``default_rng((seed, member, task))``, so results do not depend
+    on iteration order. Per-task sums add members in population order,
+    and the calibration records run task by task.
     """
     member_w = np.array([m.weight for m in study.population], dtype=float)
     member_w = member_w / member_w.sum()
     tasks = study.tasks
     rows = np.arange(len(tasks))
-    targets = np.array([t.target_index for t in tasks], dtype=np.intp)
-    trials = np.array([t.trials for t in tasks], dtype=float)
+    targets = np.array([target for target, _ in tasks], dtype=np.intp)
+    trials = np.array([n for _, n in tasks], dtype=float)
 
     acc = np.zeros(len(tasks))
     pred_sum = np.zeros(len(tasks))
@@ -123,18 +111,15 @@ def simulate_2afc(study: SimulatedStudy, seed: int) -> StudyReport:
     predicted = np.empty((len(tasks), len(study.population)))
     realized = np.empty_like(predicted)
     for m_idx, member in enumerate(study.population):
-        learner = member.learner()
-        log_liks = np.array(
-            [[learner.log_likelihood(c, t.x) for c in t.candidates] for t in tasks], dtype=float
-        )
-        pred = _target_masses(log_liks, targets)
+        member_ll = np.asarray(log_liks[m_idx], dtype=float)
+        pred = _target_masses(member_ll, targets)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which ties
-            gap = log_liks[rows, targets] - log_liks[rows, 1 - targets]
+            gap = member_ll[rows, targets] - member_ll[rows, 1 - targets]
         real = np.where(gap > 0, 1.0, 0.0)
         for t_idx in np.flatnonzero(~((gap > 0) | (gap < 0))).tolist():
             rng = np.random.default_rng((seed, m_idx, t_idx))
-            real[t_idx] = float(np.mean(rng.random(tasks[t_idx].trials) < 0.5))
-        prior = np.array([member.prior_on(t)[t.target_index] for t in tasks])
+            real[t_idx] = float(np.mean(rng.random(tasks[t_idx][1]) < 0.5))
+        prior = member.prior_on(study.candidates)[targets]
         w = member_w[m_idx]
         acc += w * real
         pred_sum += w * pred
@@ -142,8 +127,8 @@ def simulate_2afc(study: SimulatedStudy, seed: int) -> StudyReport:
         predicted[:, m_idx], realized[:, m_idx] = pred, real
 
     per_task = tuple(
-        {"accuracy": a, "predicted": p, "belief_shift": s, "trials": t.trials}
-        for a, p, s, t in zip(acc, pred_sum, shift, tasks)
+        {"accuracy": a, "predicted": p, "belief_shift": s, "trials": n}
+        for a, p, s, (_, n) in zip(acc, pred_sum, shift, tasks)
     )
     overall_acc = float(acc @ trials / trials.sum())
     overall_shift = float(shift @ trials / trials.sum())
@@ -166,7 +151,7 @@ def simulate_2afc(study: SimulatedStudy, seed: int) -> StudyReport:
             entry["realized_mean"] = None
         calibration["bins"].append(entry)
 
-    return StudyReport(overall_acc, overall_shift, per_task, calibration, sum(t.trials for t in tasks))
+    return StudyReport(overall_acc, overall_shift, per_task, calibration, sum(n for _, n in tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +178,12 @@ def _plda_candidates(model: TargetModel, distractor_scale: float, seed: int, key
     )
 
 
+def _scored(learner: LearnerModel, candidates, space: SubsetSpace, rows: np.ndarray) -> np.ndarray:
+    """The log likelihood of each row of a ``SubsetSpace.draw`` array (a
+    row) under each candidate (a column), by one ``core.PoolTable`` each."""
+    return np.column_stack([core.PoolTable(space, *core.pool_terms(learner, c, space)).score(rows) for c in candidates])
+
+
 def example_selection_study(
     model: TargetModel,
     data: Dataset,
@@ -217,17 +208,18 @@ def example_selection_study(
     space = SubsetSpace.per_class(data.labels, per_class_k)
     favored = (0.1, 0.9) if bias_favors_distractor else (0.9, 0.1)
     member = PopulationMember(base, 1.0, BiasConfig(bias_strength, candidates, np.array(favored)))
+    learner = member.learner()
 
     selected_x = teacher.run_strategy(base, candidates[0], space, "exhaustive-max").explanation
-    teacher_task = TwoAfcTask(candidates, 0, selected_x, trials=trials)
-    teacher_report = simulate_2afc(SimulatedStudy((member,), (teacher_task,)), seed)
+    selected = _scored(learner, candidates, space, np.array([selected_x.payload]))
+    teacher_report = simulate_2afc(SimulatedStudy((member,), candidates, ((0, trials),)), [selected], seed)
 
-    shown = space.draw(np.random.default_rng((seed, 0xA11)), trials).tolist()
-    random_tasks = tuple(TwoAfcTask(candidates, 0, example_set(row), 1) for row in shown)
-    random_report = simulate_2afc(SimulatedStudy((member,), random_tasks), seed)
+    shown = space.draw(np.random.default_rng((seed, 0xA11)), trials)
+    random_study = SimulatedStudy((member,), candidates, ((0, 1),) * trials)
+    random_report = simulate_2afc(random_study, [_scored(learner, candidates, space, shown)], seed)
 
-    ranked = space.draw(np.random.default_rng((seed, 0x5EED)), random_subset_count).tolist()
-    random_lls = np.array([base.log_likelihood(candidates[0], example_set(row)) for row in ranked])
+    ranked = space.draw(np.random.default_rng((seed, 0x5EED)), random_subset_count)
+    random_lls = _scored(base, candidates[:1], space, ranked)[:, 0]
     selected_ll = base.log_likelihood(candidates[0], selected_x)
     percentile_99 = linear_quantile(random_lls, 0.99)
 
@@ -265,32 +257,23 @@ def bias_sensitivity_study(
     candidates = _plda_candidates(model, distractor_scale, seed, 0xB1A5, "bias sweep")
     base = make_plda_learner(model, data)
     space = SubsetSpace.per_class(data.labels, per_class_k)
-    shown = space.draw(np.random.default_rng((seed, 0xA11)), task_count).tolist()
-    tasks = tuple(TwoAfcTask(candidates, 0, example_set(row), 1) for row in shown)
+    shown = space.draw(np.random.default_rng((seed, 0xA11)), task_count)
+    tasks = ((0, 1),) * task_count
 
     favored = np.array([0.1, 0.9])
     members = [PopulationMember(base, 1.0, BiasConfig(s, candidates, favored)) for s in strengths]
     rows = []
     for strength, member in zip(strengths, members):
-        report = simulate_2afc(SimulatedStudy((member,), tasks), seed)
-        favored_mass = 1.0 - float(
-            np.mean([t["predicted"] for t in report.per_task])
-        )
-        rows.append(
-            {
-                "strength": float(strength),
-                "accuracy": report.overall_accuracy,
-                "belief_shift": report.overall_belief_shift,
-                "favored_candidate_mass": favored_mass,
-            }
-        )
+        log_liks = _scored(member.learner(), candidates, space, shown)
+        report = simulate_2afc(SimulatedStudy((member,), candidates, tasks), [log_liks], seed)
+        favored_mass = 1.0 - float(np.mean([t["predicted"] for t in report.per_task]))
+        rows.append({"strength": float(strength), "accuracy": report.overall_accuracy,
+                     "belief_shift": report.overall_belief_shift, "favored_candidate_mass": favored_mass})
     accs = [r["accuracy"] for r in rows]
     return {
         "strengths": [float(s) for s in strengths],
         "rows": rows,
-        "monotone_non_increasing": all(
-            accs[i + 1] <= accs[i] + 1e-12 for i in range(len(accs) - 1)
-        ),
+        "monotone_non_increasing": all(accs[i + 1] <= accs[i] + 1e-12 for i in range(len(accs) - 1)),
     }
 
 

@@ -15,13 +15,13 @@ from bayesteach.core import (
     CHAIN_BLOCK,
     MAX_DRAWS,
     ChainWalk,
+    PoolTable,
     in_order_sum,
     logsumexp,
     mask_expectation,
     mh_sample,
     pool_terms,
     posterior_max,
-    sample_posterior,
     select_max,
     teacher_posterior,
 )
@@ -162,25 +162,6 @@ def test_flat_likelihood_recovers_prior():
     space = EnumeratedSpace(cands, prior_weights=priors)
     post = teacher_posterior(learner, THETA, space)
     np.testing.assert_allclose(post.probabilities(), priors / priors.sum(), rtol=1e-13)
-
-
-def test_sample_posterior_frequencies(rng):
-    cands = [example_set((i,)) for i in range(3)]
-    learner = table_learner(zip(cands, [0.0, math.log(2.0), math.log(5.0)]))
-    space = EnumeratedSpace(cands)
-    post = teacher_posterior(learner, THETA, space)
-    draws = sample_posterior(post, 40000, seed=7)
-    counts = Counter(d.payload for d in draws)
-    freqs = np.array([counts[(i,)] / 40000 for i in range(3)])
-    np.testing.assert_allclose(freqs, post.probabilities(), atol=0.01)
-
-
-def test_sample_posterior_is_seed_deterministic(rng):
-    learner, space = random_case(rng)
-    post = teacher_posterior(learner, THETA, space)
-    a = sample_posterior(post, 50, seed=3)
-    b = sample_posterior(post, 50, seed=3)
-    assert [x.key() for x in a] == [x.key() for x in b]
 
 
 def tv_distance(exact: dict, counts: Counter, n: int) -> float:
@@ -476,10 +457,11 @@ def test_plda_product_route_agrees_with_the_joint_sweep(plda3, blobs3):
     assert math.isclose(best.probability, post.probabilities()[i], rel_tol=1e-12)
     assert math.isclose(best.log_normalizer, post.log_normalizer, rel_tol=1e-12)
 
-    # a confirmation-biased learner has no block terms: joint route, same argmax
+    # a confirmation-biased learner forwards the block terms: the combine
+    # route, the argmax and weights of the joint sweep
     other = TargetInference(ThetaKind.LATENT_CLASS_MEANS, -plda3.parameters["latent_means"])
     biased = biased_learner(learner, BiasConfig(0.7, (theta, other), np.array([0.6, 0.4])))
-    assert biased.block_terms is None
+    assert pool_terms(biased, theta, space)[1] is not None
     joint = posterior_max(biased, theta, space)
     post = teacher_posterior(biased, theta, space)
     i = int(np.argmax(post.log_weights))
@@ -803,6 +785,69 @@ def test_additive_pool_weights_add_in_order_without_compensation():
     space = SubsetSpace([[0, 1], [2, 3], [4, 5]], [1, 1, 1])
     weight = ChainWalk(learner, THETA, space)
     assert weight(((0,), (2,), (4,))) == learner.log_likelihood(THETA, example_set((0, 2, 4))) == 0.0
+
+
+def split_learners(plda3, blobs3):
+    """(learner, theta) pairs whose block terms split class pools: plda
+    and nearest-class, each plain and with confirmation bias."""
+    means = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+    other = TargetInference(ThetaKind.LATENT_CLASS_MEANS, -plda3.parameters["latent_means"])
+    label = TargetInference(ThetaKind.PREDICTED_LABEL, 1)
+    cases = [
+        (make_plda_learner(plda3, blobs3), means, other),
+        (make_nearest_class_learner(blobs3, np.array([0.3, -0.2]), 0.5), label,
+         TargetInference(ThetaKind.PREDICTED_LABEL, 0)),
+    ]
+    for learner, theta, rival in cases:
+        yield learner, theta
+        yield biased_learner(learner, BiasConfig(1.7, (theta, rival), np.array([0.3, 0.7]))), theta
+
+
+def test_pool_table_scores_drawn_subsets_as_the_joint_likelihood_to_the_bit(plda3, blobs3):
+    for learner, theta in split_learners(plda3, blobs3):
+        for k in (1, 2, 3):
+            space = SubsetSpace.per_class(blobs3.labels, k)
+            rows = space.draw(np.random.default_rng(k), 1000)
+            table = PoolTable(space, *pool_terms(learner, theta, space))
+            want = np.array([learner.log_likelihood(theta, example_set(row)) for row in rows.tolist()])
+            assert table.score(rows).tobytes() == want.tobytes(), (learner.description, k)
+
+
+def test_pool_table_best_is_the_brute_force_argmax_with_exact_ties(rng):
+    ties = 0
+    for i in range(150):
+        if i % 2:
+            space, ks, terms = block_case(rng)
+            learner, theta = block_learner(ks, terms)[0], THETA
+        else:
+            data, point, wanted, space = nearest_case(rng, per_class=True)
+            learner = make_nearest_class_learner(data, point, float(rng.uniform(0.5, 2.0)))
+            theta = TargetInference(ThetaKind.PREDICTED_LABEL, wanted)
+        try:
+            want = oracle.best_subset_bruteforce(learner, theta, space)
+        except AllZeroMass:
+            continue
+        x, log_z = PoolTable(space, *pool_terms(learner, theta, space)).best()
+        post = teacher_posterior(plain(learner), theta, space)
+        ties += int(np.sum(post.log_weights == post.log_weights.max()) > 1)
+        assert x == want
+        assert math.isclose(log_z, post.log_normalizer, rel_tol=1e-12)
+    assert ties > 20  # the tie rule was exercised
+
+
+def test_biased_split_routes_equal_the_joint_sweep_and_the_reference_chain(plda3, blobs3):
+    for i, (learner, theta) in enumerate(list(split_learners(plda3, blobs3))[1::2]):
+        for k in (1, 2):
+            space = SubsetSpace.per_class(blobs3.labels, k)
+            assert pool_terms(learner, theta, space)[1] is not None
+            best = posterior_max(learner, theta, space)
+            post = teacher_posterior(plain(learner), theta, space)
+            j = int(np.argmax(post.log_weights))
+            assert best.explanation == post.support[j]
+            assert best.log_weight == post.log_weights[j]
+            assert math.isclose(best.probability, post.probabilities()[j], rel_tol=1e-12)
+            assert math.isclose(best.log_normalizer, post.log_normalizer, rel_tol=1e-12)
+            assert assert_same_chain(learner, theta, space, 1500, 50, i + k) is not None
 
 
 def test_array_routes_raise_the_errors_of_the_joint_sweep(blobs3, logistic_grid, grid_image):

@@ -75,7 +75,6 @@ def test_module_imports_no_name_it_does_not_use(module):
 # Definitions kept although nothing in src/ or benchmarks/ names them.
 UNREACHED_ALLOWED = {
     "oracle.mh_reference": "the loop-first chain that tests replay mh_sample against",
-    "core.sample_posterior": "the exact-draw reference that chain diagnostics will be judged by",
 }
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -241,3 +240,17 @@ def test_one_reader_of_a_parameter_value():
         if isinstance(node, ast.FunctionDef)
     }
     assert sorted(defined & {"_param", "_is_number"}) == []
+
+
+def test_one_pool_table():
+    """A class-split learner's pools are scored by ``core.PoolTable``
+    alone: the per-pool argmax loop, the uncalled posterior sampler and
+    the task record it made redundant are gone, and neither the studies
+    nor the example explainer builds an example set of its own."""
+    sources = {m: (PACKAGE / f"{m}.py").read_text(encoding="utf-8") for m in MODULES}
+    defined = {
+        node.name for text in sources.values() for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert sorted(defined & {"pool_scores", "sample_posterior", "TwoAfcTask"}) == []
+    assert [m for m in ("studies", "explainers") if "example_set" in sources[m]] == []

@@ -16,7 +16,7 @@ from bayesteach.recombine import (
     check_compatibility,
     recombine,
 )
-from bayesteach.studies import PopulationMember, SimulatedStudy, TwoAfcTask, simulate_2afc
+from bayesteach.studies import PopulationMember, SimulatedStudy, simulate_2afc
 from bayesteach.types import ExplanationKind, TargetInference, ThetaKind, example_set
 
 TK, XK = ThetaKind, ExplanationKind
@@ -173,31 +173,24 @@ def test_novel_nearest_class_method_beats_random_examples():
     out = method.run(model, data, point=point, seed=0)
     selected = tuple(out["result"]["indices"])
 
-    member = PopulationMember(make_nearest_class_learner(data, point), 1.0, None)
+    learner = make_nearest_class_learner(data, point)
+    member = PopulationMember(learner, 1.0, None)
     candidates = (
         TargetInference(TK.PREDICTED_LABEL, 0),
         TargetInference(TK.PREDICTED_LABEL, 1),
     )
 
-    def accuracy(tasks):
-        study = SimulatedStudy((member,), tuple(tasks))
-        return simulate_2afc(study, seed=0).overall_accuracy
+    def accuracy(shown):
+        study = SimulatedStudy((member,), candidates, ((predicted, 50),) * len(shown))
+        log_liks = [[learner.log_likelihood(c, x) for c in candidates] for x in shown]
+        return simulate_2afc(study, [log_liks], seed=0).overall_accuracy
 
-    teacher_acc = accuracy(
-        [TwoAfcTask(candidates, predicted, example_set(selected), trials=50)]
-    )
+    teacher_acc = accuracy([example_set(selected)])
     rng = np.random.default_rng(1)
     pools = [np.flatnonzero(data.labels == c) for c in range(2)]
-    random_tasks = [
-        TwoAfcTask(
-            candidates,
-            predicted,
-            example_set(tuple(sorted(int(rng.choice(pool)) for pool in pools))),
-            trials=50,
-        )
-        for _ in range(200)
-    ]
-    random_acc = accuracy(random_tasks)
+    random_acc = accuracy([
+        example_set(tuple(sorted(int(rng.choice(pool)) for pool in pools))) for _ in range(200)
+    ])
     assert teacher_acc >= random_acc + 0.2
 
 

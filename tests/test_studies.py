@@ -8,7 +8,7 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from bayesteach import teacher
-from bayesteach.errors import BadSpec
+from bayesteach.errors import BadSpec, MissingClass
 from bayesteach.learners import BiasConfig, biased_learner, linear_quantile, make_plda_learner, median
 from bayesteach.models import fit_model, jsonable, make_synthetic
 from bayesteach.spaces import EnumeratedSpace, SubsetSpace
@@ -17,7 +17,6 @@ from bayesteach.studies import (
     PopulationMember,
     SimulatedStudy,
     StudyReport,
-    TwoAfcTask,
     _plda_candidates,
     _target_masses,
     bias_sensitivity_study,
@@ -38,14 +37,25 @@ def pair_learner(ll0, ll1):
     return LearnerModel("pair", lambda theta, x: table[theta.key()])
 
 
+def scored(population, shown):
+    """Each member's (T, 2) log likelihoods of the explanations shown in
+    the tasks, one explanation per task, under C0 and C1."""
+    return [[[m.learner().log_likelihood(c, x) for c in (C0, C1)] for x in shown] for m in population]
+
+
+def run(population, tasks, seed):
+    """simulate_2afc over C0 and C1, every task showing X."""
+    study = SimulatedStudy(tuple(population), (C0, C1), tuple(tasks))
+    return simulate_2afc(study, scored(study.population, [X] * len(study.tasks)), seed)
+
+
 # ---------------------------------------------------------------------------
 # 2AFC simulation
 
 
 def test_indifferent_learner_scores_at_chance():
     member = PopulationMember(pair_learner(-1.0, -1.0))
-    task = TwoAfcTask((C0, C1), 0, X, trials=10000)
-    report = simulate_2afc(SimulatedStudy((member,), (task,)), seed=0)
+    report = run((member,), [(0, 10000)], seed=0)
     assert report.overall_accuracy == pytest.approx(0.5, abs=0.02)
     assert report.per_task[0]["predicted"] == pytest.approx(0.5)
     assert report.overall_belief_shift == pytest.approx(0.0)
@@ -54,35 +64,30 @@ def test_indifferent_learner_scores_at_chance():
 
 def test_confident_learner_is_always_right_or_wrong():
     right = PopulationMember(pair_learner(0.0, -5.0))
-    task = TwoAfcTask((C0, C1), 0, X, trials=7)
-    report = simulate_2afc(SimulatedStudy((right,), (task,)), seed=3)
+    report = run((right,), [(0, 7)], seed=3)
     assert report.overall_accuracy == 1.0
-    wrong_target = TwoAfcTask((C0, C1), 1, X, trials=7)
-    report = simulate_2afc(SimulatedStudy((right,), (wrong_target,)), seed=3)
+    report = run((right,), [(1, 7)], seed=3)
     assert report.overall_accuracy == 0.0
 
 
 def test_population_weights_mix_members():
     right = PopulationMember(pair_learner(0.0, -5.0), weight=3.0)
     wrong = PopulationMember(pair_learner(-5.0, 0.0), weight=1.0)
-    task = TwoAfcTask((C0, C1), 0, X, trials=4)
-    report = simulate_2afc(SimulatedStudy((right, wrong), (task,)), seed=0)
+    report = run((right, wrong), [(0, 4)], seed=0)
     assert report.overall_accuracy == pytest.approx(0.75)
 
 
 def test_task_weighting_is_by_trials():
     member = PopulationMember(pair_learner(0.0, -5.0))
-    many_right = TwoAfcTask((C0, C1), 0, X, trials=90)
-    few_wrong = TwoAfcTask((C0, C1), 1, X, trials=10)
-    report = simulate_2afc(SimulatedStudy((member,), (many_right, few_wrong)), seed=0)
+    many_right, few_wrong = (0, 90), (1, 10)
+    report = run((member,), [many_right, few_wrong], seed=0)
     assert report.overall_accuracy == pytest.approx(0.9)
 
 
 def test_biased_member_shifts_belief_from_its_prior():
     bias = BiasConfig(2.0, (C0, C1), np.array([0.9, 0.1]))
     member = PopulationMember(pair_learner(-1.0, -1.0), bias=bias)
-    task = TwoAfcTask((C0, C1), 0, X, trials=1)
-    report = simulate_2afc(SimulatedStudy((member,), (task,)), seed=0)
+    report = run((member,), [(0, 1)], seed=0)
     predicted = report.per_task[0]["predicted"]
     assert predicted > 0.9  # strength 2 sharpens the 0.9 prior
     assert report.overall_belief_shift == pytest.approx(predicted - 0.9)
@@ -92,18 +97,17 @@ def test_a_zero_strength_bias_is_no_bias():
     # BiasConfig's rule: strength zero disables the bias, whatever the prior
     base = pair_learner(-1.0, -2.0)
     member = PopulationMember(base, bias=BiasConfig(0.0, (C0, C1), np.array([0.9, 0.1])))
-    task = TwoAfcTask((C0, C1), 0, X, trials=3)
     assert member.learner() is base
-    assert member.prior_on(task).tolist() == [0.5, 0.5]
-    unbiased = simulate_2afc(SimulatedStudy((PopulationMember(base),), (task,)), seed=0)
-    assert jsonable(simulate_2afc(SimulatedStudy((member,), (task,)), seed=0)) == jsonable(unbiased)
+    assert member.prior_on((C0, C1)).tolist() == [0.5, 0.5]
+    unbiased = run((PopulationMember(base),), [(0, 3)], seed=0)
+    assert jsonable(run((member,), [(0, 3)], seed=0)) == jsonable(unbiased)
 
 
 def test_simulation_is_seed_deterministic_and_order_free():
     member = PopulationMember(pair_learner(-1.0, -1.0))
-    tasks = tuple(TwoAfcTask((C0, C1), 0, X, trials=11) for _ in range(4))
-    a = simulate_2afc(SimulatedStudy((member,), tasks), seed=5)
-    b = simulate_2afc(SimulatedStudy((member,), tasks), seed=5)
+    tasks = [(0, 11)] * 4
+    a = run((member,), tasks, seed=5)
+    b = run((member,), tasks, seed=5)
     assert jsonable(a) == jsonable(b)
 
 
@@ -112,8 +116,7 @@ def test_calibration_bins_cover_predictions():
         PopulationMember(pair_learner(math.log(0.25), math.log(0.75))),
         PopulationMember(pair_learner(math.log(0.85), math.log(0.15))),
     )
-    task = TwoAfcTask((C0, C1), 0, X, trials=20)
-    report = simulate_2afc(SimulatedStudy(members, (task,)), seed=0)
+    report = run(members, [(0, 20)], seed=0)
     bins = report.calibration["bins"]
     assert len(bins) == 10
     assert bins[2]["count"] == 1 and bins[2]["predicted_mean"] == pytest.approx(0.25)
@@ -123,17 +126,19 @@ def test_calibration_bins_cover_predictions():
 
 
 def test_study_validation():
+    member = PopulationMember(pair_learner(0, 0))
     with pytest.raises(BadSpec):
-        TwoAfcTask((C0, C1, C0), 0, X)
+        SimulatedStudy((member,), (C0, C1, C0), ((0, 1),))
     with pytest.raises(BadSpec):
-        TwoAfcTask((C0, C1), 2, X)
+        SimulatedStudy((member,), (C0, C1), ((2, 1),))
     with pytest.raises(BadSpec):
-        TwoAfcTask((C0, C1), 0, X, trials=0)
-    member = PopulationMember(pair_learner(0, 0), weight=0.0)
+        SimulatedStudy((member,), (C0, C1), ((0, 0),))
     with pytest.raises(BadSpec):
-        SimulatedStudy((member,), (TwoAfcTask((C0, C1), 0, X),))
+        SimulatedStudy((member,), (C0, C1), ())
     with pytest.raises(BadSpec):
-        SimulatedStudy((), (TwoAfcTask((C0, C1), 0, X),))
+        SimulatedStudy((PopulationMember(pair_learner(0, 0), weight=0.0),), (C0, C1), ((0, 1),))
+    with pytest.raises(BadSpec):
+        SimulatedStudy((), (C0, C1), ((0, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -158,36 +163,37 @@ def reference_target_mass(log_liks, target):
     return float(math.exp(log_liks[target] - float(scipy_logsumexp(log_liks))))
 
 
-def reference_simulate_2afc(study, seed):
+def reference_simulate_2afc(study, shown, seed):
     """One (task, member) pair at a time: the learner built, the two
-    candidates scored and a generator made for every pair."""
+    candidates scored on the task's shown explanation and a generator
+    made for every pair."""
     member_w = np.array([m.weight for m in study.population], dtype=float)
     member_w = member_w / member_w.sum()
     per_task, records, total_trials = [], [], 0
-    for t_idx, task in enumerate(study.tasks):
-        total_trials += task.trials
+    for t_idx, ((target, trials), x) in enumerate(zip(study.tasks, shown)):
+        total_trials += trials
         task_acc = task_pred = task_shift = 0.0
         for m_idx, member in enumerate(study.population):
             learner = member.learner()
-            log_liks = [learner.log_likelihood(c, task.x) for c in task.candidates]
-            predicted = reference_target_mass(log_liks, task.target_index)
+            log_liks = [learner.log_likelihood(c, x) for c in study.candidates]
+            predicted = reference_target_mass(log_liks, target)
             rng = np.random.default_rng((seed, m_idx, t_idx))
-            gap = log_liks[task.target_index] - log_liks[1 - task.target_index]
+            gap = log_liks[target] - log_liks[1 - target]
             if gap > 0:
                 realized = 1.0
             elif gap < 0:
                 realized = 0.0
             else:
-                realized = float(np.mean(rng.random(task.trials) < 0.5))
-            prior = member.prior_on(task)[task.target_index]
+                realized = float(np.mean(rng.random(trials) < 0.5))
+            prior = member.prior_on(study.candidates)[target]
             task_acc += member_w[m_idx] * realized
             task_pred += member_w[m_idx] * predicted
             task_shift += member_w[m_idx] * (predicted - prior)
-            records.append((member_w[m_idx] * task.trials, predicted, realized))
+            records.append((member_w[m_idx] * trials, predicted, realized))
         per_task.append({"accuracy": task_acc, "predicted": task_pred,
-                         "belief_shift": task_shift, "trials": task.trials})
+                         "belief_shift": task_shift, "trials": trials})
 
-    trials_per_task = np.array([t.trials for t in study.tasks], dtype=float)
+    trials_per_task = np.array([trials for _, trials in study.tasks], dtype=float)
     acc = np.array([t["accuracy"] for t in per_task])
     shift = np.array([t["belief_shift"] for t in per_task])
     overall_acc = float(acc @ trials_per_task / trials_per_task.sum())
@@ -217,7 +223,8 @@ def same_document(a, b) -> bool:
 def random_study(rng):
     """Seeded members and tasks: log likelihoods drawn per (candidate,
     explanation) with exact ties, all -inf pairs and NaN-free infinities,
-    weighted members, a biased member, trials above 1 and both targets."""
+    weighted members, a biased member, trials above 1 and both targets;
+    with the explanation each task shows."""
     xs = [example_set((i,)) for i in range(int(rng.integers(1, 6)))]
     members = []
     for m in range(int(rng.integers(1, 4))):
@@ -240,12 +247,12 @@ def random_study(rng):
             p = float(rng.uniform(0.05, 0.95))
             bias = BiasConfig(float(rng.uniform(0.5, 3.0)), (C0, C1), np.array([p, 1.0 - p]))
         members.append(PopulationMember(learner, float(rng.uniform(0.2, 3.0)), bias))
-    tasks = tuple(
-        TwoAfcTask((C0, C1), int(rng.integers(0, 2)), xs[int(rng.integers(0, len(xs)))],
-                   trials=int(rng.integers(1, 9)))
-        for _ in range(int(rng.integers(1, 12)))
-    )
-    return SimulatedStudy(tuple(members), tasks)
+    tasks, shown = [], []
+    for _ in range(int(rng.integers(1, 12))):
+        target, x, trials = int(rng.integers(0, 2)), xs[int(rng.integers(0, len(xs)))], int(rng.integers(1, 9))
+        tasks.append((target, trials))
+        shown.append(x)
+    return SimulatedStudy(tuple(members), (C0, C1), tuple(tasks)), shown
 
 
 def test_simulate_2afc_equals_the_loop_first_reference_on_named_cases():
@@ -255,24 +262,20 @@ def test_simulate_2afc_equals_the_loop_first_reference_on_named_cases():
     biased = PopulationMember(
         pair_learner(-0.3, -0.2), bias=BiasConfig(2.0, (C0, C1), np.array([0.7, 0.3]))
     )
-    tasks = (
-        TwoAfcTask((C0, C1), 0, X, trials=9),
-        TwoAfcTask((C0, C1), 1, X, trials=4),
-        TwoAfcTask((C0, C1), 1, X, trials=1),
-    )
+    tasks = ((0, 9), (1, 4), (1, 1))
     for population in [(tie, right), (biased,), (dead, tie, biased, right)]:
-        study = SimulatedStudy(population, tasks)
+        study = SimulatedStudy(population, (C0, C1), tasks)
         for seed in (0, 3, 17):
-            got = jsonable(simulate_2afc(study, seed))
-            assert same_document(got, jsonable(reference_simulate_2afc(study, seed)))
+            got = jsonable(run(population, tasks, seed))
+            assert same_document(got, jsonable(reference_simulate_2afc(study, [X] * 3, seed)))
 
 
 def test_simulate_2afc_equals_the_loop_first_reference_on_drawn_studies():
     rng = np.random.default_rng(2024)
     for case in range(150):
-        study = random_study(rng)
-        got = jsonable(simulate_2afc(study, case))
-        assert same_document(got, jsonable(reference_simulate_2afc(study, case))), case
+        study, shown = random_study(rng)
+        got = jsonable(simulate_2afc(study, scored(study.population, shown), case))
+        assert same_document(got, jsonable(reference_simulate_2afc(study, shown, case))), case
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +314,16 @@ def test_example_selection_study_reports_and_ordering():
         random_subset_count=200,
     )
     assert again == out
+
+
+def test_studies_raise_the_missing_class_of_the_joint_likelihood():
+    # a model class that the data lacks leaves every subset without it
+    data = study_data()
+    model = fit_model("plda", make_synthetic(
+        {"generator": "gaussian-blobs", "classes": 3, "dim": 3, "per_class": 6, "separation": 5.0}, seed=4))
+    for study in (example_selection_study, bias_sensitivity_study):
+        with pytest.raises(MissingClass, match="no row of class 2"):
+            study(model, data, seed=0)
 
 
 def quantile_cases():

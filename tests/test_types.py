@@ -24,7 +24,7 @@ from bayesteach.explainers import ExampleSelectionReport, SaliencyReport
 from bayesteach.learners import BiasConfig, KernelConfig
 from bayesteach.models import Dataset, TargetModel
 from bayesteach.recombine import LEARNER_REGISTRY, LearnerSpec
-from bayesteach.studies import TwoAfcTask
+from bayesteach.studies import PopulationMember, SimulatedStudy
 from bayesteach.types import (
     Explanation,
     ExplanationKind,
@@ -139,9 +139,10 @@ def test_record_classes_keep_the_semantics_of_a_frozen_dataclass():
 
     # __post_init__ runs, on construction and on replace
     candidates = (TargetInference(ThetaKind.PREDICTED_LABEL, 0), TargetInference(ThetaKind.PREDICTED_LABEL, 1))
-    task = TwoAfcTask(candidates, 0, example_set((1, 2)))
-    for bad in [lambda: TwoAfcTask(candidates[:1], 0, example_set((1,))),
-                lambda: dataclasses.replace(task, target_index=2),
+    members = (PopulationMember(learner),)
+    study = SimulatedStudy(members, candidates, ((0, 1),))
+    for bad in [lambda: SimulatedStudy(members, candidates[:1], ((0, 1),)),
+                lambda: dataclasses.replace(study, tasks=((2, 1),)),
                 lambda: KernelConfig(-1.0), lambda: KernelConfig(bandwidth=1e-200)]:
         with pytest.raises(BadSpec):
             bad()
@@ -151,7 +152,7 @@ def test_record_classes_keep_the_semantics_of_a_frozen_dataclass():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(KernelConfig(1.0), name, 2.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        del task.trials
+        del study.tasks
 
     # equality within one class over the compared fields, and their hash
     assert KernelConfig(1.0) == KernelConfig(bandwidth=1.0) != KernelConfig()
@@ -176,9 +177,9 @@ def test_record_classes_keep_the_semantics_of_a_frozen_dataclass():
     assert repr(KernelConfig()) == "KernelConfig(bandwidth=None)"
 
     # the field metadata stays a dataclass's
-    assert dataclasses.is_dataclass(task) and dataclasses.is_dataclass(LearnerModel)
+    assert dataclasses.is_dataclass(study) and dataclasses.is_dataclass(LearnerModel)
     assert [f.name for f in dataclasses.fields(LearnerModel)] == [
         "description", "log_likelihood", "block_terms", "batch_log_likelihood"]
-    assert dataclasses.replace(task, trials=3) == TwoAfcTask(candidates, 0, example_set((1, 2)), 3)
+    assert dataclasses.replace(study, tasks=((0, 3),)) == SimulatedStudy(members, candidates, ((0, 3),))
     with pytest.raises(ValueError):
         dataclasses.replace(learner, block_terms=None)  # an init=False field
