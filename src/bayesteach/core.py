@@ -12,7 +12,7 @@ log-sum-exp. Zero total mass raises instead of silently renormalizing.
 
 When the likelihood splits over the pools of a subset space (the
 learner's ``block_terms``; a subset space's prior is uniform), each
-pool's combinations are scored once: by a ``PoolTable``, which serves
+pool segment is scored once: by a ``PoolTable``, which serves
 ``posterior_max`` and the scoring of drawn subsets, and by a Metropolis
 walk. An additive split makes the posterior a product of per-pool
 posteriors, whose argmax and normalizer are taken pool by pool.
@@ -130,47 +130,49 @@ def pool_terms(learner: LearnerModel, theta: TargetInference, space: Explanation
 
 
 class PoolTable:
-    """A learner's ``block_terms`` on a subset space's pools, each term
-    scored once: per pool, its combinations in lexicographic order and
-    their term array. A candidate's weight, ``combine`` (None: the
-    ``in_order_sum``) of its terms, equals its log likelihood to the bit."""
+    """A learner's ``block_terms`` on a subset space's pools. A candidate's
+    weight, ``combine`` (None: the ``in_order_sum``) of its pool terms,
+    equals its log likelihood to the bit. ``best`` scores every
+    combination of every pool once, as the joint argmax must; ``score``
+    scores only the distinct segments of the rows it is given, so its
+    cost grows with the draws, not with the pools' C(n, k)."""
 
     def __init__(self, space: SubsetSpace, terms, combine):
-        self.combos = [list(itertools.combinations(pool, k)) for pool, k in zip(space._pools, space._ks)]
-        self.terms = [np.array([term(c) for c in combos], dtype=float) for term, combos in zip(terms, self.combos)]
-        self.combine = combine
+        self.space, self.scorers, self.combine = space, terms, combine
 
     def best(self) -> tuple[Explanation, float]:
         """The first argmax in lexicographic product order, and log Z. With
         no ``combine`` the posterior is a product, taken pool by pool;
         otherwise ``combine`` weighs the whole grid."""
+        combos = [list(itertools.combinations(pool, k)) for pool, k in zip(self.space._pools, self.space._ks)]
+        terms = [np.array([term(c) for c in cs], dtype=float) for term, cs in zip(self.scorers, combos)]
         if self.combine is None:
-            picks = [int(np.argmax(t)) for t in self.terms]
-            log_z = in_order_sum(logsumexp(t) for t in self.terms)
+            picks = [int(np.argmax(t)) for t in terms]
+            log_z = in_order_sum(logsumexp(t) for t in terms)
         else:
-            grid = np.indices([len(t) for t in self.terms]).reshape(len(self.terms), -1)
-            weights = self.weights(grid)
+            grid = np.indices([len(t) for t in terms]).reshape(len(terms), -1)
+            weights = self.weights([t[g] for t, g in zip(terms, grid)])
             picks = grid[:, int(np.argmax(weights))]
             log_z = logsumexp(weights)
-        return example_set(itertools.chain.from_iterable(c[i] for c, i in zip(self.combos, picks))), log_z
+        return example_set(itertools.chain.from_iterable(c[i] for c, i in zip(combos, picks))), log_z
 
-    def weights(self, picks) -> np.ndarray:
-        """The weight of each candidate that ``picks``, one sequence of
-        combination indices per pool, names; a sum adds whole columns."""
-        columns = [t[p] for t, p in zip(self.terms, picks)]
+    def weights(self, columns) -> np.ndarray:
+        """The weight of each candidate from its pool terms, one column
+        per pool; a sum adds whole columns."""
         if self.combine is None:
             return in_order_sum(columns)
-        return np.fromiter(map(self.combine, zip(*(c.tolist() for c in columns))), dtype=float, count=len(picks[0]))
+        return np.fromiter(map(self.combine, zip(*(c.tolist() for c in columns))), dtype=float, count=len(columns[0]))
 
     def score(self, rows: np.ndarray) -> np.ndarray:
         """The weight of each row of a ``SubsetSpace.draw`` array, each
-        pool's segment looked up as a combination index."""
-        picks, start = [], 0
-        for combos in self.combos:
-            index, k = {c: i for i, c in enumerate(combos)}, len(combos[0])
-            picks.append([index[tuple(s)] for s in rows[:, start : start + k].tolist()])
+        distinct segment of a pool scored once."""
+        columns, start = [], 0
+        for term, k in zip(self.scorers, self.space._ks):
+            segments = list(map(tuple, rows[:, start : start + k].tolist()))
+            scored = {s: term(s) for s in dict.fromkeys(segments)}
+            columns.append(np.array([scored[s] for s in segments], dtype=float))
             start += k
-        return self.weights(picks)
+        return self.weights(columns)
 
 
 def teacher_posterior(
@@ -246,7 +248,9 @@ def posterior_max(
     x, log_z = PoolTable(space, *split).best()
     log_weight = float(learner.log_likelihood(theta, x))
     if log_z == -np.inf:
-        raise AllZeroMass(f"{space.descriptor}: every candidate has zero likelihood * prior")
+        raise AllZeroMass(
+            f"{space.descriptor}: every candidate has zero likelihood * prior"
+        )
     return PosteriorMax(x, log_weight, math.exp(log_weight - log_z), log_z, space.size())
 
 
@@ -324,7 +328,8 @@ class ChainWalk:
 
     def __init__(self, learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
         self.learner, self.theta, self.space = learner, theta, space
-        self.terms, combine = pool_terms(learner, theta, space) or (None, None)
+        split = pool_terms(learner, theta, space)
+        self.terms, combine = split if split is not None else (None, None)
         self.combine = combine or in_order_sum
         radices = space.radices
         self.segments: list[list] = [[] for _ in radices]

@@ -181,7 +181,8 @@ def _plda_candidates(model: TargetModel, distractor_scale: float, seed: int, key
 def _scored(learner: LearnerModel, candidates, space: SubsetSpace, rows: np.ndarray) -> np.ndarray:
     """The log likelihood of each row of a ``SubsetSpace.draw`` array (a
     row) under each candidate (a column), by one ``core.PoolTable`` each."""
-    return np.column_stack([core.PoolTable(space, *core.pool_terms(learner, c, space)).score(rows) for c in candidates])
+    tables = [core.PoolTable(space, *core.pool_terms(learner, c, space)) for c in candidates]
+    return np.column_stack([table.score(rows) for table in tables])
 
 
 def example_selection_study(
@@ -266,14 +267,24 @@ def bias_sensitivity_study(
     for strength, member in zip(strengths, members):
         log_liks = _scored(member.learner(), candidates, space, shown)
         report = simulate_2afc(SimulatedStudy((member,), candidates, tasks), [log_liks], seed)
-        favored_mass = 1.0 - float(np.mean([t["predicted"] for t in report.per_task]))
-        rows.append({"strength": float(strength), "accuracy": report.overall_accuracy,
-                     "belief_shift": report.overall_belief_shift, "favored_candidate_mass": favored_mass})
+        favored_mass = 1.0 - float(
+            np.mean([t["predicted"] for t in report.per_task])
+        )
+        rows.append(
+            {
+                "strength": float(strength),
+                "accuracy": report.overall_accuracy,
+                "belief_shift": report.overall_belief_shift,
+                "favored_candidate_mass": favored_mass,
+            }
+        )
     accs = [r["accuracy"] for r in rows]
     return {
         "strengths": [float(s) for s in strengths],
         "rows": rows,
-        "monotone_non_increasing": all(accs[i + 1] <= accs[i] + 1e-12 for i in range(len(accs) - 1)),
+        "monotone_non_increasing": all(
+            accs[i + 1] <= accs[i] + 1e-12 for i in range(len(accs) - 1)
+        ),
     }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from bayesteach import teacher
+from bayesteach import learners, teacher
 from bayesteach.errors import BadSpec, MissingClass
 from bayesteach.learners import BiasConfig, biased_learner, linear_quantile, make_plda_learner, median
 from bayesteach.models import fit_model, jsonable, make_synthetic
@@ -375,6 +375,28 @@ def test_bias_sweep_raises_favored_mass_and_reports_monotonicity():
     assert out["monotone_non_increasing"] == all(
         b <= a + 1e-12 for a, b in zip(accs, accs[1:])
     )
+
+
+def test_bias_sweep_scores_only_the_drawn_subsets_of_a_large_pool(monkeypatch):
+    # C(1500, 2) = 1,123,500 subsets per class pool against 20 drawn tasks:
+    # a pool table that scored every combination would take minutes here
+    data = make_synthetic(
+        {"generator": "gaussian-blobs", "classes": 2, "dim": 3, "per_class": 1500, "separation": 5.0}, seed=4)
+    model = fit_model("plda", data, seed=0)
+    calls = []
+    logpdf = learners.plda_class_logpdf
+    monkeypatch.setattr(learners, "plda_class_logpdf", lambda *a: calls.append(a) or logpdf(*a))
+    strengths = (0.0, 5.0)
+    out = bias_sensitivity_study(model, data, strengths=strengths, task_count=20, seed=0)
+    assert len(calls) <= 20 * 2 * 2  # tasks x class pools x candidates
+    candidates = _plda_candidates(model, 0.4, 0, 0xB1A5, "bias sweep")
+    space = SubsetSpace.per_class(data.labels, 2)
+    shown = [example_set(row) for row in space.draw(np.random.default_rng((0, 0xA11)), 20).tolist()]
+    base = make_plda_learner(model, data)
+    for strength, row in zip(strengths, out["rows"]):
+        member = PopulationMember(base, 1.0, BiasConfig(strength, candidates, np.array([0.1, 0.9])))
+        want = reference_simulate_2afc(SimulatedStudy((member,), candidates, ((0, 1),) * 20), shown, 0)
+        assert (row["accuracy"], row["belief_shift"]) == (want.overall_accuracy, want.overall_belief_shift)
 
 
 def test_strategy_mismatch_study_on_a_constructed_disagreement():
