@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
+from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
@@ -46,6 +46,9 @@ from .types import (MAX_DRAWS, Explanation, LearnerModel, TargetInference, Teach
 # A Metropolis walk draws its moves and uniforms this many steps at a
 # time, and a mask expectation draws, weighs and sums this many masks.
 CHAIN_BLOCK = 4096
+# A Metropolis walk that weighs states by the joint likelihood memoizes
+# the weights of this many states, the oldest dropped first.
+JOINT_MEMO = 1 << 15
 
 
 def logsumexp(a):
@@ -259,17 +262,30 @@ def select_max(posterior: TeacherPosterior) -> Explanation:
     return posterior.support[int(np.argmax(posterior.log_weights))]
 
 
+@record
+class Tally:
+    """A chain's distinct records in order of first visit, and the visits
+    to each; its length is the number of distinct records."""
+
+    records: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
 class ChainSamples(Sequence):
     """The recorded states of a Metropolis walk, read as Explanations.
 
-    ``states`` holds one int record per step, in step order, that
+    ``states`` holds one record per step, in step order, in an integer
+    array whose dtype holds every record (``object`` past 2^64 - 1), that
     ``decode`` maps to the chain state. An Explanation is built from a
     record only when it is read (``explanation_of``). ``tally`` counts
     the records in order of first visit. ``accepted`` counts the
     proposals, burn-in included, that passed the Metropolis test, out of
     ``proposals``."""
 
-    def __init__(self, space: ExplanationSpace, states: list[int], accepted: int, proposals: int, decode):
+    def __init__(self, space: ExplanationSpace, states: np.ndarray, accepted: int, proposals: int, decode):
         self.space = space
         self.states = states
         self.accepted = accepted
@@ -282,7 +298,7 @@ class ChainSamples(Sequence):
     def __getitem__(self, i: int) -> Explanation:
         return self.explanation_of(self.states[i])
 
-    def explanation_of(self, record: int) -> Explanation:
+    def explanation_of(self, record) -> Explanation:
         """The Explanation of one record of ``states``."""
         return self.space.explanation_of(self.decode(record))
 
@@ -291,15 +307,41 @@ class ChainSamples(Sequence):
         return self.accepted / self.proposals
 
     @functools.cached_property
-    def tally(self) -> Counter:
-        """Visits per record, in order of first visit; counted once."""
-        return Counter(self.states)
+    def tally(self) -> Tally:
+        """Visits per distinct record, counted once, with no table keyed
+        by state: a sorted copy of the records gives the distinct records
+        and their counts, a ``searchsorted`` per block of steps the first
+        step of each, and those first steps their order. Beyond the
+        records it holds one sorted copy, two bools per step and a few ints
+        per distinct record."""
+        states = self.states
+        ordered = np.sort(states)
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        ascending, counts = ordered[starts], np.diff(starts, append=len(states))
+        del ordered, starts
+        first = np.full(len(ascending), len(states))
+        for start in range(0, len(states), CHAIN_BLOCK):
+            block = states[start : start + CHAIN_BLOCK]
+            np.minimum.at(first, np.searchsorted(ascending, block), np.arange(start, start + len(block)))
+        order = np.argsort(first)
+        del first
+        return Tally(ascending[order], counts[order])
+
+    def at_each_step(self, values: np.ndarray):
+        """``values[i]``, one value per record of ``tally``, as Python
+        floats at every step in step order, read a block of steps at a
+        time."""
+        order = np.argsort(self.tally.records)
+        ascending = self.tally.records[order]
+        for start in range(0, len(self.states), CHAIN_BLOCK):
+            yield from values[order[np.searchsorted(ascending, self.states[start : start + CHAIN_BLOCK])]].tolist()
 
     def mode(self) -> tuple[Explanation, float]:
         """The most visited state and the share of samples it holds; a tie
         goes to the smallest payload read as a tuple of ints."""
-        top = max(self.tally.values())
-        tied = (self.explanation_of(r) for r, c in self.tally.items() if c == top)
+        tally = self.tally
+        top = int(tally.counts.max())
+        tied = (self.explanation_of(r) for r in tally.records[tally.counts == top].tolist())
         return min(tied, key=lambda x: tuple(int(v) for v in x.payload)), top / len(self)
 
 
@@ -311,10 +353,15 @@ class ChainWalk:
     - the neighbour id of each move from an id, found by the space's
       ``segment_step``.
 
+    A ``self_indexed`` space's segments are their own ids, so the walk
+    interns nothing and caches no neighbour for them: a mask part is the
+    mask's int bits, and a move its ``segment_step``.
+
     A walk records one int per step, the mixed-radix index of the
-    per-part ids with the space's ``radices``; ``decode`` maps it back to
-    the state, a tuple of segments. On a one-part space the record is the
-    id itself.
+    per-part ids with the space's ``radices``, into an integer array
+    a block of steps at a time; ``decode`` maps a record back to the
+    state, a tuple of segments. On a one-part space the record is the id
+    itself.
 
     A walk's start is weighed by ``joint_weight``, the likelihood plus
     the log prior, a state of zero prior weight left unscored. It then
@@ -322,9 +369,10 @@ class ChainWalk:
     space, a proposal's weight is ``combine`` (or ``in_order_sum``) of the
     pool terms in pool order, so it equals the joint likelihood to the
     bit; each id's term is computed once, for the start or for the first
-    proposal that holds that segment. Otherwise one memo keyed by the
-    record holds the joint weight of each state met, the start included.
-    Called on a state, the walk gives its log weight."""
+    proposal that holds that segment. Otherwise a memo keyed by the
+    record holds the joint weight of the last ``JOINT_MEMO`` states
+    scored, the start included; the oldest entry leaves first. Called on
+    a state, the walk gives its log weight."""
 
     def __init__(self, learner: LearnerModel, theta: TargetInference, space: ExplanationSpace):
         self.learner, self.theta, self.space = learner, theta, space
@@ -332,12 +380,15 @@ class ChainWalk:
         self.terms, combine = split if split is not None else (None, None)
         self.combine = combine or in_order_sum
         radices = space.radices
-        self.segments: list[list] = [[] for _ in radices]
+        # a self-indexed part's segment table is the identity
+        self.segments: list = [range(r) if space.self_indexed else [] for r in radices]
         self.ids: list[dict] = [{} for _ in radices]
         self.values: list[list] = [[] for _ in radices]
         self.strides = [math.prod(radices[c + 1 :]) for c in range(len(radices))]
 
     def intern(self, c: int, segment) -> int:
+        if self.space.self_indexed:
+            return segment
         i = self.ids[c].get(segment)
         if i is None:
             i = self.ids[c][segment] = len(self.segments[c])
@@ -365,18 +416,19 @@ class ChainWalk:
             return self.joint_weight(ids)
         return self.combine([self.term(c, i) for c, i in enumerate(ids)])
 
-    def decode(self, record: int) -> tuple:
+    def decode(self, record) -> tuple:
+        record = int(record)
         return tuple(
             segments[record // stride % radix]
             for segments, stride, radix in zip(self.segments, self.strides, self.space.radices)
         )
 
-    def walk(self, state, rng: np.random.Generator, total: int) -> tuple[list[int], int]:
+    def walk(self, state, rng: np.random.Generator, total: int) -> tuple[np.ndarray, int]:
         """``mh_sample``'s steps from ``state``: the records of all
         ``total`` steps and the accepted count. A start of zero weight
         raises ``ZeroStartMass``."""
         space, combine, values, strides, exp = self.space, self.combine, self.values, self.strides, math.exp
-        split, spans = self.terms is not None, space.spans
+        split, spans, step, indexed = self.terms is not None, space.spans, space.segment_step, space.self_indexed
         neighbours: list[dict] = [{} for _ in values]
         ids = [self.intern(c, seg) for c, seg in enumerate(state)]
         state_w = self.joint_weight(ids)
@@ -384,20 +436,23 @@ class ChainWalk:
             raise ZeroStartMass(f"{space.descriptor}: initial state has zero posterior mass")
         bases = [i * span for i, span in zip(ids, spans)]
         index = sum(i * stride for i, stride in zip(ids, strides))
-        joint = {index: state_w}
+        joint = OrderedDict([(index, state_w)])
         current = [self.term(c, i) for c, i in enumerate(ids)] if split else None
-        records: list[int] = []
-        record = records.append
+        records = np.empty(total, dtype=np.min_scalar_type(math.prod(space.radices) - 1))
         accepted = 0
         for start in range(0, total, CHAIN_BLOCK):
             count = min(CHAIN_BLOCK, total - start)
             parts, moves = space.chain_moves(rng, count)
+            block: list[int] = []
+            record = block.append
             for c, m, u in zip(parts.tolist(), moves.tolist(), rng.random(count).tolist()):
-                key = bases[c] + m
-                nid = neighbours[c].get(key)
-                if nid is None:
-                    seg = space.segment_step(c, self.segments[c][ids[c]], m)
-                    nid = neighbours[c][key] = self.intern(c, seg)
+                if indexed:
+                    nid = step(c, ids[c], m)
+                else:
+                    key = bases[c] + m
+                    nid = neighbours[c].get(key)
+                    if nid is None:
+                        nid = neighbours[c][key] = self.intern(c, step(c, self.segments[c][ids[c]], m))
                 proposal = index + (nid - ids[c]) * strides[c]
                 if split:
                     kept, t = current[c], values[c][nid]
@@ -407,6 +462,8 @@ class ChainWalk:
                     prop_w = joint.get(proposal)
                     if prop_w is None:
                         prop_w = joint[proposal] = self.joint_weight([nid if p == c else i for p, i in enumerate(ids)])
+                        if len(joint) > JOINT_MEMO:
+                            joint.popitem(last=False)
                 log_alpha = prop_w - state_w
                 if log_alpha >= 0 or u < exp(log_alpha):
                     state_w, index = prop_w, proposal
@@ -415,6 +472,7 @@ class ChainWalk:
                 elif split:
                     current[c] = kept
                 record(index)
+            records[start : start + count] = block
         return records, accepted
 
 
@@ -436,20 +494,23 @@ def mh_sample(
 
     Every chain is one ``ChainWalk`` over the parts of the space's chain
     state (``chain_start``, ``segment_step``): the pools of a
-    ``SubsetSpace``, the Explanation itself on a ``MaskSpace`` or
-    ``EnumeratedSpace``. It interns each part's segments and records one
-    int per step. A chain starts from one draw: ``SubsetSpace.draw`` on
-    a subset space, ``initial_state`` on the others. The rest of its
-    randomness is drawn in blocks of ``CHAIN_BLOCK`` steps (the last
-    block is shorter): the block's parts and moves
-    (``chain_moves``), then one uniform per step, used or not. The walk
+    ``SubsetSpace``, the mask's int bits on a ``MaskSpace``, the
+    Explanation itself on an ``EnumeratedSpace``. It interns each part's
+    segments (a mask's bits are their own id) and records one int per
+    step into an integer array. A chain starts from one draw:
+    ``SubsetSpace.draw`` on a subset space, ``initial_state`` on the
+    others. The rest of its randomness is drawn in blocks of
+    ``CHAIN_BLOCK`` steps (the last block is shorter): the block's parts
+    and moves (``chain_moves``), then one uniform per step, used or not.
+    The walk
     weighs the start state once, by the joint likelihood, so the errors
     of a joint sweep are raised, and ``ZeroStartMass`` when its weight is
     zero. Proposals are weighed by the learner's per-pool terms when
-    ``pool_terms`` splits the space, and by a memo of joint weights
-    otherwise. The returned ``ChainSamples`` builds each
-    Explanation only when it is read. ``n < 1``, ``burn_in < 0`` or
-    ``n + burn_in`` over ``MAX_DRAWS`` raises ``BadSpec``.
+    ``pool_terms`` splits the space, and by a bounded memo of joint
+    weights otherwise. The returned ``ChainSamples`` holds a view of the
+    post-burn-in records and builds each Explanation only when it is
+    read. ``n < 1``, ``burn_in < 0`` or ``n + burn_in`` over
+    ``MAX_DRAWS`` raises ``BadSpec``.
     """
     if n < 1 or burn_in < 0:
         raise BadSpec(f"a chain needs n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")

@@ -23,8 +23,8 @@ import numpy as np
 
 from .core import CHAIN_BLOCK
 from .errors import AllZeroMass, ZeroStartMass, ZeroTotalWeight
-from .spaces import ExplanationSpace, SubsetSpace
-from .types import Explanation, LearnerModel, TargetInference, example_set
+from .spaces import ExplanationSpace, MaskSpace, SubsetSpace
+from .types import Explanation, LearnerModel, TargetInference, example_set, feature_mask
 
 
 def exhaustive_posterior(
@@ -119,7 +119,9 @@ def _subset_walk(space: SubsetSpace):
 def _walk(space: ExplanationSpace):
     """Start, block draws and move of a space, on Explanations: the
     subset walk above, or the one-part kernel of a mask or enumerated
-    space read through its ``chain_moves`` and ``segment_step``."""
+    space read through its ``chain_moves``. A mask move flips the entry
+    it names in the payload; an enumerated move is the space's
+    ``segment_step``."""
     if isinstance(space, SubsetSpace):
         return _subset_walk(space)
 
@@ -127,6 +129,10 @@ def _walk(space: ExplanationSpace):
         return space.chain_moves(rng, count)[1].tolist()
 
     def apply(x: Explanation, move: int) -> Explanation:
+        if isinstance(space, MaskSpace):
+            bits = np.array(x.payload, copy=True)
+            bits[move] = 1 - bits[move]
+            return feature_mask(bits)
         return space.segment_step(0, x, move)
 
     return space.initial_state, moves, apply

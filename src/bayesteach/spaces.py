@@ -67,17 +67,20 @@ class ExplanationSpace:
     # hashable segment; the Explanation is built from the parts only when
     # one is read. By default there is one part, the Explanation itself.
     # Part c has ``radices[c]`` possible segments and ``spans[c]`` moves
-    # from each. The chain starts from one draw (``chain_start``), then
-    # draws its moves in blocks: ``chain_moves`` gives the part and
-    # the move of ``count`` steps as two int arrays from a few array
-    # draws, and ``segment_step`` applies one move to one part without
-    # drawing, returning the segment itself when the move keeps it.
+    # from each. A space whose segments are the ints below their radix
+    # sets ``self_indexed``: each segment is then its own id. The chain
+    # starts from one draw (``chain_start``), then draws its moves in
+    # blocks: ``chain_moves`` gives the part and the move of ``count``
+    # steps as two int arrays from a few array draws, and
+    # ``segment_step`` applies one move to one part without drawing,
+    # returning the segment itself when the move keeps it.
 
     radices: list[int]
     spans: list[int]
+    self_indexed = False
 
     def chain_start(self, rng: np.random.Generator) -> tuple:
-        return (self.initial_state(rng),)
+        return self.state_of(self.initial_state(rng))
 
     def chain_moves(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(count, dtype=np.int64), rng.integers(self.spans[0], size=count)
@@ -165,15 +168,16 @@ class SubsetSpace(ExplanationSpace):
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n uniform draws as the rows of an (n, sum of k) int array: pool
         by pool, ``rng.random((n, len(pool)))`` picks the k rows of lowest
-        rank (``coalition_rows``), in ascending order. n < 1, or more than
-        ``MAX_DRAWS`` uniforms, raises BadSpec before anything is drawn."""
+        uniform, the rows ``coalition_rows`` keeps, in ascending order.
+        n < 1, or more than ``MAX_DRAWS`` uniforms, raises BadSpec before
+        anything is drawn."""
         width = sum(map(len, self._pools))
         if n < 1 or n * width > MAX_DRAWS:
             raise BadSpec(f"{n} subsets need n >= 1 and at most {MAX_DRAWS} uniforms, {width} per subset")
         segments = []
         for pool, k in zip(self._pools, self._ks):
-            chosen = coalition_rows(np.full(n, k), rng.random((n, len(pool))))
-            segments.append(np.array(pool)[np.nonzero(chosen)[1].reshape(n, k)])
+            chosen = np.argpartition(rng.random((n, len(pool))), k - 1, axis=1)[:, :k]
+            segments.append(np.array(pool)[np.sort(chosen, axis=1)])
         return np.hstack(segments)
 
     def chain_start(self, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
@@ -209,9 +213,15 @@ class SubsetSpace(ExplanationSpace):
 
 
 class MaskSpace(ExplanationSpace):
-    """Binary feature masks with an independent Bernoulli keep prior."""
+    """Binary feature masks with an independent Bernoulli keep prior.
+
+    A chain walks the mask as the int whose bit i is entry i: its radix
+    is 2^dim and a move flips the bit it names, an XOR. The bits are
+    their own id, and the mask Explanation is built from them only when
+    the chain scores or reports a state."""
 
     kind = ExplanationKind.FEATURE_MASK
+    self_indexed = True
 
     def __init__(self, dim: int, keep_prob: float):
         if dim < 1:
@@ -249,11 +259,15 @@ class MaskSpace(ExplanationSpace):
     def initial_state(self, rng: np.random.Generator) -> Explanation:
         return feature_mask(self.draw(rng, 1)[0])
 
-    def segment_step(self, c: int, seg: Explanation, move: int) -> Explanation:
-        # a move flips the bit it names
-        bits = np.array(seg.payload, copy=True)
-        bits[move] = 1 - bits[move]
-        return feature_mask(bits)
+    def segment_step(self, c: int, seg: int, move: int) -> int:
+        return seg ^ (1 << move)
+
+    def explanation_of(self, state: tuple[int]) -> Explanation:
+        packed = np.frombuffer(state[0].to_bytes((self.dim + 7) // 8, "little"), dtype=np.uint8)
+        return feature_mask(np.unpackbits(packed, count=self.dim, bitorder="little"))
+
+    def state_of(self, x: Explanation) -> tuple[int]:
+        return (int.from_bytes(np.packbits(x.payload, bitorder="little").tobytes(), "little"),)
 
 
 class EnumeratedSpace(ExplanationSpace):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import core, teacher
 from .errors import BadSpec, NonFiniteResult
-from .learners import BiasConfig, biased_learner, linear_quantile, make_plda_learner
+from .learners import BiasConfig, biased_learner, in_order_sum, linear_quantile, make_plda_learner
 from .models import Dataset, TargetModel
 from .spaces import SubsetSpace
 from .types import LearnerModel, TargetInference, ThetaKind, record
@@ -211,13 +211,15 @@ def example_selection_study(
     member = PopulationMember(base, 1.0, BiasConfig(bias_strength, candidates, np.array(favored)))
     learner = member.learner()
 
-    selected_x = teacher.run_strategy(base, candidates[0], space, "exhaustive-max").explanation
-    selected = _scored(learner, candidates, space, np.array([selected_x.payload]))
-    teacher_report = simulate_2afc(SimulatedStudy((member,), candidates, ((0, trials),)), [selected], seed)
-
+    # the random arm first: its draw refuses an oversized trial count
+    # before the teacher arm flips a tie coin per trial
     shown = space.draw(np.random.default_rng((seed, 0xA11)), trials)
     random_study = SimulatedStudy((member,), candidates, ((0, 1),) * trials)
     random_report = simulate_2afc(random_study, [_scored(learner, candidates, space, shown)], seed)
+
+    selected_x = teacher.run_strategy(base, candidates[0], space, "exhaustive-max").explanation
+    selected = _scored(learner, candidates, space, np.array([selected_x.payload]))
+    teacher_report = simulate_2afc(SimulatedStudy((member,), candidates, ((0, trials),)), [selected], seed)
 
     ranked = space.draw(np.random.default_rng((seed, 0x5EED)), random_subset_count)
     random_lls = _scored(base, candidates[:1], space, ranked)[:, 0]
@@ -312,16 +314,12 @@ def strategy_mismatch_study(
     samples = chain.samples
 
     # the argmax, then each distinct sample in order of first visit
-    distinct = list(samples.tally)
-    xs = [x_max] + [samples.explanation_of(r) for r in distinct]
+    distinct = samples.tally.records
+    xs = [x_max] + [samples.explanation_of(r) for r in distinct.tolist()]
     log_liks = np.array([[evaluator.log_likelihood(c, x) for c in candidates] for x in xs], dtype=float)
-    masses = _target_masses(log_liks, np.full(len(xs), target_index)).tolist()
-    max_value = masses[0]
-    mass_of = dict(zip(distinct, masses[1:]))
-    total = 0.0
-    for state in samples.states:
-        total += mass_of[state]
-    sampled_value = total / len(samples)
+    masses = _target_masses(log_liks, np.full(len(xs), target_index))
+    max_value = float(masses[0])
+    sampled_value = in_order_sum(samples.at_each_step(masses[1:])) / len(samples)
     return {
         "max_explanation_value": max_value,
         "sampled_mean_value": sampled_value,

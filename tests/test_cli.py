@@ -1322,6 +1322,25 @@ def test_a_study_count_out_of_range_exits_3(capsys, ws24, tmp_path, study, param
     assert err["type"] == "BadSpec" and "subsets need" in err["message"]
 
 
+def test_a_tied_selection_study_refuses_2_to_the_40_trials_before_any_coin(capsys, ws24, tmp_path):
+    # a distractor scale of 0 makes the two candidates equal, so every 2AFC
+    # pair ties and flips a coin per trial; the random arm's draw refuses
+    # the count first, with no large allocation
+    config = {"study": "example-selection", "model": str(ws24 / "plda.json"), "data": str(ws24 / "data.csv"),
+              "params": {"distractor_scale": 0.0, "trials": 1 << 40}}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        err = run_err(capsys, ["study", "run", "--config", str(path), "--seed", "0"], cli.DATA_EXIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err == {"type": "BadSpec", "exit_code": cli.DATA_EXIT, "message":
+                   "1099511627776 subsets need n >= 1 and at most 16777216 uniforms, 24 per subset"}
+    assert peak < 16 << 20
+
+
 @pytest.mark.parametrize("study, params", [
     ("bias-sweep", {"strengths": [0, -5, 5], "task_count": 20}),
     ("example-selection", {"bias_strength": -1, "trials": 5, "random_subset_count": 5}),

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesteach import checks, oracle
+from bayesteach import checks, core, oracle
 from bayesteach.core import (
     CHAIN_BLOCK,
+    JOINT_MEMO,
     MAX_DRAWS,
+    ChainSamples,
     ChainWalk,
     PoolTable,
     in_order_sum,
@@ -45,7 +47,7 @@ from bayesteach.learners import (
     make_plda_learner,
 )
 from bayesteach.models import Dataset, fit_model, make_synthetic
-from bayesteach.spaces import MAX_ENUMERATION, EnumeratedSpace, MaskSpace, SubsetSpace
+from bayesteach.spaces import MAX_ENUMERATION, EnumeratedSpace, MaskSpace, SubsetSpace, coalition_rows
 from bayesteach.teacher import run_strategy
 from bayesteach.types import LearnerModel, TargetInference, ThetaKind, example_set
 
@@ -276,6 +278,22 @@ def test_subset_draw_is_seed_deterministic():
     for row in rows.tolist():
         for pool, seg in zip(pools, space.state_of(example_set(row))):
             assert list(seg) == sorted(set(seg)) and set(seg) <= set(pool)
+
+
+def test_subset_draw_keeps_the_rows_coalition_rows_ranks_lowest(rng):
+    # one argpartition per pool picks the rows that the double argsort of
+    # coalition_rows keeps, from the same uniforms, k = pool size included
+    for case in range(300):
+        sizes = rng.integers(1, 30, int(rng.integers(1, 4)))
+        pools = np.split(rng.permutation(int(sizes.sum())) + 100, np.cumsum(sizes)[:-1])
+        ks = [int(rng.integers(1, s + 1)) for s in sizes]
+        n = int(rng.integers(1, 40))
+        got = SubsetSpace(pools, ks).draw(np.random.default_rng(case), n)
+        draws, want = np.random.default_rng(case), []
+        for pool, k in zip(pools, ks):
+            kept = coalition_rows(np.full(n, k), draws.random((n, len(pool))))
+            want.append(np.array(sorted(pool))[np.nonzero(kept)[1].reshape(n, k)])
+        assert np.array_equal(got, np.hstack(want))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -934,7 +952,7 @@ def test_nearest_class_chains_combine_pool_terms_as_the_joint_likelihood(rng):
         assert learner.block_terms(theta, space._pools)[1] is not None
         samples = assert_same_chain(learner, theta, space, 400, int(rng.integers(0, 20)), i)
         weight = ChainWalk(learner, theta, space)
-        for state in map(samples.decode, samples.tally):
+        for state in map(samples.decode, samples.tally.records):
             assert weight(state) == learner.log_likelihood(theta, space.explanation_of(state))
         moved += len(samples.tally) > 1
     assert moved > 30
@@ -959,7 +977,7 @@ def test_mh_walk_on_plda_sums_the_block_terms_as_the_joint_likelihood(plda3, blo
         space = SubsetSpace.per_class(blobs3.labels, k)
         samples = assert_same_chain(learner, theta, space, 2000, 100, seed)
         weight = ChainWalk(learner, theta, space)
-        for state in map(samples.decode, samples.tally):
+        for state in map(samples.decode, samples.tally.records):
             assert weight(state) == learner.log_likelihood(theta, samples.space.explanation_of(state))
 
 
@@ -1071,7 +1089,7 @@ def test_mh_joint_route_scores_the_start_then_each_proposed_state_once(rng, logi
         samples = assert_same_chain(learner, theta, space, n, 0, seed)
         if samples is None:
             continue
-        assert all(type(record) is int for record in samples.states)
+        assert samples.states.dtype == np.min_scalar_type(math.prod(space.radices) - 1)
         start, proposals = replayed_proposals(space, samples, seed)
         scored = {x for x in proposals if space.log_prior(x) > -math.inf}
         seen.clear()
@@ -1079,6 +1097,161 @@ def test_mh_joint_route_scores_the_start_then_each_proposed_state_once(rng, logi
         assert Counter(seen) == Counter(scored | {start})
         checked[kind] += 1
     assert len(checked) == 3 and min(checked.values()) >= 5
+
+
+def counter_tally(samples):
+    """The tally and mode of a chain read from a ``Counter`` over its
+    records, whose keys keep the order of first visit."""
+    counts = Counter(samples.states.tolist())
+    top = max(counts.values())
+    tied = [samples.explanation_of(r) for r, c in counts.items() if c == top]
+    mode = min(tied, key=lambda x: tuple(int(v) for v in x.payload))
+    return list(counts), list(counts.values()), (mode, top / len(samples)), len(tied) > 1
+
+
+def forty_by_six_chain(n, seed):
+    """A chain on three pools of 40 rows at k = 6, C(40,6)^3 > 2^64
+    states, whose records need the ``object`` dtype."""
+    space = SubsetSpace([range(40 * b, 40 * b + 40) for b in range(3)], [6, 6, 6])
+    terms = [lambda rows, b=b: -0.02 * (sum(rows) - 240 * b - 150) ** 2 for b in range(3)]
+    return mh_sample(block_learner([6, 6, 6], terms)[0], THETA, space, n, 0, seed)
+
+
+def mask_learner(dim, scale):
+    """A cheap masked learner: a fixed linear score of the kept entries."""
+    weights = np.linspace(-1.0, 1.0, dim) * scale
+    return LearnerModel("linear mask", lambda theta, x: float(weights @ x.payload))
+
+
+def test_chain_tally_and_mode_equal_a_counter_over_the_records(rng):
+    chains, ties = [], 0
+    for i in range(60):
+        kind = ("split", "plain", "enumerated", "mask")[i % 4]
+        n = int(rng.integers(1, 60)) if i % 3 else int(rng.integers(CHAIN_BLOCK, 2 * CHAIN_BLOCK + 50))
+        if kind in ("split", "plain"):
+            space, ks, terms = block_case(rng)
+            learner = block_learner(ks, terms)[0]
+            learner = learner if kind == "split" else plain(learner)
+        elif kind == "enumerated":
+            learner, space = random_case(rng, max_size=40)
+        else:
+            space = MaskSpace(int(rng.integers(1, 9)), float(rng.uniform(0.2, 0.8)))
+            learner = mask_learner(space.dim, float(rng.uniform(0.1, 3.0)))
+        try:
+            chains.append(mh_sample(learner, THETA, space, n, int(rng.integers(0, 20)), i))
+        except ZeroStartMass:
+            continue
+    chains.append(forty_by_six_chain(CHAIN_BLOCK + 900, 5))
+    assert chains[-1].states.dtype == object
+    for samples in chains:
+        records, counts, mode, tied = counter_tally(samples)
+        assert samples.tally.records.tolist() == records
+        assert samples.tally.counts.tolist() == counts
+        assert len(samples.tally) == len(records)
+        assert samples.mode() == mode
+        ties += tied
+        values = rng.normal(size=len(records))
+        value_of = dict(zip(records, values.tolist()))
+        assert list(samples.at_each_step(values)) == [value_of[r] for r in samples.states.tolist()]
+    assert len(chains) > 50 and ties > 10
+
+
+def test_chain_tally_breaks_a_tied_mode_by_the_smallest_payload():
+    # records 2 and 0 tie with two visits each; 2, the first visited, has
+    # the larger payload
+    space = EnumeratedSpace([example_set((i,)) for i in (3, 7, 5)])
+    samples = ChainSamples(space, np.array([2, 1, 0, 2, 0], dtype=np.uint8), 3, 5, lambda r: (space._candidates[int(r)],))
+    assert samples.tally.records.tolist() == [2, 1, 0]
+    assert samples.tally.counts.tolist() == [2, 1, 2]
+    assert samples.mode() == (example_set((3,)), 0.4)
+
+
+def test_chain_records_are_an_integer_array_holding_the_radix_product(plda3, blobs3):
+    means = TargetInference(ThetaKind.LATENT_CLASS_MEANS, plda3.parameters["latent_means"])
+    twelve = SubsetSpace([range(12 * b, 12 * b + 12) for b in range(3)], [2, 2, 2])
+    table, listed = random_case(np.random.default_rng(3), max_size=40)
+    cases = [
+        (make_plda_learner(plda3, blobs3), means, SubsetSpace.per_class(blobs3.labels, 2), None),
+        (block_learner([2, 2, 2], [lambda rows: 0.0] * 3)[0], THETA, twelve, np.uint32),  # 287,496
+        (mask_learner(36, 0.1), THETA, MaskSpace(36, 0.5), np.uint64),
+        (mask_learner(64, 0.1), THETA, MaskSpace(64, 0.5), np.uint64),
+        (mask_learner(65, 0.1), THETA, MaskSpace(65, 0.5), object),
+        (table, THETA, listed, np.uint8),
+    ]
+    for learner, theta, space, dtype in cases:
+        samples = mh_sample(learner, theta, space, 300, 40, 0)
+        assert samples.states.dtype == np.min_scalar_type(math.prod(space.radices) - 1)
+        assert dtype is None or samples.states.dtype == dtype
+        if samples.states.dtype == object:
+            assert all(type(r) is int for r in samples.states)
+        else:
+            assert np.iinfo(samples.states.dtype).max >= math.prod(space.radices) - 1
+        # the post-burn-in view of the walk's records, not a copy
+        assert samples.states.base is not None and samples.states.base.shape == (340,)
+    samples = forty_by_six_chain(500, 1)
+    assert samples.states.dtype == object and all(type(r) is int for r in samples.states)
+
+
+@pytest.mark.parametrize("dim", [1, 5, 36, 64, 65, 100])
+def test_mask_bits_chains_replay_the_reference_state_for_state(dim, monkeypatch):
+    # the chain walks each mask as its int bits, its own id: the walk
+    # interns no segment; a memo that drops old weights changes calls,
+    # never states
+    learner, theta = mask_learner(dim, 0.3), THETA
+    for seed in range(3):
+        space = MaskSpace(dim, 0.3 + 0.2 * seed)
+        assert_same_chain(learner, theta, space, 700, 50, seed)
+        monkeypatch.setattr(core, "JOINT_MEMO", 8)
+        assert_same_chain(learner, theta, space, 700, 50, seed)
+        monkeypatch.undo()
+        walk = ChainWalk(learner, theta, space)
+        walk.walk(space.chain_start(np.random.default_rng(seed)), np.random.default_rng(seed), 300)
+        assert walk.segments == [range(1 << dim)] and walk.ids == [{}] and walk.values == [[]]
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_split_chain_and_its_tally_stay_under_32_bytes_a_step():
+    # 200,000 steps over 287,496 states that visit ~77,000 of them:
+    # records as Python ints in a list and a Counter tally take ~51 B a
+    # step here, one uint32 record a step, its sorted copy and ~40 B per
+    # distinct record ~23 B
+    n = 200_000
+    space = SubsetSpace([range(12 * b, 12 * b + 12) for b in range(3)], [2, 2, 2])
+    terms = [lambda rows, b=b: -0.05 * (sum(rows) - 24 * b - 11) ** 2 for b in range(3)]
+    learner = block_learner([2, 2, 2], terms)[0]
+    assert pool_terms(learner, THETA, space) is not None
+
+    def run():
+        samples = mh_sample(learner, THETA, space, n, 0, 0)
+        samples.mode()
+        assert len(samples.tally) > 50_000
+
+    assert traced_peak(run) / n < 32
+
+
+def test_a_mask_chain_past_the_memo_cap_grows_under_96_bytes_a_step(monkeypatch):
+    # with the joint memo capped at 1,024 weights, 16,384 more steps of a
+    # chain that keeps moving add ~37 B a step, mostly the tally of its
+    # ~24,000 distinct masks; an unbounded memo adds ~190 B a step, and
+    # interned Explanations with it ~920 B
+    monkeypatch.setattr(core, "JOINT_MEMO", 1024)
+    space, learner = MaskSpace(36, 0.5), mask_learner(36, 0.01)
+
+    def run(n):
+        return lambda: mh_sample(learner, THETA, space, n, 0, 0).mode()
+
+    traced_peak(run(1000))  # first-use allocations
+    short, long = traced_peak(run(2 * CHAIN_BLOCK)), traced_peak(run(6 * CHAIN_BLOCK))
+    assert (long - short) / (4 * CHAIN_BLOCK) < 96
+    assert JOINT_MEMO <= 1 << 16  # ~200 B a weight: a full memo stays near 10 MB
 
 
 def test_mh_walk_raises_the_errors_of_the_reference(plda3, blobs3):
