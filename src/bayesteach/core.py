@@ -44,7 +44,8 @@ from .types import (MAX_DRAWS, Explanation, LearnerModel, TargetInference, Teach
                     example_set, feature_mask, record)
 
 # A Metropolis walk draws its moves and uniforms this many steps at a
-# time, and a mask expectation draws, weighs and sums this many masks.
+# time, a mask expectation draws, weighs and sums this many masks, and a
+# pool scorer is handed this many row indices per call, bounding its gather.
 CHAIN_BLOCK = 4096
 # A Metropolis walk that weighs states by the joint likelihood memoizes
 # the weights of this many states, the oldest dropped first.
@@ -132,13 +133,20 @@ def pool_terms(learner: LearnerModel, theta: TargetInference, space: Explanation
     return learner.block_terms(theta, space._pools)
 
 
+def block_scores(term, segments: np.ndarray) -> np.ndarray:
+    """A pool scorer's terms of an (N, k) array of segments, handed to it
+    ``CHAIN_BLOCK`` row indices (at least one segment) per call."""
+    step = max(1, CHAIN_BLOCK // segments.shape[1])
+    return np.concatenate([term(segments[i : i + step]) for i in range(0, len(segments), step)])
+
+
 class PoolTable:
     """A learner's ``block_terms`` on a subset space's pools. A candidate's
     weight, ``combine`` (None: the ``in_order_sum``) of its pool terms,
     equals its log likelihood to the bit. ``best`` scores every
     combination of every pool once, as the joint argmax must; ``score``
-    scores only the distinct segments of the rows it is given, so its
-    cost grows with the draws, not with the pools' C(n, k)."""
+    the distinct segments of the rows it is given, so its cost grows with
+    the draws, not with the pools' C(n, k). Both use ``block_scores``."""
 
     def __init__(self, space: SubsetSpace, terms, combine):
         self.space, self.scorers, self.combine = space, terms, combine
@@ -147,8 +155,9 @@ class PoolTable:
         """The first argmax in lexicographic product order, and log Z. With
         no ``combine`` the posterior is a product, taken pool by pool;
         otherwise ``combine`` weighs the whole grid."""
-        combos = [list(itertools.combinations(pool, k)) for pool, k in zip(self.space._pools, self.space._ks)]
-        terms = [np.array([term(c) for c in cs], dtype=float) for term, cs in zip(self.scorers, combos)]
+        combos = [np.fromiter(itertools.chain.from_iterable(itertools.combinations(pool, k)), np.intp).reshape(-1, k)
+                  for pool, k in zip(self.space._pools, self.space._ks)]
+        terms = [block_scores(term, cs) for term, cs in zip(self.scorers, combos)]
         if self.combine is None:
             picks = [int(np.argmax(t)) for t in terms]
             log_z = in_order_sum(logsumexp(t) for t in terms)
@@ -168,12 +177,16 @@ class PoolTable:
 
     def score(self, rows: np.ndarray) -> np.ndarray:
         """The weight of each row of a ``SubsetSpace.draw`` array, each
-        distinct segment of a pool scored once."""
+        distinct segment of a pool scored once. One lexsort finds them;
+        ``np.unique(axis=0)`` sorts rows as bytes, several times slower."""
         columns, start = [], 0
         for term, k in zip(self.scorers, self.space._ks):
-            segments = list(map(tuple, rows[:, start : start + k].tolist()))
-            scored = {s: term(s) for s in dict.fromkeys(segments)}
-            columns.append(np.array([scored[s] for s in segments], dtype=float))
+            segments = rows[:, start : start + k]
+            order = np.lexsort(segments.T)
+            first = np.concatenate(([True], np.any(segments[order[1:]] != segments[order[:-1]], axis=1)))
+            inverse = np.empty_like(order)
+            inverse[order] = np.cumsum(first) - 1
+            columns.append(block_scores(term, segments[order[first]])[inverse])
             start += k
         return self.weights(columns)
 
@@ -399,7 +412,7 @@ class ChainWalk:
     def term(self, c: int, i: int) -> float:
         t = self.values[c][i]
         if t is None:
-            t = self.values[c][i] = self.terms[c](self.segments[c][i])
+            t = self.values[c][i] = float(self.terms[c](np.array([self.segments[c][i]]))[0])
         return t
 
     def joint_weight(self, ids) -> float:

@@ -24,6 +24,7 @@ from .models import (
     TargetModel,
     batch_predictor,
     plda_class_logpdf,
+    plda_posterior_over_means,
 )
 from .types import (
     MAX_DRAWS,
@@ -177,49 +178,24 @@ def _pool_classes(data: Dataset, pools) -> list[int] | None:
 
 
 def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
-    """PLDA learner with per-class memoization.
+    """PLDA learner whose likelihood splits over classes.
 
-    The mean posterior factorizes over classes: the log likelihood is a
-    sum of one term per class, and each (target, class, subset rows) term
-    is scored once even when a joint space repeats it. ``block_terms``
-    exposes the terms for subset spaces whose pools are single classes.
-    Data of another width than the model's raises DimensionMismatch.
+    The log likelihood, ``plda_posterior_over_means``, sums one term per
+    class; ``block_terms`` scores them per single-class pool, a stack of
+    row subsets per ``plda_class_logpdf`` call. Data of another width
+    than the model's raises DimensionMismatch.
     """
     width = model.parameters["center"].shape[0]
     if data.n_features != width:
         raise DimensionMismatch(f"the plda model expects {width} features, the data has {data.n_features}")
     shape = model.parameters["latent_means"].shape
 
-    def theta_array(theta: TargetInference) -> np.ndarray:
-        theta_arr = np.asarray(theta.payload, dtype=float)
-        if theta_arr.shape != shape:
-            raise DimensionMismatch(f"latent means must have shape {shape}, got {theta_arr.shape}")
-        return theta_arr
-
-    @functools.lru_cache(maxsize=None)
-    def class_term(theta: TargetInference, c: int, rows: tuple[int, ...]) -> float:
-        return plda_class_logpdf(model, data.features[list(rows)], theta_array(theta)[c])
-
-    label_of = data.labels.tolist()
-
     def log_likelihood(theta: TargetInference, x: Explanation) -> float:
         if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
             raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
         if x.kind is not ExplanationKind.EXAMPLE_SET:
             raise BadSpec(f"plda learner consumes example sets, not {x.kind.value}")
-        theta_array(theta)
-        # rows of a class the model lacks are ignored
-        by_class = [[] for _ in range(model.class_count)]
-        for i in x.payload:
-            c = label_of[i]
-            if c < model.class_count:
-                by_class[c].append(i)
-        total = 0.0
-        for c, rows in enumerate(by_class):
-            if not rows:
-                raise MissingClass(f"subset has no row of class {c}")
-            total += class_term(theta, c, tuple(sorted(rows)))
-        return total
+        return plda_posterior_over_means(model, data, x.payload, theta.payload)
 
     def block_terms(theta: TargetInference, pools):
         """One class term per pool, added in pool order as
@@ -228,7 +204,9 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
         ``MissingClass`` of every candidate."""
         if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
             raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
-        theta_array(theta)
+        means = np.asarray(theta.payload, dtype=float)
+        if means.shape != shape:
+            raise DimensionMismatch(f"latent means must have shape {shape}, got {means.shape}")
         classes = _pool_classes(data, pools)
         if classes is None:
             return None
@@ -238,8 +216,8 @@ def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
 
         def scorer(c: int):
             if c >= model.class_count:
-                return lambda rows: 0.0
-            return lambda rows: class_term(theta, c, rows)
+                return lambda rows: np.zeros(len(rows))
+            return lambda rows: plda_class_logpdf(model, data.features[rows], means[c])
 
         return [scorer(c) for c in classes], None
 
@@ -365,15 +343,19 @@ def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: fl
         if theta.kind is not ThetaKind.PREDICTED_LABEL:
             raise BadSpec(f"nearest-class learner scores predicted labels, not {theta.kind.value}")
 
-    def class_score(rows: np.ndarray) -> float:
-        distance = float(((point - rows.mean(axis=0)) ** 2).sum())
-        score = -distance / temperature
-        if not math.isfinite(score):
+    def class_score(rows: np.ndarray):
+        """The centroid score of each (k, d) set of rows in the last two
+        axes: a float for one set, an array for a stack."""
+        distance = ((point - rows.mean(axis=-2)) ** 2).sum(axis=-1)
+        with np.errstate(over="ignore"):
+            score = -distance / temperature
+        if not np.isfinite(score).all():
+            distance = float(np.ravel(distance)[np.argmin(np.isfinite(score))])
             raise NonFiniteResult(
                 f"nearest-class score of a squared distance {distance!r} at temperature "
                 f"{temperature!r} is not finite; raise the temperature"
             )
-        return score
+        return score if score.ndim else float(score)
 
     def softmax_at(scores, j: int) -> float:
         top = max(scores)
@@ -399,7 +381,7 @@ def make_nearest_class_learner(data: Dataset, point: np.ndarray, temperature: fl
         classes = _pool_classes(data, pools)
         if classes is None:
             return None
-        scorers = [lambda rows: class_score(data.features[list(rows)])] * len(pools)
+        scorers = [lambda rows: class_score(data.features[rows])] * len(pools)
         wanted = int(theta.payload)
         if wanted not in classes:
             return scorers, lambda scores: -math.inf

@@ -559,25 +559,26 @@ def batch_predictor(model_or_fn):
 # PLDA mean posterior
 
 
-def mean_posterior_logpdf(observations: np.ndarray, prior_var: np.ndarray, at: np.ndarray) -> float:
+def mean_posterior_logpdf(observations: np.ndarray, prior_var: np.ndarray, at: np.ndarray):
     """Log density of ``at`` under the posterior over a Gaussian mean.
 
     Model per coordinate j: mean ~ N(0, prior_var[j]), each observation
-    ~ N(mean, 1). Conjugate update, evaluated at ``at``. A squared
-    distance that overflows gives -inf, the exact limit, without a
-    warning.
+    ~ N(mean, 1). Conjugate update, evaluated at ``at``; an (N, n, d)
+    stack of observation sets gives N densities. A squared distance that
+    overflows gives -inf, the exact limit, without a warning.
     """
     obs = np.atleast_2d(observations)
-    n = obs.shape[0]
+    n = obs.shape[-2]
     precision = 1.0 / prior_var + n
     post_var = 1.0 / precision
-    post_mean = obs.sum(axis=0) / precision
+    post_mean = obs.sum(axis=-2) / precision
     diff = np.asarray(at, dtype=float) - post_mean
     with np.errstate(over="ignore"):
-        return float(np.sum(-0.5 * (np.log(2 * math.pi * post_var) + diff * diff / post_var)))
+        density = np.sum(-0.5 * (np.log(2 * math.pi * post_var) + diff * diff / post_var), axis=-1)
+    return float(density) if density.ndim == 0 else density
 
 
-def plda_class_logpdf(model: TargetModel, rows: np.ndarray, class_mean: np.ndarray) -> float:
+def plda_class_logpdf(model: TargetModel, rows: np.ndarray, class_mean: np.ndarray):
     """The mean posterior's log density at ``class_mean`` after the rows of
     one class, projected with the full-fit whitening map, are observed."""
     p = model.parameters
@@ -590,11 +591,12 @@ def plda_posterior_over_means(
     subset_indices,
     latent_means: np.ndarray | None = None,
 ) -> float:
-    """Log density the subset-trained mean posterior puts on class means:
-    the sum over classes of ``plda_class_logpdf`` of the class's subset
-    rows at its row of ``latent_means`` (default: the full-fit means), the
-    term ``learners.make_plda_learner`` memoizes. Raises MissingClass
-    when the subset leaves any class unrepresented.
+    """Log density the subset-trained mean posterior puts on class means,
+    the plda learner's log likelihood: the sum over classes of
+    ``plda_class_logpdf`` of the class's subset rows, ascending, at its
+    row of ``latent_means`` (default: the full-fit means); rows of a class
+    the model lacks are ignored. Raises MissingClass when the subset
+    leaves any class unrepresented.
     """
     if model.family != "plda":
         raise BadSpec(f"mean posterior is defined for plda models, not {model.family}")
@@ -608,7 +610,7 @@ def plda_posterior_over_means(
     labels = data.labels[indices]
     total = 0.0
     for c in range(model.class_count):
-        rows = indices[labels == c]
+        rows = np.sort(indices[labels == c])
         if rows.size == 0:
             raise MissingClass(f"subset has no row of class {c}")
         total += plda_class_logpdf(model, data.features[rows], theta[c])

@@ -316,7 +316,10 @@ def strategy_mismatch_study(
     # the argmax, then each distinct sample in order of first visit
     distinct = samples.tally.records
     xs = [x_max] + [samples.explanation_of(r) for r in distinct.tolist()]
-    log_liks = np.array([[evaluator.log_likelihood(c, x) for c in candidates] for x in xs], dtype=float)
+    if core.pool_terms(evaluator, theta, space) is None:
+        log_liks = np.array([[evaluator.log_likelihood(c, x) for c in candidates] for x in xs], dtype=float)
+    else:
+        log_liks = _scored(evaluator, candidates, space, np.array([x.payload for x in xs]))
     masses = _target_masses(log_liks, np.full(len(xs), target_index))
     max_value = float(masses[0])
     sampled_value = in_order_sum(samples.at_each_step(masses[1:])) / len(samples)

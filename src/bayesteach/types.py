@@ -232,12 +232,12 @@ class LearnerModel:
     ``block_terms`` is for learners whose likelihood of an example set
     splits over the index pools of a subset space. Called as
     ``block_terms(theta, pools)`` it returns ``(scorers, combine)``: one
-    scorer per pool, each mapping a sorted tuple of that pool's rows to a
-    term, and a ``combine`` step mapping the list of terms, in pool
-    order, to ``log_likelihood`` of the concatenated picks, rounding
-    included. A ``combine`` of None means the terms added in pool order
-    from 0.0. It returns None when the likelihood does not split over
-    those pools that way.
+    scorer per pool, mapping an (N, k) int array of that pool's rows,
+    each row ascending, to N terms, and a ``combine`` step mapping the
+    list of terms, in pool order, to ``log_likelihood`` of the
+    concatenated picks, rounding included. A ``combine`` of None means
+    the terms added in pool order from 0.0. It returns None when the
+    likelihood does not split over those pools that way.
 
     ``batch_log_likelihood(theta, masks)`` scores an (N, d) array of 0/1
     feature-mask entries in one pass; row i of the result is

@@ -46,7 +46,7 @@ from bayesteach.learners import (
     make_nearest_class_learner,
     make_plda_learner,
 )
-from bayesteach.models import Dataset, fit_model, make_synthetic
+from bayesteach.models import Dataset, fit_model, make_synthetic, plda_class_logpdf
 from bayesteach.spaces import MAX_ENUMERATION, EnumeratedSpace, MaskSpace, SubsetSpace, coalition_rows
 from bayesteach.teacher import run_strategy
 from bayesteach.types import LearnerModel, TargetInference, ThetaKind, example_set
@@ -365,8 +365,11 @@ def test_mask_proposal_flips_exactly_one_bit(dim, seed):
 def block_learner(ks, terms):
     """A learner whose log likelihood is the sum, in pool order, of one
     term per pool (block terms with the default additive combine); counts
-    its joint calls and its block_terms calls."""
+    its joint calls and its block_terms calls. Each term scores one
+    segment tuple; its pool scorer maps an (N, k) array of segments to
+    their N terms, a term call per segment."""
     calls = Counter()
+    scorers = [lambda rows, term=term: np.array([term(tuple(r)) for r in rows.tolist()]) for term in terms]
 
     def log_likelihood(theta, x):
         calls["joint"] += 1
@@ -378,7 +381,7 @@ def block_learner(ks, terms):
 
     def block_terms(theta, pools):
         calls["blocks"] += 1
-        return terms, None
+        return scorers, None
 
     return LearnerModel("blocks", log_likelihood).factored(block_terms), calls
 
@@ -722,7 +725,7 @@ def test_nearest_class_wanted_class_absent_everywhere_raises(blobs3):
     theta = TargetInference(ThetaKind.PREDICTED_LABEL, 7)
     space = SubsetSpace.per_class(blobs3.labels, 1)
     terms, combine = learner.block_terms(theta, space._pools)
-    assert combine([t(pool[:1]) for t, pool in zip(terms, space._pools)]) == -math.inf
+    assert combine([t(np.array([pool[:1]]))[0] for t, pool in zip(terms, space._pools)]) == -math.inf
     for search in (learner, plain(learner)):
         for run in (posterior_max, teacher_posterior):
             with pytest.raises(AllZeroMass):
@@ -851,6 +854,98 @@ def test_pool_table_best_is_the_brute_force_argmax_with_exact_ties(rng):
         assert x == want
         assert math.isclose(log_z, post.log_normalizer, rel_tol=1e-12)
     assert ties > 20  # the tie rule was exercised
+
+
+@pytest.mark.parametrize("dim", [2, 36])
+def test_pool_scorers_equal_the_per_segment_terms_to_the_bit(dim):
+    # a scorer's (N, k) array of segments gives, term for term, the bits
+    # of one plda_class_logpdf or one centroid score per segment, plain and
+    # under confirmation bias; the tables built on them score drawn subsets
+    # as the joint likelihood does
+    data = make_synthetic(
+        {"generator": "gaussian-blobs", "classes": 3, "dim": dim, "per_class": 9, "separation": 3.0}, seed=dim)
+    model = fit_model("plda", data, seed=0)
+    means = model.parameters["latent_means"]
+    point = data.features[0] + 0.25
+    temperature = 0.5
+
+    def centroid_score(c, rows):
+        return -float(((point - rows.mean(axis=0)) ** 2).sum()) / temperature
+
+    cases = [
+        (make_plda_learner(model, data), TargetInference(ThetaKind.LATENT_CLASS_MEANS, means),
+         TargetInference(ThetaKind.LATENT_CLASS_MEANS, -means), lambda c, rows: plda_class_logpdf(model, rows, means[c])),
+        (make_nearest_class_learner(data, point, temperature), TargetInference(ThetaKind.PREDICTED_LABEL, 1),
+         TargetInference(ThetaKind.PREDICTED_LABEL, 0), centroid_score),
+    ]
+    for base, theta, rival, reference in cases:
+        for learner in (base, biased_learner(base, BiasConfig(1.7, (theta, rival), np.array([0.3, 0.7])))):
+            for k in (1, 2, 3):
+                space = SubsetSpace.per_class(data.labels, k)
+                scorers, combine = pool_terms(learner, theta, space)
+                for c, (scorer, pool) in enumerate(zip(scorers, space._pools)):
+                    segments = np.array(list(itertools.combinations(pool, k)))
+                    want = np.array([reference(c, data.features[list(s)]) for s in segments.tolist()])
+                    assert scorer(segments).tobytes() == want.tobytes(), (learner.description, k, c)
+                rows = space.draw(np.random.default_rng(k), 300)
+                want = np.array([learner.log_likelihood(theta, example_set(row)) for row in rows.tolist()])
+                assert PoolTable(space, scorers, combine).score(rows).tobytes() == want.tobytes()
+
+
+def test_pool_table_calls_each_scorer_once_per_pool():
+    # two 60-row pools at k = 2: one call on all 1,770 combinations of a
+    # pool for the argmax, one on the distinct segments of drawn rows
+    space = SubsetSpace([range(60), range(60, 120)], [2, 2])
+    calls = []
+
+    def term(segment):
+        return -0.01 * (sum(segment) % 97 - 40.0) ** 2
+
+    def scorer(rows):
+        calls.append(rows.shape)
+        return np.array([term(s) for s in rows.tolist()])
+
+    x, _ = PoolTable(space, [scorer, scorer], None).best()
+    assert calls == [(1770, 2), (1770, 2)]
+    want = []
+    for pool in space._pools:
+        combos = list(itertools.combinations(pool, 2))
+        values = [term(s) for s in combos]
+        want += combos[values.index(max(values))]
+    assert x.payload == tuple(want)
+    rows = np.vstack([space.draw(np.random.default_rng(0), 50)] * 2)
+    calls.clear()
+    PoolTable(space, [scorer, scorer], None).score(rows)
+    assert calls == [(len(np.unique(rows[:, b : b + 2], axis=0)), 2) for b in (0, 2)]
+
+
+def test_pool_table_hands_a_scorer_blocks_of_row_indices(monkeypatch):
+    # a pool of more than CHAIN_BLOCK row indices is scored a block at a
+    # time, to the same argmax; on 36 features the gathered rows of
+    # C(300, 2) = 44,850 combinations a pool would take ~54 MB at once,
+    # in blocks ~4.6 MB
+    space = SubsetSpace([range(60), range(60, 120)], [2, 2])
+    calls = []
+
+    def scorer(rows):
+        calls.append(len(rows))
+        return -0.01 * (rows.sum(axis=1) % 97 - 40.0) ** 2
+
+    want = PoolTable(space, [scorer, scorer], None).best()
+    monkeypatch.setattr(core, "CHAIN_BLOCK", 64)
+    calls.clear()
+    assert PoolTable(space, [scorer, scorer], None).best() == want
+    assert sum(calls) == 2 * 1770 and max(calls) == 32
+    monkeypatch.undo()
+
+    data = make_synthetic(
+        {"generator": "gaussian-blobs", "classes": 2, "dim": 36, "per_class": 300, "separation": 5.0}, seed=1)
+    model = fit_model("plda", data, seed=0)
+    theta = TargetInference(ThetaKind.LATENT_CLASS_MEANS, model.parameters["latent_means"])
+    space = SubsetSpace.per_class(data.labels, 2)
+    table = PoolTable(space, *pool_terms(make_plda_learner(model, data), theta, space))
+    table.best()  # first-use allocations
+    assert traced_peak(table.best) < 12e6
 
 
 def test_biased_split_routes_equal_the_joint_sweep_and_the_reference_chain(plda3, blobs3):

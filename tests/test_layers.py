@@ -244,13 +244,20 @@ def test_one_reader_of_a_parameter_value():
 
 def test_one_pool_table():
     """A class-split learner's pools are scored by ``core.PoolTable``
-    alone: the per-pool argmax loop, the uncalled posterior sampler and
-    the task record it made redundant are gone, and neither the studies
-    nor the example explainer builds an example set of its own."""
+    alone: the per-pool argmax loop, the uncalled posterior sampler, the
+    task record it made redundant and the plda learner's cached per-tuple
+    class term are gone, and neither the studies nor the example explainer
+    builds an example set of its own. The only cache left in ``learners``
+    is the mmd learner's per-target reference terms."""
     sources = {m: (PACKAGE / f"{m}.py").read_text(encoding="utf-8") for m in MODULES}
     defined = {
         node.name for text in sources.values() for node in ast.walk(ast.parse(text))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    assert sorted(defined & {"pool_scores", "sample_posterior", "TwoAfcTask"}) == []
+    assert sorted(defined & {"pool_scores", "sample_posterior", "TwoAfcTask", "class_term"}) == []
     assert [m for m in ("studies", "explainers") if "example_set" in sources[m]] == []
+    cached = [
+        node.name for node in ast.walk(ast.parse(sources["learners"]))
+        if isinstance(node, ast.FunctionDef) and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)
+    ]
+    assert cached == ["reference_terms"] and sources["learners"].count("lru_cache") == 1

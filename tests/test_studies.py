@@ -2,12 +2,13 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from bayesteach import learners, teacher
+from bayesteach import learners, studies, teacher
 from bayesteach.errors import BadSpec, MissingClass
 from bayesteach.learners import BiasConfig, biased_learner, linear_quantile, make_plda_learner, median
 from bayesteach.models import fit_model, jsonable, make_synthetic
@@ -388,7 +389,11 @@ def test_bias_sweep_scores_only_the_drawn_subsets_of_a_large_pool(monkeypatch):
     monkeypatch.setattr(learners, "plda_class_logpdf", lambda *a: calls.append(a) or logpdf(*a))
     strengths = (0.0, 5.0)
     out = bias_sensitivity_study(model, data, strengths=strengths, task_count=20, seed=0)
-    assert len(calls) <= 20 * 2 * 2  # tasks x class pools x candidates
+    # a call scores a stack of row sets, so count the sets: each strength
+    # scores the distinct drawn segments of each pool under each candidate
+    scored = [(mean.tobytes(), rows.tobytes()) for _, stack, mean in calls for rows in stack.reshape(-1, 2, 3)]
+    assert len(set(scored)) <= 20 * 2 * 2  # tasks x class pools x candidates
+    assert len(scored) <= 20 * 2 * 2 * len(strengths)
     candidates = _plda_candidates(model, 0.4, 0, 0xB1A5, "bias sweep")
     space = SubsetSpace.per_class(data.labels, 2)
     shown = [example_set(row) for row in space.draw(np.random.default_rng((0, 0xA11)), 20).tolist()]
@@ -432,6 +437,32 @@ def test_strategy_mismatch_study_on_a_constructed_disagreement():
     out = strategy_mismatch_study(selector, LearnerModel("agree", agree_ll),
                                   (C0, C1), 0, space, n=4000, burn_in=200, seed=0)
     assert out["sampling_beats_max"] is False
+
+
+def test_plda_strategy_mismatch_scores_each_evaluator_pool_once_per_candidate(monkeypatch):
+    # the evaluator scores the argmax and the distinct samples through one
+    # pool table per candidate, never through its joint likelihood
+    data = study_data()
+    model = fit_model("plda", data, seed=0)
+    want = plda_strategy_mismatch_study(model, data, n=300, burn_in=50, seed=3)
+    calls = Counter()
+
+    def counted(base, bias):
+        learner = biased_learner(base, bias)
+
+        def log_likelihood(theta, x):
+            calls["joint"] += 1
+            return learner.log_likelihood(theta, x)
+
+        def block_terms(theta, pools):
+            scorers, combine = learner.block_terms(theta, pools)
+            return [lambda rows, s=s: calls.update(["pool"]) or s(rows) for s in scorers], combine
+
+        return LearnerModel(learner.description, log_likelihood).factored(block_terms)
+
+    monkeypatch.setattr(studies, "biased_learner", counted)
+    assert plda_strategy_mismatch_study(model, data, n=300, burn_in=50, seed=3) == want
+    assert calls == Counter(pool=2 * 2)  # class pools x candidates
 
 
 def reference_strategy_mismatch(selector, evaluator, candidates, target_index, space, n, burn_in, seed):
