@@ -145,8 +145,8 @@ class PoolTable:
     weight, ``combine`` (None: the ``in_order_sum``) of its pool terms,
     equals its log likelihood to the bit. ``best`` scores every
     combination of every pool once, as the joint argmax must; ``score``
-    the distinct segments of the rows it is given, so its cost grows with
-    the draws, not with the pools' C(n, k). Both use ``block_scores``."""
+    only the segments of the rows it is given, so its cost grows with the
+    draws, not with the pools' C(n, k). Both use ``block_scores``."""
 
     def __init__(self, space: SubsetSpace, terms, combine):
         self.space, self.scorers, self.combine = space, terms, combine
@@ -175,20 +175,15 @@ class PoolTable:
             return in_order_sum(columns)
         return np.fromiter(map(self.combine, zip(*(c.tolist() for c in columns))), dtype=float, count=len(columns[0]))
 
+    def columns(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Each pool's terms of the rows of a ``SubsetSpace.draw`` array,
+        one column per pool."""
+        segments = np.split(rows, np.cumsum(self.space._ks)[:-1], axis=1)
+        return [block_scores(term, s) for term, s in zip(self.scorers, segments)]
+
     def score(self, rows: np.ndarray) -> np.ndarray:
-        """The weight of each row of a ``SubsetSpace.draw`` array, each
-        distinct segment of a pool scored once. One lexsort finds them;
-        ``np.unique(axis=0)`` sorts rows as bytes, several times slower."""
-        columns, start = [], 0
-        for term, k in zip(self.scorers, self.space._ks):
-            segments = rows[:, start : start + k]
-            order = np.lexsort(segments.T)
-            first = np.concatenate(([True], np.any(segments[order[1:]] != segments[order[:-1]], axis=1)))
-            inverse = np.empty_like(order)
-            inverse[order] = np.cumsum(first) - 1
-            columns.append(block_scores(term, segments[order[first]])[inverse])
-            start += k
-        return self.weights(columns)
+        """The weight of each row of a ``SubsetSpace.draw`` array."""
+        return self.weights(self.columns(rows))
 
 
 def teacher_posterior(

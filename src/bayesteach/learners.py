@@ -24,7 +24,6 @@ from .models import (
     TargetModel,
     batch_predictor,
     plda_class_logpdf,
-    plda_posterior_over_means,
 )
 from .types import (
     MAX_DRAWS,
@@ -180,33 +179,45 @@ def _pool_classes(data: Dataset, pools) -> list[int] | None:
 def make_plda_learner(model: TargetModel, data: Dataset) -> LearnerModel:
     """PLDA learner whose likelihood splits over classes.
 
-    The log likelihood, ``plda_posterior_over_means``, sums one term per
-    class; ``block_terms`` scores them per single-class pool, a stack of
-    row subsets per ``plda_class_logpdf`` call. Data of another width
-    than the model's raises DimensionMismatch.
+    The mean posterior factorizes over classes: the log likelihood is a
+    sum of one ``plda_class_logpdf`` term per class, of the class's rows
+    ascending. ``block_terms`` scores them per single-class pool, a stack
+    of row subsets per call. Data of another width than the model's
+    raises DimensionMismatch.
     """
     width = model.parameters["center"].shape[0]
     if data.n_features != width:
         raise DimensionMismatch(f"the plda model expects {width} features, the data has {data.n_features}")
     shape = model.parameters["latent_means"].shape
 
-    def log_likelihood(theta: TargetInference, x: Explanation) -> float:
+    def means_of(theta: TargetInference) -> np.ndarray:
         if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
             raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
+        means = np.asarray(theta.payload, dtype=float)
+        if means.shape != shape:
+            raise DimensionMismatch(f"latent means must have shape {shape}, got {means.shape}")
+        return means
+
+    def log_likelihood(theta: TargetInference, x: Explanation) -> float:
+        means = means_of(theta)
         if x.kind is not ExplanationKind.EXAMPLE_SET:
             raise BadSpec(f"plda learner consumes example sets, not {x.kind.value}")
-        return plda_posterior_over_means(model, data, x.payload, theta.payload)
+        # rows of a class the model lacks are ignored
+        rows = np.sort(np.asarray(x.payload, dtype=np.intp))
+        labels = data.labels[rows]
+        total = 0.0
+        for c in range(model.class_count):
+            if not (labels == c).any():
+                raise MissingClass(f"subset has no row of class {c}")
+            total += plda_class_logpdf(model, data.features[rows[labels == c]], means[c])
+        return total
 
     def block_terms(theta: TargetInference, pools):
         """One class term per pool, added in pool order as
         ``log_likelihood`` adds them (``_pool_classes``); rows of a class
         the model lacks add 0. A model class no pool holds raises the
         ``MissingClass`` of every candidate."""
-        if theta.kind is not ThetaKind.LATENT_CLASS_MEANS:
-            raise BadSpec(f"plda learner scores latent class means, not {theta.kind.value}")
-        means = np.asarray(theta.payload, dtype=float)
-        if means.shape != shape:
-            raise DimensionMismatch(f"latent means must have shape {shape}, got {means.shape}")
+        means = means_of(theta)
         classes = _pool_classes(data, pools)
         if classes is None:
             return None

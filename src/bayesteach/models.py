@@ -591,12 +591,11 @@ def plda_posterior_over_means(
     subset_indices,
     latent_means: np.ndarray | None = None,
 ) -> float:
-    """Log density the subset-trained mean posterior puts on class means,
-    the plda learner's log likelihood: the sum over classes of
-    ``plda_class_logpdf`` of the class's subset rows, ascending, at its
-    row of ``latent_means`` (default: the full-fit means); rows of a class
-    the model lacks are ignored. Raises MissingClass when the subset
-    leaves any class unrepresented.
+    """Log density the subset-trained mean posterior puts on class means:
+    the sum over classes of ``plda_class_logpdf`` of the class's subset
+    rows at its row of ``latent_means`` (default: the full-fit means), as
+    ``learners.make_plda_learner`` adds them on its own. Raises
+    MissingClass when the subset leaves any class unrepresented.
     """
     if model.family != "plda":
         raise BadSpec(f"mean posterior is defined for plda models, not {model.family}")
@@ -610,7 +609,7 @@ def plda_posterior_over_means(
     labels = data.labels[indices]
     total = 0.0
     for c in range(model.class_count):
-        rows = np.sort(indices[labels == c])
+        rows = indices[labels == c]
         if rows.size == 0:
             raise MissingClass(f"subset has no row of class {c}")
         total += plda_class_logpdf(model, data.features[rows], theta[c])

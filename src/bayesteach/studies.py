@@ -178,11 +178,14 @@ def _plda_candidates(model: TargetModel, distractor_scale: float, seed: int, key
     )
 
 
-def _scored(learner: LearnerModel, candidates, space: SubsetSpace, rows: np.ndarray) -> np.ndarray:
+def _scored(learner: LearnerModel, candidates, space, rows) -> np.ndarray | None:
     """The log likelihood of each row of a ``SubsetSpace.draw`` array (a
-    row) under each candidate (a column), by one ``core.PoolTable`` each."""
-    tables = [core.PoolTable(space, *core.pool_terms(learner, c, space)) for c in candidates]
-    return np.column_stack([table.score(rows) for table in tables])
+    row) under each candidate (a column), by one ``core.PoolTable`` each;
+    None when the learner does not split the space's pools."""
+    splits = [core.pool_terms(learner, c, space) for c in candidates]
+    if any(split is None for split in splits):
+        return None
+    return np.column_stack([core.PoolTable(space, *split).score(np.asarray(rows)) for split in splits])
 
 
 def example_selection_study(
@@ -265,9 +268,13 @@ def bias_sensitivity_study(
 
     favored = np.array([0.1, 0.9])
     members = [PopulationMember(base, 1.0, BiasConfig(s, candidates, favored)) for s in strengths]
+    # a biased learner keeps the base's pool scorers and changes only their
+    # combine, so each candidate's pool terms are scored once for the sweep
+    columns = [core.PoolTable(space, *core.pool_terms(base, c, space)).columns(shown) for c in candidates]
     rows = []
     for strength, member in zip(strengths, members):
-        log_liks = _scored(member.learner(), candidates, space, shown)
+        tables = [core.PoolTable(space, *core.pool_terms(member.learner(), c, space)) for c in candidates]
+        log_liks = np.column_stack([table.weights(terms) for table, terms in zip(tables, columns)])
         report = simulate_2afc(SimulatedStudy((member,), candidates, tasks), [log_liks], seed)
         favored_mass = 1.0 - float(
             np.mean([t["predicted"] for t in report.per_task])
@@ -316,10 +323,9 @@ def strategy_mismatch_study(
     # the argmax, then each distinct sample in order of first visit
     distinct = samples.tally.records
     xs = [x_max] + [samples.explanation_of(r) for r in distinct.tolist()]
-    if core.pool_terms(evaluator, theta, space) is None:
+    log_liks = _scored(evaluator, candidates, space, [x.payload for x in xs])
+    if log_liks is None:
         log_liks = np.array([[evaluator.log_likelihood(c, x) for c in candidates] for x in xs], dtype=float)
-    else:
-        log_liks = _scored(evaluator, candidates, space, np.array([x.payload for x in xs]))
     masses = _target_masses(log_liks, np.full(len(xs), target_index))
     max_value = float(masses[0])
     sampled_value = in_order_sum(samples.at_each_step(masses[1:])) / len(samples)
